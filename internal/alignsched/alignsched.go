@@ -81,19 +81,27 @@ func (s *Scheduler) Jobs() []jobs.Job {
 // the aligned sub-window and therefore inside the original window.
 func (s *Scheduler) Assignment() jobs.Assignment { return s.inner.Assignment() }
 
-// Insert replaces the job's window with ALIGNED(W) and delegates.
-func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+// admit runs Insert's static checks: a well-formed window that reaches
+// past time 0, and a name that is not already active.
+func (s *Scheduler) admit(j jobs.Job) error {
 	if err := j.Validate(); err != nil {
-		return metrics.Cost{}, err
+		return err
 	}
 	if j.Window.End <= 0 {
-		return metrics.Cost{}, fmt.Errorf("alignsched: window %v lies entirely before time 0", j.Window)
+		return fmt.Errorf("alignsched: window %v lies entirely before time 0", j.Window)
 	}
 	if _, ok := s.names.Get(j.Name); ok {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+		return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
 	}
-	aligned := align.Aligned(j.Window)
-	cost, err := s.inner.Insert(jobs.Job{Name: j.Name, Window: aligned})
+	return nil
+}
+
+// Insert replaces the job's window with ALIGNED(W) and delegates.
+func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+	if err := s.admit(j); err != nil {
+		return metrics.Cost{}, err
+	}
+	cost, err := s.inner.Insert(jobs.Job{Name: j.Name, Window: align.Aligned(j.Window)})
 	if err != nil {
 		return cost, err
 	}

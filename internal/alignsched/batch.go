@@ -1,19 +1,12 @@
-// Batched admission for the alignment wrapper: window replacement is a
-// pure per-request transformation, so ApplyBatch aligns every insert's
-// window, resolves the statically certain rejections (malformed or
-// pre-zero windows, duplicates of committed jobs, deletes of names the
-// batch cannot have created) in one pass, and forwards the surviving
-// requests to the inner scheduler's bulk path in one call. Requests
-// whose verdict depends on the outcome of an earlier request in the
-// same batch (a duplicate of, or a delete of, a name the batch itself
-// inserts) are delegated — the inner layers run the same duplicate and
-// existence checks with the same sentinel errors, so the observable
-// behavior matches the sequential path either way.
+// Bulk admission for the alignment wrapper. Window replacement is a
+// pure per-request transformation, so an insert-only batch is aligned
+// and checked in one pass and forwarded to the inner scheduler's bulk
+// path in one call. A duplicate of a name the same batch inserts is
+// left to the inner layers, which run the same check with the same
+// sentinel. A batch that contains a delete runs request by request.
 package alignsched
 
 import (
-	"fmt"
-
 	"repro/internal/align"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
@@ -22,92 +15,34 @@ import (
 
 var _ sched.BatchScheduler = (*Scheduler)(nil)
 
-// ApplyBatch aligns, prevalidates, and forwards the batch. See
-// sched.BatchScheduler for the shared bulk semantics.
+// ApplyBatch implements sched.BatchScheduler.
 func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
+	if !sched.InsertsOnly(reqs) {
+		return sched.ApplyEach(s, reqs)
+	}
 	costs := make([]metrics.Cost, len(reqs))
 	errs := make([]error, len(reqs))
-
-	// Copy-on-write overlays over the committed originals, tracking only
-	// batch-touched names. present: the name is certainly active
-	// (committed, not deleted by the batch so far). pending: the batch
-	// inserts the name, success still unknown.
-	present := make(map[string]bool, len(reqs))
-	isPresent := func(name string) bool {
-		if v, ok := present[name]; ok {
-			return v
-		}
-		_, ok := s.names.Get(name)
-		return ok
-	}
-	pending := make(map[string]bool)
-
-	innerReqs := make([]jobs.Request, 0, len(reqs))
-	innerIdx := make([]int, 0, len(reqs)) // inner position -> batch index
-	origWin := make([]jobs.Window, len(reqs))
-
+	inner := make([]jobs.Request, 0, len(reqs))
+	idx := make([]int, 0, len(reqs)) // inner position -> batch index
 	for i, r := range reqs {
-		switch r.Kind {
-		case jobs.Insert:
-			j := jobs.Job{Name: r.Name, Window: r.Window}
-			if err := j.Validate(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if j.Window.End <= 0 {
-				errs[i] = fmt.Errorf("alignsched: window %v lies entirely before time 0", j.Window)
-				continue
-			}
-			if isPresent(r.Name) {
-				errs[i] = fmt.Errorf("%w: %q", sched.ErrDuplicateJob, r.Name)
-				continue
-			}
-			aligned := align.Aligned(j.Window)
-			innerReqs = append(innerReqs, jobs.Request{Kind: jobs.Insert, Name: r.Name, Window: aligned})
-			innerIdx = append(innerIdx, i)
-			origWin[i] = j.Window
-			pending[r.Name] = true
-		case jobs.Delete:
-			if !isPresent(r.Name) && !pending[r.Name] {
-				errs[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-				continue
-			}
-			innerReqs = append(innerReqs, r)
-			innerIdx = append(innerIdx, i)
-			present[r.Name] = false
-			delete(pending, r.Name)
-		default:
-			errs[i] = fmt.Errorf("sched: unknown request kind %d", r.Kind)
+		if errs[i] = s.admit(jobs.Job{Name: r.Name, Window: r.Window}); errs[i] != nil {
+			continue
+		}
+		inner = append(inner, jobs.Request{Kind: jobs.Insert, Name: r.Name, Window: align.Aligned(r.Window)})
+		idx = append(idx, i)
+	}
+	cs, err := sched.ApplyBatch(s.inner, inner)
+	for k, i := range idx {
+		costs[i] = cs[k]
+		if errs[i] = sched.ErrAt(err, k); errs[i] == nil {
+			s.setWin(s.names.Intern(reqs[i].Name), reqs[i].Window)
 		}
 	}
-
-	cs, err := sched.ApplyBatch(s.inner, innerReqs)
+	// The shed jobs predate the batch: a job this batch admitted fails
+	// on its own request instead.
 	for _, name := range sched.TakeBatchEvictions(s.inner) {
 		s.dropName(name)
 		s.evicted = append(s.evicted, name)
-	}
-	var be *sched.BatchError
-	if err != nil {
-		be, _ = err.(*sched.BatchError)
-	}
-	for k, i := range innerIdx {
-		costs[i] = cs[k]
-		var e error
-		switch {
-		case be != nil:
-			e = be.At(k)
-		case err != nil:
-			e = err
-		}
-		errs[i] = e
-		if e != nil {
-			continue
-		}
-		if reqs[i].Kind == jobs.Insert {
-			s.setWin(s.names.Intern(reqs[i].Name), origWin[i])
-		} else {
-			s.dropName(reqs[i].Name)
-		}
 	}
 	return costs, sched.NewBatchError(errs)
 }

@@ -1,23 +1,6 @@
-// Batched admission for the reservation core. The per-request machinery
-// (reservations, PLACE cascades) is inherently sequential, but the
-// static admission checks — request well-formedness, alignment,
-// duplicate detection, the interval cap — are not: ApplyBatch resolves
-// all of them in ONE preflight pass over the name-set trajectory of the
-// batch, then drives the reservation machinery through the prevalidated
-// execution halves of Insert and Delete.
-//
-// Equivalence: the preflight computes exactly the verdicts sequential
-// execution would, because static failures never mutate scheduler state
-// and every non-static execution failure poisons the scheduler (after
-// which both paths fail every remaining request with the poison error).
-// The final schedule is therefore identical to applying the requests one
-// at a time, on every input.
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/align"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -25,88 +8,10 @@ import (
 
 var _ sched.BatchScheduler = (*Scheduler)(nil)
 
-// ApplyBatch serves the requests in order with one static-admission pass
-// for the whole batch. A failed request does not abort the batch; see
-// sched.BatchScheduler for the shared bulk semantics.
+// ApplyBatch serves the requests one at a time. The reservation
+// machinery is sequential, so there is nothing for the core to
+// amortize; the method exists because the benchmark's decorator table
+// (bench/trace.go) expects the core to show sched.BatchScheduler.
 func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
-	costs := make([]metrics.Cost, len(reqs))
-	errs := make([]error, len(reqs))
-	static := s.preflight(reqs)
-	for i, r := range reqs {
-		if s.poisoned != nil {
-			errs[i] = s.poisoned
-			continue
-		}
-		if static[i] != nil {
-			errs[i] = static[i]
-			continue
-		}
-		switch r.Kind {
-		case jobs.Insert:
-			costs[i], errs[i] = s.insertPrevalidated(jobs.Job{Name: r.Name, Window: r.Window})
-		case jobs.Delete:
-			j := s.activeJob(r.Name)
-			if j == nil {
-				// Unreachable when the preflight simulation holds; kept as
-				// a guard against drift between the two passes.
-				errs[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-				continue
-			}
-			costs[i], errs[i] = s.deletePrevalidated(j)
-		}
-	}
-	return costs, sched.NewBatchError(errs)
-}
-
-// preflight computes every request's static admission verdict in one
-// pass, simulating the active-name trajectory of the batch (an insert
-// adds its name, a delete removes it). The checks and their order match
-// Insert and Delete exactly, so a statically rejected request gets the
-// same error sequential execution would produce.
-func (s *Scheduler) preflight(reqs []jobs.Request) []error {
-	// Copy-on-write overlay over the live job set: only batch-touched
-	// names are tracked, so the pass costs O(batch), not O(active jobs).
-	over := make(map[string]bool, len(reqs))
-	has := func(name string) bool {
-		if v, ok := over[name]; ok {
-			return v
-		}
-		return s.activeJob(name) != nil
-	}
-	out := make([]error, len(reqs))
-	for i, r := range reqs {
-		switch r.Kind {
-		case jobs.Insert:
-			j := jobs.Job{Name: r.Name, Window: r.Window}
-			if err := j.Validate(); err != nil {
-				out[i] = err
-				continue
-			}
-			if !j.Window.IsAligned() {
-				out[i] = fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
-				continue
-			}
-			if has(j.Name) {
-				out[i] = fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
-				continue
-			}
-			if level := align.LevelOfSpan(j.Window.Span()); level > 0 {
-				if n := j.Window.Span() / align.IntervalSpan(level); n > s.maxIntervals {
-					out[i] = fmt.Errorf("core: window %v spans %d intervals, exceeding the cap %d (wrap with trim)",
-						j.Window, n, s.maxIntervals)
-					continue
-				}
-			}
-			over[j.Name] = true
-		case jobs.Delete:
-			if !has(r.Name) {
-				out[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-				continue
-			}
-			over[r.Name] = false
-		default:
-			out[i] = fmt.Errorf("sched: unknown request kind %d", r.Kind)
-		}
-	}
-	return out
+	return sched.ApplyEach(s, reqs)
 }

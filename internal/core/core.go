@@ -340,6 +340,8 @@ func (s *Scheduler) Assignment() jobs.Assignment {
 }
 
 // Insert adds an aligned job (Figure 1: two RESERVE calls, then PLACE).
+//
+//reallocvet:hotpath
 func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 	if s.poisoned != nil {
 		return metrics.Cost{}, s.poisoned
@@ -348,29 +350,20 @@ func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 		return metrics.Cost{}, err
 	}
 	if !j.Window.IsAligned() {
-		return metrics.Cost{}, fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
+		return metrics.Cost{}, fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window) //reallocvet:allow hotpath (rejection path: the request is refused before any state changes)
 	}
 	if s.activeJob(j.Name) != nil {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name) //reallocvet:allow hotpath (rejection path: the request is refused before any state changes)
 	}
-	if level := align.LevelOfSpan(j.Window.Span()); level > 0 {
+	level := align.LevelOfSpan(j.Window.Span())
+	if level > 0 {
 		if n := j.Window.Span() / align.IntervalSpan(level); n > s.maxIntervals {
-			return metrics.Cost{}, fmt.Errorf("core: window %v spans %d intervals, exceeding the cap %d (wrap with trim)",
+			return metrics.Cost{}, fmt.Errorf("core: window %v spans %d intervals, exceeding the cap %d (wrap with trim)", //reallocvet:allow hotpath (rejection path: the request is refused before any state changes)
 				j.Window, n, s.maxIntervals)
 		}
 	}
-	return s.insertPrevalidated(j)
-}
-
-// insertPrevalidated runs the insert machinery for a job that already
-// passed the static admission checks (well-formed, aligned, not a
-// duplicate, under the interval cap). It is the execution half of
-// Insert, shared with the batch path.
-//
-//reallocvet:hotpath
-func (s *Scheduler) insertPrevalidated(j jobs.Job) (metrics.Cost, error) {
 	js := s.takeJobState()
-	*js = jobState{name: j.Name, id: s.names.Intern(j.Name), key: keyOf(j.Window), level: align.LevelOfSpan(j.Window.Span())}
+	*js = jobState{name: j.Name, id: s.names.Intern(j.Name), key: keyOf(j.Window), level: level}
 	s.cost = metrics.Cost{}
 	s.levelCost = [align.NumLevels]int{}
 
@@ -399,22 +392,16 @@ func (s *Scheduler) insertPrevalidated(j jobs.Job) (metrics.Cost, error) {
 func (s *Scheduler) LastCostByLevel() [align.NumLevels]int { return s.levelCost }
 
 // Delete removes an active job.
+//
+//reallocvet:hotpath
 func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 	if s.poisoned != nil {
 		return metrics.Cost{}, s.poisoned
 	}
 	j := s.activeJob(name)
 	if j == nil {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, name)
+		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, name) //reallocvet:allow hotpath (rejection path: the request is refused before any state changes)
 	}
-	return s.deletePrevalidated(j)
-}
-
-// deletePrevalidated runs the delete machinery for an active job state.
-// It is the execution half of Delete, shared with the batch path.
-//
-//reallocvet:hotpath
-func (s *Scheduler) deletePrevalidated(j *jobState) (metrics.Cost, error) {
 	s.cost = metrics.Cost{}
 	s.levelCost = [align.NumLevels]int{}
 	var err error

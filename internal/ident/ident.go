@@ -8,16 +8,11 @@
 // when the job leaves, so a table only ever holds the active names.
 // Released IDs go on a free list and are reissued to later names, which
 // keeps the space dense — an ID-indexed slice never grows past the
-// scheduler's high-water job count (times the stripe count).
+// scheduler's high-water job count.
 //
-// Tables are safe for concurrent use. The name→ID direction is
-// lock-sharded: names hash onto independently locked stripes, so
-// concurrent interns of different names do not serialize (the sharded
-// front-end interns from many dispatching goroutines at once). Each
-// stripe owns its slots outright — the stripe index is encoded in the
-// ID's low bits — so the ID→name direction needs no second lock scheme.
-// Single-threaded layers use a 1-stripe table and pay one uncontended
-// lock per boundary crossing.
+// Tables are safe for concurrent use: one lock guards both directions.
+// The schedulers are single-threaded and pay one uncontended lock per
+// boundary crossing.
 package ident
 
 import "sync"
@@ -30,129 +25,69 @@ type ID uint32
 // None is the zero ID, held by no name.
 const None ID = 0
 
-// MaxStripes bounds NewSharded's stripe count.
-const MaxStripes = 256
-
-// Table is a two-way name⇄ID registry with free-list ID reuse.
+// Table is a two-way name⇄ID registry with free-list ID reuse. The ID
+// of a name is its slot plus one.
 type Table struct {
-	mask    uint32 // stripe count - 1 (stripe count is a power of two)
-	bits    uint32 // log2(stripe count)
-	stripes []stripe
-}
-
-type stripe struct {
 	mu     sync.RWMutex
 	byName map[string]uint32 // name -> slot
 	names  []string          // slot -> name; "" marks a free slot
 	free   []uint32          // recycled slots
 }
 
-// New returns a single-stripe table: fully dense IDs, one uncontended
-// lock per operation. The right choice for single-threaded schedulers.
-func New() *Table { return NewSharded(1) }
-
-// NewSharded returns a table with the given number of lock stripes,
-// rounded up to a power of two and clamped to [1, MaxStripes]. IDs stay
-// quasi-dense: a table holding n names issues IDs below ~n*stripes.
-func NewSharded(stripes int) *Table {
-	n := 1
-	for n < stripes && n < MaxStripes {
-		n *= 2
-	}
-	bits := uint32(0)
-	for m := n - 1; m != 0; m >>= 1 {
-		bits++
-	}
-	t := &Table{mask: uint32(n - 1), bits: bits, stripes: make([]stripe, n)}
-	for i := range t.stripes {
-		t.stripes[i].byName = make(map[string]uint32)
-	}
-	return t
-}
-
-// id composes slot and stripe into the public ID (1-based so 0 = None).
-func (t *Table) id(slot uint32, stripeIdx uint32) ID {
-	return ID((slot<<t.bits | stripeIdx) + 1)
-}
-
-// split decomposes an ID back into (slot, stripe).
-func (t *Table) split(id ID) (slot, stripeIdx uint32) {
-	v := uint32(id) - 1
-	return v >> t.bits, v & t.mask
-}
-
-// stripeFor hashes the name onto its stripe (FNV-1a; inlined so the
-// lookup allocates nothing).
-func (t *Table) stripeFor(name string) (*stripe, uint32) {
-	if t.mask == 0 {
-		return &t.stripes[0], 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return &t.stripes[h&t.mask], h & t.mask
-}
+// New returns an empty table.
+func New() *Table { return &Table{byName: make(map[string]uint32)} }
 
 // Intern returns the ID bound to name, issuing one (free list first)
 // when the name is new.
 //
 //reallocvet:hotpath
 func (t *Table) Intern(name string) ID {
-	st, si := t.stripeFor(name)
-	st.mu.RLock()
-	slot, ok := st.byName[name]
-	st.mu.RUnlock()
+	t.mu.RLock()
+	slot, ok := t.byName[name]
+	t.mu.RUnlock()
 	if ok {
-		return t.id(slot, si)
+		return ID(slot + 1)
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if slot, ok := st.byName[name]; ok { // lost the race to another intern
-		return t.id(slot, si)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if slot, ok := t.byName[name]; ok { // lost the race to another intern
+		return ID(slot + 1)
 	}
-	if n := len(st.free); n > 0 {
-		slot = st.free[n-1]
-		st.free = st.free[:n-1]
-		st.names[slot] = name
+	if n := len(t.free); n > 0 {
+		slot = t.free[n-1]
+		t.free = t.free[:n-1]
+		t.names[slot] = name
 	} else {
-		slot = uint32(len(st.names))
-		st.names = append(st.names, name) //reallocvet:allow hotpath (amortized growth: steady state reuses free-list slots)
+		slot = uint32(len(t.names))
+		t.names = append(t.names, name) //reallocvet:allow hotpath (amortized growth: steady state reuses free-list slots)
 	}
-	st.byName[name] = slot
-	return t.id(slot, si)
+	t.byName[name] = slot
+	return ID(slot + 1)
 }
 
 // Get returns the ID bound to name without interning.
 //
 //reallocvet:hotpath
 func (t *Table) Get(name string) (ID, bool) {
-	st, si := t.stripeFor(name)
-	st.mu.RLock()
-	slot, ok := st.byName[name]
-	st.mu.RUnlock()
+	t.mu.RLock()
+	slot, ok := t.byName[name]
+	t.mu.RUnlock()
 	if !ok {
 		return None, false
 	}
-	return t.id(slot, si), true
+	return ID(slot + 1), true
 }
 
 // Name returns the name bound to id, or "" when id is None or unbound.
 //
 //reallocvet:hotpath
 func (t *Table) Name(id ID) string {
-	if id == None {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if id == None || int(id) > len(t.names) {
 		return ""
 	}
-	slot, si := t.split(id)
-	st := &t.stripes[si]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if slot >= uint32(len(st.names)) {
-		return ""
-	}
-	return st.names[slot]
+	return t.names[id-1]
 }
 
 // Release frees the binding of id and recycles it. Releasing None or an
@@ -164,64 +99,42 @@ func (t *Table) Release(id ID) {
 	if id == None {
 		panic("ident: release of None")
 	}
-	slot, si := t.split(id)
-	st := &t.stripes[si]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if slot >= uint32(len(st.names)) || st.names[slot] == "" {
+	slot := uint32(id) - 1
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if slot >= uint32(len(t.names)) || t.names[slot] == "" {
 		panic("ident: release of unbound ID")
 	}
-	delete(st.byName, st.names[slot])
-	st.names[slot] = ""             // drop the string reference
-	st.free = append(st.free, slot) //reallocvet:allow hotpath (amortized growth: the free list reaches its high-water mark and stops growing)
+	delete(t.byName, t.names[slot])
+	t.names[slot] = ""            // drop the string reference
+	t.free = append(t.free, slot) //reallocvet:allow hotpath (amortized growth: the free list reaches its high-water mark and stops growing)
 }
 
 // Len returns the number of bound names.
 func (t *Table) Len() int {
-	n := 0
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		n += len(st.byName)
-		st.mu.RUnlock()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.byName)
 }
 
 // Cap returns an exclusive upper bound on every ID the table has ever
 // issued — the size an ID-indexed slice needs to cover them all.
 func (t *Table) Cap() int {
-	hi := 0
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		if n := len(st.names); n > 0 {
-			if id := int(t.id(uint32(n-1), uint32(i))); id >= hi {
-				hi = id + 1
-			}
-		}
-		st.mu.RUnlock()
-	}
-	return hi
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.names) + 1
 }
 
 // Range calls fn for every bound (ID, name) until fn returns false. The
-// iteration holds one stripe's read lock at a time, so fn must not call
-// mutating table methods; the order is unspecified.
+// iteration holds the table's read lock, so fn must not call mutating
+// table methods; the order is unspecified.
 func (t *Table) Range(fn func(id ID, name string) bool) {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		for slot, name := range st.names {
-			if name == "" {
-				continue
-			}
-			if !fn(t.id(uint32(slot), uint32(i)), name) {
-				st.mu.RUnlock()
-				return
-			}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for slot, name := range t.names {
+		if name != "" && !fn(ID(slot+1), name) {
+			return
 		}
-		st.mu.RUnlock()
 	}
 }
 
@@ -229,30 +142,24 @@ func (t *Table) Range(fn func(id ID, name string) bool) {
 // allocation-friendly way to snapshot the name set (callers typically
 // sort it for deterministic iteration).
 func (t *Table) AppendNames(buf []string) []string {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.RLock()
-		for _, name := range st.names {
-			if name != "" {
-				buf = append(buf, name)
-			}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for _, name := range t.names {
+		if name != "" {
+			buf = append(buf, name)
 		}
-		st.mu.RUnlock()
 	}
 	return buf
 }
 
-// Reset drops every binding but keeps the stripes' capacity, returning
-// the table to its initial state (IDs are reissued from the bottom).
-// For recycling a scheduler's ID space; callers must hold no live IDs.
+// Reset drops every binding but keeps the table's capacity, returning
+// it to its initial state (IDs are reissued from the bottom). For
+// recycling a scheduler's ID space; callers must hold no live IDs.
 func (t *Table) Reset() {
-	for i := range t.stripes {
-		st := &t.stripes[i]
-		st.mu.Lock()
-		clear(st.byName)
-		clear(st.names) // zero the string refs
-		st.names = st.names[:0]
-		st.free = st.free[:0]
-		st.mu.Unlock()
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	clear(t.byName)
+	clear(t.names) // zero the string refs
+	t.names = t.names[:0]
+	t.free = t.free[:0]
 }

@@ -86,7 +86,7 @@ func TestReleasePanics(t *testing.T) {
 // free list.
 func TestManyLiveNames(t *testing.T) {
 	const n = 70_000
-	tab := NewSharded(8)
+	tab := New()
 	ids := make([]ID, n)
 	for i := range ids {
 		ids[i] = tab.Intern(fmt.Sprintf("job-%d", i))
@@ -107,8 +107,8 @@ func TestManyLiveNames(t *testing.T) {
 	if tab.Len() != n/2 {
 		t.Fatalf("Len after releases = %d, want %d", tab.Len(), n/2)
 	}
-	// Reissue the released names: every stripe reuses its freed slots, so
-	// the ID space does not grow at all.
+	// Reissue the released names: the freed slots are reused, so the ID
+	// space does not grow at all.
 	capBefore := tab.Cap()
 	for i := 0; i < n; i += 2 {
 		tab.Intern(fmt.Sprintf("job-%d", i))
@@ -123,11 +123,11 @@ func TestManyLiveNames(t *testing.T) {
 	}
 }
 
-// TestConcurrentInternRelease hammers one sharded table from many
+// TestConcurrentInternRelease hammers one table from many
 // goroutines under -race: per-goroutine disjoint name sets plus one
 // contended shared name.
 func TestConcurrentInternRelease(t *testing.T) {
-	tab := NewSharded(16)
+	tab := New()
 	const workers = 8
 	const rounds = 2000
 	var wg sync.WaitGroup
@@ -158,40 +158,8 @@ func TestConcurrentInternRelease(t *testing.T) {
 	}
 }
 
-// TestStripeEncoding exercises every stripe count.
-func TestStripeEncoding(t *testing.T) {
-	for _, stripes := range []int{1, 2, 3, 4, 16, 200, MaxStripes, MaxStripes + 50} {
-		tab := NewSharded(stripes)
-		ids := make(map[ID]string)
-		for i := 0; i < 500; i++ {
-			name := fmt.Sprintf("s%d-n%d", stripes, i)
-			id := tab.Intern(name)
-			if prev, dup := ids[id]; dup {
-				t.Fatalf("stripes=%d: %q and %q share ID %d", stripes, prev, name, id)
-			}
-			ids[id] = name
-		}
-		for id, name := range ids {
-			if got := tab.Name(id); got != name {
-				t.Fatalf("stripes=%d: Name(%d) = %q, want %q", stripes, id, got, name)
-			}
-		}
-		got := 0
-		tab.Range(func(id ID, name string) bool {
-			if ids[id] != name {
-				t.Fatalf("stripes=%d: Range yields (%d, %q), want %q", stripes, id, name, ids[id])
-			}
-			got++
-			return true
-		})
-		if got != len(ids) {
-			t.Fatalf("stripes=%d: Range yielded %d names, want %d", stripes, got, len(ids))
-		}
-	}
-}
-
 func TestAppendNames(t *testing.T) {
-	tab := NewSharded(4)
+	tab := New()
 	want := map[string]bool{}
 	for i := 0; i < 100; i++ {
 		n := fmt.Sprintf("n-%d", i)
@@ -225,7 +193,7 @@ func BenchmarkInternReleaseChurn(b *testing.B) {
 }
 
 func BenchmarkGetHit(b *testing.B) {
-	tab := NewSharded(16)
+	tab := New()
 	names := make([]string, 1024)
 	for i := range names {
 		names[i] = fmt.Sprintf("bench-job-%d", i)

@@ -1,27 +1,15 @@
-// Batched admission for the m-machine wrapper: ApplyBatch plans every
-// routing decision — least-loaded delegation for inserts, the fullest
-// machine, the repair condition, and the (lexicographically smallest)
-// mover for delete repairs — against ONE simulated load snapshot in a
-// single planning pass, then executes the resulting per-machine
-// operation lists machine by machine through each machine's own bulk
-// path. Grouping by machine preserves each machine's operation order
-// (which is all the per-machine schedulers observe), so the final
-// schedule equals the sequential path's whenever no operation fails;
-// and because the per-machine execution goes through sched.ApplyBatch,
-// the trimming layer underneath amortizes its rebuilds per machine
-// batch rather than per request.
-//
-// The floor/ceil balance and the ≤1-migration-per-request bound are
-// preserved by construction: the plan replicates the sequential
-// decision functions exactly, and a delete still triggers at most one
-// repair migration.
+// Bulk admission for the m-machine wrapper. An insert-only batch is
+// routed in one pass — each job to the machine holding the fewest jobs
+// of its window, exactly as Insert decides, with the bookkeeping
+// committed as it goes so that the next decision sees it — and each
+// machine then admits its share through its own bulk path, which is
+// where the trimming layer merges its rebuilds. A machine sees its jobs
+// in batch order and machines are independent, so the final schedule
+// equals the per-request one whenever no insert fails. A batch that
+// contains a delete runs request by request.
 package multi
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -29,79 +17,73 @@ import (
 
 var _ sched.BatchScheduler = (*Scheduler)(nil)
 
-// planOp is one machine-level operation of a batch plan. A delete that
-// breaks the balance plans three ops: the delete itself, then a
-// migration pair (delete on the fullest machine, insert on the drained
-// one) attributed to the same request.
-type planOp struct {
-	reqIdx  int
-	machine int
-	req     jobs.Request
-	key     winKey
-	// migrationDelete marks the first half of a repair migration; the
-	// matching migrationInsert is always the next op in the plan.
-	migrationDelete bool
-	migrationInsert bool
-}
-
-// ApplyBatch serves the requests in order against one load snapshot.
-// See sched.BatchScheduler for the shared bulk semantics.
+// ApplyBatch implements sched.BatchScheduler.
 func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
+	if !sched.InsertsOnly(reqs) {
+		return sched.ApplyEach(s, reqs)
+	}
 	costs := make([]metrics.Cost, len(reqs))
 	errs := make([]error, len(reqs))
-	ops := s.plan(reqs, errs)
-
-	// Execute the per-machine operation lists. Machines are independent
-	// single-machine problems, so cross-machine execution order cannot
-	// change any placement.
-	perMachine := make([][]int, len(s.machines))
-	for k, op := range ops {
-		perMachine[op.machine] = append(perMachine[op.machine], k)
-	}
-	opCost := make([]metrics.Cost, len(ops))
-	opErr := make([]error, len(ops))
-	var shed []string // jobs the machines' batch rebuilds evicted
-	for mi, opIdxs := range perMachine {
-		if len(opIdxs) == 0 {
+	perMachine := make([][]int, len(s.machines)) // batch indices, in order
+	for i, r := range reqs {
+		if errs[i] = s.admit(jobs.Job{Name: r.Name, Window: r.Window}); errs[i] != nil {
 			continue
 		}
-		mreqs := make([]jobs.Request, len(opIdxs))
-		for k, oi := range opIdxs {
-			mreqs[k] = ops[oi].req
+		key := winKey{start: r.Window.Start, span: r.Window.Span()}
+		mi := s.leastLoaded(key, len(s.machines))
+		s.commit(r.Name, key, mi)
+		s.settleSkew(key)
+		perMachine[mi] = append(perMachine[mi], i)
+	}
+	for mi, idxs := range perMachine {
+		if len(idxs) == 0 {
+			continue
+		}
+		mreqs := make([]jobs.Request, len(idxs))
+		for k, i := range idxs {
+			mreqs[k] = reqs[i]
 		}
 		cs, err := sched.ApplyBatch(s.machines[mi], mreqs)
-		for k, oi := range opIdxs {
-			opCost[oi] = cs[k]
-		}
-		if err != nil {
-			if be, ok := err.(*sched.BatchError); ok {
-				for k, oi := range opIdxs {
-					opErr[oi] = be.At(k)
-				}
-			} else {
-				for _, oi := range opIdxs {
-					opErr[oi] = err
-				}
+		firstFailed := -1
+		for k, i := range idxs {
+			costs[i] = cs[k]
+			if errs[i] = sched.ErrAt(err, k); errs[i] == nil {
+				continue
+			}
+			s.drop(reqs[i].Name) // the job never landed
+			if firstFailed < 0 {
+				firstFailed = i
 			}
 		}
-		shed = append(shed, sched.TakeBatchEvictions(s.machines[mi])...)
+		s.dropEvicted(sched.TakeBatchEvictions(s.machines[mi]))
+		if firstFailed >= 0 {
+			// A failed insert can poison a bare reservation core; the
+			// rebuild replays the machine's tracked jobs, so it runs
+			// once the bookkeeping above is settled.
+			if rerr := s.recoverMachine(mi); rerr != nil {
+				errs[firstFailed] = rerr
+			}
+		}
 	}
-
-	s.foldPlan(ops, opCost, opErr, costs, errs)
-	s.dropEvicted(shed)
 	return costs, sched.NewBatchError(errs)
+}
+
+// drop erases the routing entry of a job that is not, or no longer, on
+// its machine.
+func (s *Scheduler) drop(name string) {
+	if id, idx, ok := s.lookup(name); ok {
+		key := s.wins[id]
+		s.forget(id, key, idx)
+		s.names.Release(id)
+		s.settleSkew(key)
+	}
 }
 
 // dropEvicted erases the wrapper bookkeeping for jobs a machine's batch
 // rebuild shed, and re-exposes them to the layer above.
 func (s *Scheduler) dropEvicted(shed []string) {
 	for _, name := range shed {
-		if id, idx, ok := s.lookup(name); ok {
-			key := s.wins[id]
-			s.forget(id, key, idx)
-			s.names.Release(id)
-			s.settleSkew(key)
-		}
+		s.drop(name)
 		s.evicted = append(s.evicted, name)
 	}
 }
@@ -111,308 +93,4 @@ func (s *Scheduler) TakeBatchEvictions() []string {
 	ev := s.evicted
 	s.evicted = nil
 	return ev
-}
-
-// plan walks the batch against a simulated snapshot of the routing
-// state, records static rejections into errs, and emits the machine-
-// level operation list. The decision functions mirror Insert and Delete
-// exactly (least-loaded with ties to the lowest index; repair from the
-// strictly fullest machine when it holds two more W-jobs than the
-// machine that lost one; the lexicographically smallest mover).
-func (s *Scheduler) plan(reqs []jobs.Request, errs []error) []planOp {
-	sim := newBatchSim(s)
-	defer sim.release()
-	var ops []planOp
-	for i, r := range reqs {
-		switch r.Kind {
-		case jobs.Insert:
-			j := jobs.Job{Name: r.Name, Window: r.Window}
-			if err := j.Validate(); err != nil {
-				errs[i] = err
-				continue
-			}
-			if !j.Window.IsAligned() {
-				errs[i] = fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
-				continue
-			}
-			if _, ok := sim.lookup(j.Name); ok {
-				errs[i] = fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
-				continue
-			}
-			key := winKey{start: j.Window.Start, span: j.Window.Span()}
-			idx := sim.leastLoaded(key)
-			ops = append(ops, planOp{reqIdx: i, machine: idx, req: r, key: key})
-			sim.commit(j.Name, key, idx)
-		case jobs.Delete:
-			idx, ok := sim.lookup(r.Name)
-			if !ok {
-				errs[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-				continue
-			}
-			key := sim.window(r.Name)
-			ops = append(ops, planOp{reqIdx: i, machine: idx, req: r, key: key})
-			sim.forget(r.Name, key, idx)
-			if from, mover, ok := sim.repair(key, idx); ok {
-				w := key.window()
-				ops = append(ops,
-					planOp{reqIdx: i, machine: from, req: jobs.DeleteReq(mover), key: key, migrationDelete: true},
-					planOp{reqIdx: i, machine: idx, req: jobs.InsertReq(mover, w.Start, w.End), key: key, migrationInsert: true},
-				)
-				sim.forget(mover, key, from)
-				sim.commit(mover, key, idx)
-			}
-		default:
-			errs[i] = fmt.Errorf("sched: unknown request kind %d", r.Kind)
-		}
-	}
-	return ops
-}
-
-// foldPlan walks the executed plan in order, folding operation costs
-// into per-request costs and committing the wrapper bookkeeping for
-// every operation that actually succeeded. Machines whose recovery may
-// be needed (a failed insert can poison a bare reservation core) are
-// rebuilt only after the bookkeeping is complete, since recoverMachine
-// replays the tracked jobs of the machine.
-func (s *Scheduler) foldPlan(ops []planOp, opCost []metrics.Cost, opErr []error, costs []metrics.Cost, errs []error) {
-	// Failure recovery is rare: allocate its tracking lazily. The
-	// touched-window set reuses a per-scheduler scratch map (the wrapper
-	// is single-threaded), so a steady stream of batches stops paying
-	// for it.
-	var needRecover map[int]bool
-	if s.touched == nil {
-		s.touched = make(map[winKey]bool)
-	}
-	touched := s.touched
-	defer clear(touched)
-	for k := 0; k < len(ops); k++ {
-		op := ops[k]
-		touched[op.key] = true
-		switch {
-		case op.migrationDelete:
-			ins := ops[k+1]
-			dErr, iErr := opErr[k], opErr[k+1]
-			switch {
-			case dErr == nil && iErr == nil:
-				costs[op.reqIdx].Add(opCost[k])
-				costs[op.reqIdx].Add(opCost[k+1])
-				costs[op.reqIdx].Migrations++ // the mover crossed machines
-				if id, _, ok := s.lookup(op.req.Name); ok {
-					s.forget(id, op.key, op.machine)
-					s.commitID(id, op.key, ins.machine)
-				}
-			case dErr != nil && iErr == nil:
-				// The mover landed on the target but never left its source:
-				// undo the landing so it is not scheduled twice.
-				if _, uerr := s.machines[ins.machine].Delete(op.req.Name); uerr != nil {
-					if needRecover == nil {
-						needRecover = make(map[int]bool)
-					}
-					needRecover[ins.machine] = true
-				}
-				if errs[op.reqIdx] == nil {
-					errs[op.reqIdx] = fmt.Errorf("multi: migration delete of %q failed: %w", op.req.Name, dErr)
-				}
-			case dErr == nil && iErr != nil:
-				// Drained but not re-placed: the mover leaves the scheduler.
-				costs[op.reqIdx].Add(opCost[k])
-				if id, _, ok := s.lookup(op.req.Name); ok {
-					s.forget(id, op.key, op.machine)
-					s.names.Release(id)
-				}
-				if needRecover == nil {
-					needRecover = make(map[int]bool)
-				}
-				needRecover[ins.machine] = true
-				if errs[op.reqIdx] == nil {
-					errs[op.reqIdx] = fmt.Errorf("multi: migration insert of %q failed: %w", op.req.Name, iErr)
-				}
-			default:
-				if errs[op.reqIdx] == nil {
-					errs[op.reqIdx] = fmt.Errorf("multi: migration delete of %q failed: %w", op.req.Name, dErr)
-				}
-			}
-			k++ // consume the paired migrationInsert
-		case op.req.Kind == jobs.Insert:
-			costs[op.reqIdx].Add(opCost[k])
-			if opErr[k] != nil {
-				errs[op.reqIdx] = opErr[k]
-				if needRecover == nil {
-					needRecover = make(map[int]bool)
-				}
-				needRecover[op.machine] = true
-				continue
-			}
-			s.commit(op.req.Name, op.key, op.machine)
-		default: // delete
-			costs[op.reqIdx].Add(opCost[k])
-			if opErr[k] != nil {
-				errs[op.reqIdx] = opErr[k]
-				continue
-			}
-			if id, _, ok := s.lookup(op.req.Name); ok {
-				s.forget(id, op.key, op.machine)
-				s.names.Release(id)
-			}
-		}
-	}
-	for mi := range needRecover { //reallocvet:orderinsensitive (machine rebuilds are independent: each touches only its own machine state)
-		if rerr := s.recoverMachine(mi); rerr != nil {
-			// Surface the rebuild failure on the first affected request.
-			for k, op := range ops {
-				if op.machine == mi && opErr[k] != nil {
-					errs[op.reqIdx] = rerr
-					break
-				}
-			}
-		}
-	}
-	for key := range touched { //reallocvet:orderinsensitive (settleSkew is per-window bookkeeping; windows are independent)
-		s.settleSkew(key)
-	}
-}
-
-// stringSet is the name-keyed overlay set of the batch planner; the
-// live routing state underneath is ID-keyed (idSet).
-type stringSet map[string]struct{}
-
-// batchSim is a copy-on-write overlay of the wrapper's routing state,
-// used by plan so one batch reads the live maps without mutating them.
-// The overlay stays name-keyed — batch requests arrive as names, and
-// only batch-touched names enter it — while fall-through reads resolve
-// against the interned live state. Sims are pooled: a burst of batches
-// reuses the overlay maps instead of reallocating them per batch.
-type batchSim struct {
-	s    *Scheduler
-	loc  map[string]int    // name -> machine; -1 marks an in-batch delete
-	win  map[string]winKey // windows of in-batch inserts
-	sets map[winKey][]stringSet
-}
-
-var simPool = sync.Pool{New: func() any {
-	return &batchSim{
-		loc:  make(map[string]int),
-		win:  make(map[string]winKey),
-		sets: make(map[winKey][]stringSet),
-	}
-}}
-
-func newBatchSim(s *Scheduler) *batchSim {
-	b := simPool.Get().(*batchSim)
-	b.s = s
-	return b
-}
-
-// release returns the sim to the pool. Pooling invariant: every map is
-// cleared first, so no job names or scheduler pointers outlive the
-// batch through the pool.
-func (b *batchSim) release() {
-	b.s = nil
-	clear(b.loc)
-	clear(b.win)
-	clear(b.sets)
-	simPool.Put(b)
-}
-
-func (b *batchSim) lookup(name string) (int, bool) {
-	if idx, ok := b.loc[name]; ok {
-		if idx < 0 {
-			return 0, false
-		}
-		return idx, true
-	}
-	_, idx, ok := b.s.lookup(name)
-	return idx, ok
-}
-
-func (b *batchSim) window(name string) winKey {
-	if key, ok := b.win[name]; ok {
-		return key
-	}
-	if id, ok := b.s.names.Get(name); ok {
-		return b.s.wins[id]
-	}
-	return winKey{}
-}
-
-// setsFor clones the per-machine W-job sets of key on first touch,
-// padded to the machine count (IDs resolve back to names: the planner's
-// mover rule is lexicographic on names).
-func (b *batchSim) setsFor(key winKey) []stringSet {
-	if sets, ok := b.sets[key]; ok {
-		return sets
-	}
-	live := b.s.perWin[key]
-	sets := make([]stringSet, len(b.s.machines))
-	for i := range sets {
-		sets[i] = make(stringSet)
-		if i < len(live) {
-			for id := range live[i] { //reallocvet:orderinsensitive (pure set copy into a map; no order-dependent effect)
-				sets[i][b.s.names.Name(id)] = struct{}{}
-			}
-		}
-	}
-	b.sets[key] = sets
-	return sets
-}
-
-func (b *batchSim) commit(name string, key winKey, idx int) {
-	b.loc[name] = idx
-	b.win[name] = key
-	if len(b.s.machines) > 1 {
-		b.setsFor(key)[idx][name] = struct{}{}
-	}
-}
-
-func (b *batchSim) forget(name string, key winKey, idx int) {
-	b.loc[name] = -1
-	if len(b.s.machines) > 1 {
-		delete(b.setsFor(key)[idx], name)
-	}
-}
-
-// leastLoaded mirrors Scheduler.leastLoaded against the simulated sets.
-// One machine needs no sets: everything delegates to machine 0.
-func (b *batchSim) leastLoaded(key winKey) int {
-	if len(b.s.machines) == 1 {
-		return 0
-	}
-	sets := b.setsFor(key)
-	best, bestN := 0, -1
-	for i := range b.s.machines {
-		n := len(sets[i])
-		if bestN < 0 || n < bestN {
-			best, bestN = i, n
-		}
-	}
-	return best
-}
-
-// repair mirrors the delete-repair decision: after machine idx lost a
-// W-job, migrate one from the strictly fullest machine if it holds two
-// more. Returns the source machine and the mover. One machine can never
-// satisfy the "two more than" condition, so it never repairs.
-func (b *batchSim) repair(key winKey, idx int) (int, string, bool) {
-	if len(b.s.machines) == 1 {
-		return 0, "", false
-	}
-	sets := b.setsFor(key)
-	from, fromN := -1, 0
-	for i := range b.s.machines {
-		if n := len(sets[i]); n > fromN {
-			from, fromN = i, n
-		}
-	}
-	if from < 0 || fromN < len(sets[idx])+2 {
-		return 0, "", false
-	}
-	names := make([]string, 0, len(sets[from]))
-	for n := range sets[from] {
-		names = append(names, n)
-	}
-	if len(names) == 0 {
-		return 0, "", false
-	}
-	sort.Strings(names)
-	return from, names[0], true
 }

@@ -77,10 +77,6 @@ type Scheduler struct {
 	// evicted accumulates jobs the machines' batch rebuilds shed; see
 	// sched.BatchEvictor.
 	evicted []string
-
-	// touched is foldPlan's reusable touched-window scratch (cleared
-	// after every batch; the wrapper is single-threaded).
-	touched map[winKey]bool
 }
 
 type idSet map[ident.ID]struct{}
@@ -169,16 +165,25 @@ func (s *Scheduler) leastLoaded(key winKey, limit int) int {
 	return best
 }
 
-// Insert delegates the job to a machine holding the fewest W-jobs.
-func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+// admit runs Insert's static checks: a well-formed aligned window and a
+// name that is not already active.
+func (s *Scheduler) admit(j jobs.Job) error {
 	if err := j.Validate(); err != nil {
-		return metrics.Cost{}, err
+		return err
 	}
 	if !j.Window.IsAligned() {
-		return metrics.Cost{}, fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
+		return fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
 	}
 	if _, ok := s.names.Get(j.Name); ok {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+		return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+	}
+	return nil
+}
+
+// Insert delegates the job to a machine holding the fewest W-jobs.
+func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+	if err := s.admit(j); err != nil {
+		return metrics.Cost{}, err
 	}
 	key := winKey{start: j.Window.Start, span: j.Window.Span()}
 	idx := s.leastLoaded(key, len(s.machines))

@@ -1,10 +1,13 @@
-// Batched admission: the paper's reallocation bounds are amortized over
-// request *sequences*, so a caller that already holds a sequence (an
-// arrival wave, a drained queue, a replayed log) should not pay full
-// per-request dispatch, locking, and trim/repair overhead for every
-// element. BatchScheduler is the optional bulk interface the amortized
-// implementations provide; ApplyBatch is the uniform entry point that
-// falls back to per-request application for schedulers without one.
+// Batched admission. The paper prices every insert and delete on its
+// own, and a batch that contains a delete is served exactly that way:
+// ApplyEach runs it request by request through each layer's Insert and
+// Delete. The one batch shape with a bulk path is the insert-only batch
+// (a checkpoint restore, a preload), where the trimming layer replaces
+// the n* doublings of the ramp with one rebuild; the layers choose
+// between the two by looking at the batch (InsertsOnly). BatchScheduler
+// is the optional interface of the layers with a bulk path; ApplyBatch
+// is the uniform entry point, which falls back to ApplyEach for
+// schedulers without one.
 //
 // Batch semantics, shared by every implementation in this repository:
 //
@@ -13,11 +16,16 @@
 //   - The returned cost slice is parallel to the request slice.
 //   - The error is nil when every request succeeded, otherwise a
 //     *BatchError carrying the per-request errors.
-//   - On sequences where no request fails (e.g. γ-underallocated
-//     streams), the final schedule is identical to applying the same
-//     requests one at a time with Apply. Per-request costs may differ —
-//     that is the amortization — but the migration bound (at most one
-//     migration per request) is preserved.
+//   - A batch that contains a delete returns exactly the costs, errors
+//     and schedule of applying its requests one at a time.
+//   - An insert-only batch in which no insert fails (e.g. on a
+//     γ-underallocated job set) lands on the schedule of applying its
+//     requests one at a time. Every admitted job reports its first
+//     placement on its own request; the reallocations of the merged
+//     rebuild land on the request that crossed the last threshold.
+//   - Only an insert-only batch can shed jobs admitted by earlier
+//     requests (BatchError.Evicted), and only on a job set that is not
+//     sufficiently underallocated.
 package sched
 
 import (
@@ -46,10 +54,10 @@ type BatchError struct {
 	// Errs has one entry per request of the batch; nil means success.
 	Errs []error
 	// Evicted names active jobs (admitted by earlier requests) that the
-	// batch's rebuild recheck shed because they no longer fit the
-	// shrunken trim cap. Evictions are not request failures — the
+	// rebuild of an insert-only batch shed because they no longer fit
+	// next to the batch's jobs. Evictions are not request failures — the
 	// requests of this batch may all have succeeded — and occur only on
-	// streams that are not sufficiently underallocated.
+	// job sets that are not sufficiently underallocated.
 	Evicted []string
 }
 
@@ -136,9 +144,9 @@ func (e *BatchError) Unwrap() []error {
 }
 
 // BatchEvictor is implemented by bulk schedulers that can shed jobs
-// during a batch: on streams that are not sufficiently underallocated,
-// a trim rebuild's feasibility recheck may find a job admitted in an
-// earlier request no longer fits the shrunken cap and drop it (the
+// during an insert-only batch: on job sets that are not sufficiently
+// underallocated, the trim rebuild's feasibility recheck may find a job
+// admitted in an earlier request no longer fits and drop it (the
 // batch's error names it). TakeBatchEvictions returns and clears the
 // names shed by the most recent ApplyBatch call, so wrapping layers can
 // erase their own bookkeeping for those jobs; every wrapper in this
@@ -158,8 +166,7 @@ func TakeBatchEvictions(s Scheduler) []string {
 }
 
 // ApplyBatch routes a request slice to the scheduler's bulk path when it
-// has one, and otherwise applies the requests one at a time with the
-// same observable semantics (in-order execution, no abort on failure).
+// has one, and otherwise applies the requests one at a time.
 func ApplyBatch(s Scheduler, reqs []jobs.Request) ([]metrics.Cost, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -167,12 +174,43 @@ func ApplyBatch(s Scheduler, reqs []jobs.Request) ([]metrics.Cost, error) {
 	if b, ok := s.(BatchScheduler); ok {
 		return b.ApplyBatch(reqs)
 	}
+	return ApplyEach(s, reqs)
+}
+
+// ApplyEach is the per-request batch loop: the requests run in order
+// through Apply, a failed request does not abort the batch, and the
+// failures come back as a *BatchError. It is how every layer serves a
+// batch that contains a delete, so a mixed batch pays exactly the
+// per-request costs and reports exactly the per-request errors.
+func ApplyEach(s Scheduler, reqs []jobs.Request) ([]metrics.Cost, error) {
 	costs := make([]metrics.Cost, len(reqs))
 	errs := make([]error, len(reqs))
 	for i, r := range reqs {
 		costs[i], errs[i] = Apply(s, r)
 	}
 	return costs, NewBatchError(errs)
+}
+
+// InsertsOnly reports whether every request is an insert — the one
+// batch shape (checkpoint restore, preload) the layers keep a bulk
+// path for.
+func InsertsOnly(reqs []jobs.Request) bool {
+	for _, r := range reqs {
+		if r.Kind != jobs.Insert {
+			return false
+		}
+	}
+	return true
+}
+
+// ErrAt returns request i's error out of a bulk call's result: the
+// indexed entry of a *BatchError, or err itself when the whole call
+// failed structurally.
+func ErrAt(err error, i int) error {
+	if be, ok := err.(*BatchError); ok {
+		return be.At(i)
+	}
+	return err
 }
 
 // RunBatched feeds a request sequence to the scheduler in chunks of

@@ -120,3 +120,33 @@ func TestRunBatchedServesEverything(t *testing.T) {
 		t.Errorf("active = %d, want 1", s.Active())
 	}
 }
+
+func TestInsertsOnly(t *testing.T) {
+	ins, del := jobs.InsertReq("a", 0, 4), jobs.DeleteReq("a")
+	for _, tc := range []struct {
+		reqs []jobs.Request
+		want bool
+	}{
+		{nil, true},
+		{[]jobs.Request{ins, ins}, true},
+		{[]jobs.Request{ins, del}, false},
+		{[]jobs.Request{{Kind: 99, Name: "a"}}, false},
+	} {
+		if got := sched.InsertsOnly(tc.reqs); got != tc.want {
+			t.Errorf("InsertsOnly(%v) = %v, want %v", tc.reqs, got, tc.want)
+		}
+	}
+}
+
+func TestErrAt(t *testing.T) {
+	boom := errors.New("boom")
+	if sched.ErrAt(nil, 0) != nil {
+		t.Error("a successful call has no per-request error")
+	}
+	if be := sched.NewBatchError([]error{nil, boom}); sched.ErrAt(be, 0) != nil || sched.ErrAt(be, 1) != boom {
+		t.Error("a *BatchError is not indexed by request")
+	}
+	if sched.ErrAt(boom, 3) != boom {
+		t.Error("a structural error does not fail every request")
+	}
+}

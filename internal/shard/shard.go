@@ -153,11 +153,10 @@ type Scheduler struct {
 	// whoever transitions a slot to noShard releases the ID in the same
 	// critical section, so captured IDs stay valid exactly as long as
 	// their routing entry is owned. Every intern/release deliberately
-	// runs UNDER mu (a 1-stripe table, so IDs stay fully dense):
-	// interning outside the lock would race ID release/reuse — a freed
-	// ID could be reissued to a different name between a dispatcher's
-	// intern and its routing-table write, and two names would then claim
-	// one routing slot.
+	// runs UNDER mu: interning outside the lock would race ID
+	// release/reuse — a freed ID could be reissued to a different name
+	// between a dispatcher's intern and its routing-table write, and two
+	// names would then claim one routing slot.
 	mu       sync.RWMutex
 	names    *ident.Table
 	routing  []int32

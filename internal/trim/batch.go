@@ -1,44 +1,37 @@
-// Batched admission for the trimming wrappers.
+// Bulk admission for the trimming wrappers.
 //
-// The amortized wrapper (Scheduler) is where batching pays most. A
-// rebuild erases all placement history — the rebuilt schedule is a pure
-// function of (active job set, trim cap) — so when a batch is going to
-// cross an n* threshold, every inner operation before the batch's LAST
-// crossing is wasted work: whatever it places or frees is rebuilt from
-// scratch moments later. ApplyBatch therefore predicts the final
-// crossing in one cheap simulation pass and splits the batch there:
+// A rebuild erases all placement history — the rebuilt schedule is a
+// pure function of (active job set, trim cap) — so when an insert-only
+// batch (a checkpoint restore, a preload) is going to double n*, every
+// inner operation before the batch's LAST doubling is wasted work:
+// whatever it places is rebuilt from scratch moments later. ApplyBatch
+// finds that doubling in one pass and splits the batch there:
 //
-//   - Requests up to and including the final crossing are admitted as
-//     pure bookkeeping (the active set and the duplicate/unknown
-//     verdicts advance; the inner scheduler is not consulted), then ONE
-//     rebuild at the final cap places the surviving population. This is
-//     the batch's single feasibility recheck: a job the per-request
-//     path would have rejected individually fails the rebuild instead,
+//   - Inserts up to and including the last doubling are admitted as
+//     bookkeeping (the inner scheduler is not consulted), then ONE
+//     rebuild at the final cap places the whole population. A job the
+//     per-request path would have rejected fails the rebuild instead,
 //     is dropped, and reports the rejection on its own request.
-//   - Requests after the final crossing (or the whole batch when no
-//     crossing is predicted) run with exact per-request semantics.
+//   - Inserts after the last doubling (the whole batch when there is
+//     none) go through Insert.
 //
-// Equivalence: the sequential path's final rebuild happens at the same
-// request with the same job set and the same cap, and rebuilt schedules
-// are deterministic, so on sequences where no request fails the final
-// schedule is identical to applying the requests one at a time.
-// Per-request costs differ — the skipped prefix reports zero and the
-// crossing request carries the rebuild bill — which is the amortization
-// the paper's analysis prices in; the ≤1-migration-per-request bound is
-// trivially kept (single-machine rebuilds migrate nothing).
+// The per-request path's last rebuild happens at the same request with
+// the same job set and the same cap, and rebuilt schedules are
+// deterministic, so when no insert fails the final schedule is the
+// per-request one. The costs differ only in where the rebuild bill
+// lands: every admitted job still reports its first placement on its
+// own request, and the doubling request carries the jobs the one
+// rebuild moved.
 //
-// The deamortized wrapper (Incremental) gets no coalescing: the
-// even/odd parity discipline already bounds every request to O(1)
-// inner operations, and deferring the per-request transition moves
-// would change which pending-parity state each insert observes —
-// breaking batch/sequential equivalence for no amortized gain. It
-// deliberately does NOT implement sched.BatchScheduler; bulk callers
-// fall back to sched.ApplyBatch's per-request loop, which has exactly
-// the right semantics.
+// A batch that contains a delete runs request by request. So does every
+// batch on the deamortized wrapper (Incremental), which deliberately
+// does not implement sched.BatchScheduler: its even/odd parity
+// discipline already bounds a request to O(1) inner operations, and
+// deferring the per-request transition moves would change the parity
+// state each insert observes.
 package trim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/jobs"
@@ -48,124 +41,53 @@ import (
 
 var _ sched.BatchScheduler = (*Scheduler)(nil)
 
-// batchPlan is the result of the batch simulation pass.
-type batchPlan struct {
-	// static holds the per-request admission verdicts (nil = admitted),
-	// computed exactly as the sequential checks would.
-	static []error
-	// last is the index of the batch's final n* threshold crossing
-	// (assuming every admitted request succeeds), or -1.
-	last int
-	// nStarAtLast is the n* estimate right after that crossing.
-	nStarAtLast int
-}
-
-// ApplyBatch serves the requests with one rebuild for the whole prefix
-// up to the batch's final threshold crossing. See the package comment
-// and sched.BatchScheduler for the bulk semantics.
+// ApplyBatch implements sched.BatchScheduler.
 func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
+	if !sched.InsertsOnly(reqs) {
+		return sched.ApplyEach(s, reqs)
+	}
 	costs := make([]metrics.Cost, len(reqs))
 	errs := make([]error, len(reqs))
-	plan := s.planBatch(reqs)
-	start := 0
-	if plan.last >= 0 {
-		idxOf := make(map[string]int)
-		for i := 0; i <= plan.last; i++ {
-			if plan.static[i] != nil {
-				errs[i] = plan.static[i]
-				continue
-			}
-			switch r := reqs[i]; r.Kind {
-			case jobs.Insert:
+	last, nStar := s.lastDoubling(reqs)
+	if last >= 0 {
+		idxOf := make(map[string]int, last+1)
+		for i, r := range reqs[:last+1] {
+			if errs[i] = s.admit(jobs.Job{Name: r.Name, Window: r.Window}); errs[i] == nil {
 				s.setWin(s.names.Intern(r.Name), r.Window)
 				idxOf[r.Name] = i
-			case jobs.Delete:
-				if id, ok := s.names.Get(r.Name); ok {
-					s.names.Release(id)
-				}
-				delete(idxOf, r.Name)
 			}
 		}
-		s.nStar = plan.nStarAtLast
-		costs[plan.last].Add(s.rebuildDropping(idxOf, errs))
-		start = plan.last + 1
-	}
-	// The tail (or the whole batch when no crossing is predicted) runs
-	// with exact per-request semantics.
-	for i := start; i < len(reqs); i++ {
-		switch r := reqs[i]; r.Kind {
-		case jobs.Insert:
-			costs[i], errs[i] = s.Insert(jobs.Job{Name: r.Name, Window: r.Window})
-		case jobs.Delete:
-			costs[i], errs[i] = s.Delete(r.Name)
-		default:
-			errs[i] = fmt.Errorf("sched: unknown request kind %d", r.Kind)
+		s.nStar = nStar
+		costs[last] = s.rebuildDropping(idxOf, errs)
+		for i := range reqs[:last+1] {
+			if errs[i] == nil {
+				costs[i].Reallocations++ // the job's first placement
+			}
 		}
+	}
+	for i := last + 1; i < len(reqs); i++ {
+		costs[i], errs[i] = s.Insert(jobs.Job{Name: reqs[i].Name, Window: reqs[i].Window})
 	}
 	return costs, sched.NewBatchError(errs)
 }
 
-// planBatch simulates the batch's name-set and n* trajectory in one
-// pass, recording static admission verdicts and the final threshold
-// crossing. The checks mirror Insert and Delete exactly.
-func (s *Scheduler) planBatch(reqs []jobs.Request) batchPlan {
-	// Copy-on-write name overlay: only batch-touched names are tracked,
-	// everything else falls through to the live set, so the simulation
-	// costs O(batch), not O(active jobs).
-	over := make(map[string]bool, len(reqs))
-	has := func(name string) bool {
-		if v, ok := over[name]; ok {
-			return v
-		}
-		_, ok := s.names.Get(name)
-		return ok
-	}
-	n := s.names.Len()
-	nStar := s.nStar
-	p := batchPlan{static: make([]error, len(reqs)), last: -1, nStarAtLast: s.nStar}
+// lastDoubling returns the index of the last insert of the batch that
+// pushes the population past n*, or -1, and the n* the batch ends on,
+// assuming every insert that passes the static checks succeeds.
+func (s *Scheduler) lastDoubling(reqs []jobs.Request) (last, nStar int) {
+	seen := make(map[string]bool, len(reqs)) // names the batch itself adds
+	n, nStar, last := s.names.Len(), s.nStar, -1
 	for i, r := range reqs {
-		switch r.Kind {
-		case jobs.Insert:
-			j := jobs.Job{Name: r.Name, Window: r.Window}
-			if err := j.Validate(); err != nil {
-				p.static[i] = err
-				continue
-			}
-			if !j.Window.IsAligned() {
-				p.static[i] = fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
-				continue
-			}
-			if has(j.Name) {
-				p.static[i] = fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
-				continue
-			}
-			over[j.Name] = true
-			n++
-		case jobs.Delete:
-			if !has(r.Name) {
-				p.static[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-				continue
-			}
-			over[r.Name] = false
-			n--
-		default:
-			p.static[i] = fmt.Errorf("sched: unknown request kind %d", r.Kind)
+		if seen[r.Name] || s.admit(jobs.Job{Name: r.Name, Window: r.Window}) != nil {
 			continue
 		}
-		changed := false
-		for n > nStar {
-			nStar *= 2
-			changed = true
-		}
-		for nStar > 1 && 4*n < nStar {
-			nStar /= 2
-			changed = true
-		}
-		if changed {
-			p.last, p.nStarAtLast = i, nStar
+		seen[r.Name] = true
+		n++
+		if next := settled(n, nStar); next != nStar {
+			last, nStar = i, next
 		}
 	}
-	return p
+	return last, nStar
 }
 
 // rebuildDropping is rebuild with per-job failure recovery: a job that
@@ -238,14 +160,7 @@ func (s *Scheduler) rebuildDropping(idxOf map[string]int, errs []error) metrics.
 		// moved cap. This terminates: a round repeats only when the
 		// previous one dropped at least one job (otherwise n is unchanged
 		// and the settled n* matches), and the population only shrinks.
-		n := s.names.Len()
-		next := s.nStar
-		for n > next {
-			next *= 2
-		}
-		for next > 1 && 4*n < next {
-			next /= 2
-		}
+		next := settled(s.names.Len(), s.nStar)
 		if next == s.nStar {
 			break
 		}

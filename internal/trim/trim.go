@@ -154,16 +154,25 @@ func trimWindow(w jobs.Window, cap int64) jobs.Window {
 	return jobs.Window{Start: w.Start, End: w.Start + cap}
 }
 
-// Insert trims the job's window to the current cap and delegates.
-func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+// admit runs Insert's static checks: a well-formed aligned window and a
+// name that is not already active.
+func (s *Scheduler) admit(j jobs.Job) error {
 	if err := j.Validate(); err != nil {
-		return metrics.Cost{}, err
+		return err
 	}
 	if !j.Window.IsAligned() {
-		return metrics.Cost{}, fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
+		return fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
 	}
 	if _, ok := s.names.Get(j.Name); ok {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+		return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
+	}
+	return nil
+}
+
+// Insert trims the job's window to the current cap and delegates.
+func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
+	if err := s.admit(j); err != nil {
+		return metrics.Cost{}, err
 	}
 	trimmed := jobs.Job{Name: j.Name, Window: trimWindow(j.Window, s.Cap())}
 	cost, err := s.inner.Insert(trimmed)
@@ -207,22 +216,26 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 	return cost, err
 }
 
+// settled returns the n* that a population of n jobs moves nStar to:
+// doubled while n exceeds it, halved while n is below a quarter of it.
+func settled(n, nStar int) int {
+	for n > nStar {
+		nStar *= 2
+	}
+	for nStar > 1 && 4*n < nStar {
+		nStar /= 2
+	}
+	return nStar
+}
+
 // maybeResize adjusts n* and rebuilds the inner scheduler when the
 // active count crosses the doubling/halving thresholds.
 func (s *Scheduler) maybeResize() (metrics.Cost, error) {
-	n := s.names.Len()
-	changed := false
-	for n > s.nStar {
-		s.nStar *= 2
-		changed = true
-	}
-	for s.nStar > 1 && 4*n < s.nStar {
-		s.nStar /= 2
-		changed = true
-	}
-	if !changed {
+	next := settled(s.names.Len(), s.nStar)
+	if next == s.nStar {
 		return metrics.Cost{}, nil
 	}
+	s.nStar = next
 	return s.rebuild()
 }
 

@@ -580,18 +580,17 @@ func NewEDF(m int) Scheduler { return edf.New(m, edf.TieByArrival) }
 // Apply routes one request to a scheduler.
 func Apply(s Scheduler, r Request) (Cost, error) { return sched.Apply(s, r) }
 
-// ApplyBatch serves a request slice through the scheduler's bulk path
-// when it has one (every stack built by New and NewSharded does), and
-// otherwise applies the requests one at a time. Requests execute in
-// order; a failed request does not abort the batch. The returned cost
-// slice is parallel to the requests; the error, when non-nil, is a
-// *BatchError mapping failures back to request indices. On sequences
-// where no request fails, the final schedule is identical to applying
-// the requests one at a time — the bulk path only amortizes dispatch,
-// validation, and trim-rebuild work. On streams that are NOT
-// sufficiently underallocated, a batch's trim rebuild can additionally
-// shed active jobs admitted by earlier requests; those are reported in
-// BatchError.Evicted, never silently.
+// ApplyBatch serves a request slice in order; a failed request does not
+// abort the batch. The returned cost slice is parallel to the requests;
+// the error, when non-nil, is a *BatchError mapping failures back to
+// request indices. A batch that contains a delete is served request by
+// request and returns exactly what Apply would. An insert-only batch (a
+// restore, a preload) takes the stack's bulk path, which merges the
+// trim rebuilds of the ramp into one: when no insert fails, the final
+// schedule is identical to applying the requests one at a time. On a
+// job set that is NOT sufficiently underallocated, that rebuild can
+// additionally shed active jobs admitted by earlier requests; those are
+// reported in BatchError.Evicted, never silently.
 func ApplyBatch(s Scheduler, reqs []Request) ([]Cost, error) {
 	costs, err := sched.ApplyBatch(s, reqs)
 	if ev := sched.TakeBatchEvictions(s); len(ev) > 0 {
