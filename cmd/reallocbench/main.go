@@ -241,8 +241,6 @@ func main() {
 		scaling  = flag.Bool("scaling", false, "run the GOMAXPROCS x shard-count scaling study (closed-loop + open-loop arrival-rate curves); default output BENCH_PR6.json")
 		procsSet = flag.String("procs", "", "comma-separated GOMAXPROCS ladder for -scaling (default: powers of two up to NumCPU)")
 		ratesSet = flag.String("rates", "0.5,0.75,0.9", "open-loop arrival rates for -scaling, as fractions of the measured closed-loop throughput")
-		baseline = flag.String("baseline", "", "prior burst report to embed as the dispatch baseline twin in the -scaling output")
-		twinReps = flag.Int("twinreps", 3, "repetitions per dispatch-twin config in -scaling; the median-p99 run is reported")
 		skew     = flag.Float64("skew", 0.3, "trace scenario: fraction of inserts whose names route to one shard of the first multi-shard run")
 	)
 	flag.Parse()
@@ -256,8 +254,8 @@ func main() {
 		}
 		runScalingStudy(scalingConfig{
 			seed: *seed, machines: *machines, requests: *requests,
-			drivers: *drivers, twinReps: *twinReps, shardSet: *shardSet,
-			procsSet: *procsSet, ratesSet: *ratesSet, baseline: *baseline, out: *out,
+			drivers: *drivers, shardSet: *shardSet,
+			procsSet: *procsSet, ratesSet: *ratesSet, out: *out,
 		})
 		return
 	}

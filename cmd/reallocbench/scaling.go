@@ -10,11 +10,6 @@
 //     arrival time, not the actual send — so server-side queueing shows
 //     up in the tail instead of being silently omitted (the
 //     "coordinated omission" trap of closed-loop harnesses).
-//
-// With -baseline FILE the report also embeds a dispatch twin: the burst
-// scenario replayed by this binary (MPSC ring dispatch) next to the
-// runs recorded by the pre-ring binary (mutex + buffered channel),
-// with per-run p99 ratios.
 package main
 
 import (
@@ -22,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,27 +33,24 @@ type scalingConfig struct {
 	machines int
 	requests int
 	drivers  int
-	twinReps int
 	shardSet string
 	procsSet string
 	ratesSet string
-	baseline string
 	out      string
 }
 
 // ScalingReport is the BENCH_PR6.json document.
 type ScalingReport struct {
-	Scenario      string        `json:"scenario"`
-	CPUs          int           `json:"cpus"`
-	GoVersion     string        `json:"go_version"`
-	Machines      int           `json:"machines"`
-	Requests      int           `json:"requests"`
-	Drivers       int           `json:"drivers"`
-	ProcsLadder   []int         `json:"gomaxprocs_ladder"`
-	ShardLadder   []int         `json:"shard_ladder"`
-	ClosedLoop    []ScalingRun  `json:"closed_loop"`
-	OpenLoop      []OpenLoopRun `json:"open_loop"`
-	DispatchBurst *DispatchTwin `json:"dispatch_burst,omitempty"`
+	Scenario    string        `json:"scenario"`
+	CPUs        int           `json:"cpus"`
+	GoVersion   string        `json:"go_version"`
+	Machines    int           `json:"machines"`
+	Requests    int           `json:"requests"`
+	Drivers     int           `json:"drivers"`
+	ProcsLadder []int         `json:"gomaxprocs_ladder"`
+	ShardLadder []int         `json:"shard_ladder"`
+	ClosedLoop  []ScalingRun  `json:"closed_loop"`
+	OpenLoop    []OpenLoopRun `json:"open_loop"`
 }
 
 // ScalingRun is one closed-loop capacity point.
@@ -84,19 +75,6 @@ type OpenLoopRun struct {
 	P99LatencyUS   float64 `json:"p99_latency_us"`
 	P999LatencyUS  float64 `json:"p999_latency_us"`
 	MaxLatencyUS   float64 `json:"max_latency_us"`
-}
-
-// DispatchTwin pairs this binary's burst runs (MPSC ring dispatch)
-// with a prior report's runs (mutex + buffered channel dispatch). Each
-// head entry is the median-p99 run of Reps repetitions — one real,
-// complete run selected for representativeness, because single burst
-// runs have heavy tail variance (GC, scheduler jitter).
-type DispatchTwin struct {
-	Reps         int                `json:"reps"`
-	Head         []Run              `json:"head"`
-	BaselineFile string             `json:"baseline_file,omitempty"`
-	Baseline     []Run              `json:"baseline,omitempty"`
-	P99Ratio     map[string]float64 `json:"p99_ratio,omitempty"` // head/baseline; < 1 is a tail win
 }
 
 func runScalingStudy(cfg scalingConfig) {
@@ -151,9 +129,6 @@ func runScalingStudy(cfg scalingConfig) {
 			}
 		}
 	}
-	runtime.GOMAXPROCS(prev)
-
-	rep.DispatchBurst = runDispatchTwin(cfg)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -164,57 +139,6 @@ func runScalingStudy(cfg scalingConfig) {
 		fail(err)
 	}
 	fmt.Printf("wrote %s\n", cfg.out)
-}
-
-// runDispatchTwin replays the burst scenario with the current (MPSC
-// ring) dispatch and, when -baseline was given, embeds the prior
-// binary's same-named runs and the head/baseline p99 ratios. The twin
-// must be invoked with the same -machines/-requests/-drivers/-seed the
-// baseline report was produced with for the ratios to mean anything.
-func runDispatchTwin(cfg scalingConfig) *DispatchTwin {
-	burst, err := buildScenario("burst", cfg.seed, cfg.machines, cfg.requests, 0, 0)
-	if err != nil {
-		fail(err)
-	}
-	reps := cfg.twinReps
-	if reps < 1 {
-		reps = 1
-	}
-	twin := &DispatchTwin{Reps: reps}
-	twin.Head = append(twin.Head, medianP99Run(reps, func() Run { return runSequential(burst, cfg.machines) }))
-	twin.Head = append(twin.Head, medianP99Run(reps, func() Run { return runSequentialBatched(burst, cfg.machines, 512) }))
-	twin.Head = append(twin.Head, medianP99Run(reps, func() Run { return runSharded(burst, cfg.machines, 8, cfg.drivers, "") }))
-	twin.Head = append(twin.Head, medianP99Run(reps, func() Run { return runShardedBatched(burst, cfg.machines, 8, cfg.drivers, 512, "") }))
-	for _, r := range twin.Head {
-		fmt.Printf("burst %-20s  %10.0f req/s  p99 %7.1fus\n", r.Name, r.ThroughputRPS, r.P99LatencyUS)
-	}
-	if cfg.baseline == "" {
-		return twin
-	}
-	data, err := os.ReadFile(cfg.baseline)
-	if err != nil {
-		fail(fmt.Errorf("baseline: %w", err))
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fail(fmt.Errorf("baseline %s: %w", cfg.baseline, err))
-	}
-	twin.BaselineFile = cfg.baseline
-	twin.Baseline = base.Runs
-	byName := make(map[string]Run, len(base.Runs))
-	for _, r := range base.Runs {
-		byName[r.Name] = r
-	}
-	twin.P99Ratio = make(map[string]float64)
-	for _, r := range twin.Head {
-		if b, ok := byName[r.Name]; ok && b.P99LatencyUS > 0 {
-			ratio := r.P99LatencyUS / b.P99LatencyUS
-			twin.P99Ratio[r.Name] = ratio
-			fmt.Printf("p99 vs baseline %-20s  %7.1fus -> %7.1fus  (x%.2f)\n",
-				r.Name, b.P99LatencyUS, r.P99LatencyUS, ratio)
-		}
-	}
-	return twin
 }
 
 // runOpenLoop replays the scenario against the sharded front-end at a
@@ -281,18 +205,6 @@ func runOpenLoop(reqs []jobs.Request, machines, shards, drivers int, targetRPS f
 	ol.P999LatencyUS = quantileUS(snap, 0.999)
 	ol.MaxLatencyUS = float64(snap.Max()) / 1e3
 	return ol
-}
-
-// medianP99Run runs fn reps times and returns the run whose p99 is the
-// median of the repetitions — a real, complete run, not a synthetic
-// blend of several.
-func medianP99Run(reps int, fn func() Run) Run {
-	runs := make([]Run, reps)
-	for i := range runs {
-		runs[i] = fn()
-	}
-	sort.Slice(runs, func(i, k int) bool { return runs[i].P99LatencyUS < runs[k].P99LatencyUS })
-	return runs[(reps-1)/2]
 }
 
 // parseProcsLadder parses -procs, defaulting to powers of two up to

@@ -31,7 +31,7 @@ type ShardCost struct {
 	// Overflow is the number of requests this shard served after
 	// another shard rejected them as infeasible.
 	Overflow int
-	// Batches is the number of ring drains (worker wakeups) the shard
+	// Batches is the number of queue drains (worker wakeups) the shard
 	// worker performed; Requests/Batches is the mean pipeline batch
 	// size.
 	Batches int

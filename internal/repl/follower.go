@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/shard"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -534,46 +533,26 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 	r.buf = append(r.buf, fresh...)
 	recs, valid := wal.ScanRecords(r.buf)
 	for _, rec := range recs {
-		r.apply(rec)
+		if err := r.apply(rec); err != nil {
+			return &fatalError{fmt.Errorf("repl: replay for %q: %w", tenant, err)}
+		}
 	}
 	r.buf = r.buf[:copy(r.buf, r.buf[valid:])]
 	return nil
 }
 
-// apply replays one record through the normal admission paths with
-// logging off — the same discipline as realloc.OpenRecovered's replay.
-// Rejections are counted, not fatal: a request that failed on the
-// primary mutated state the same way the failed replay does, and
-// checkpoint-overlap duplicates are benign by design.
-func (r *replica) apply(rec wal.Record) {
-	r.records++
-	switch rec.Kind {
-	case wal.KindRequest:
-		r.requests++
-		if _, err := r.sched.Apply(rec.Req); err != nil {
-			r.failures++
-		}
-	case wal.KindBatch:
-		r.requests += len(rec.Batch)
-		if _, err := r.sched.ApplyBatch(rec.Batch); err != nil {
-			var be *sched.BatchError
-			if errors.As(err, &be) {
-				r.failures += be.Failed
-			} else {
-				r.failures++
-			}
-		}
-	case wal.KindResize:
-		var err error
-		if rec.Resize.Shard >= 0 {
-			_, err = r.sched.ResizeShard(rec.Resize.Shard, rec.Resize.Delta)
-		} else {
-			_, err = r.sched.Resize(rec.Resize.Machines)
-		}
-		if err != nil {
-			r.failures++
-		}
+// apply replays one record through the scheduler's one replay path
+// (logging off — the same call realloc.OpenRecovered makes) and counts
+// it. An error means the record was refused, not that a request failed.
+func (r *replica) apply(rec wal.Record) error {
+	failed, err := r.sched.Replay(rec)
+	if err != nil {
+		return err
 	}
+	r.records++
+	r.requests += rec.Requests()
+	r.failures += failed
+	return nil
 }
 
 func (r *replica) close() {

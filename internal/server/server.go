@@ -30,7 +30,7 @@
 // with CodeDeadline, having mutated nothing: the coalescer checks
 // expiry when it builds a batch, and a request that travels alone also
 // propagates its deadline into the scheduler (ApplyDeadline), where
-// the shard ring enforces it while parked or queued.
+// the shard queue enforces it while parked or queued.
 //
 // # Shutdown
 //
@@ -387,7 +387,8 @@ func (t *tenant) serve(batch []item) {
 	case 0:
 	case 1:
 		// A lone request keeps full deadline coverage: ApplyDeadline
-		// enforces expiry inside the scheduler too (ring park, queue).
+		// enforces expiry inside the scheduler too (parked on a full
+		// shard queue, or waiting in it).
 		it := &batch[idx[0]]
 		var err error
 		if it.exp.IsZero() {

@@ -248,7 +248,7 @@ func TestServerOverloadBurst(t *testing.T) {
 }
 
 // TestServerDeadlineExpiry: a microsecond deadline expires in the
-// coalescer queue (or the shard ring) and is rejected un-executed with
+// coalescer queue (or the shard queue) and is rejected un-executed with
 // the deadline verdict; the schedule never contains the expired job.
 func TestServerDeadlineExpiry(t *testing.T) {
 	s := startServer(t, server.Config{})

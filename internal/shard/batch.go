@@ -352,21 +352,11 @@ func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.Shard
 		sub[k] = reqs[i]
 	}
 	cs, err := sched.ApplyBatch(inner, sub)
-	var be *sched.BatchError
-	if err != nil {
-		be, _ = err.(*sched.BatchError)
-	}
 	st.Batches++
 	retryable := overflow == nil && len(s.workers) > 1
 	rerouting := scratch.flags
 	for k, i := range idxs {
-		var e error
-		switch {
-		case be != nil:
-			e = be.At(k)
-		case err != nil:
-			e = err
-		}
+		e := sched.ErrAt(err, k)
 		st.Requests++
 		rerouting[k] = e != nil && retryable && reqs[i].Kind == jobs.Insert && errors.Is(e, sched.ErrInfeasible)
 		switch {

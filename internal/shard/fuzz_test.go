@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/feasible"
@@ -132,125 +131,6 @@ func FuzzApplyBatch(f *testing.F) {
 			if err := feasible.VerifySchedule(snap.Jobs, snap.Assignment, snap.Machines); err != nil {
 				t.Fatalf("batch %d: schedule infeasible: %v", batchNo, err)
 			}
-		}
-	})
-}
-
-// FuzzRing drives the MPSC dispatch ring through byte-decoded
-// operation scripts: the first byte picks the capacity, then each byte
-// either pushes a sequenced payload from one of four producers (two
-// bits pick the producer) or pops on the consumer side. A blocked push
-// would deadlock the single-threaded script, so the script only pushes
-// when the ring has room (the blocking path is covered by the ring race
-// tests). After the script, a concurrent segment hammers the same ring
-// from four real producer goroutines. Invariants: nothing is lost or
-// duplicated, per-producer FIFO order holds, and a closed ring drains
-// fully before reporting empty.
-// Run with: go test -fuzz=FuzzRing ./internal/shard (CI smokes it
-// under -race).
-func FuzzRing(f *testing.F) {
-	f.Add([]byte{0x04, 0x00, 0x41, 0x80, 0x02, 0xc3, 0x81})
-	f.Add([]byte{0x01, 0xff, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80})
-	f.Add([]byte{0x20, 0x01, 0x02, 0x03, 0x80, 0x81, 0x82, 0x83, 0x04})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		r := newRing(int(data[0]%32) + 1)
-		type model struct{ producer, seq int }
-		var fifo []model // what the ring must pop, in order
-		next := [4]int{} // per-producer next sequence number
-		last := [4]int{}
-		for i := range last {
-			last[i] = -1
-		}
-		pending := func() uint64 { return r.tail.Load() - r.head.Load() }
-		popOne := func(mustHave bool) {
-			tk, ok := r.pop()
-			if !ok {
-				if mustHave {
-					t.Fatalf("pop returned empty with %d tasks modeled", len(fifo))
-				}
-				if len(fifo) != 0 {
-					t.Fatalf("ring empty but model holds %d tasks", len(fifo))
-				}
-				return
-			}
-			if len(fifo) == 0 {
-				t.Fatal("ring popped a task the model never pushed")
-			}
-			want := fifo[0]
-			fifo = fifo[1:]
-			p, seq := int(tk.req.Kind), int(tk.req.Window.Start)
-			if p != want.producer || seq != want.seq {
-				t.Fatalf("pop = producer %d seq %d, want producer %d seq %d", p, seq, want.producer, want.seq)
-			}
-			if seq != last[p]+1 {
-				t.Fatalf("producer %d: seq %d after %d", p, seq, last[p])
-			}
-			last[p] = seq
-		}
-		for _, op := range data[1:] {
-			if op&0x80 == 0 || pending() >= r.size {
-				popOne(false)
-				continue
-			}
-			p := int(op >> 5 & 0x3)
-			if err := r.push(task{req: jobs.Request{
-				Kind: jobs.RequestKind(p), Window: jobs.Window{Start: jobs.Time(next[p])},
-			}}); err != nil {
-				t.Fatalf("push failed on open ring: %v", err)
-			}
-			fifo = append(fifo, model{p, next[p]})
-			next[p]++
-		}
-		for len(fifo) > 0 {
-			popOne(true)
-		}
-
-		// Concurrent segment: four producers, counts derived from the
-		// data tail, consumer checks per-producer order and totals.
-		counts := [4]int{}
-		totalWant := 0
-		for i := range counts {
-			if len(data) > i+1 {
-				counts[i] = int(data[i+1] % 64)
-			}
-			totalWant += counts[i]
-		}
-		var wg sync.WaitGroup
-		for p, n := range counts {
-			wg.Add(1)
-			go func(p, n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if err := r.push(task{req: jobs.Request{
-						Kind: jobs.RequestKind(p), Window: jobs.Window{Start: jobs.Time(i)},
-					}}); err != nil {
-						t.Errorf("push failed on open ring: %v", err)
-						return
-					}
-				}
-			}(p, n)
-		}
-		go func() { wg.Wait(); r.close() }()
-		lastSeen := [4]int{-1, -1, -1, -1}
-		total := 0
-		for {
-			tk, ok := r.popWait()
-			if !ok {
-				break
-			}
-			total++
-			p, seq := int(tk.req.Kind), int(tk.req.Window.Start)
-			if seq <= lastSeen[p] {
-				t.Fatalf("concurrent: producer %d seq %d after %d", p, seq, lastSeen[p])
-			}
-			lastSeen[p] = seq
-		}
-		if total != totalWant {
-			t.Fatalf("concurrent: consumed %d, want %d", total, totalWant)
 		}
 	})
 }

@@ -6,12 +6,12 @@
 // full Theorem 1 stack). Requests route to a primary shard by consistent
 // hashing of the job name; an insert the primary rejects as infeasible
 // overflows to the least-loaded shard. Each shard runs one worker
-// goroutine fed by a bounded MPSC ring buffer (lock-free CAS producers,
-// single consumer, park/unpark on empty/full — see ring.go), so
-// independent shards serve requests in parallel and a burst against one
-// shard pipelines into batches instead of blocking the caller per
-// request. Every request's dispatch latency (enqueue to served) lands
-// in a per-shard HDR histogram surfaced through Report.
+// goroutine fed by a buffered channel of Config.Buffer tasks (a send to
+// a full queue blocks: backpressure), so independent shards serve
+// requests in parallel and a burst against one shard pipelines into
+// batches instead of blocking the caller per request. Every request's
+// dispatch latency (enqueue to served) lands in a per-shard HDR
+// histogram surfaced through Report.
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
 // sched.Scheduler) is synchronous — it returns the request's cost after
@@ -56,7 +56,7 @@ import (
 var ErrClosed = fault.ErrClosed
 
 // ErrDeadlineExceeded reports a request whose deadline passed before
-// its shard worker executed it — while parked on a full ring, or while
+// its shard worker executed it — while parked on a full queue, or while
 // queued behind earlier work. Such a request never reaches the inner
 // scheduler, mutates nothing, and (under a WAL) is never logged, so a
 // deadline rejection needs no compensation on either side. It aliases
@@ -80,7 +80,7 @@ const (
 	noShard = -3
 )
 
-// defaultBuffer is the per-shard request ring capacity.
+// defaultBuffer is the per-shard request queue capacity.
 const defaultBuffer = 256
 
 // maxBatch bounds how many queued requests a worker drains per wakeup.
@@ -120,8 +120,7 @@ type Config struct {
 	// Policy routes job names to primary shards (default: consistent
 	// hash ring with DefaultReplicas virtual nodes).
 	Policy Policy
-	// Buffer is the per-shard request ring capacity (default 256,
-	// rounded up to a power of two).
+	// Buffer is the per-shard request queue capacity (default 256).
 	Buffer int
 	// BatchSize is the preferred bulk-admission chunk size reported by
 	// Scheduler.BatchSize (0 means 1, i.e. no auto-chunking; negative
@@ -202,7 +201,7 @@ type Scheduler struct {
 var _ sched.Scheduler = (*Scheduler)(nil)
 
 // worker owns one shard: its inner scheduler, machine range, request
-// ring, and statistics. Only the worker goroutine touches inner and
+// queue, and statistics. Only the worker goroutine touches inner and
 // stats after startup. base is guarded by rangeMu; machines is atomic
 // because worker-side code (the overflow load heuristic) reads it and
 // must never block on rangeMu — a resize holds that lock while waiting
@@ -215,7 +214,7 @@ type worker struct {
 	base     int          // global index of the shard's first machine
 	machines atomic.Int64 // current machine count
 	inner    sched.Scheduler
-	ring     *ring
+	q        chan task // capacity Config.Buffer: how far producers run ahead of the worker
 	done     chan struct{}
 	lat      *hdr.Histogram
 	stats    metrics.ShardCost
@@ -225,10 +224,10 @@ type task struct {
 	req      jobs.Request
 	overflow bool
 	// enq is when the task entered the dispatch boundary (just before
-	// its ring push, so a push blocked on a full ring counts as queue
+	// its queue send, so a send blocked on a full queue counts as queue
 	// delay); the worker records served-enq into the shard's latency
 	// histogram. It is monotonic nanoseconds since the package epoch —
-	// one clock read, no wall-time component, 8 bytes in the ring slot.
+	// one clock read, no wall-time component.
 	enq int64
 	// retryable marks a primary insert that the front-end will retry on
 	// a fallback shard if this shard rejects it as infeasible; such a
@@ -239,7 +238,7 @@ type task struct {
 	// client request.
 	resizeMove bool
 	// deadline is the request's absolute expiry in monotonicNS (0 =
-	// none). It bounds both the full-ring park (push fails with
+	// none). It bounds both the full-queue park (send fails with
 	// ErrDeadlineExceeded instead of blocking past it) and queue time
 	// (the worker rejects an expired task instead of executing it).
 	deadline int64
@@ -308,7 +307,7 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 			idx:   i,
 			base:  base,
 			inner: cfg.Factory(m),
-			ring:  newRing(cfg.Buffer),
+			q:     make(chan task, cfg.Buffer),
 			done:  make(chan struct{}),
 			lat:   hdr.New(),
 		}
@@ -322,23 +321,25 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	return s
 }
 
-// run is the shard worker loop: park until the ring has work, then
-// serve up to maxBatch queued tasks back to back per wakeup.
+// run is the shard worker loop: park until the queue has work, then
+// serve up to maxBatch queued tasks back to back per wakeup. It exits
+// once Close has closed the queue and every accepted task is served.
 func (w *worker) run() {
 	defer close(w.done)
-	for {
-		t, ok := w.ring.popWait()
-		if !ok {
-			return
-		}
+	for t := range w.q {
 		w.stats.Batches++
 		w.exec(t)
+	drain:
 		for n := 1; n < maxBatch; n++ {
-			t, ok := w.ring.pop()
-			if !ok {
-				break
+			select {
+			case t, ok := <-w.q:
+				if !ok {
+					return
+				}
+				w.exec(t)
+			default:
+				break drain
 			}
-			w.exec(t)
 		}
 	}
 }
@@ -426,10 +427,11 @@ func (s *Scheduler) trackedID(name string) (ident.ID, int, bool) {
 	return id, v, ok
 }
 
-// send enqueues a task on shard i, blocking when the shard's ring is
+// send enqueues a task on shard i, blocking when the shard's queue is
 // full (backpressure). It fails with ErrClosed after Close, and with
 // ErrDeadlineExceeded when the task's deadline expires while parked on
-// the full ring.
+// the full queue. The read lock is held across the park: that is what
+// lets Close close the channels with no sender left inside one.
 //
 //reallocvet:hotpath
 func (s *Scheduler) send(i int, t task) error {
@@ -439,7 +441,28 @@ func (s *Scheduler) send(i int, t task) error {
 		return ErrClosed
 	}
 	t.enq = monotonicNS()
-	return s.workers[i].ring.push(t)
+	q := s.workers[i].q
+	if t.deadline == 0 {
+		q <- t
+		return nil
+	}
+	select {
+	case q <- t: // room: no timer needed
+		return nil
+	default:
+	}
+	remain := t.deadline - t.enq
+	if remain <= 0 {
+		return ErrDeadlineExceeded
+	}
+	timer := time.NewTimer(time.Duration(remain))
+	defer timer.Stop()
+	select {
+	case q <- t:
+		return nil
+	case <-timer.C:
+		return ErrDeadlineExceeded
+	}
 }
 
 // epoch anchors the monotonic clock used for dispatch-latency stamps.
@@ -513,19 +536,29 @@ func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
 }
 
 // ApplyDeadline is Apply with a request deadline: if timeout elapses
-// before a shard worker picks the request up — parked on a full ring,
+// before a shard worker picks the request up — parked on a full queue,
 // or queued behind earlier work — the request fails with
 // ErrDeadlineExceeded, having mutated nothing. Execution itself is
 // never interrupted: once a worker starts the request it runs to
 // completion, so a nil error always means the job state changed.
 // timeout <= 0 means no deadline.
 func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metrics.Cost, error) {
+	deadline := deadlineFrom(timeout)
+	return roundTrip(func(finish func(metrics.Cost, error)) error {
+		return s.dispatchTimed(r, deadline, finish)
+	})
+}
+
+// roundTrip makes an asynchronous admission synchronous: enqueue is
+// handed a finish callback that delivers the outcome on a pooled reply
+// channel, and roundTrip waits for it — unless enqueue itself fails, in
+// which case finish never runs and the error is returned as is.
+func roundTrip(enqueue func(finish func(metrics.Cost, error)) error) (metrics.Cost, error) {
 	ch := respPool.Get().(chan response)
-	if err := s.dispatchTimed(r, deadlineFrom(timeout), func(c metrics.Cost, err error) { ch <- response{c, err} }); err != nil {
-		respPool.Put(ch)
-		return metrics.Cost{}, err
+	resp := response{err: enqueue(func(c metrics.Cost, err error) { ch <- response{c, err} })}
+	if resp.err == nil {
+		resp = <-ch
 	}
-	resp := <-ch
 	respPool.Put(ch)
 	return resp.cost, resp.err
 }
@@ -629,15 +662,11 @@ func (s *Scheduler) recordAsyncErr(what string, err error) {
 	}
 }
 
-// dispatch validates, reserves (for inserts), routes, and enqueues one
-// request. finish runs exactly once with the request's final outcome —
-// on a worker goroutine, so it must not block on scheduler operations.
-func (s *Scheduler) dispatch(r jobs.Request, finish func(metrics.Cost, error)) error {
-	return s.dispatchTimed(r, 0, finish)
-}
-
-// dispatchTimed is dispatch with an absolute monotonicNS deadline (0 =
-// none) carried into the task so both the ring park and the worker's
+// dispatchTimed validates, reserves (for inserts), routes, and enqueues
+// one request. finish runs exactly once with the request's final
+// outcome — on a worker goroutine, so it must not block on scheduler
+// operations. deadline is an absolute monotonicNS expiry (0 = none)
+// carried into the task so both the full-queue park and the worker's
 // pre-execution check can honor it.
 func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
 	if err := r.Validate(); err != nil {
@@ -1222,17 +1251,9 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 // applyOn serves one request synchronously on a specific shard,
 // bypassing routing (resize re-placements only).
 func (s *Scheduler) applyOn(i int, r jobs.Request) (metrics.Cost, error) {
-	ch := respPool.Get().(chan response)
-	err := s.send(i, task{req: r, resizeMove: true, finish: func(c metrics.Cost, err error) {
-		ch <- response{c, err}
-	}})
-	if err != nil {
-		respPool.Put(ch)
-		return metrics.Cost{}, err
-	}
-	resp := <-ch
-	respPool.Put(ch)
-	return resp.cost, resp.err
+	return roundTrip(func(finish func(metrics.Cost, error)) error {
+		return s.send(i, task{req: r, resizeMove: true, finish: finish})
+	})
 }
 
 // resizeInner runs the elastic operation on shard i's worker and, on
@@ -1379,13 +1400,51 @@ func (s *Scheduler) SelfCheck() error {
 	return nil
 }
 
+// Replay applies one logged record through the admission path that
+// wrote it: Apply for a request, ApplyBatch for a batch, Resize or
+// ResizeShard for a resize. It is the one replay path of crash recovery
+// and of a warm follower. failed counts the requests (or the resize)
+// the scheduler rejected; rejections do not stop a replay, because a
+// request that failed in the original run mutated state the same way
+// its failed replay does, and the duplicate-insert/unknown-delete
+// rejections of a checkpoint overlap are benign. Replay refuses, with
+// an error and without applying, on a scheduler that has a WAL
+// attached: replaying a record must not re-append it.
+func (s *Scheduler) Replay(rec wal.Record) (failed int, err error) {
+	if s.log != nil {
+		return 0, errors.New("shard: Replay with a WAL attached would re-append the record")
+	}
+	var rejected error
+	switch rec.Kind {
+	case wal.KindRequest:
+		_, rejected = s.Apply(rec.Req)
+	case wal.KindBatch:
+		_, rejected = s.ApplyBatch(rec.Batch)
+	case wal.KindResize:
+		if rec.Resize.Shard < 0 {
+			_, rejected = s.Resize(rec.Resize.Machines)
+		} else {
+			_, rejected = s.ResizeShard(rec.Resize.Shard, rec.Resize.Delta)
+		}
+	default:
+		return 0, fmt.Errorf("shard: Replay of unknown record kind %d", rec.Kind)
+	}
+	var be *sched.BatchError
+	switch {
+	case rejected == nil:
+		return 0, nil
+	case errors.As(rejected, &be):
+		return be.Failed, nil
+	}
+	return 1, nil
+}
+
 // AttachWAL binds a write-ahead log to the scheduler so every later
 // admission appends before acking (see Config.WAL, which is the same
-// wiring at construction time). It exists for the recovery path: the
-// replay of a recovered log must run with logging off — replaying a
-// record must not re-append it — and the log is attached once the tail
-// is applied. Attach before the scheduler is shared with other
-// goroutines; ownership of the log transfers (Close closes it).
+// wiring at construction time). It exists for the recovery path: Replay
+// runs with logging off, and the log is attached once the tail is
+// applied. Attach before the scheduler is shared with other goroutines;
+// ownership of the log transfers (Close closes it).
 func (s *Scheduler) AttachWAL(l *wal.Log) {
 	s.log = l
 }
@@ -1439,7 +1498,7 @@ func (s *Scheduler) Close() {
 	}
 	s.closed.Store(true)
 	for _, w := range s.workers {
-		w.ring.close()
+		close(w.q)
 	}
 	s.sendMu.Unlock()
 	for _, w := range s.workers {

@@ -286,3 +286,55 @@ settled:
 		t.Fatal(err)
 	}
 }
+
+// TestReplay: Replay applies each record kind through the admission
+// path that wrote it and counts rejections without stopping, and it
+// refuses — applying nothing, appending nothing — once a WAL is
+// attached.
+func TestReplay(t *testing.T) {
+	s := newElasticSharded(t, 2, 4)
+	ins := func(name string) jobs.Request { return jobs.InsertReq(name, 0, 4096) }
+	for _, tc := range []struct {
+		what       string
+		rec        wal.Record
+		wantFailed int
+	}{
+		{"request", wal.RequestRecord(ins("a")), 0},
+		{"duplicate request", wal.RequestRecord(ins("a")), 1},
+		{"batch with a duplicate and an unknown delete", wal.BatchRecord([]jobs.Request{ins("b"), ins("a"), jobs.DeleteReq("zz"), jobs.DeleteReq("a")}), 2},
+		{"pool resize", wal.ResizeRecord(-1, 0, 6), 0},
+		{"shard resize", wal.ResizeRecord(1, -1, 0), 0},
+		{"rejected resize", wal.ResizeRecord(-1, 0, 1), 1},
+	} {
+		failed, err := s.Replay(tc.rec)
+		if err != nil || failed != tc.wantFailed {
+			t.Fatalf("Replay(%s) = %d failed, %v; want %d, nil", tc.what, failed, err, tc.wantFailed)
+		}
+	}
+	if got, want := jobSet(s.Jobs()), []string{"b [0,4096)"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("jobs after replay = %v, want %v", got, want)
+	}
+	if got := s.Machines(); got != 5 {
+		t.Fatalf("Machines() = %d after replaying 4 -> 6 -> shard 1 minus one, want 5", got)
+	}
+	if _, err := s.Replay(wal.Record{Kind: 99}); err == nil {
+		t.Fatal("Replay accepted an unknown record kind")
+	}
+
+	dir := t.TempDir()
+	log, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(log)
+	if _, err := s.Replay(wal.RequestRecord(ins("c"))); err == nil {
+		t.Fatal("Replay with a WAL attached did not refuse")
+	}
+	if got := s.Active(); got != 1 {
+		t.Fatalf("Active() = %d after a refused Replay, want 1", got)
+	}
+	s.Close()
+	if got, err := wal.Read(dir); err != nil || len(got.Records) != 0 {
+		t.Fatalf("WAL after a refused Replay: %d records, %v; want none", len(got.Records), err)
+	}
+}

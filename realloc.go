@@ -47,7 +47,6 @@
 package realloc
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/alignsched"
@@ -342,10 +341,10 @@ type Checkpoint = wal.Checkpoint
 
 // NewShardedFromCheckpoint builds a sharded scheduler warm from a
 // checkpoint image without opening a WAL: the image's machine
-// partition and job placements are restored through the same O(jobs)
-// path OpenRecovered uses, and logging stays off. A nil checkpoint
-// builds a fresh scheduler from the options alone (NewSharded's
-// topology, without the WAL).
+// partition and job placements are restored in O(jobs) (shard.Restore),
+// and logging stays off. A nil checkpoint builds a fresh scheduler from
+// the options alone (NewSharded's topology, without the WAL).
+// OpenRecovered builds its scheduler with it.
 //
 // This is replication plumbing: a warm follower (internal/repl)
 // constructs its per-tenant schedulers with it, tail-replays shipped
@@ -406,9 +405,10 @@ type Recovery struct {
 // the checkpoint (when one exists), restores its image through the
 // shard.Restore path — every layer rebuilt from the snapshot in
 // O(jobs), no history replay — then replays the post-checkpoint log
-// tail through the normal admission paths, truncating any torn tail
-// left by a crash mid-group-commit. The returned scheduler has the WAL
-// re-attached and continues appending where the log left off.
+// tail through the normal admission paths (Sharded.Replay, logging
+// off), truncating any torn tail left by a crash mid-group-commit. The
+// returned scheduler has the WAL re-attached and continues appending
+// where the log left off.
 //
 // Pass the same Options the crashed process used: with a checkpoint the
 // shard count and machine partition come from the image (mismatched
@@ -425,69 +425,30 @@ func OpenRecovered(dir string, opts ...Option) (*Sharded, *Recovery, error) {
 		return nil, nil, err
 	}
 	info := &Recovery{TruncatedBytes: recovered.TruncatedBytes}
-	factory := func(machines int) sched.Scheduler { return buildElasticStack(o, machines) }
-	var s *Sharded
+	// With a checkpoint the image owns the shard count and machine
+	// partition; without one the options rebuild NewSharded's topology.
+	s, err := NewShardedFromCheckpoint(recovered.Checkpoint, opts...)
+	if err != nil {
+		log.Close()
+		return nil, nil, err
+	}
 	if ck := recovered.Checkpoint; ck != nil {
-		// The checkpoint owns the shard count and machine partition;
-		// explicit conflicting options surface as Restore errors.
-		cfg := shard.Config{
-			Policy:    o.policy,
-			Buffer:    o.buffer,
-			BatchSize: o.batchSize,
-			Factory:   factory,
-		}
-		s, err = shard.Restore(cfg, ck)
+		info.CheckpointLoaded = true
+		info.CheckpointJobs = len(ck.Jobs)
+	}
+	for _, rec := range recovered.Records {
+		failed, err := s.Replay(rec)
 		if err != nil {
+			s.Close()
 			log.Close()
 			return nil, nil, err
 		}
-		info.CheckpointLoaded = true
-		info.CheckpointJobs = len(ck.Jobs)
-	} else {
-		o.shardedDefaults()
-		s = shard.New(shard.Config{
-			Shards:    o.shards,
-			Machines:  o.machines,
-			Policy:    o.policy,
-			Buffer:    o.buffer,
-			BatchSize: o.batchSize,
-			Factory:   factory,
-		})
-	}
-
-	// Replay the tail through the normal admission paths (logging is
-	// off until the WAL is attached, so nothing is re-appended). Request
-	// failures do not abort the replay: a failed request in the original
-	// run mutated state the same way the failed replay does.
-	for _, rec := range recovered.Records {
 		info.RecordsReplayed++
-		switch rec.Kind {
-		case wal.KindRequest:
-			info.RequestsReplayed++
-			if _, err := s.Apply(rec.Req); err != nil {
-				info.ReplayFailures++
-			}
-		case wal.KindBatch:
-			info.RequestsReplayed += len(rec.Batch)
-			if _, err := s.ApplyBatch(rec.Batch); err != nil {
-				var be *BatchError
-				if errors.As(err, &be) {
-					info.ReplayFailures += be.Failed
-				} else {
-					info.ReplayFailures++
-				}
-			}
-		case wal.KindResize:
+		info.RequestsReplayed += rec.Requests()
+		if rec.Kind == wal.KindResize {
 			info.ResizesReplayed++
-			if rec.Resize.Shard < 0 {
-				_, err = s.Resize(rec.Resize.Machines)
-			} else {
-				_, err = s.ResizeShard(rec.Resize.Shard, rec.Resize.Delta)
-			}
-			if err != nil {
-				info.ReplayFailures++
-			}
 		}
+		info.ReplayFailures += failed
 	}
 	s.AttachWAL(log)
 	return s, info, nil
@@ -495,9 +456,10 @@ func OpenRecovered(dir string, opts ...Option) (*Sharded, *Recovery, error) {
 
 // shardedDefaults applies NewSharded's topology defaulting: 4 shards
 // when unset, panic on negative counts, and a pool grown so every
-// shard owns at least one machine. OpenRecovered's checkpoint-less
-// path MUST share this: replay reproduces the original placements only
-// if it rebuilds the exact topology NewSharded chose.
+// shard owns at least one machine. NewShardedFromCheckpoint's
+// checkpoint-less path (hence OpenRecovered's) MUST share this: replay
+// reproduces the original placements only if it rebuilds the exact
+// topology NewSharded chose.
 func (o *Options) shardedDefaults() {
 	if o.shards == 0 {
 		o.shards = 4
