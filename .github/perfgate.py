@@ -1,44 +1,24 @@
 #!/usr/bin/env python3
 """Perf regression gate: compare benchmark outputs from two commits.
 
-Modes:
+Usage:
 
   perfgate.py BASE.txt HEAD.txt [--threshold 0.10]
-      Compare two `go test -bench -benchmem` outputs. Parses the raw
-      benchmark lines of both files, takes the median over repeated
-      runs (-count=N) per benchmark, and fails (exit 1) when any
-      benchmark present on both sides regressed by more than the
-      threshold in ns/op or allocs/op.
 
-  perfgate.py --p99 BASE_DIR HEAD_DIR [--threshold 0.15]
-      Compare tail latency between two directories of reallocbench
-      JSON reports (one file per repetition, e.g. base1.json..baseN.json).
-      For every run name present on both sides, takes the median
-      p99_latency_us across the repetitions and fails when head's
-      median regressed by more than the threshold. Medians over
-      repeated full runs — not a single draw — because tail latency on
-      shared runners is noisy; see BENCH_PR6.json for the measured
-      spread that motivated this.
-
-  perfgate.py --selftest
-      Proves the p99 gate actually gates: builds synthetic report
-      pairs in a temp dir, asserts a 2x injected p99 regression fails
-      and a near-par pair passes. Run by CI before the real gate so a
-      parsing bug cannot silently turn the gate green.
-
-In both comparison modes, benchmarks/runs that exist on only one side
-(added or removed by the change) are reported but never gate.
+Compares two `go test -bench -benchmem` outputs. Parses the raw
+benchmark lines of both files, takes the median over repeated runs
+(-count=N) per benchmark, and fails (exit 1) when any benchmark present
+on both sides regressed by more than the threshold in ns/op or
+allocs/op. Benchmarks that exist on only one side (added or removed by
+the change) are reported but never gate.
 
 The CI job also renders a benchstat report next to this gate for the
 human-readable statistics; this script is the pass/fail decision so the
 gate does not depend on benchstat's output format.
 """
 
-import json
-import os
 import re
 import sys
-import tempfile
 from statistics import median
 
 LINE = re.compile(
@@ -100,109 +80,9 @@ def gate_bench(base_path, head_path, threshold):
     return failed
 
 
-def load_p99(dirpath):
-    """Median p99_latency_us per run name over every report in dirpath."""
-    samples = {}
-    files = sorted(
-        os.path.join(dirpath, f)
-        for f in os.listdir(dirpath)
-        if f.endswith(".json")
-    )
-    if not files:
-        print(f"no .json reports in {dirpath}", file=sys.stderr)
-        sys.exit(2)
-    for path in files:
-        with open(path) as f:
-            report = json.load(f)
-        for run in report.get("runs", []):
-            p99 = run.get("p99_latency_us", 0.0)
-            if run.get("name") and p99 > 0:
-                samples.setdefault(run["name"], []).append(p99)
-    return {name: median(vals) for name, vals in samples.items()}, len(files)
-
-
-def gate_p99(base_dir, head_dir, threshold):
-    base, nbase = load_p99(base_dir)
-    head, nhead = load_p99(head_dir)
-    print(f"p99 gate: median over {nbase} base / {nhead} head report(s)")
-
-    failed = []
-    for name in sorted(set(base) | set(head)):
-        if name not in base:
-            print(f"  new       {name}: p99 {head[name]:.1f}us (no base, not gated)")
-            continue
-        if name not in head:
-            print(f"  removed   {name}")
-            continue
-        ratio = head[name] / base[name]
-        verdict = "ok"
-        if ratio > 1 + threshold:
-            verdict = "REGRESSION"
-            failed.append(
-                f"{name}: p99 {base[name]:.1f}us -> {head[name]:.1f}us (x{ratio:.2f})")
-        print(f"  {verdict:10} {name}: p99 {base[name]:.1f}us -> {head[name]:.1f}us (x{ratio:.2f})")
-    return failed
-
-
-def run_p99(base_dir, head_dir, threshold):
-    failed = gate_p99(base_dir, head_dir, threshold)
-    if failed:
-        print(f"\np99 gate FAILED (> {threshold:.0%} regression):", file=sys.stderr)
-        for f in failed:
-            print(f"  {f}", file=sys.stderr)
-        return 1
-    print(f"\np99 gate passed (threshold {threshold:.0%})")
-    return 0
-
-
-def selftest():
-    """The gate must fail on an injected 2x p99 regression and pass near par."""
-
-    def write_reports(d, side, p99s):
-        os.makedirs(d, exist_ok=True)
-        for i, p99_by_name in enumerate(p99s):
-            runs = [
-                {"name": n, "p99_latency_us": v, "throughput_rps": 1.0}
-                for n, v in p99_by_name.items()
-            ]
-            with open(os.path.join(d, f"{side}{i}.json"), "w") as f:
-                json.dump({"scenario": "burst", "runs": runs}, f)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # Injected regression: head p99 doubled on one run; repetition
-        # noise (±10%) must not mask it through the median.
-        base = [{"sharded-8": 70.0, "sequential": 400.0},
-                {"sharded-8": 77.0, "sequential": 430.0},
-                {"sharded-8": 64.0, "sequential": 380.0}]
-        bad = [{"sharded-8": 140.0, "sequential": 405.0},
-               {"sharded-8": 152.0, "sequential": 395.0},
-               {"sharded-8": 129.0, "sequential": 415.0}]
-        write_reports(os.path.join(tmp, "base"), "base", base)
-        write_reports(os.path.join(tmp, "bad"), "head", bad)
-        rc = run_p99(os.path.join(tmp, "base"), os.path.join(tmp, "bad"), 0.15)
-        if rc == 0:
-            print("selftest FAILED: 2x injected p99 regression passed the gate",
-                  file=sys.stderr)
-            return 1
-
-        # Near par (within noise, below threshold) must pass, including a
-        # head-only run name which is reported but never gated.
-        good = [{"sharded-8": 73.0, "sequential": 410.0, "sharded-8-new": 50.0},
-                {"sharded-8": 68.0, "sequential": 385.0, "sharded-8-new": 55.0},
-                {"sharded-8": 75.0, "sequential": 420.0, "sharded-8-new": 48.0}]
-        write_reports(os.path.join(tmp, "good"), "head", good)
-        rc = run_p99(os.path.join(tmp, "base"), os.path.join(tmp, "good"), 0.15)
-        if rc != 0:
-            print("selftest FAILED: near-par head failed the gate", file=sys.stderr)
-            return 1
-
-    print("\nselftest passed: injected regression fails, near-par passes")
-    return 0
-
-
 def main():
     argv = sys.argv[1:]
-    args, threshold, mode = [], None, "bench"
+    args, threshold = [], 0.10
     i = 0
     while i < len(argv):
         a = argv[i]
@@ -212,27 +92,20 @@ def main():
             else:
                 i += 1
                 threshold = float(argv[i])
-        elif a == "--p99":
-            mode = "p99"
-        elif a == "--selftest":
-            mode = "selftest"
         else:
             args.append(a)
         i += 1
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
 
-    if mode == "selftest":
-        sys.exit(selftest())
-
-    if mode == "p99":
-        sys.exit(run_p99(args[0], args[1], 0.15 if threshold is None else threshold))
-
-    failed = gate_bench(args[0], args[1], 0.10 if threshold is None else threshold)
+    failed = gate_bench(args[0], args[1], threshold)
     if failed:
-        print(f"\nperf gate FAILED (> {threshold or 0.10:.0%} regression):", file=sys.stderr)
+        print(f"\nperf gate FAILED (> {threshold:.0%} regression):", file=sys.stderr)
         for f in failed:
             print(f"  {f}", file=sys.stderr)
         sys.exit(1)
-    print(f"\nperf gate passed (threshold {threshold or 0.10:.0%})")
+    print(f"\nperf gate passed (threshold {threshold:.0%})")
 
 
 if __name__ == "__main__":

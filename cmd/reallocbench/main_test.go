@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
-	"sync"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/jobs"
@@ -20,38 +22,42 @@ func mkStream(n, names int) []jobs.Request {
 }
 
 // partitionLanes must keep every request of a job name in one lane (the
-// whole point of lane partitioning: per-job insert/delete order), and
-// must balance names across lanes by construction — NOT by hashing the
-// name, which correlated lane load with the scheduler's consistent-hash
-// ring and let a ring-skewed workload skew the drivers too.
+// whole point of lane partitioning: per-job insert/delete order), in
+// stream order, and must balance names across lanes by construction —
+// NOT by hashing the name, which correlated lane load with the
+// scheduler's consistent-hash routing and let a routing-skewed workload
+// skew the drivers too.
 func TestPartitionLanesNameAffinityAndBalance(t *testing.T) {
 	const drivers = 4
 	reqs := mkStream(400, 40)
-	lanes, idxs := partitionLanes(reqs, drivers)
+	lanes := partitionLanes(reqs, drivers)
 
 	laneOf := make(map[string]int)
-	total := 0
 	for li, rs := range lanes {
-		if len(rs) != len(idxs[li]) {
-			t.Fatalf("lane %d: %d requests but %d indexes", li, len(rs), len(idxs[li]))
-		}
-		total += len(rs)
-		for k, r := range rs {
+		for _, r := range rs {
 			if prev, ok := laneOf[r.Name]; ok && prev != li {
 				t.Fatalf("job %s split across lanes %d and %d", r.Name, prev, li)
 			}
 			laneOf[r.Name] = li
-			if reqs[idxs[li][k]].Name != r.Name {
-				t.Fatalf("lane %d slot %d: index %d names %s, want %s",
-					li, k, idxs[li][k], reqs[idxs[li][k]].Name, r.Name)
-			}
-			if k > 0 && idxs[li][k] <= idxs[li][k-1] {
-				t.Fatalf("lane %d indexes not increasing at slot %d", li, k)
-			}
 		}
 	}
-	if total != len(reqs) {
-		t.Fatalf("lanes hold %d requests, want %d", total, len(reqs))
+	// Each lane is exactly the stream restricted to its names, in
+	// stream order.
+	for li, rs := range lanes {
+		var want []jobs.Request
+		for _, r := range reqs {
+			if laneOf[r.Name] == li {
+				want = append(want, r)
+			}
+		}
+		if len(rs) != len(want) {
+			t.Fatalf("lane %d holds %d requests, want %d", li, len(rs), len(want))
+		}
+		for k := range rs {
+			if rs[k] != want[k] {
+				t.Fatalf("lane %d slot %d: %v, want %v (stream order)", li, k, rs[k], want[k])
+			}
+		}
 	}
 	// Round-robin assignment: 40 names over 4 lanes is exactly 10 each.
 	names := make(map[int]int)
@@ -65,72 +71,45 @@ func TestPartitionLanesNameAffinityAndBalance(t *testing.T) {
 	}
 }
 
-// The gate must hold every in-flight index within drift of the prefix
-// frontier: with the frontier stuck at 0 (index 0 not yet done), any
-// index beyond the drift blocks until 0 completes.
-func TestOrderGateBoundsDrift(t *testing.T) {
-	defer func(prev bool) { orderedReplay = prev }(orderedReplay)
-	orderedReplay = true
-
-	g := newOrderGate(100, 8)
-	if g == nil {
-		t.Fatal("gate is nil with orderedReplay set")
+// A tiny study must write every closed- and open-loop point of its
+// ladders, each serving the whole workload without a failed request.
+func TestScalingStudySmoke(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "scaling.json")
+	cfg := config{
+		seed: 1, machines: 4, requests: 300, drivers: 2,
+		shards: []int{1, 2}, procs: []int{1}, rates: []float64{0.5},
+		out: out,
 	}
-	g.wait(8) // within drift of frontier 0: must not block
-
-	released := make(chan struct{})
-	go func() {
-		g.wait(9) // one past the drift: blocks until the frontier moves
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("wait(9) returned with frontier at 0 and drift 8")
-	default:
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
 	}
-	g.done(0)
-	<-released
-}
-
-// done must advance the frontier across the whole newly contiguous
-// prefix, not just one slot — out-of-order completions inside the drift
-// window pile up until the missing index lands.
-func TestOrderGateFrontierSkipsContiguousPrefix(t *testing.T) {
-	defer func(prev bool) { orderedReplay = prev }(orderedReplay)
-	orderedReplay = true
-
-	g := newOrderGate(10, 1)
-	for _, idx := range []int{1, 2, 3, 4} {
-		g.done(idx)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.wait(1) // frontier still 0: 1-drift = 0 ≤ 0, fine
-	g.done(0) // frontier jumps 0 → 5
-	g.wait(6) // needs frontier ≥ 5: returns only if the jump happened
-}
-
-// Concurrent lanes replaying disjoint index sets through the gate must
-// terminate (no deadlock) for a drift far smaller than a lane's span —
-// the property the batched driver relies on by always waiting on its
-// chunk's smallest unapplied index.
-func TestOrderGateConcurrentLanesNoDeadlock(t *testing.T) {
-	defer func(prev bool) { orderedReplay = prev }(orderedReplay)
-	orderedReplay = true
-
-	const total, lanes = 1000, 5
-	g := newOrderGate(total, 4)
-	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func(l int) {
-			defer wg.Done()
-			for idx := l; idx < total; idx += lanes {
-				g.wait(idx)
-				g.done(idx)
-			}
-		}(l)
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if g.frontier != total {
-		t.Fatalf("frontier %d after all lanes done, want %d", g.frontier, total)
+	if rep.Requests == 0 {
+		t.Fatal("empty workload")
+	}
+	if len(rep.ClosedLoop) != 2 || len(rep.OpenLoop) != 2 {
+		t.Fatalf("%d closed- and %d open-loop points, want 2 and 2", len(rep.ClosedLoop), len(rep.OpenLoop))
+	}
+	for i, sc := range cfg.shards {
+		c, o := rep.ClosedLoop[i], rep.OpenLoop[i]
+		if want := fmt.Sprintf("closed-p1-s%d", sc); c.Name != want {
+			t.Fatalf("closed-loop point %d is %q, want %q", i, c.Name, want)
+		}
+		if c.Failures != 0 || c.Served != rep.Requests || c.ThroughputRPS <= 0 {
+			t.Fatalf("%s: served %d of %d, %d failures, %.0f req/s", c.Name, c.Served, rep.Requests, c.Failures, c.ThroughputRPS)
+		}
+		if want := fmt.Sprintf("open-p1-s%d-r0.50", sc); o.Name != want {
+			t.Fatalf("open-loop point %d is %q, want %q", i, o.Name, want)
+		}
+		if o.Failures != 0 || o.Requests != rep.Requests || o.AchievedRPS <= 0 {
+			t.Fatalf("%s: %d of %d requests, %d failures, %.0f req/s", o.Name, o.Requests, rep.Requests, o.Failures, o.AchievedRPS)
+		}
 	}
 }

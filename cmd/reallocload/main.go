@@ -66,8 +66,7 @@ import (
 	"repro/internal/workload"
 )
 
-// Report is the machine-readable result, shaped like the BENCH_*.json
-// files reallocbench emits.
+// Report is the machine-readable result of one load run (-out).
 type Report struct {
 	Addr          string  `json:"addr"`
 	Scenario      string  `json:"scenario"`

@@ -7,8 +7,8 @@
 //	go run ./cmd/reallocvet ./...        # analyze packages
 //	go run ./cmd/reallocvet -selftest    # prove each analyzer fires
 //
-// The self-test mirrors the perfgate --selftest discipline: before CI
-// trusts a clean run, it injects one known violation per analyzer into
+// The self-test is what makes a clean run mean something: before CI
+// trusts one, it injects one known violation per analyzer into
 // a scratch tree and requires the analyzer to flag it — so a silently
 // broken analyzer cannot masquerade as a clean tree.
 package main

@@ -189,8 +189,7 @@ func DefaultLayerRules() map[string]LayerRule {
 		// --- public API and commands ---
 		root: {Internal: []string{alignsch, core, edf, fault, feasible, jobs, metrics, multi, naive, sched, shard, trim, wal},
 			Note: "the public API composes the stacks; internals never import it back"},
-		"repro/cmd/reallocbench": {Internal: []string{root, hdr, jobs, metrics, shard, workload},
-			Note: "shard only for the ring that aims the trace scenario's hot keys"},
+		"repro/cmd/reallocbench": {Internal: []string{root, hdr, jobs, workload}},
 		"repro/cmd/reallocsim":   {Internal: []string{sim}},
 		"repro/cmd/realloctrace": {Internal: []string{root, core, edf, naive, sched, stress, trace, wal, workload}},
 		"repro/cmd/reallocvet":   {Internal: []string{analysisP}, Note: "the multichecker wraps the analysis toolkit"},

@@ -26,7 +26,8 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	errs := make([]error, len(reqs))
 	perMachine := make([][]int, len(s.machines)) // batch indices, in order
 	for i, r := range reqs {
-		if errs[i] = s.admit(jobs.Job{Name: r.Name, Window: r.Window}); errs[i] != nil {
+		_, active := s.names.Get(r.Name)
+		if errs[i] = sched.AdmitAligned(jobs.Job{Name: r.Name, Window: r.Window}, active); errs[i] != nil {
 			continue
 		}
 		key := winKey{start: r.Window.Start, span: r.Window.Span()}

@@ -165,24 +165,10 @@ func (s *Scheduler) leastLoaded(key winKey, limit int) int {
 	return best
 }
 
-// admit runs Insert's static checks: a well-formed aligned window and a
-// name that is not already active.
-func (s *Scheduler) admit(j jobs.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	if !j.Window.IsAligned() {
-		return fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
-	}
-	if _, ok := s.names.Get(j.Name); ok {
-		return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
-	}
-	return nil
-}
-
 // Insert delegates the job to a machine holding the fewest W-jobs.
 func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
-	if err := s.admit(j); err != nil {
+	_, active := s.names.Get(j.Name)
+	if err := sched.AdmitAligned(j, active); err != nil {
 		return metrics.Cost{}, err
 	}
 	key := winKey{start: j.Window.Start, span: j.Window.Span()}

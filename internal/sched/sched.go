@@ -134,6 +134,22 @@ type Elastic interface {
 	RemoveMachines(n int) (metrics.Cost, []jobs.Job, error)
 }
 
+// AdmitAligned runs the static checks of an aligned-only layer's
+// Insert: a well-formed aligned window, and a name that is not already
+// active (the caller says whether it is).
+func AdmitAligned(j jobs.Job, active bool) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if !j.Window.IsAligned() {
+		return fmt.Errorf("%w: %v", ErrMisaligned, j.Window)
+	}
+	if active {
+		return fmt.Errorf("%w: %q", ErrDuplicateJob, j.Name)
+	}
+	return nil
+}
+
 // Apply routes one request to the scheduler.
 func Apply(s Scheduler, r jobs.Request) (metrics.Cost, error) {
 	switch r.Kind {

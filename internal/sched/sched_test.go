@@ -87,6 +87,24 @@ func (c *corrupting) SelfCheck() error {
 	return c.Scheduler.SelfCheck()
 }
 
+// AdmitAligned is the shared static check of trim and multi: the window
+// must be valid and aligned, and an active name is a duplicate.
+func TestAdmitAligned(t *testing.T) {
+	ok := jobs.Job{Name: "a", Window: jobs.Window{Start: 8, End: 16}}
+	if err := sched.AdmitAligned(ok, false); err != nil {
+		t.Fatalf("aligned fresh job rejected: %v", err)
+	}
+	if err := sched.AdmitAligned(ok, true); !errors.Is(err, sched.ErrDuplicateJob) || err.Error() != sched.ErrDuplicateJob.Error()+`: "a"` {
+		t.Fatalf("active name: %v", err)
+	}
+	if err := sched.AdmitAligned(jobs.Job{Name: "b", Window: jobs.Window{Start: 8, End: 20}}, false); !errors.Is(err, sched.ErrMisaligned) {
+		t.Fatalf("misaligned window: %v", err)
+	}
+	if err := sched.AdmitAligned(jobs.Job{Name: "c", Window: jobs.Window{Start: 8, End: 8}}, false); err == nil {
+		t.Fatal("empty window admitted")
+	}
+}
+
 func TestInfeasibleErrorUnwraps(t *testing.T) {
 	e := &sched.InfeasibleError{Req: jobs.InsertReq("a", 0, 1), Detail: "test"}
 	if !errors.Is(e, sched.ErrInfeasible) {

@@ -52,7 +52,8 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	if last >= 0 {
 		idxOf := make(map[string]int, last+1)
 		for i, r := range reqs[:last+1] {
-			if errs[i] = s.admit(jobs.Job{Name: r.Name, Window: r.Window}); errs[i] == nil {
+			_, active := s.names.Get(r.Name)
+			if errs[i] = sched.AdmitAligned(jobs.Job{Name: r.Name, Window: r.Window}, active); errs[i] == nil {
 				s.setWin(s.names.Intern(r.Name), r.Window)
 				idxOf[r.Name] = i
 			}
@@ -78,7 +79,8 @@ func (s *Scheduler) lastDoubling(reqs []jobs.Request) (last, nStar int) {
 	seen := make(map[string]bool, len(reqs)) // names the batch itself adds
 	n, nStar, last := s.names.Len(), s.nStar, -1
 	for i, r := range reqs {
-		if seen[r.Name] || s.admit(jobs.Job{Name: r.Name, Window: r.Window}) != nil {
+		_, active := s.names.Get(r.Name)
+		if sched.AdmitAligned(jobs.Job{Name: r.Name, Window: r.Window}, active || seen[r.Name]) != nil {
 			continue
 		}
 		seen[r.Name] = true

@@ -154,24 +154,10 @@ func trimWindow(w jobs.Window, cap int64) jobs.Window {
 	return jobs.Window{Start: w.Start, End: w.Start + cap}
 }
 
-// admit runs Insert's static checks: a well-formed aligned window and a
-// name that is not already active.
-func (s *Scheduler) admit(j jobs.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	if !j.Window.IsAligned() {
-		return fmt.Errorf("%w: %v", sched.ErrMisaligned, j.Window)
-	}
-	if _, ok := s.names.Get(j.Name); ok {
-		return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, j.Name)
-	}
-	return nil
-}
-
 // Insert trims the job's window to the current cap and delegates.
 func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
-	if err := s.admit(j); err != nil {
+	_, active := s.names.Get(j.Name)
+	if err := sched.AdmitAligned(j, active); err != nil {
 		return metrics.Cost{}, err
 	}
 	trimmed := jobs.Job{Name: j.Name, Window: trimWindow(j.Window, s.Cap())}

@@ -410,11 +410,13 @@ type Recovery struct {
 // returned scheduler has the WAL re-attached and continues appending
 // where the log left off.
 //
-// Pass the same Options the crashed process used: with a checkpoint the
-// shard count and machine partition come from the image (mismatched
-// explicit options are an error); without one they come from the
-// options, and the routing policy must match for the replay to
-// reproduce the original placement decisions.
+// Pass the same Options the crashed process used. With a checkpoint the
+// image owns the topology: the shard count and machine partition come
+// from it, and explicit shard/machine options are ignored, so a process
+// that restarts with its original options after a Resize recovers the
+// resized pool. Without a checkpoint they come from the options, and the
+// routing policy must match for the replay to reproduce the original
+// placement decisions.
 func OpenRecovered(dir string, opts ...Option) (*Sharded, *Recovery, error) {
 	o := defaultOptions(opts)
 	if o.shards < 0 {

@@ -315,6 +315,66 @@ func TestRecoveredSchedulerContinuesLogging(t *testing.T) {
 	}
 }
 
+// TestOpenRecoveredImageOwnsTopology: with a checkpoint the image's
+// machine count and shard partition win over explicit options, so a
+// process restarted with its original, smaller options after growing
+// the pool recovers the grown pool and every job where it was.
+func TestOpenRecoveredImageOwnsTopology(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	s := NewSharded(walOptions(WithWAL(dir))...)
+	for i := 0; i < 32; i++ {
+		start := int64(i%8) * 64
+		if _, err := s.Insert(Job{Name: fmt.Sprintf("j%02d", i), Window: Win(start, start+64)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Resize(12); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Snapshot()
+	s.Close()
+	if want.Machines != 12 {
+		t.Fatalf("grown pool has %d machines, want 12", want.Machines)
+	}
+
+	r, rec, err := OpenRecovered(dir, walOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !rec.CheckpointLoaded || rec.CheckpointJobs != len(want.Jobs) {
+		t.Fatalf("recovery %+v, want a checkpoint with %d jobs", rec, len(want.Jobs))
+	}
+	got := r.Snapshot()
+	if got.Machines != want.Machines {
+		t.Fatalf("recovered %d machines, want the image's %d", got.Machines, want.Machines)
+	}
+	if fmt.Sprint(got.ShardMachines) != fmt.Sprint(want.ShardMachines) {
+		t.Fatalf("recovered shard partition %v, want the image's %v", got.ShardMachines, want.ShardMachines)
+	}
+	// A restore re-admits the image's jobs canonically, so the contract
+	// is the job set and a feasible schedule on the image's pool, not
+	// the original placements.
+	if len(got.Jobs) != len(want.Jobs) {
+		t.Fatalf("recovered %d jobs, want %d", len(got.Jobs), len(want.Jobs))
+	}
+	wantWin := make(map[string]Window, len(want.Jobs))
+	for _, j := range want.Jobs {
+		wantWin[j.Name] = j.Window
+	}
+	for _, j := range got.Jobs {
+		if w, ok := wantWin[j.Name]; !ok || w != j.Window {
+			t.Fatalf("recovered job %q %v, want it as in the image (%v, present %v)", j.Name, j.Window, w, ok)
+		}
+	}
+	if err := feasible.VerifySchedule(got.Jobs, got.Assignment, got.Machines); err != nil {
+		t.Fatalf("recovered schedule infeasible: %v", err)
+	}
+}
+
 // TestWithWALRefusesExistingState: NewSharded must not silently
 // overwrite a directory holding durable state.
 func TestWithWALRefusesExistingState(t *testing.T) {
