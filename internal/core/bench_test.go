@@ -55,6 +55,23 @@ func BenchmarkChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkRebuild measures one trim-style rebuild: tableJobs' fixed
+// job set (both reservation levels) inserted into New(), then Recycle.
+// It is the tier-0 benchmark that creates and recycles intervals.
+func BenchmarkRebuild(b *testing.B) {
+	set := tableJobs("r", true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := New()
+		for _, j := range set {
+			if _, err := s.Insert(j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Recycle()
+	}
+}
+
 // BenchmarkSelfCheck measures the invariant checker's cost (tests run it
 // after every request; this quantifies what that costs).
 func BenchmarkSelfCheck(b *testing.B) {

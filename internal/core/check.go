@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/align"
@@ -52,11 +53,15 @@ func (s *Scheduler) selfCheck() error {
 		if got := align.LevelOfSpan(j.key.span); got != j.level {
 			return fmt.Errorf("core: job %q cached level %d, want %d", j.name, j.level, got)
 		}
-		// Level >= 1 jobs must sit in a fulfilled slot of their window.
+		// Level >= 1 jobs must sit in a fulfilled slot of their window,
+		// whose state they cache.
 		if j.level >= 1 {
 			ws := s.windows[j.key]
 			if ws == nil {
 				return fmt.Errorf("core: job %q has no window state", j.name)
+			}
+			if j.ws != ws {
+				return fmt.Errorf("core: job %q caches a stale window state", j.name)
 			}
 			if ws.fulfilled[j.slot] != j.id {
 				return fmt.Errorf("core: job %q at slot %d not recorded in window %v fulfilled set",
@@ -91,9 +96,9 @@ func (s *Scheduler) selfCheck() error {
 			if iv == nil {
 				return fmt.Errorf("core: window %v fulfilled slot %d in nonexistent interval", w, t)
 			}
-			if got, ok := iv.assigned[t]; !ok || got != key {
-				return fmt.Errorf("core: window %v fulfilled slot %d not assigned in interval (got %v, ok=%v)",
-					w, t, got, ok)
+			if r := iv.slotRank[t-iv.start]; int(r) != ws.rank || iv.ranks[ws.rank].ws != ws {
+				return fmt.Errorf("core: window %v (rank %d) fulfilled slot %d assigned to rank %d in interval",
+					w, ws.rank, t, r)
 			}
 			occupant := s.slots[t]
 			switch {
@@ -113,101 +118,92 @@ func (s *Scheduler) selfCheck() error {
 		}
 	}
 
-	// Intervals.
+	// Intervals: every cached table entry is recounted from scratch.
 	for key, iv := range s.ivs {
 		if iv.level != key.level || iv.start != key.start {
 			return fmt.Errorf("core: interval (%d,%d) indexed under %+v", iv.level, iv.start, key)
 		}
-		if iv.span != align.IntervalSpan(iv.level) {
-			return fmt.Errorf("core: interval at %d has span %d", iv.start, iv.span)
+		if iv.span != align.IntervalSpan(iv.level) || len(iv.slotRank) != int(iv.span) {
+			return fmt.Errorf("core: interval at %d has span %d and %d slot entries", iv.start, iv.span, len(iv.slotRank))
 		}
-		capacity := 0
-		for t := iv.start; t < iv.start+iv.span; t++ {
-			occ := s.slots[t]
-			inAllowance := occ == nil || occ.level >= iv.level
-			if !inAllowance {
-				if _, assigned := iv.assigned[t]; assigned {
+		// Rank r holds the one enclosing window of the r-th level span.
+		spans := align.SpansAtLevel(iv.level)
+		if len(iv.ranks) != len(spans) {
+			return fmt.Errorf("core: interval %d has %d ranks, level %d has %d spans", iv.start, len(iv.ranks), iv.level, len(spans))
+		}
+		for r, e := range iv.ranks {
+			want := keyOf(align.EnclosingAligned(iv.start, spans[r]))
+			if e.ws == nil || e.ws.key != want || e.ws.rank != r || s.windows[want] != e.ws {
+				return fmt.Errorf("core: interval %d rank %d does not hold window %v", iv.start, r, want.window())
+			}
+		}
+		// Recount the slot table: assignments stay inside the allowance and
+		// agree with the owning window's fulfilled set.
+		capacity, assigned := 0, 0
+		fulfilled := make([]int, len(iv.ranks))
+		for i, r := range iv.slotRank {
+			t := iv.start + Time(i)
+			if occ := s.slots[t]; occ != nil && occ.level < iv.level {
+				if r >= 0 {
 					return fmt.Errorf("core: interval %d slot %d assigned but outside allowance", iv.start, t)
 				}
 				continue
 			}
 			capacity++
-		}
-		if len(iv.assigned) > capacity {
-			return fmt.Errorf("core: interval %d has %d assigned slots, allowance %d", iv.start, len(iv.assigned), capacity)
-		}
-		// Assigned slots must be inside the interval and agree with the
-		// owning window's fulfilled set.
-		fulfilled := make(map[winKey]int)
-		for t, wk := range iv.assigned {
-			if t < iv.start || t >= iv.start+iv.span {
-				return fmt.Errorf("core: interval %d assigned slot %d out of range", iv.start, t)
+			if r < 0 {
+				continue
 			}
-			ws := s.windows[wk]
-			if ws == nil {
-				return fmt.Errorf("core: interval %d slot %d assigned to unknown window %v", iv.start, t, wk.window())
+			if int(r) >= len(iv.ranks) {
+				return fmt.Errorf("core: interval %d slot %d assigned to rank %d of %d", iv.start, t, r, len(iv.ranks))
 			}
-			if _, ok := ws.fulfilled[t]; !ok {
+			if _, ok := iv.ranks[r].ws.fulfilled[t]; !ok {
 				return fmt.Errorf("core: interval %d slot %d assigned to %v but missing from its fulfilled set",
-					iv.start, t, wk.window())
+					iv.start, t, iv.ranks[r].ws.key.window())
 			}
-			fulfilled[wk]++
+			fulfilled[r]++
+			assigned++
 		}
-		// The O(1) fulfilled-count cache must agree with the recount.
-		if len(iv.fullCount) != len(fulfilled) {
-			return fmt.Errorf("core: interval %d caches %d fulfilled windows, recount has %d",
-				iv.start, len(iv.fullCount), len(fulfilled))
+		if assigned != iv.nAssigned {
+			return fmt.Errorf("core: interval %d caches %d assigned slots, recount %d", iv.start, iv.nAssigned, assigned)
 		}
-		for wk, n := range fulfilled {
-			if iv.fullCount[wk] != n {
+		var waitMask, fullMask uint64
+		for r, e := range iv.ranks {
+			if e.fulfilled != fulfilled[r] {
 				return fmt.Errorf("core: interval %d caches %d fulfilled for %v, recount %d",
-					iv.start, iv.fullCount[wk], wk.window(), n)
+					iv.start, e.fulfilled, e.ws.key.window(), fulfilled[r])
 			}
-		}
-		// Reservation counts: base 1 per enclosing span, plus the
-		// round-robin share of 2x extras (Invariant 5).
-		for wk, count := range iv.resCount {
-			ws := s.windows[wk]
-			if ws == nil {
-				return fmt.Errorf("core: interval %d has reservations for unknown window %v", iv.start, wk.window())
-			}
-			idx := (iv.start - wk.start) / iv.span
-			want := 1 + extraShare(int64(ws.x), idx, ws.numIntervals)
-			if ws.materialized && count != want {
-				return fmt.Errorf("core: interval %d window %v has %d reservations, Invariant 5 wants %d (x=%d idx=%d)",
-					iv.start, wk.window(), count, want, ws.x, idx)
-			}
-			if fulfilled[wk] > count {
+			if e.fulfilled > e.reserved {
 				return fmt.Errorf("core: interval %d window %v fulfills %d of %d reservations",
-					iv.start, wk.window(), fulfilled[wk], count)
+					iv.start, e.ws.key.window(), e.fulfilled, e.reserved)
+			}
+			if e.reserved > e.fulfilled {
+				waitMask |= 1 << uint(r)
+			}
+			if e.fulfilled > 0 {
+				fullMask |= 1 << uint(r)
+			}
+			// Reservation counts: base 1 per enclosing span, plus the
+			// round-robin share of 2x extras (Invariant 5).
+			idx := (iv.start - e.ws.key.start) / iv.span
+			want := 1 + extraShare(int64(e.ws.x), idx, e.ws.numIntervals)
+			if e.ws.materialized && e.reserved != want {
+				return fmt.Errorf("core: interval %d window %v has %d reservations, Invariant 5 wants %d (x=%d idx=%d)",
+					iv.start, e.ws.key.window(), e.reserved, want, e.ws.x, idx)
 			}
 		}
-		for wk := range fulfilled {
-			if iv.resCount[wk] == 0 {
-				return fmt.Errorf("core: interval %d fulfills reservation of %v without a count", iv.start, wk.window())
-			}
+		if waitMask != iv.waitMask || fullMask != iv.fullMask {
+			return fmt.Errorf("core: interval %d caches masks wait=%#x full=%#x, recount wait=%#x full=%#x",
+				iv.start, iv.waitMask, iv.fullMask, waitMask, fullMask)
 		}
 		// Fulfillment priority: no waitlisted window may be shorter than a
 		// fulfilled one, and free allowance slots imply an empty waitlist.
-		freeSlots := capacity - len(iv.assigned)
-		var maxFulfilledSpan, minWaitSpan int64
-		minWaitSpan = 1 << 62
-		for wk, count := range iv.resCount {
-			f := fulfilled[wk]
-			if f > 0 && wk.span > maxFulfilledSpan {
-				maxFulfilledSpan = wk.span
-			}
-			if count > f && wk.span < minWaitSpan {
-				minWaitSpan = wk.span
-			}
+		if waitMask != 0 && fullMask != 0 && bits.TrailingZeros64(waitMask) < 63-bits.LeadingZeros64(fullMask) {
+			return fmt.Errorf("core: interval %d waitlists rank %d while fulfilling rank %d",
+				iv.start, bits.TrailingZeros64(waitMask), 63-bits.LeadingZeros64(fullMask))
 		}
-		if minWaitSpan < maxFulfilledSpan {
-			return fmt.Errorf("core: interval %d waitlists a span-%d window while fulfilling a span-%d window",
-				iv.start, minWaitSpan, maxFulfilledSpan)
-		}
-		if freeSlots > 0 && minWaitSpan != 1<<62 {
-			return fmt.Errorf("core: interval %d has %d free slots but a waitlisted span-%d window",
-				iv.start, freeSlots, minWaitSpan)
+		if capacity > assigned && waitMask != 0 {
+			return fmt.Errorf("core: interval %d has %d free slots but a waitlisted rank %d",
+				iv.start, capacity-assigned, bits.TrailingZeros64(waitMask))
 		}
 	}
 	return nil
@@ -280,19 +276,17 @@ type ReservationState struct {
 func (s *Scheduler) ReservationSnapshot() []ReservationState {
 	var out []ReservationState
 	for key, iv := range s.ivs {
-		for wk, count := range iv.resCount {
-			ws := s.windows[wk]
-			if ws == nil || ws.x == 0 {
+		for _, e := range iv.ranks {
+			if e.ws.x == 0 {
 				continue
 			}
-			f := s.fulfilledCount(iv, wk)
 			out = append(out, ReservationState{
 				Level:       key.level,
 				Interval:    iv.start,
-				WindowStart: wk.start,
-				WindowSpan:  wk.span,
-				Fulfilled:   f,
-				Waitlisted:  count - f,
+				WindowStart: e.ws.key.start,
+				WindowSpan:  e.ws.key.span,
+				Fulfilled:   e.fulfilled,
+				Waitlisted:  e.reserved - e.fulfilled,
 			})
 		}
 	}

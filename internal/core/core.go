@@ -25,6 +25,12 @@
 // with x jobs keeps at least x+1 fulfilled reservations (Lemma 8), so a
 // job-free fulfilled slot always exists for PLACE and MOVE.
 //
+// Aligned windows are laminar, so a level-l interval has exactly one
+// enclosing window of each level-l span; each interval therefore indexes
+// its reservation bookkeeping by the window's span rank, and "shortest
+// waitlisted" and "longest fulfilled" are the lowest and highest set bits
+// of two masks, with no tie to break.
+//
 // # Pecking order
 //
 // Lower levels schedule without regard to higher levels: placing a job in
@@ -42,6 +48,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/align"
@@ -85,6 +92,9 @@ type jobState struct {
 	key   winKey
 	level int
 	slot  Time
+	// ws is the job's window state at levels >= 1 (nil at level 0).
+	// Window states live until Recycle, so the pointer never dangles.
+	ws *windowState
 }
 
 func (j *jobState) window() jobs.Window { return j.key.window() }
@@ -97,6 +107,7 @@ func (j *jobState) window() jobs.Window { return j.key.window() }
 type windowState struct {
 	key          winKey
 	level        int
+	rank         int   // index of key.span in align.SpansAtLevel(level)
 	numIntervals int64 // 2^k
 	x            int   // active jobs with exactly this window
 	materialized bool  // all intervals created (true once a job arrives)
@@ -107,23 +118,81 @@ type windowState struct {
 	fulfilled map[Time]ident.ID
 }
 
-// interval is one level-l interval: Ll consecutive slots.
+// rankEntry is one enclosing window's row in an interval's table.
+type rankEntry struct {
+	ws        *windowState
+	reserved  int // reservations held here (base + round-robin extras)
+	fulfilled int // how many of them this interval fulfills
+}
+
+// interval is one level-l interval: Ll consecutive slots. Its tables are
+// indexed by rank r, the position of the enclosing window's span in
+// align.SpansAtLevel(level); there is exactly one such window per rank.
 type interval struct {
 	level int
 	start Time
 	span  int64
-	// resCount is the number of reservations (base + round-robin extras)
-	// each enclosing window currently holds in this interval.
-	resCount map[winKey]int
-	// assigned maps a slot to the window whose fulfilled reservation is
-	// backed by that slot. Slots occupied by lower-level jobs are never
-	// assigned (they are outside the allowance).
-	assigned map[Time]winKey
-	// fullCount caches, per window, how many of its reservations this
-	// interval fulfills (len of assigned entries pointing at it), so the
-	// waitlist checks in promote/removeReservation are O(1) instead of a
-	// scan over assigned.
-	fullCount map[winKey]int
+	ranks []rankEntry
+	// waitMask bit r is set iff rank r has a waitlisted reservation
+	// (reserved > fulfilled); fullMask bit r iff it has a fulfilled one.
+	waitMask, fullMask uint64
+	// slotRank[t-start] is the rank whose fulfilled reservation slot t
+	// backs, or -1. Slots occupied by lower-level jobs are never assigned
+	// (they are outside the allowance).
+	slotRank  []int8
+	nAssigned int
+}
+
+// rankBase[l] is log2 of the shortest level-l window span, so a level-l
+// window of span w has rank log2(w) - rankBase[l]. The masks are uint64
+// and slotRank is int8, so every level must have at most 64 spans.
+var rankBase = func() (b [align.NumLevels]int) {
+	for l := 1; l < align.NumLevels; l++ {
+		if align.NumSpansAtLevel(l) > 64 {
+			panic(fmt.Sprintf("core: level %d has %d spans, rank masks hold 64", l, align.NumSpansAtLevel(l)))
+		}
+		b[l] = mathx.Log2Exact(align.SpansAtLevel(l)[0])
+	}
+	return b
+}()
+
+// reset sizes iv's tables for the level-lvl interval at start, reusing a
+// pooled interval's capacity: every rank empty, every slot unassigned.
+func (iv *interval) reset(lvl int, start Time) {
+	iv.level, iv.start, iv.span = lvl, start, align.IntervalSpan(lvl)
+	iv.ranks = resized(iv.ranks, align.NumSpansAtLevel(lvl))
+	clear(iv.ranks)
+	iv.slotRank = resized(iv.slotRank, int(iv.span))
+	for i := range iv.slotRank {
+		iv.slotRank[i] = -1
+	}
+	iv.waitMask, iv.fullMask, iv.nAssigned = 0, 0, 0
+}
+
+// resized returns b with length n, reallocating only when it lacks the
+// capacity.
+func resized[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// syncMasks refreshes rank r's waitMask and fullMask bits from its counts.
+//
+//reallocvet:hotpath
+func (iv *interval) syncMasks(r int) {
+	e, bit := &iv.ranks[r], uint64(1)<<uint(r)
+	if e.reserved > e.fulfilled {
+		iv.waitMask |= bit
+	} else {
+		iv.waitMask &^= bit
+	}
+	if e.fulfilled > 0 {
+		iv.fullMask |= bit
+	} else {
+		iv.fullMask &^= bit
+	}
 }
 
 // Option configures the scheduler.
@@ -188,18 +257,20 @@ var _ sched.Scheduler = (*Scheduler)(nil)
 
 // Pools for the reservation machinery. The trimming wrappers rebuild by
 // building a FRESH core and discarding the old one, so on rebuild-heavy
-// workloads the windows, intervals, and their maps are the dominant
+// workloads the windows, intervals, and their tables are the dominant
 // allocation source. Recycle (sched.Recycler) feeds a discarded
 // scheduler's structures back here; New drains the pools first, so a
 // rebuild reuses the previous generation's capacity.
 // Pooling invariant: everything is cleared on the way in — maps emptied
-// (capacity kept), jobState name strings zeroed, the ID table reset —
-// so pooled structures pin no job names and leak no state between
-// generations.
+// (capacity kept), rank tables' window pointers dropped, jobState name
+// strings and window pointers zeroed, the ID table reset — so pooled
+// structures pin no job names and leak no state between generations.
+// A pooled interval may come back at another level; reset resizes its
+// tables.
 var (
 	schedPool    sync.Pool // *Scheduler
 	windowPool   sync.Pool // *windowState (fulfilled cleared)
-	intervalPool sync.Pool // *interval (resCount/assigned cleared)
+	intervalPool sync.Pool // *interval (ranks cleared)
 )
 
 // errRecycled poisons a recycled scheduler so a stale reference fails
@@ -238,9 +309,7 @@ func New(opts ...Option) *Scheduler {
 func (s *Scheduler) Recycle() {
 	for key, iv := range s.ivs {
 		delete(s.ivs, key)
-		clear(iv.resCount)
-		clear(iv.assigned)
-		clear(iv.fullCount)
+		clear(iv.ranks) // drop the window pointers
 		intervalPool.Put(iv)
 	}
 	for key, ws := range s.windows {
@@ -430,6 +499,7 @@ func (s *Scheduler) reservedInsert(j *jobState) error {
 	if err != nil {
 		return err
 	}
+	j.ws = ws
 	if err := s.materialize(ws); err != nil {
 		return err
 	}
@@ -455,7 +525,7 @@ func (s *Scheduler) reservedInsert(j *jobState) error {
 //
 //reallocvet:hotpath
 func (s *Scheduler) reservedDelete(j *jobState) error {
-	ws := s.windows[j.key]
+	ws := j.ws
 	if ws == nil {
 		return fmt.Errorf("core: window state missing for %v", j.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
@@ -493,7 +563,7 @@ func (s *Scheduler) reservedDelete(j *jobState) error {
 func (s *Scheduler) place(j *jobState) error {
 	cur := j
 	for {
-		ws := s.windows[cur.key]
+		ws := cur.ws
 		if ws == nil {
 			return fmt.Errorf("core: window state missing for %v", cur.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 		}
@@ -542,6 +612,8 @@ func (s *Scheduler) place(j *jobState) error {
 // Under PreferEmpty it prefers completely empty slots (avoiding a
 // higher-level displacement); under LowestSlot it takes the lowest slot
 // regardless. Ties break toward the lowest slot for determinism.
+//
+//reallocvet:hotpath
 func (s *Scheduler) pickFulfilledSlot(ws *windowState) (Time, bool) {
 	best, bestEmpty := Time(0), false
 	found := false
@@ -572,7 +644,7 @@ func (s *Scheduler) pickFulfilledSlot(ws *windowState) (Time, bool) {
 // state in every ancestor interval and physically relocating at most one
 // higher-level job.
 func (s *Scheduler) move(j *jobState) error {
-	ws := s.windows[j.key]
+	ws := j.ws
 	from := j.slot
 	to, ok := s.pickFulfilledSlot(ws)
 	if !ok {
@@ -622,43 +694,58 @@ func (s *Scheduler) move(j *jobState) error {
 
 // swapAssigned exchanges the reservation assignments of slots a and b in
 // interval iv, renaming the backing slots in the owning windows' state.
+//
+//reallocvet:hotpath
 func (s *Scheduler) swapAssigned(iv *interval, a, b Time) {
-	wa, oka := iv.assigned[a]
-	wb, okb := iv.assigned[b]
-	delete(iv.assigned, a)
-	delete(iv.assigned, b)
-	if oka {
-		iv.assigned[b] = wa
-		wsa := s.windows[wa]
-		occ := wsa.fulfilled[a]
-		delete(wsa.fulfilled, a)
-		wsa.fulfilled[b] = occ
+	ia, ib := a-iv.start, b-iv.start
+	ra, rb := iv.slotRank[ia], iv.slotRank[ib]
+	iv.slotRank[ia], iv.slotRank[ib] = rb, ra
+	var occA, occB ident.ID
+	if ra >= 0 {
+		ws := iv.ranks[ra].ws
+		occA = ws.fulfilled[a]
+		delete(ws.fulfilled, a)
 	}
-	if okb {
-		iv.assigned[a] = wb
-		wsb := s.windows[wb]
-		occ := wsb.fulfilled[b]
-		delete(wsb.fulfilled, b)
-		wsb.fulfilled[a] = occ
+	if rb >= 0 {
+		ws := iv.ranks[rb].ws
+		occB = ws.fulfilled[b]
+		delete(ws.fulfilled, b)
+	}
+	if ra >= 0 {
+		iv.ranks[ra].ws.fulfilled[b] = occA
+	}
+	if rb >= 0 {
+		iv.ranks[rb].ws.fulfilled[a] = occB
 	}
 }
 
 // addReservation implements RESERVE (Figure 1 lines 1-9) at interval iv
 // for window ws.
+//
+//reallocvet:hotpath
 func (s *Scheduler) addReservation(iv *interval, ws *windowState) error {
-	iv.resCount[ws.key]++
+	iv.ranks[ws.rank].reserved++
+	iv.syncMasks(ws.rank)
+	return s.fulfill(iv, ws)
+}
+
+// fulfill backs a waitlisted reservation of ws at iv with the lowest free
+// allowance slot, or else with a slot stolen from the longest fulfilled
+// window when that window is longer than ws (preferring a job-free slot,
+// and moving the job that backed it; the victim's reservation is
+// waitlisted). Otherwise ws's reservation stays waitlisted.
+//
+//reallocvet:hotpath
+func (s *Scheduler) fulfill(iv *interval, ws *windowState) error {
 	if f, ok := s.freeSlot(iv); ok {
 		s.assign(iv, f, ws)
 		return nil
 	}
-	longKey, ok := s.longestFulfilled(iv)
-	if !ok || s.windows[longKey].key.span <= ws.key.span {
-		return nil // the new reservation is waitlisted
+	long, ok := iv.longestFulfilled()
+	if !ok || long <= ws.rank {
+		return nil
 	}
-	// Steal a slot from the longest fulfilled window, preferring a
-	// job-free one; its reservation is waitlisted.
-	victim := s.windows[longKey]
-	slot, occupant := s.pickAssignedSlot(iv, victim)
+	slot, occupant := s.pickAssignedSlot(iv, iv.ranks[long].ws)
 	s.unassign(iv, slot)
 	if occupant != ident.None {
 		if err := s.move(s.byID[occupant]); err != nil {
@@ -672,12 +759,16 @@ func (s *Scheduler) addReservation(iv *interval, ws *windowState) error {
 // removeReservation drops one of ws's reservations at iv, releasing a
 // fulfilled slot (and moving its job) only when the remaining count
 // requires it, then promotes the shortest waitlisted window.
+//
+//reallocvet:hotpath
 func (s *Scheduler) removeReservation(iv *interval, ws *windowState) error {
-	if iv.resCount[ws.key] <= 0 {
-		return fmt.Errorf("core: removing nonexistent reservation of %v at interval %d", ws.key.window(), iv.start)
+	e := &iv.ranks[ws.rank]
+	if e.reserved <= 0 {
+		return fmt.Errorf("core: removing nonexistent reservation of %v at interval %d", ws.key.window(), iv.start) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
-	iv.resCount[ws.key]--
-	if s.fulfilledCount(iv, ws.key) <= iv.resCount[ws.key] {
+	e.reserved--
+	iv.syncMasks(ws.rank)
+	if e.fulfilled <= e.reserved {
 		return nil // a waitlisted reservation absorbed the removal
 	}
 	slot, occupant := s.pickAssignedSlot(iv, ws)
@@ -696,35 +787,22 @@ func (s *Scheduler) removeReservation(iv *interval, ws *windowState) error {
 // reservation, that window is re-fulfilled from a free slot, or by
 // waitlisting the longest fulfilled window (moving its job if one backed
 // the stolen slot); otherwise it becomes waitlisted itself.
+//
+//reallocvet:hotpath
 func (s *Scheduler) shrink(iv *interval, t Time) error {
-	vKey, ok := iv.assigned[t]
-	if !ok {
+	r := iv.slotRank[t-iv.start]
+	if r < 0 {
 		return nil
 	}
-	v := s.windows[vKey]
+	v := iv.ranks[r].ws
 	s.unassign(iv, t) // any own-level occupant is the displaced job handled by the caller
-	if f, ok := s.freeSlot(iv); ok {
-		s.assign(iv, f, v)
-		return nil
-	}
-	longKey, ok := s.longestFulfilled(iv)
-	if !ok || s.windows[longKey].key.span <= v.key.span {
-		return nil // v's reservation is waitlisted
-	}
-	victim := s.windows[longKey]
-	slot, occupant := s.pickAssignedSlot(iv, victim)
-	s.unassign(iv, slot)
-	if occupant != ident.None {
-		if err := s.move(s.byID[occupant]); err != nil {
-			return err
-		}
-	}
-	s.assign(iv, slot, v)
-	return nil
+	return s.fulfill(iv, v)
 }
 
 // growAbove returns slot t to the allowance of every existing interval at
 // levels strictly above l, promoting one waitlisted reservation each.
+//
+//reallocvet:hotpath
 func (s *Scheduler) growAbove(t Time, l int) {
 	for lvl := l + 1; lvl <= topLevel; lvl++ {
 		iv := s.ivs[s.intervalKeyAt(lvl, t)]
@@ -736,49 +814,46 @@ func (s *Scheduler) growAbove(t Time, l int) {
 }
 
 // promote assigns the free slot t to the shortest window with a
-// waitlisted reservation at iv, if any.
+// waitlisted reservation at iv (the lowest waitMask bit), if any.
+//
+//reallocvet:hotpath
 func (s *Scheduler) promote(iv *interval, t Time) {
-	var best *windowState
-	for key, count := range iv.resCount {
-		if count <= s.fulfilledCount(iv, key) {
-			continue
-		}
-		ws := s.windows[key]
-		if best == nil || ws.key.span < best.key.span ||
-			(ws.key.span == best.key.span && ws.key.start < best.key.start) {
-			best = ws
-		}
-	}
-	if best != nil {
-		s.assign(iv, t, best)
+	if iv.waitMask != 0 {
+		s.assign(iv, t, iv.ranks[bits.TrailingZeros64(iv.waitMask)].ws)
 	}
 }
 
 // assign backs a fulfilled reservation of ws with slot t.
+//
+//reallocvet:hotpath
 func (s *Scheduler) assign(iv *interval, t Time, ws *windowState) {
-	if _, taken := iv.assigned[t]; taken {
-		panic(fmt.Sprintf("core: slot %d already assigned in interval %d", t, iv.start))
+	i := t - iv.start
+	if iv.slotRank[i] >= 0 {
+		panic(fmt.Sprintf("core: slot %d already assigned in interval %d", t, iv.start)) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
-	iv.assigned[t] = ws.key
-	iv.fullCount[ws.key]++
+	iv.slotRank[i] = int8(ws.rank)
+	iv.nAssigned++
+	iv.ranks[ws.rank].fulfilled++
+	iv.syncMasks(ws.rank)
 	ws.fulfilled[t] = ident.None // a fresh fulfilled slot never holds an own-level job
 }
 
 // unassign releases the reservation backing slot t, returning the ID of
 // the own-level job that occupied it (ident.None if none). The caller is
 // responsible for relocating that job.
+//
+//reallocvet:hotpath
 func (s *Scheduler) unassign(iv *interval, t Time) ident.ID {
-	key, ok := iv.assigned[t]
-	if !ok {
-		panic(fmt.Sprintf("core: slot %d not assigned in interval %d", t, iv.start))
+	i := t - iv.start
+	r := int(iv.slotRank[i])
+	if r < 0 {
+		panic(fmt.Sprintf("core: slot %d not assigned in interval %d", t, iv.start)) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
-	delete(iv.assigned, t)
-	if n := iv.fullCount[key] - 1; n > 0 {
-		iv.fullCount[key] = n
-	} else {
-		delete(iv.fullCount, key)
-	}
-	ws := s.windows[key]
+	iv.slotRank[i] = -1
+	iv.nAssigned--
+	iv.ranks[r].fulfilled--
+	iv.syncMasks(r)
+	ws := iv.ranks[r].ws
 	occ := ws.fulfilled[t]
 	delete(ws.fulfilled, t)
 	return occ
@@ -787,33 +862,44 @@ func (s *Scheduler) unassign(iv *interval, t Time) ident.ID {
 // pickAssignedSlot returns one of ws's fulfilled slots in iv, preferring
 // slots without an own-level job, then the lowest slot. It also returns
 // the occupying own-level job ID (ident.None if none).
+//
+//reallocvet:hotpath
 func (s *Scheduler) pickAssignedSlot(iv *interval, ws *windowState) (Time, ident.ID) {
 	best, bestOcc := Time(0), ident.None
 	found := false
-	for t := iv.start; t < iv.start+iv.span; t++ {
-		if key, ok := iv.assigned[t]; ok && key == ws.key {
-			occ := ws.fulfilled[t]
-			if !found || (occ == ident.None && bestOcc != ident.None) {
-				best, bestOcc, found = t, occ, true
-				if occ == ident.None {
-					return best, bestOcc
-				}
-			}
+	r := int8(ws.rank)
+	for i, sr := range iv.slotRank {
+		if sr != r {
+			continue
+		}
+		t := iv.start + Time(i)
+		occ := ws.fulfilled[t]
+		if occ == ident.None {
+			return t, occ
+		}
+		if !found {
+			best, bestOcc, found = t, occ, true
 		}
 	}
 	if !found {
-		panic(fmt.Sprintf("core: window %v has no fulfilled slot in interval %d", ws.key.window(), iv.start))
+		panic(fmt.Sprintf("core: window %v has no fulfilled slot in interval %d", ws.key.window(), iv.start)) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
 	return best, bestOcc
 }
 
 // freeSlot returns the lowest slot of iv that is inside the allowance and
 // not yet assigned.
+//
+//reallocvet:hotpath
 func (s *Scheduler) freeSlot(iv *interval) (Time, bool) {
-	for t := iv.start; t < iv.start+iv.span; t++ {
-		if _, taken := iv.assigned[t]; taken {
+	if iv.nAssigned == len(iv.slotRank) {
+		return 0, false
+	}
+	for i, r := range iv.slotRank {
+		if r >= 0 {
 			continue
 		}
+		t := iv.start + Time(i)
 		if occ := s.slots[t]; occ != nil && occ.level < iv.level {
 			continue // outside the allowance
 		}
@@ -822,25 +908,15 @@ func (s *Scheduler) freeSlot(iv *interval) (Time, bool) {
 	return 0, false
 }
 
-// longestFulfilled returns the window with the longest span holding at
-// least one fulfilled reservation in iv (ties broken by start). The
-// fullCount cache bounds the scan by the number of distinct windows
-// with fulfilled reservations, not by the interval span.
-func (s *Scheduler) longestFulfilled(iv *interval) (winKey, bool) {
-	var best winKey
-	found := false
-	for key := range iv.fullCount {
-		if !found || key.span > best.span || (key.span == best.span && key.start < best.start) {
-			best = key
-			found = true
-		}
+// longestFulfilled returns the rank of the longest window holding at
+// least one fulfilled reservation in iv: the top bit of fullMask.
+//
+//reallocvet:hotpath
+func (iv *interval) longestFulfilled() (int, bool) {
+	if iv.fullMask == 0 {
+		return 0, false
 	}
-	return best, found
-}
-
-// fulfilledCount counts ws's fulfilled reservations in iv.
-func (s *Scheduler) fulfilledCount(iv *interval, key winKey) int {
-	return iv.fullCount[key]
+	return 63 - bits.LeadingZeros64(iv.fullMask), true
 }
 
 // ---------------------------------------------------------------------
@@ -858,14 +934,16 @@ func (s *Scheduler) ensureWindow(key winKey) (*windowState, error) {
 		return nil, fmt.Errorf("core: window %v is base-level; no window state needed", key.window())
 	}
 	n := key.span / align.IntervalSpan(level)
+	rank := mathx.Log2Exact(key.span) - rankBase[level]
 	var ws *windowState
 	if v := windowPool.Get(); v != nil {
 		ws = v.(*windowState)
-		ws.key, ws.level, ws.numIntervals = key, level, n
+		ws.key, ws.level, ws.rank, ws.numIntervals = key, level, rank, n
 	} else {
 		ws = &windowState{
 			key:          key,
 			level:        level,
+			rank:         rank,
 			numIntervals: n,
 			fulfilled:    make(map[Time]ident.ID),
 		}
@@ -905,30 +983,21 @@ func (s *Scheduler) getInterval(lvl int, start Time) (*interval, error) {
 	if iv, ok := s.ivs[key]; ok {
 		return iv, nil
 	}
-	var iv *interval
-	if v := intervalPool.Get(); v != nil {
-		iv = v.(*interval)
-		iv.level, iv.start, iv.span = lvl, key.start, align.IntervalSpan(lvl)
-	} else {
-		iv = &interval{
-			level:     lvl,
-			start:     key.start,
-			span:      align.IntervalSpan(lvl),
-			resCount:  make(map[winKey]int),
-			assigned:  make(map[Time]winKey),
-			fullCount: make(map[winKey]int),
-		}
+	iv, _ := intervalPool.Get().(*interval)
+	if iv == nil {
+		iv = new(interval)
 	}
+	iv.reset(lvl, key.start)
 	s.ivs[key] = iv
 	// Base reservations: one per enclosing window, fulfilled in
 	// shortest-span-first order into the allowance.
-	for _, span := range align.SpansAtLevel(lvl) {
-		w := align.EnclosingAligned(iv.start, span)
-		ws, err := s.ensureWindow(keyOf(w))
+	for r, span := range align.SpansAtLevel(lvl) {
+		ws, err := s.ensureWindow(keyOf(align.EnclosingAligned(iv.start, span)))
 		if err != nil {
 			return nil, err
 		}
-		iv.resCount[ws.key]++
+		iv.ranks[r] = rankEntry{ws: ws, reserved: 1}
+		iv.syncMasks(r)
 		if f, ok := s.freeSlot(iv); ok {
 			s.assign(iv, f, ws)
 		}

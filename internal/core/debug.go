@@ -36,14 +36,9 @@ func (s *Scheduler) LevelBreakdown() []LevelStats {
 	}
 	for key, iv := range s.ivs {
 		out[key.level].Intervals++
-		fulfilled := make(map[winKey]int)
-		for _, wk := range iv.assigned {
-			fulfilled[wk]++
-		}
-		for wk, count := range iv.resCount {
-			f := fulfilled[wk]
-			out[key.level].Fulfilled += f
-			out[key.level].Waitlisted += count - f
+		for _, e := range iv.ranks {
+			out[key.level].Fulfilled += e.fulfilled
+			out[key.level].Waitlisted += e.reserved - e.fulfilled
 		}
 	}
 	return out
@@ -138,7 +133,7 @@ func (s *Scheduler) DebugDump(w io.Writer) error {
 			}
 		}
 		if _, err := fmt.Fprintf(w, "  interval L%d [%d,%d) allowance=%d assigned=%d reservations=%d\n",
-			iv.level, iv.start, iv.start+iv.span, capacity, len(iv.assigned), totalRes(iv)); err != nil {
+			iv.level, iv.start, iv.start+iv.span, capacity, iv.nAssigned, totalRes(iv)); err != nil {
 			return err
 		}
 	}
@@ -147,8 +142,8 @@ func (s *Scheduler) DebugDump(w io.Writer) error {
 
 func totalRes(iv *interval) int {
 	n := 0
-	for _, c := range iv.resCount {
-		n += c
+	for _, e := range iv.ranks {
+		n += e.reserved
 	}
 	return n
 }

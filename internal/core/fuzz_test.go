@@ -17,6 +17,9 @@ func FuzzRequestStream(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x80, 0x33})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x81, 0x82, 0x05})
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x10, 0x90, 0x20, 0xa0})
+	// Span-512 and span-1024 (level-2) jobs over span-64 and base jobs.
+	f.Add([]byte{0x03, 0x00, 0x03, 0x05, 0x06, 0x00, 0x06, 0x20, 0x09, 0x00,
+		0x0a, 0x00, 0x09, 0x80, 0x0a, 0x40, 0x81, 0x01, 0x03, 0x02, 0x0a, 0x10})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
@@ -33,9 +36,9 @@ func FuzzRequestStream(f *testing.F) {
 				}
 				live = append(live[:idx], live[idx+1:]...)
 			} else {
-				// Insert: decode span exponent (0..7 -> spans 1..128) and a
-				// start bucket.
-				spanExp := uint(op&0x07) % 8
+				// Insert: decode span exponent (0..10 -> spans 1..1024, so
+				// level-2 intervals are built) and a start bucket.
+				spanExp := uint(op&0x0f) % 11
 				span := int64(1) << spanExp
 				start := mathx.AlignDown(int64(arg)*4, span)
 				name := "f" + string(rune('a'+id%26)) + string(rune('a'+(id/26)%26)) + string(rune('a'+(id/676)%26))

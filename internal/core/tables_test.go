@@ -1,0 +1,170 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/feasible"
+	"repro/internal/jobs"
+)
+
+// tableJobs is an 8-underallocated job set over [0, 2048), longest
+// windows first: level-2 windows (spans 512..2048) when level2 is set,
+// level-1 windows (spans 64..256), and base jobs, named with the given
+// prefix.
+func tableJobs(prefix string, level2 bool) []jobs.Job {
+	var out []jobs.Job
+	add := func(span int64, perWindow int) {
+		for start := int64(0); start < 2048; start += span {
+			for i := 0; i < perWindow; i++ {
+				out = append(out, job(fmt.Sprintf("%s%d@%d#%d", prefix, span, start, i), start, start+span))
+			}
+		}
+	}
+	if level2 {
+		add(2048, 8)
+		add(1024, 4)
+		add(512, 2)
+	}
+	add(256, 2)
+	add(64, 1)
+	add(32, 1)
+	return out
+}
+
+// checked fails the test unless the scheduler passes SelfCheck and its
+// schedule is feasible.
+func checked(t *testing.T, s *Scheduler, after string) {
+	t.Helper()
+	if err := s.SelfCheck(); err != nil {
+		t.Fatalf("after %s: %v", after, err)
+	}
+	if err := feasible.VerifySchedule(s.Jobs(), s.Assignment(), 1); err != nil {
+		t.Fatalf("after %s: %v", after, err)
+	}
+}
+
+// TestSelfCheckCatchesStaleTables corrupts one cached table field at a
+// time on a live scheduler and expects SelfCheck to notice each one.
+func TestSelfCheckCatchesStaleTables(t *testing.T) {
+	s := New()
+	for _, j := range tableJobs("j", true) {
+		mustInsert(t, s, j)
+	}
+	var ivs [3]*interval
+	for key, iv := range s.ivs {
+		ivs[key.level] = iv
+	}
+	var leveled *jobState
+	for _, j := range s.byID {
+		if j != nil && j.level >= 1 {
+			leveled = j
+			break
+		}
+	}
+	if ivs[1] == nil || ivs[2] == nil || leveled == nil {
+		t.Fatal("job set built no level-1 or level-2 interval")
+	}
+	corruptions := []struct {
+		name string
+		flip func()
+	}{
+		{"level-1 waitMask bit", func() { ivs[1].waitMask ^= 1 << 2 }},
+		{"level-2 waitMask bit", func() { ivs[2].waitMask ^= 1 << 40 }},
+		{"level-1 fulfilled count", func() { ivs[1].ranks[0].fulfilled++ }},
+		{"level-2 fulfilled count", func() { ivs[2].ranks[3].fulfilled++ }},
+		{"level-2 fullMask bit", func() { ivs[2].fullMask ^= 1 << 1 }},
+		{"assigned count", func() { ivs[2].nAssigned++ }},
+		{"rank window", func() { ivs[2].ranks[0].ws, ivs[2].ranks[1].ws = ivs[2].ranks[1].ws, ivs[2].ranks[0].ws }},
+		{"cached job window", func() { leveled.ws = nil }},
+	}
+	for _, c := range corruptions {
+		ivSaved := [2]interval{*ivs[1], *ivs[2]}
+		r1, r2 := append([]rankEntry(nil), ivs[1].ranks...), append([]rankEntry(nil), ivs[2].ranks...)
+		ws := leveled.ws
+		c.flip()
+		if err := s.SelfCheck(); err == nil {
+			t.Errorf("SelfCheck passed with a corrupted %s", c.name)
+		}
+		*ivs[1], *ivs[2] = ivSaved[0], ivSaved[1]
+		copy(ivs[1].ranks, r1)
+		copy(ivs[2].ranks, r2)
+		leveled.ws = ws
+		if err := s.SelfCheck(); err != nil {
+			t.Fatalf("restoring the %s: %v", c.name, err)
+		}
+	}
+}
+
+// TestRecycleReuseAcrossLevels runs three generations through
+// Recycle/New — level-2-heavy, level-1 only, level-2-heavy again — so
+// pooled intervals come back at the other level with differently sized
+// tables. Every request keeps the invariants, and each generation ends
+// in the reservation state a never-pooled scheduler reaches from the
+// same job set (Observation 7).
+func TestRecycleReuseAcrossLevels(t *testing.T) {
+	// A GC cycle empties the sync.Pools; with the collector off, Recycle's
+	// intervals are certain to reach the next generation. The test
+	// allocates under 20 MB.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	gens := []struct {
+		name   string
+		level2 bool
+	}{{"a", true}, {"b", false}, {"c", true}}
+
+	// References first, before this test recycles anything, from a
+	// scheduler per generation that is never handed to Recycle.
+	want := make([][]ReservationState, len(gens))
+	for g, gen := range gens {
+		ref := New()
+		for i, j := range tableJobs(gen.name, gen.level2) {
+			if i%3 != 0 {
+				if _, err := ref.Insert(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want[g] = ref.ReservationSnapshot()
+	}
+
+	// pastLevel records the level each interval struct last served at.
+	pastLevel := make(map[*interval]int)
+	s := New()
+	for g, gen := range gens {
+		js := tableJobs(gen.name, gen.level2)
+		// tableJobs lists long windows first, so the generation's first
+		// intervals are built at its top level from what the last one
+		// recycled, and short jobs then displace long ones. Then delete
+		// every third job.
+		for _, j := range js {
+			if _, err := s.Insert(j); err != nil {
+				t.Fatalf("generation %s: insert %v: %v", gen.name, j, err)
+			}
+			checked(t, s, "insert "+j.Name)
+		}
+		for i := 0; i < len(js); i += 3 {
+			if _, err := s.Delete(js[i].Name); err != nil {
+				t.Fatalf("generation %s: delete %q: %v", gen.name, js[i].Name, err)
+			}
+			checked(t, s, "delete "+js[i].Name)
+		}
+		if got := s.ReservationSnapshot(); !reflect.DeepEqual(got, want[g]) {
+			t.Fatalf("generation %s: pooled snapshot (%d entries) differs from a fresh scheduler's (%d entries)",
+				gen.name, len(got), len(want[g]))
+		}
+		crossed := 0
+		for key, iv := range s.ivs {
+			if l, ok := pastLevel[iv]; ok && l != key.level {
+				crossed++
+			}
+			pastLevel[iv] = key.level
+		}
+		if g > 0 && crossed == 0 {
+			t.Fatalf("generation %s reused no pooled interval at another level", gen.name)
+		}
+		s.Recycle()
+		s = New()
+	}
+}

@@ -4,7 +4,7 @@
 // checkpointed; each shard's job set is re-admitted on its original
 // shard through the inner stack's bulk path, which rebuilds every layer
 // — interned ID tables, trim caps and queues, alignment windows,
-// per-machine reservation structures, fullCount caches — from the job
+// per-machine reservation structures, per-interval rank tables — from the job
 // set alone in O(jobs), not O(history). Placements are recomputed (the
 // restored schedule is feasible for the same jobs, not bit-identical to
 // the checkpointed one); job→shard locality IS preserved, so restored
