@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/align"
@@ -63,62 +64,15 @@ func (s *Scheduler) selfCheck() error {
 			if j.ws != ws {
 				return fmt.Errorf("core: job %q caches a stale window state", j.name)
 			}
-			if ws.fulfilled[j.slot] != j.id {
-				return fmt.Errorf("core: job %q at slot %d not recorded in window %v fulfilled set",
+			if iv := s.ivs[s.intervalKeyAt(j.level, j.slot)]; iv == nil || int(iv.slotRank[j.slot-iv.start]) != ws.rank {
+				return fmt.Errorf("core: job %q at slot %d not backed by a fulfilled reservation of window %v",
 					j.name, j.slot, j.window())
 			}
 		}
 	}
 
-	// Window states.
-	xCount := make(map[winKey]int)
-	for _, j := range s.byID {
-		if j != nil && j.level >= 1 {
-			xCount[j.key]++
-		}
-	}
-	for key, ws := range s.windows {
-		if ws.key != key {
-			return fmt.Errorf("core: window %v indexed under %v", ws.key.window(), key.window())
-		}
-		if ws.x != xCount[key] {
-			return fmt.Errorf("core: window %v records x=%d but %d active jobs", key.window(), ws.x, xCount[key])
-		}
-		if ws.x > 0 && !ws.materialized {
-			return fmt.Errorf("core: window %v has jobs but is not materialized", key.window())
-		}
-		w := key.window()
-		for t, occ := range ws.fulfilled {
-			if !w.Contains(t) {
-				return fmt.Errorf("core: window %v fulfilled slot %d outside window", w, t)
-			}
-			iv := s.ivs[s.intervalKeyAt(ws.level, t)]
-			if iv == nil {
-				return fmt.Errorf("core: window %v fulfilled slot %d in nonexistent interval", w, t)
-			}
-			if r := iv.slotRank[t-iv.start]; int(r) != ws.rank || iv.ranks[ws.rank].ws != ws {
-				return fmt.Errorf("core: window %v (rank %d) fulfilled slot %d assigned to rank %d in interval",
-					w, ws.rank, t, r)
-			}
-			occupant := s.slots[t]
-			switch {
-			case occ == ident.None:
-				if occupant != nil && occupant.level <= ws.level {
-					return fmt.Errorf("core: window %v slot %d marked job-free but holds level-%d job %q",
-						w, t, occupant.level, occupant.name)
-				}
-			default:
-				if occupant == nil || occupant.id != occ {
-					return fmt.Errorf("core: window %v slot %d records occupant ID %d but holds %v", w, t, occ, occupant)
-				}
-				if occupant.key != key {
-					return fmt.Errorf("core: window %v slot %d holds foreign same-level job %q", w, t, occupant.name)
-				}
-			}
-		}
-	}
-
 	// Intervals: every cached table entry is recounted from scratch.
+	fulfilledOf := make(map[*windowState][]Time)
 	for key, iv := range s.ivs {
 		if iv.level != key.level || iv.start != key.start {
 			return fmt.Errorf("core: interval (%d,%d) indexed under %+v", iv.level, iv.start, key)
@@ -137,8 +91,8 @@ func (s *Scheduler) selfCheck() error {
 				return fmt.Errorf("core: interval %d rank %d does not hold window %v", iv.start, r, want.window())
 			}
 		}
-		// Recount the slot table: assignments stay inside the allowance and
-		// agree with the owning window's fulfilled set.
+		// Recount the slot table: assignments stay inside the allowance;
+		// each is filed under its window for the window checks below.
 		capacity, assigned := 0, 0
 		fulfilled := make([]int, len(iv.ranks))
 		for i, r := range iv.slotRank {
@@ -156,10 +110,8 @@ func (s *Scheduler) selfCheck() error {
 			if int(r) >= len(iv.ranks) {
 				return fmt.Errorf("core: interval %d slot %d assigned to rank %d of %d", iv.start, t, r, len(iv.ranks))
 			}
-			if _, ok := iv.ranks[r].ws.fulfilled[t]; !ok {
-				return fmt.Errorf("core: interval %d slot %d assigned to %v but missing from its fulfilled set",
-					iv.start, t, iv.ranks[r].ws.key.window())
-			}
+			ws := iv.ranks[r].ws
+			fulfilledOf[ws] = append(fulfilledOf[ws], t)
 			fulfilled[r]++
 			assigned++
 		}
@@ -206,6 +158,59 @@ func (s *Scheduler) selfCheck() error {
 				iv.start, capacity-assigned, bits.TrailingZeros64(waitMask))
 		}
 	}
+
+	// Window states: job counts, fulfilled counts, and each materialized
+	// window's free index against the slots the intervals assign it.
+	xCount := make(map[winKey]int)
+	for _, j := range s.byID {
+		if j != nil && j.level >= 1 {
+			xCount[j.key]++
+		}
+	}
+	for key, ws := range s.windows {
+		if ws.key != key {
+			return fmt.Errorf("core: window %v indexed under %v", ws.key.window(), key.window())
+		}
+		if ws.x != xCount[key] {
+			return fmt.Errorf("core: window %v records x=%d but %d active jobs", key.window(), ws.x, xCount[key])
+		}
+		if ws.x > 0 && !ws.materialized {
+			return fmt.Errorf("core: window %v has jobs but is not materialized", key.window())
+		}
+		w := key.window()
+		slots := fulfilledOf[ws]
+		if ws.nFulfilled != len(slots) {
+			return fmt.Errorf("core: window %v counts %d fulfilled reservations, its intervals assign %d",
+				w, ws.nFulfilled, len(slots))
+		}
+		// The free index must equal one rebuilt from the slot tables, word
+		// for word, summaries included.
+		var want [2]bitIndex
+		if ws.materialized {
+			want[freeEmpty].reset(int(key.span))
+			want[freeUnder].reset(int(key.span))
+		}
+		for _, t := range slots {
+			if !w.Contains(t) {
+				return fmt.Errorf("core: window %v fulfilled slot %d outside window", w, t)
+			}
+			switch occ := s.slots[t]; {
+			case occ == nil:
+				want[freeEmpty].add(int(t - w.Start))
+			case occ.level > ws.level:
+				want[freeUnder].add(int(t - w.Start))
+			case occ.key != key:
+				return fmt.Errorf("core: window %v slot %d holds foreign level-%d job %q", w, t, occ.level, occ.name)
+			case !ws.materialized:
+				return fmt.Errorf("core: window %v was never materialized but slot %d holds its job %q", w, t, occ.name)
+			}
+		}
+		for kind := range want {
+			if ws.materialized && !slices.Equal(ws.free[kind].buf, want[kind].buf) {
+				return fmt.Errorf("core: window %v free index %d disagrees with its fulfilled slots", w, kind)
+			}
+		}
+	}
 	return nil
 }
 
@@ -233,7 +238,7 @@ func (s *Scheduler) MinLemma8Slack() int {
 		if !ws.materialized {
 			continue
 		}
-		if slack := len(ws.fulfilled) - ws.x; slack < min {
+		if slack := ws.nFulfilled - ws.x; slack < min {
 			min = slack
 		}
 	}
@@ -249,9 +254,9 @@ func (s *Scheduler) VerifyLemma8() error {
 		if !ws.materialized {
 			continue
 		}
-		if len(ws.fulfilled) < ws.x+1 {
+		if ws.nFulfilled < ws.x+1 {
 			return fmt.Errorf("core: window %v has x=%d jobs but only %d fulfilled reservations (Lemma 8 wants >= %d)",
-				key.window(), ws.x, len(ws.fulfilled), ws.x+1)
+				key.window(), ws.x, ws.nFulfilled, ws.x+1)
 		}
 	}
 	return nil

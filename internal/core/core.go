@@ -23,7 +23,8 @@
 // windows first, up to its allowance (slots not occupied by lower-level
 // jobs); the rest are waitlisted. Under 8-underallocation every window
 // with x jobs keeps at least x+1 fulfilled reservations (Lemma 8), so a
-// job-free fulfilled slot always exists for PLACE and MOVE.
+// job-free fulfilled slot always exists for PLACE and MOVE; each window
+// indexes those slots once it holds a job (freeindex.go).
 //
 // Aligned windows are laminar, so a level-l interval has exactly one
 // enclosing window of each level-l span; each interval therefore indexes
@@ -111,11 +112,14 @@ type windowState struct {
 	numIntervals int64 // 2^k
 	x            int   // active jobs with exactly this window
 	materialized bool  // all intervals created (true once a job arrives)
-	// fulfilled maps each slot backing a fulfilled reservation of this
-	// window to the ID of the own-level job occupying it, or ident.None
-	// if the slot holds no level-l job (it may still hold a higher-level
-	// job).
-	fulfilled map[Time]ident.ID
+	// nFulfilled counts the slots backing this window's fulfilled
+	// reservations: those its intervals assign to its rank. The own-level
+	// job on such a slot, if any, is the s.slots entry there.
+	nFulfilled int
+	// free indexes a materialized window's job-free fulfilled slots by
+	// offset from key.start, by kind (freeEmpty, freeUnder); see
+	// freeindex.go.
+	free [2]bitIndex
 }
 
 // rankEntry is one enclosing window's row in an interval's table.
@@ -262,14 +266,15 @@ var _ sched.Scheduler = (*Scheduler)(nil)
 // scheduler's structures back here; New drains the pools first, so a
 // rebuild reuses the previous generation's capacity.
 // Pooling invariant: everything is cleared on the way in — maps emptied
-// (capacity kept), rank tables' window pointers dropped, jobState name
-// strings and window pointers zeroed, the ID table reset — so pooled
-// structures pin no job names and leak no state between generations.
-// A pooled interval may come back at another level; reset resizes its
-// tables.
+// (capacity kept), rank tables' window pointers dropped, window counts
+// zeroed, jobState name strings and window pointers zeroed, the ID table
+// reset — so pooled structures pin no job names and leak no state
+// between generations. A pooled interval may come back at another
+// level; reset resizes its tables. A pooled window keeps its free-index
+// capacity; materialize resets the index before it is read.
 var (
 	schedPool    sync.Pool // *Scheduler
-	windowPool   sync.Pool // *windowState (fulfilled cleared)
+	windowPool   sync.Pool // *windowState (counts zeroed)
 	intervalPool sync.Pool // *interval (ranks cleared)
 )
 
@@ -314,8 +319,7 @@ func (s *Scheduler) Recycle() {
 	}
 	for key, ws := range s.windows {
 		delete(s.windows, key)
-		clear(ws.fulfilled)
-		ws.x, ws.materialized = 0, false
+		ws.x, ws.nFulfilled, ws.materialized = 0, 0, false
 		windowPool.Put(ws)
 	}
 	for i, j := range s.byID {
@@ -531,10 +535,11 @@ func (s *Scheduler) reservedDelete(j *jobState) error {
 	}
 	slot := j.slot
 	delete(s.slots, slot)
-	if ws.fulfilled[slot] != j.id {
+	if iv := s.ivs[s.intervalKeyAt(ws.level, slot)]; iv == nil || int(iv.slotRank[slot-iv.start]) != ws.rank {
 		return fmt.Errorf("core: job %q at slot %d not backed by a fulfilled reservation", j.name, slot) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
-	ws.fulfilled[slot] = ident.None // the reservation stays fulfilled, now job-free
+	ws.index(slot, nil) // the reservation stays fulfilled, now job-free
+	s.reindexBelow(slot, j.level, nil)
 	// The slot is no longer occupied by a level-l job: higher-level
 	// allowances grow (possibly promoting one waitlisted reservation each).
 	s.growAbove(slot, j.level)
@@ -579,7 +584,10 @@ func (s *Scheduler) place(j *jobState) error {
 		cur.slot = slot
 		s.cost.Reallocations++
 		s.levelCost[cur.level]++
-		ws.fulfilled[slot] = cur.id
+		ws.unindex(slot)
+		if displaced == nil { // below, an empty slot now reads as under a higher-level job
+			s.reindexBelow(slot, cur.level, cur)
+		}
 
 		hLevel := topLevel + 1
 		if displaced != nil {
@@ -606,36 +614,6 @@ func (s *Scheduler) place(j *jobState) error {
 		}
 		cur = displaced // re-place at its own (higher) level
 	}
-}
-
-// pickFulfilledSlot returns a fulfilled slot of ws with no own-level job.
-// Under PreferEmpty it prefers completely empty slots (avoiding a
-// higher-level displacement); under LowestSlot it takes the lowest slot
-// regardless. Ties break toward the lowest slot for determinism.
-//
-//reallocvet:hotpath
-func (s *Scheduler) pickFulfilledSlot(ws *windowState) (Time, bool) {
-	best, bestEmpty := Time(0), false
-	found := false
-	for t, occ := range ws.fulfilled {
-		if occ != ident.None {
-			continue
-		}
-		if s.policy == LowestSlot {
-			if !found || t < best {
-				best, found = t, true
-			}
-			continue
-		}
-		empty := s.slots[t] == nil
-		switch {
-		case !found,
-			empty && !bestEmpty,
-			empty == bestEmpty && t < best:
-			best, bestEmpty, found = t, empty, true
-		}
-	}
-	return best, found
 }
 
 // move implements MOVE (Figure 1 lines 10-14): job j lost the reservation
@@ -672,7 +650,11 @@ func (s *Scheduler) move(j *jobState) error {
 	j.slot = to
 	s.cost.Reallocations++
 	s.levelCost[j.level]++
-	ws.fulfilled[to] = j.id
+	ws.unindex(to)
+	if h == nil { // below, 'from' empties and 'to' fills; with h both stay under a job
+		s.reindexBelow(from, j.level, nil)
+		s.reindexBelow(to, j.level, j)
+	}
 
 	// Swap the two slots' assignment state in every ancestor interval
 	// (levels above j's). Both slots lie inside j's window, which is
@@ -687,35 +669,37 @@ func (s *Scheduler) move(j *jobState) error {
 		if s.intervalKeyAt(lvl, to) != (ivKey{level: lvl, start: iv.start}) {
 			return fmt.Errorf("core: MOVE slots %d and %d straddle level-%d intervals", from, to, lvl)
 		}
-		s.swapAssigned(iv, from, to)
+		s.swapAssigned(iv, from, to, h, j)
 	}
 	return nil
 }
 
 // swapAssigned exchanges the reservation assignments of slots a and b in
-// interval iv, renaming the backing slots in the owning windows' state.
+// interval iv, after the jobs on them (occA on a, occB on b, nil for
+// none) have moved, and refiles both slots in the owning windows' free
+// indexes.
 //
 //reallocvet:hotpath
-func (s *Scheduler) swapAssigned(iv *interval, a, b Time) {
+func (s *Scheduler) swapAssigned(iv *interval, a, b Time, occA, occB *jobState) {
 	ia, ib := a-iv.start, b-iv.start
 	ra, rb := iv.slotRank[ia], iv.slotRank[ib]
 	iv.slotRank[ia], iv.slotRank[ib] = rb, ra
-	var occA, occB ident.ID
+	// Drop both old entries before filing the new ones: ra and rb may be
+	// the same window.
+	var wa, wb *windowState
 	if ra >= 0 {
-		ws := iv.ranks[ra].ws
-		occA = ws.fulfilled[a]
-		delete(ws.fulfilled, a)
+		wa = iv.ranks[ra].ws
+		wa.unindex(a)
 	}
 	if rb >= 0 {
-		ws := iv.ranks[rb].ws
-		occB = ws.fulfilled[b]
-		delete(ws.fulfilled, b)
+		wb = iv.ranks[rb].ws
+		wb.unindex(b)
 	}
-	if ra >= 0 {
-		iv.ranks[ra].ws.fulfilled[b] = occA
+	if wa != nil {
+		wa.index(b, occB)
 	}
-	if rb >= 0 {
-		iv.ranks[rb].ws.fulfilled[a] = occB
+	if wb != nil {
+		wb.index(a, occA)
 	}
 }
 
@@ -747,8 +731,8 @@ func (s *Scheduler) fulfill(iv *interval, ws *windowState) error {
 	}
 	slot, occupant := s.pickAssignedSlot(iv, iv.ranks[long].ws)
 	s.unassign(iv, slot)
-	if occupant != ident.None {
-		if err := s.move(s.byID[occupant]); err != nil {
+	if occupant != nil {
+		if err := s.move(occupant); err != nil {
 			return err
 		}
 	}
@@ -773,8 +757,8 @@ func (s *Scheduler) removeReservation(iv *interval, ws *windowState) error {
 	}
 	slot, occupant := s.pickAssignedSlot(iv, ws)
 	s.unassign(iv, slot)
-	if occupant != ident.None {
-		if err := s.move(s.byID[occupant]); err != nil {
+	if occupant != nil {
+		if err := s.move(occupant); err != nil {
 			return err
 		}
 	}
@@ -835,15 +819,17 @@ func (s *Scheduler) assign(iv *interval, t Time, ws *windowState) {
 	iv.nAssigned++
 	iv.ranks[ws.rank].fulfilled++
 	iv.syncMasks(ws.rank)
-	ws.fulfilled[t] = ident.None // a fresh fulfilled slot never holds an own-level job
+	ws.nFulfilled++
+	if ws.materialized {
+		ws.setFree(t, s.slots[t]) // a fresh fulfilled slot never holds an own-level job
+	}
 }
 
-// unassign releases the reservation backing slot t, returning the ID of
-// the own-level job that occupied it (ident.None if none). The caller is
-// responsible for relocating that job.
+// unassign releases the reservation backing slot t. The caller is
+// responsible for relocating the own-level job that occupied it, if any.
 //
 //reallocvet:hotpath
-func (s *Scheduler) unassign(iv *interval, t Time) ident.ID {
+func (s *Scheduler) unassign(iv *interval, t Time) {
 	i := t - iv.start
 	r := int(iv.slotRank[i])
 	if r < 0 {
@@ -854,37 +840,8 @@ func (s *Scheduler) unassign(iv *interval, t Time) ident.ID {
 	iv.ranks[r].fulfilled--
 	iv.syncMasks(r)
 	ws := iv.ranks[r].ws
-	occ := ws.fulfilled[t]
-	delete(ws.fulfilled, t)
-	return occ
-}
-
-// pickAssignedSlot returns one of ws's fulfilled slots in iv, preferring
-// slots without an own-level job, then the lowest slot. It also returns
-// the occupying own-level job ID (ident.None if none).
-//
-//reallocvet:hotpath
-func (s *Scheduler) pickAssignedSlot(iv *interval, ws *windowState) (Time, ident.ID) {
-	best, bestOcc := Time(0), ident.None
-	found := false
-	r := int8(ws.rank)
-	for i, sr := range iv.slotRank {
-		if sr != r {
-			continue
-		}
-		t := iv.start + Time(i)
-		occ := ws.fulfilled[t]
-		if occ == ident.None {
-			return t, occ
-		}
-		if !found {
-			best, bestOcc, found = t, occ, true
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("core: window %v has no fulfilled slot in interval %d", ws.key.window(), iv.start)) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
-	}
-	return best, bestOcc
+	ws.nFulfilled--
+	ws.unindex(t)
 }
 
 // freeSlot returns the lowest slot of iv that is inside the allowance and
@@ -940,30 +897,29 @@ func (s *Scheduler) ensureWindow(key winKey) (*windowState, error) {
 		ws = v.(*windowState)
 		ws.key, ws.level, ws.rank, ws.numIntervals = key, level, rank, n
 	} else {
-		ws = &windowState{
-			key:          key,
-			level:        level,
-			rank:         rank,
-			numIntervals: n,
-			fulfilled:    make(map[Time]ident.ID),
-		}
+		ws = &windowState{key: key, level: level, rank: rank, numIntervals: n}
 	}
 	s.windows[key] = ws
 	return ws, nil
 }
 
-// materialize creates every interval of ws (idempotent). Called before
-// the first job of a window arrives, so that all of the window's base
-// reservations physically exist, matching Invariant 5's 2^k term.
+// materialize creates every interval of ws (idempotent) and builds its
+// free index. Called before the first job of a window arrives, so that
+// all of the window's base reservations physically exist, matching
+// Invariant 5's 2^k term.
 func (s *Scheduler) materialize(ws *windowState) error {
 	if ws.materialized {
 		return nil
 	}
+	ws.free[freeEmpty].reset(int(ws.key.span))
+	ws.free[freeUnder].reset(int(ws.key.span))
 	ivSpan := align.IntervalSpan(ws.level)
 	for t := ws.key.start; t < ws.key.start+ws.key.span; t += ivSpan {
-		if _, err := s.getInterval(ws.level, t); err != nil {
+		iv, err := s.getInterval(ws.level, t)
+		if err != nil {
 			return err
 		}
+		s.buildIndex(ws, iv)
 	}
 	ws.materialized = true
 	return nil

@@ -74,10 +74,20 @@ func (s *Scheduler) DebugDump(w io.Writer) error {
 		}
 	}
 
-	// Windows with activity, sorted by (level, start, span).
+	// Windows with activity, sorted by (level, start, span), each with
+	// the slots its intervals assign it.
+	fulfilledOf := make(map[*windowState][]Time)
+	for _, iv := range s.ivs {
+		for i, r := range iv.slotRank {
+			if r >= 0 {
+				ws := iv.ranks[r].ws
+				fulfilledOf[ws] = append(fulfilledOf[ws], iv.start+Time(i))
+			}
+		}
+	}
 	keys := make([]winKey, 0, len(s.windows))
 	for key, ws := range s.windows {
-		if ws.x > 0 || len(ws.fulfilled) > 0 {
+		if ws.x > 0 || ws.nFulfilled > 0 {
 			keys = append(keys, key)
 		}
 	}
@@ -90,10 +100,7 @@ func (s *Scheduler) DebugDump(w io.Writer) error {
 	})
 	for _, key := range keys {
 		ws := s.windows[key]
-		slots := make([]Time, 0, len(ws.fulfilled))
-		for t := range ws.fulfilled {
-			slots = append(slots, t)
-		}
+		slots := fulfilledOf[ws]
 		sort.Slice(slots, func(i, k int) bool { return slots[i] < slots[k] })
 		if _, err := fmt.Fprintf(w, "  window %-18v level %d x=%d fulfilled=%d:",
 			key.window(), ws.level, ws.x, len(slots)); err != nil {
@@ -101,8 +108,8 @@ func (s *Scheduler) DebugDump(w io.Writer) error {
 		}
 		for _, t := range slots {
 			occ := "-"
-			if id := ws.fulfilled[t]; id != 0 {
-				occ = s.names.Name(id)
+			if j := s.slots[t]; j != nil && j.ws == ws {
+				occ = j.name
 			}
 			if _, err := fmt.Fprintf(w, " %d(%s)", t, occ); err != nil {
 				return err

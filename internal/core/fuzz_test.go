@@ -9,20 +9,31 @@ import (
 )
 
 // FuzzRequestStream drives the reservation scheduler with a byte-decoded
-// request stream. The fuzzer explores window geometries and churn orders
-// the random generators never produce; every reachable state must keep
-// all invariants (failures on infeasible input are fine — corruption is
-// not). Run with: go test -fuzz=FuzzRequestStream ./internal/core
+// request stream under the placement policy the input picks (lowest
+// selects LowestSlot). The fuzzer explores window geometries and churn
+// orders the random generators never produce; every reachable state must
+// keep all invariants (failures on infeasible input are fine — corruption
+// is not). Run with: go test -fuzz=FuzzRequestStream ./internal/core
 func FuzzRequestStream(f *testing.F) {
-	f.Add([]byte{0x00, 0x11, 0x22, 0x80, 0x33})
-	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x81, 0x82, 0x05})
-	f.Add([]byte{0xff, 0xfe, 0xfd, 0x10, 0x90, 0x20, 0xa0})
-	// Span-512 and span-1024 (level-2) jobs over span-64 and base jobs.
-	f.Add([]byte{0x03, 0x00, 0x03, 0x05, 0x06, 0x00, 0x06, 0x20, 0x09, 0x00,
-		0x0a, 0x00, 0x09, 0x80, 0x0a, 0x40, 0x81, 0x01, 0x03, 0x02, 0x0a, 0x10})
+	seeds := [][]byte{
+		{0x00, 0x11, 0x22, 0x80, 0x33},
+		{0x01, 0x02, 0x03, 0x04, 0x81, 0x82, 0x05},
+		{0xff, 0xfe, 0xfd, 0x10, 0x90, 0x20, 0xa0},
+		// Span-512 and span-1024 (level-2) jobs over span-64 and base jobs.
+		{0x03, 0x00, 0x03, 0x05, 0x06, 0x00, 0x06, 0x20, 0x09, 0x00,
+			0x0a, 0x00, 0x09, 0x80, 0x0a, 0x40, 0x81, 0x01, 0x03, 0x02, 0x0a, 0x10},
+	}
+	for _, seed := range seeds {
+		f.Add(false, seed)
+		f.Add(true, seed)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := New()
+	f.Fuzz(func(t *testing.T, lowest bool, data []byte) {
+		policy := PreferEmpty
+		if lowest {
+			policy = LowestSlot
+		}
+		s := New(WithPlacementPolicy(policy))
 		var live []string
 		id := 0
 		for i := 0; i+1 < len(data); i += 2 {

@@ -67,6 +67,14 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 	if ivs[1] == nil || ivs[2] == nil || leveled == nil {
 		t.Fatal("job set built no level-1 or level-2 interval")
 	}
+	// ws is the leveled job's window; its free index holds job-free
+	// fulfilled slots (Lemma 8), and the job's own slot is not among them.
+	ws := leveled.ws
+	free := ws.free[freeEmpty].min()
+	if free < 0 {
+		t.Fatal("the leveled job's window has no empty fulfilled slot")
+	}
+	own := int(leveled.slot - ws.key.start)
 	corruptions := []struct {
 		name string
 		flip func()
@@ -79,11 +87,20 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 		{"assigned count", func() { ivs[2].nAssigned++ }},
 		{"rank window", func() { ivs[2].ranks[0].ws, ivs[2].ranks[1].ws = ivs[2].ranks[1].ws, ivs[2].ranks[0].ws }},
 		{"cached job window", func() { leveled.ws = nil }},
+		{"window fulfilled count", func() { ws.nFulfilled-- }},
+		{"stale free bit", func() { ws.free[freeEmpty].remove(free) }},
+		{"free bit under an own-level job", func() { ws.free[freeEmpty].add(own) }},
+		{"free slot filed under the wrong kind", func() {
+			ws.free[freeEmpty].remove(free)
+			ws.free[freeUnder].add(free)
+		}},
+		{"free index summary bit", func() { top := ws.free[freeEmpty].lv; top[len(top)-1][0] = 0 }},
 	}
 	for _, c := range corruptions {
 		ivSaved := [2]interval{*ivs[1], *ivs[2]}
 		r1, r2 := append([]rankEntry(nil), ivs[1].ranks...), append([]rankEntry(nil), ivs[2].ranks...)
-		ws := leveled.ws
+		wsSaved := *ws
+		bufs := [2][]uint64{append([]uint64(nil), ws.free[0].buf...), append([]uint64(nil), ws.free[1].buf...)}
 		c.flip()
 		if err := s.SelfCheck(); err == nil {
 			t.Errorf("SelfCheck passed with a corrupted %s", c.name)
@@ -91,6 +108,9 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 		*ivs[1], *ivs[2] = ivSaved[0], ivSaved[1]
 		copy(ivs[1].ranks, r1)
 		copy(ivs[2].ranks, r2)
+		*ws = wsSaved
+		copy(ws.free[0].buf, bufs[0])
+		copy(ws.free[1].buf, bufs[1])
 		leveled.ws = ws
 		if err := s.SelfCheck(); err != nil {
 			t.Fatalf("restoring the %s: %v", c.name, err)

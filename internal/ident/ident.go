@@ -10,12 +10,15 @@
 // keeps the space dense — an ID-indexed slice never grows past the
 // scheduler's high-water job count.
 //
-// Tables are safe for concurrent use: one lock guards both directions.
-// The schedulers are single-threaded and pay one uncontended lock per
-// boundary crossing.
+// A table has one owner and no lock. Every table belongs to exactly one
+// scheduler and is touched only by the goroutine that drives it: a
+// realloc.New stack runs on its caller, a shard's stack on that shard's
+// worker (snapshots included), and the shard router's own table only
+// under the router's mutex. Concurrent readers are safe (the read
+// methods do not mutate), but a mutating call (Intern, Release, Reset)
+// must not overlap any other call; a caller that shares a table must
+// serialize it itself.
 package ident
-
-import "sync"
 
 // ID is a dense interned name identifier. The zero ID is None: it is
 // never issued, so ID-valued fields and map entries can use 0 for
@@ -28,7 +31,6 @@ const None ID = 0
 // Table is a two-way name⇄ID registry with free-list ID reuse. The ID
 // of a name is its slot plus one.
 type Table struct {
-	mu     sync.RWMutex
 	byName map[string]uint32 // name -> slot
 	names  []string          // slot -> name; "" marks a free slot
 	free   []uint32          // recycled slots
@@ -42,17 +44,10 @@ func New() *Table { return &Table{byName: make(map[string]uint32)} }
 //
 //reallocvet:hotpath
 func (t *Table) Intern(name string) ID {
-	t.mu.RLock()
-	slot, ok := t.byName[name]
-	t.mu.RUnlock()
-	if ok {
+	if slot, ok := t.byName[name]; ok {
 		return ID(slot + 1)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if slot, ok := t.byName[name]; ok { // lost the race to another intern
-		return ID(slot + 1)
-	}
+	var slot uint32
 	if n := len(t.free); n > 0 {
 		slot = t.free[n-1]
 		t.free = t.free[:n-1]
@@ -69,9 +64,7 @@ func (t *Table) Intern(name string) ID {
 //
 //reallocvet:hotpath
 func (t *Table) Get(name string) (ID, bool) {
-	t.mu.RLock()
 	slot, ok := t.byName[name]
-	t.mu.RUnlock()
 	if !ok {
 		return None, false
 	}
@@ -82,8 +75,6 @@ func (t *Table) Get(name string) (ID, bool) {
 //
 //reallocvet:hotpath
 func (t *Table) Name(id ID) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	if id == None || int(id) > len(t.names) {
 		return ""
 	}
@@ -100,8 +91,6 @@ func (t *Table) Release(id ID) {
 		panic("ident: release of None")
 	}
 	slot := uint32(id) - 1
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if slot >= uint32(len(t.names)) || t.names[slot] == "" {
 		panic("ident: release of unbound ID")
 	}
@@ -112,25 +101,18 @@ func (t *Table) Release(id ID) {
 
 // Len returns the number of bound names.
 func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.byName)
 }
 
 // Cap returns an exclusive upper bound on every ID the table has ever
 // issued — the size an ID-indexed slice needs to cover them all.
 func (t *Table) Cap() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return len(t.names) + 1
 }
 
-// Range calls fn for every bound (ID, name) until fn returns false. The
-// iteration holds the table's read lock, so fn must not call mutating
-// table methods; the order is unspecified.
+// Range calls fn for every bound (ID, name) until fn returns false. fn
+// must not call mutating table methods; the order is unspecified.
 func (t *Table) Range(fn func(id ID, name string) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for slot, name := range t.names {
 		if name != "" && !fn(ID(slot+1), name) {
 			return
@@ -142,8 +124,6 @@ func (t *Table) Range(fn func(id ID, name string) bool) {
 // allocation-friendly way to snapshot the name set (callers typically
 // sort it for deterministic iteration).
 func (t *Table) AppendNames(buf []string) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	for _, name := range t.names {
 		if name != "" {
 			buf = append(buf, name)
@@ -156,8 +136,6 @@ func (t *Table) AppendNames(buf []string) []string {
 // it to its initial state (IDs are reissued from the bottom). For
 // recycling a scheduler's ID space; callers must hold no live IDs.
 func (t *Table) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	clear(t.byName)
 	clear(t.names) // zero the string refs
 	t.names = t.names[:0]

@@ -2,7 +2,6 @@ package ident
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -120,41 +119,6 @@ func TestManyLiveNames(t *testing.T) {
 		if got := tab.Name(ids[i]); got != fmt.Sprintf("job-%d", i) {
 			t.Fatalf("survivor %d renamed to %q", i, got)
 		}
-	}
-}
-
-// TestConcurrentInternRelease hammers one table from many
-// goroutines under -race: per-goroutine disjoint name sets plus one
-// contended shared name.
-func TestConcurrentInternRelease(t *testing.T) {
-	tab := New()
-	const workers = 8
-	const rounds = 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				name := fmt.Sprintf("w%d-job-%d", w, r%17)
-				id := tab.Intern(name)
-				if got := tab.Name(id); got != name {
-					panic(fmt.Sprintf("Name(%d) = %q, want %q", id, got, name))
-				}
-				if id2, ok := tab.Get(name); !ok || id2 != id {
-					panic("Get disagrees with Intern")
-				}
-				tab.Release(id)
-				// Contended name: intern only (a release would race other
-				// workers' holds — the schedulers never share ownership).
-				tab.Intern("shared")
-				tab.Range(func(_ ID, n string) bool { return n != "" })
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := tab.Len(); got != 1 {
-		t.Fatalf("Len after churn = %d, want 1 (only the shared name)", got)
 	}
 }
 

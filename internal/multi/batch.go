@@ -30,10 +30,10 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 		if errs[i] = sched.AdmitAligned(jobs.Job{Name: r.Name, Window: r.Window}, active); errs[i] != nil {
 			continue
 		}
-		key := winKey{start: r.Window.Start, span: r.Window.Span()}
-		mi := s.leastLoaded(key, len(s.machines))
-		s.commit(r.Name, key, mi)
-		s.settleSkew(key)
+		w := s.record(winKey{start: r.Window.Start, span: r.Window.Span()})
+		mi := w.leastLoaded(len(s.machines))
+		s.commitID(s.names.Intern(r.Name), w, mi)
+		w.settleSkew()
 		perMachine[mi] = append(perMachine[mi], i)
 	}
 	for mi, idxs := range perMachine {
@@ -72,11 +72,11 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 // drop erases the routing entry of a job that is not, or no longer, on
 // its machine.
 func (s *Scheduler) drop(name string) {
-	if id, idx, ok := s.lookup(name); ok {
-		key := s.wins[id]
-		s.forget(id, key, idx)
+	if id, ok := s.names.Get(name); ok {
+		w := s.win[id]
+		s.forget(id)
 		s.names.Release(id)
-		s.settleSkew(key)
+		w.settleSkew()
 	}
 }
 

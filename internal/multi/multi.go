@@ -14,6 +14,12 @@
 // floor/ceil invariant while tolerating a machine pool that changes
 // size at runtime.
 //
+// The bookkeeping is one record per window: an int32 job count per
+// machine, which every balance decision reads, and each machine's
+// members as a list linked through ID-indexed next/prev slices, which
+// only the delete repair walks to pick its mover (the lexicographically
+// smallest name on the fullest machine).
+//
 // Lemma 3 guarantees that when the overall instance is 6γ-underallocated,
 // each per-machine instance is γ-underallocated, so the single-machine
 // schedulers keep working.
@@ -54,32 +60,40 @@ type Scheduler struct {
 	factory  Factory
 	machines []sched.Scheduler
 
-	// names is the per-scheduler ID space; mach and wins are ID-indexed
-	// (machine index and window key of each active job), replacing two
+	// names is the per-scheduler ID space; mach, win, next and prev are
+	// ID-indexed (each active job's machine, window record, and
+	// neighbours in its machine's member list of that window), replacing
 	// string-keyed maps on the per-request path. Strings survive only in
 	// the public snapshots, in error texts, and as the tie-breaker for
 	// migration movers (the lexicographic-mover rule predates the IDs
 	// and must keep picking the same job).
-	names *ident.Table
-	mach  []int32 // ID-indexed machine index; -1 = unused slot
-	wins  []winKey
-	// perWin tracks, per machine, the interned IDs of each window's jobs.
-	perWin map[winKey][]idSet
-	// skewCap relaxes the floor/ceil balance invariant for windows that
-	// were unbalanced by a pool resize: after AddMachines the new
-	// machines hold no jobs, so a window's per-machine spread may exceed
-	// 1. The cap records the spread at resize time; operations only ever
-	// shrink the spread (inserts fill valleys, deletes repair one unit),
-	// so the cap decays back to the strict invariant without bulk
-	// migrations.
-	skewCap map[winKey]int
+	names      *ident.Table
+	mach       []int32 // machine index; -1 = unused slot
+	win        []*winRec
+	next, prev []ident.ID // member-list links; ident.None ends a list
+	// perWin holds every window's record. Records persist once created,
+	// so the ID-indexed win pointers never dangle.
+	perWin map[winKey]*winRec
 
 	// evicted accumulates jobs the machines' batch rebuilds shed; see
 	// sched.BatchEvictor.
 	evicted []string
 }
 
-type idSet map[ident.ID]struct{}
+// winRec is one window's balance record.
+type winRec struct {
+	key   winKey
+	count []int32    // machine -> jobs of this window it holds
+	head  []ident.ID // machine -> first member of its list, or ident.None
+	// skewCap relaxes the floor/ceil balance invariant for a window that
+	// a pool resize unbalanced: after AddMachines the new machines hold
+	// none of its jobs, so the per-machine spread may exceed 1. The cap
+	// records that spread (0 once it is back to <= 1); operations only
+	// ever shrink the spread (inserts fill valleys, deletes repair one
+	// unit), so the cap decays back to the strict invariant without bulk
+	// migrations.
+	skewCap int
+}
 
 var (
 	_ sched.Scheduler = (*Scheduler)(nil)
@@ -96,9 +110,10 @@ func New(m int, factory Factory) *Scheduler {
 		machines: make([]sched.Scheduler, m),
 		names:    ident.New(),
 		mach:     make([]int32, 1), // ID 0 is ident.None
-		wins:     make([]winKey, 1),
-		perWin:   make(map[winKey][]idSet),
-		skewCap:  make(map[winKey]int),
+		win:      make([]*winRec, 1),
+		next:     make([]ident.ID, 1),
+		prev:     make([]ident.ID, 1),
+		perWin:   make(map[winKey]*winRec),
 	}
 	for i := range s.machines {
 		s.machines[i] = factory()
@@ -125,7 +140,7 @@ func (s *Scheduler) Active() int { return s.names.Len() }
 func (s *Scheduler) Jobs() []jobs.Job {
 	out := make([]jobs.Job, 0, s.names.Len())
 	s.names.Range(func(id ident.ID, name string) bool {
-		out = append(out, jobs.Job{Name: name, Window: s.wins[id].window()})
+		out = append(out, jobs.Job{Name: name, Window: s.win[id].key.window()})
 		return true
 	})
 	return out
@@ -143,23 +158,35 @@ func (s *Scheduler) Assignment() jobs.Assignment {
 	return out
 }
 
-// count returns how many key-jobs machine i holds.
-func (s *Scheduler) count(sets []idSet, i int) int {
-	if i >= len(sets) {
-		return 0
+// record returns key's window record, creating an empty one sized to
+// the pool.
+func (s *Scheduler) record(key winKey) *winRec {
+	if w := s.perWin[key]; w != nil {
+		return w
 	}
-	return len(sets[i])
+	w := &winRec{key: key}
+	w.resize(len(s.machines))
+	s.perWin[key] = w
+	return w
+}
+
+// resize grows (with empty machines) or truncates the per-machine
+// tables to m machines.
+func (w *winRec) resize(m int) {
+	for len(w.count) < m {
+		w.count = append(w.count, 0)
+		w.head = append(w.head, ident.None)
+	}
+	w.count, w.head = w.count[:m], w.head[:m]
 }
 
 // leastLoaded returns the machine among [0, limit) holding the fewest
-// key-jobs, ties to the lowest index.
-func (s *Scheduler) leastLoaded(key winKey, limit int) int {
-	sets := s.perWin[key]
-	best, bestN := 0, -1
-	for i := 0; i < limit; i++ {
-		n := s.count(sets, i)
-		if bestN < 0 || n < bestN {
-			best, bestN = i, n
+// of w's jobs, ties to the lowest index.
+func (w *winRec) leastLoaded(limit int) int {
+	best := 0
+	for i := 1; i < limit; i++ {
+		if w.count[i] < w.count[best] {
+			best = i
 		}
 	}
 	return best
@@ -171,8 +198,8 @@ func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 	if err := sched.AdmitAligned(j, active); err != nil {
 		return metrics.Cost{}, err
 	}
-	key := winKey{start: j.Window.Start, span: j.Window.Span()}
-	idx := s.leastLoaded(key, len(s.machines))
+	w := s.record(winKey{start: j.Window.Start, span: j.Window.Span()})
+	idx := w.leastLoaded(len(s.machines))
 	cost, err := s.machines[idx].Insert(j)
 	if err != nil {
 		if rerr := s.recoverMachine(idx); rerr != nil {
@@ -180,8 +207,8 @@ func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 		}
 		return cost, err
 	}
-	s.commit(j.Name, key, idx)
-	s.settleSkew(key)
+	s.commitID(s.names.Intern(j.Name), w, idx)
+	w.settleSkew()
 	return cost, nil
 }
 
@@ -193,28 +220,28 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 	if !ok {
 		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, name)
 	}
-	key := s.wins[id]
+	w := s.win[id]
+	key := w.key
 	cost, err := s.machines[idx].Delete(name)
 	if err != nil {
 		return cost, err
 	}
-	s.forget(id, key, idx)
+	s.forget(id)
 	s.names.Release(id)
 
 	// Repair: pull one W-job from a fullest machine if it holds two more
 	// than the machine that just lost a job.
-	sets := s.perWin[key]
-	from, fromN := -1, 0
-	for i := range s.machines {
-		if n := s.count(sets, i); n > fromN {
+	from, fromN := -1, int32(0)
+	for i, n := range w.count {
+		if n > fromN {
 			from, fromN = i, n
 		}
 	}
-	if from < 0 || fromN < s.count(sets, idx)+2 {
-		s.settleSkew(key)
+	if from < 0 || fromN < w.count[idx]+2 {
+		w.settleSkew()
 		return cost, nil
 	}
-	mover, moverID, ok := s.anyJobOn(key, from)
+	mover, moverID, ok := s.anyJobOn(w, from)
 	if !ok {
 		return cost, fmt.Errorf("multi: balance invariant broken: no %v job on machine %d", key.window(), from)
 	}
@@ -232,9 +259,9 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 	}
 	cost.Add(ic)
 	cost.Migrations++ // the mover crossed machines
-	s.forget(moverID, key, from)
-	s.commitID(moverID, key, idx)
-	s.settleSkew(key)
+	s.forget(moverID)
+	s.commitID(moverID, w, idx)
+	w.settleSkew()
 	return cost, nil
 }
 
@@ -249,12 +276,9 @@ func (s *Scheduler) AddMachines(n int) error {
 	for i := 0; i < n; i++ {
 		s.machines = append(s.machines, s.factory())
 	}
-	for key, sets := range s.perWin { //reallocvet:orderinsensitive (per-window skew bookkeeping; windows are independent)
-		for len(sets) < len(s.machines) {
-			sets = append(sets, make(idSet))
-		}
-		s.perWin[key] = sets
-		s.settleSkew(key)
+	for _, w := range s.perWin { //reallocvet:orderinsensitive (per-window skew bookkeeping; windows are independent)
+		w.resize(len(s.machines))
+		w.settleSkew()
 	}
 	return nil
 }
@@ -283,23 +307,23 @@ func (s *Scheduler) RemoveMachines(n int) (metrics.Cost, []jobs.Job, error) {
 	var evicted []jobs.Job
 	for _, name := range doomed {
 		id, idx, _ := s.lookup(name)
-		key := s.wins[id]
-		j := jobs.Job{Name: name, Window: key.window()}
+		w := s.win[id]
+		j := jobs.Job{Name: name, Window: w.key.window()}
 		dc, err := s.machines[idx].Delete(name)
 		if err != nil {
 			return total, evicted, fmt.Errorf("multi: drain delete of %q failed: %w", name, err)
 		}
 		total.Add(dc)
-		s.forget(id, key, idx)
+		s.forget(id)
 
 		// Try the surviving machines, emptiest (for this window) first.
 		placed := false
-		for _, t := range s.survivorsByLoad(key, keep) {
+		for _, t := range w.survivorsByLoad(keep) {
 			ic, err := s.machines[t].Insert(j)
 			if err == nil {
 				total.Add(ic)
 				total.Migrations++
-				s.commitID(id, key, t)
+				s.commitID(id, w, t)
 				placed = true
 				break
 			}
@@ -317,11 +341,9 @@ func (s *Scheduler) RemoveMachines(n int) (metrics.Cost, []jobs.Job, error) {
 		sched.Recycle(m) // drained machines donate their structures
 	}
 	s.machines = s.machines[:keep]
-	for key, sets := range s.perWin { //reallocvet:orderinsensitive (per-window skew bookkeeping; windows are independent)
-		if len(sets) > keep {
-			s.perWin[key] = sets[:keep]
-		}
-		s.settleSkew(key)
+	for _, w := range s.perWin { //reallocvet:orderinsensitive (per-window skew bookkeeping; windows are independent)
+		w.resize(keep) // the drained machines hold none of w's jobs
+		w.settleSkew()
 	}
 	return total, evicted, nil
 }
@@ -341,7 +363,7 @@ func (s *Scheduler) recoverMachine(idx int) error {
 		if int(s.mach[id]) != idx {
 			return true
 		}
-		if _, err := fresh.Insert(jobs.Job{Name: name, Window: s.wins[id].window()}); err != nil {
+		if _, err := fresh.Insert(jobs.Job{Name: name, Window: s.win[id].key.window()}); err != nil {
 			fail = fmt.Errorf("multi: rebuild of machine %d failed reinserting %q: %w", idx, name, err)
 			return false
 		}
@@ -364,99 +386,92 @@ func (s *Scheduler) Recycle() {
 	s.names.Reset()
 }
 
-// survivorsByLoad returns [0, keep) sorted by ascending key-job count,
-// ties to the lowest index.
-func (s *Scheduler) survivorsByLoad(key winKey, keep int) []int {
-	sets := s.perWin[key]
+// survivorsByLoad returns [0, keep) sorted by ascending count of w's
+// jobs, ties to the lowest index.
+func (w *winRec) survivorsByLoad(keep int) []int {
 	out := make([]int, keep)
 	for i := range out {
 		out[i] = i
 	}
 	sort.SliceStable(out, func(a, b int) bool {
-		return s.count(sets, out[a]) < s.count(sets, out[b])
+		return w.count[out[a]] < w.count[out[b]]
 	})
 	return out
 }
 
-// commit interns the name and records the job on machine idx.
-func (s *Scheduler) commit(name string, key winKey, idx int) {
-	s.commitID(s.names.Intern(name), key, idx)
-}
-
-// commitID records an already-interned job on machine idx.
-func (s *Scheduler) commitID(id ident.ID, key winKey, idx int) {
+// commitID records an interned job of window w on machine idx, at the
+// head of the machine's member list.
+func (s *Scheduler) commitID(id ident.ID, w *winRec, idx int) {
 	for int(id) >= len(s.mach) {
 		s.mach = append(s.mach, -1)
-		s.wins = append(s.wins, winKey{})
+		s.win = append(s.win, nil)
+		s.next = append(s.next, ident.None)
+		s.prev = append(s.prev, ident.None)
 	}
 	s.mach[id] = int32(idx)
-	s.wins[id] = key
-	s.ensurePerWin(key)[idx][id] = struct{}{}
-}
-
-func (s *Scheduler) ensurePerWin(key winKey) []idSet {
-	sets := s.perWin[key]
-	if len(sets) < len(s.machines) {
-		for len(sets) < len(s.machines) {
-			sets = append(sets, make(idSet))
-		}
-		s.perWin[key] = sets
+	s.win[id] = w
+	head := w.head[idx]
+	s.next[id], s.prev[id] = head, ident.None
+	if head != ident.None {
+		s.prev[head] = id
 	}
-	return sets
+	w.head[idx] = id
+	w.count[idx]++
 }
 
-// forget removes the job's routing entry; it does NOT release the ID —
-// callers that take the job out of the scheduler (deletes, evictions)
-// release it themselves, while migration move pairs re-commit it.
-func (s *Scheduler) forget(id ident.ID, key winKey, idx int) {
-	s.mach[id] = -1
-	if sets := s.perWin[key]; sets != nil {
-		delete(sets[idx], id)
-	}
-}
-
-// skew returns max-min key-job count across machines.
-func (s *Scheduler) skew(key winKey) int {
-	sets := s.perWin[key]
-	minN, maxN := -1, 0
-	for i := range s.machines {
-		n := s.count(sets, i)
-		if minN < 0 || n < minN {
-			minN = n
-		}
-		if n > maxN {
-			maxN = n
-		}
-	}
-	return maxN - minN
-}
-
-// settleSkew re-records the window's balance allowance: back to strict
-// floor/ceil once the spread is <= 1, otherwise the (never-increasing)
-// current spread.
-func (s *Scheduler) settleSkew(key winKey) {
-	if sk := s.skew(key); sk > 1 {
-		s.skewCap[key] = sk
+// forget unlinks the job from its machine's member list of its window;
+// it does NOT release the ID — callers that take the job out of the
+// scheduler (deletes, evictions) release it themselves, while migration
+// move pairs re-commit it. The window pointer stays for the caller.
+func (s *Scheduler) forget(id ident.ID) {
+	w, idx := s.win[id], s.mach[id]
+	next, prev := s.next[id], s.prev[id]
+	if prev != ident.None {
+		s.next[prev] = next
 	} else {
-		delete(s.skewCap, key)
+		w.head[idx] = next
 	}
+	if next != ident.None {
+		s.prev[next] = prev
+	}
+	s.next[id], s.prev[id] = ident.None, ident.None
+	w.count[idx]--
+	s.mach[id] = -1
 }
 
-// anyJobOn returns a deterministic W-job on the given machine: the
-// lexicographically smallest name, exactly as the pre-ID implementation
-// picked it (a min scan instead of a full sort).
-func (s *Scheduler) anyJobOn(key winKey, idx int) (string, ident.ID, bool) {
-	sets := s.perWin[key]
-	if sets == nil || len(sets[idx]) == 0 {
-		return "", ident.None, false
+// skew returns the max-min count of w's jobs across machines.
+func (w *winRec) skew() int {
+	minN, maxN := w.count[0], w.count[0]
+	for _, n := range w.count[1:] {
+		minN, maxN = min(minN, n), max(maxN, n)
 	}
+	return int(maxN - minN)
+}
+
+// settledSkew is the balance allowance the current counts call for:
+// 0 (strict floor/ceil) once the spread is <= 1, otherwise the
+// (never-increasing) current spread.
+func (w *winRec) settledSkew() int {
+	if sk := w.skew(); sk > 1 {
+		return sk
+	}
+	return 0
+}
+
+// settleSkew re-records the window's balance allowance.
+func (w *winRec) settleSkew() { w.skewCap = w.settledSkew() }
+
+// anyJobOn returns a deterministic job of w on machine idx: the
+// lexicographically smallest name, exactly as the pre-ID implementation
+// picked it (a min scan of the member list instead of a full sort).
+func (s *Scheduler) anyJobOn(w *winRec, idx int) (string, ident.ID, bool) {
 	best, bestID := "", ident.None
-	for id := range sets[idx] { //reallocvet:orderinsensitive (min scan: computes the lexicographic minimum, order-free by construction)
+	for id := w.head[idx]; id != ident.None; id = s.next[id] {
 		if name := s.names.Name(id); bestID == ident.None || name < best {
 			best, bestID = name, id
 		}
 	}
-	return best, bestID, true
+	return best, bestID, bestID != ident.None
 }
 
 // SelfCheck validates the balance invariant (floor/ceil per window,
@@ -468,41 +483,69 @@ func (s *Scheduler) SelfCheck() error {
 			return fmt.Errorf("multi: machine %d: %w", i, err)
 		}
 	}
-	// Recount jobs per window per machine and cross-check the tracked
-	// sets.
-	recount := make(map[winKey][]int)
+	// Recount jobs per window per machine from the routing entries, then
+	// check every record's counts, member lists and skew cap against it.
+	recount := make(map[*winRec][]int32)
 	var fail error
 	s.names.Range(func(id ident.ID, name string) bool {
-		key := s.wins[id]
-		if recount[key] == nil {
-			recount[key] = make([]int, len(s.machines))
+		w := s.win[id]
+		if w == nil || s.perWin[w.key] != w {
+			fail = fmt.Errorf("multi: job %q has no window record", name)
+			return false
 		}
 		idx := int(s.mach[id])
 		if idx < 0 || idx >= len(s.machines) {
 			fail = fmt.Errorf("multi: job %q routed to machine %d of %d", name, idx, len(s.machines))
 			return false
 		}
-		recount[key][idx]++
+		if recount[w] == nil {
+			recount[w] = make([]int32, len(s.machines))
+		}
+		recount[w][idx]++
 		return true
 	})
 	if fail != nil {
 		return fail
 	}
-	for key, per := range recount { //reallocvet:orderinsensitive (validation: any violation fails the check; report order is immaterial)
-		sets := s.perWin[key]
-		for i, c := range per {
-			if tracked := s.count(sets, i); tracked != c {
+	for key, w := range s.perWin { //reallocvet:orderinsensitive (validation: any violation fails the check; report order is immaterial)
+		if w.key != key {
+			return fmt.Errorf("multi: window %v recorded under %v", w.key.window(), key.window())
+		}
+		if len(w.count) != len(s.machines) || len(w.head) != len(s.machines) {
+			return fmt.Errorf("multi: window %v tracks %d counts and %d lists on %d machines",
+				key.window(), len(w.count), len(w.head), len(s.machines))
+		}
+		per := recount[w]
+		if per == nil {
+			per = make([]int32, len(s.machines))
+		}
+		for i, n := range w.count {
+			if per[i] != n {
 				return fmt.Errorf("multi: window %v machine %d holds %d jobs, tracked %d",
-					key.window(), i, c, tracked)
+					key.window(), i, per[i], n)
+			}
+			listed, prev := int32(0), ident.None
+			for id := w.head[i]; id != ident.None; id = s.next[id] {
+				if int(id) >= len(s.mach) || s.names.Name(id) == "" || s.win[id] != w ||
+					int(s.mach[id]) != i || s.prev[id] != prev {
+					return fmt.Errorf("multi: window %v machine %d lists ID %d out of place", key.window(), i, id)
+				}
+				if listed++; listed > n {
+					return fmt.Errorf("multi: window %v machine %d lists more than its %d jobs", key.window(), i, n)
+				}
+				prev = id
+			}
+			if listed != n {
+				return fmt.Errorf("multi: window %v machine %d lists %d of its %d jobs", key.window(), i, listed, n)
 			}
 		}
-		allowed := 1
-		if c, ok := s.skewCap[key]; ok && c > allowed {
-			allowed = c
+		if want := w.settledSkew(); w.skewCap != want {
+			return fmt.Errorf("multi: window %v records skew cap %d, its counts call for %d",
+				key.window(), w.skewCap, want)
 		}
-		if sk := s.skew(key); sk > allowed {
+		if sk := w.skew(); sk > max(1, w.skewCap) {
 			return fmt.Errorf("multi: window %v spread %d exceeds allowance %d",
-				key.window(), sk, allowed)
+				key.window(), sk, max(1, w.skewCap))
 		}
 	}
 	// Inner schedulers must agree with our routing.

@@ -236,3 +236,52 @@ func TestLemma3PerMachineUnderallocation(t *testing.T) {
 		}
 	}
 }
+
+// TestSelfCheckCatchesStaleRecords corrupts one field of a window record
+// or of the member links at a time and expects SelfCheck to notice each.
+func TestSelfCheckCatchesStaleRecords(t *testing.T) {
+	s := New(3, coreFactory)
+	for i := 0; i < 7; i++ { // machines hold 3, 2 and 2 jobs of [0, 64)
+		if _, err := s.Insert(job(fmt.Sprintf("j%d", i), 0, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.perWin[winKey{start: 0, span: 64}]
+	head := w.head[0]
+	second := s.next[head]
+	if w.count[0] != 3 || second == 0 {
+		t.Fatalf("machine 0 holds %d jobs of the window, want 3", w.count[0])
+	}
+	corruptions := []struct {
+		name string
+		flip func()
+	}{
+		{"count", func() { w.count[1]++ }},
+		{"skew cap", func() { w.skewCap = 2 }},
+		{"dangling link", func() { s.next[second] = w.head[1] }},
+		{"back link", func() { s.prev[second] = 0 }},
+		{"list head", func() { w.head[2] = 0 }},
+		{"job window record", func() { s.win[head] = &winRec{key: w.key} }},
+		{"machine index", func() { s.mach[second] = 1 }},
+	}
+	for _, c := range corruptions {
+		saved := *w
+		count, heads := append([]int32(nil), w.count...), append(w.head[:0:0], w.head...)
+		next, prev := append(s.next[:0:0], s.next...), append(s.prev[:0:0], s.prev...)
+		wins, mach := append([]*winRec(nil), s.win...), append([]int32(nil), s.mach...)
+		c.flip()
+		if err := s.SelfCheck(); err == nil {
+			t.Errorf("SelfCheck passed with a corrupted %s", c.name)
+		}
+		*w = saved
+		copy(w.count, count)
+		copy(w.head, heads)
+		copy(s.next, next)
+		copy(s.prev, prev)
+		copy(s.win, wins)
+		copy(s.mach, mach)
+		if err := s.SelfCheck(); err != nil {
+			t.Fatalf("restoring the %s: %v", c.name, err)
+		}
+	}
+}
