@@ -2,8 +2,7 @@
 //
 //   - placement policy: PreferEmpty (displacement-avoiding) vs LowestSlot
 //     (the literal pecking order) inside the reservation scheduler;
-//   - trimming: amortized rebuild vs incremental (deamortized) rebuild vs
-//     no trimming at all;
+//   - trimming: amortized rebuild vs no trimming at all;
 //   - the alignment wrapper's overhead on already-aligned input.
 package realloc
 
@@ -37,9 +36,8 @@ func BenchmarkAblationPlacementPolicy(b *testing.B) {
 func BenchmarkAblationTrimming(b *testing.B) {
 	factory := func() sched.Scheduler { return core.New(core.WithMaxIntervals(1 << 24)) }
 	variants := map[string]func() sched.Scheduler{
-		"none":        factory,
-		"amortized":   func() sched.Scheduler { return trim.New(8, factory) },
-		"incremental": func() sched.Scheduler { return trim.NewIncremental(8, factory) },
+		"none":      factory,
+		"amortized": func() sched.Scheduler { return trim.New(8, factory) },
 	}
 	for name, make := range variants {
 		b.Run(name, func(b *testing.B) {

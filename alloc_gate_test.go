@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/trim"
 )
 
 // gateZero runs fn under testing.AllocsPerRun and fails on any
@@ -69,53 +68,4 @@ func TestAllocGateCoreInsertDelete(t *testing.T) {
 			})
 		})
 	}
-}
-
-// TestAllocGateTrimIncrementalNonRebuild pins the deamortized trimming
-// wrapper's non-transition path (no n* crossing, no parity migration in
-// flight) at zero steady-state allocations per insert+delete pair.
-func TestAllocGateTrimIncrementalNonRebuild(t *testing.T) {
-	s := trim.NewIncremental(8, func() Scheduler {
-		return core.New(core.WithMaxIntervals(1 << 24))
-	})
-	// Population 16 against n* = 32: the churn job oscillates n between
-	// 16 and 17, far from both the doubling threshold (32) and the
-	// halving threshold (8), so no transition starts.
-	for i := 0; i < 24; i++ {
-		j := jobs.Job{Name: fmt.Sprintf("bg%d", i),
-			Window: jobs.Window{Start: int64(i) * 64, End: int64(i+1) * 64}}
-		if _, err := s.Insert(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 23; i >= 16; i-- {
-		if _, err := s.Delete(fmt.Sprintf("bg%d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	churn := jobs.Job{Name: "churn", Window: jobs.Window{Start: 0, End: 64}}
-	// Warmup churn: drain any in-flight transition and reach the queue's
-	// compaction steady state.
-	for i := 0; i < 256; i++ {
-		if _, err := s.Insert(churn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Delete(churn.Name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.InTransition() {
-		t.Fatal("setup error: still in a parity transition after warmup")
-	}
-	if got := s.NStar(); got != 32 {
-		t.Fatalf("setup error: n* = %d, want 32", got)
-	}
-	gateZero(t, "trim.Incremental insert+delete", func() {
-		if _, err := s.Insert(churn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Delete(churn.Name); err != nil {
-			t.Fatal(err)
-		}
-	})
 }

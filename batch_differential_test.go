@@ -26,20 +26,17 @@ func batchVariants() []struct {
 	name     string
 	build    func() sched.Scheduler
 	machines int
-	minSpan  int64
 } {
 	coreF := func() sched.Scheduler { return core.New() }
 	return []struct {
 		name     string
 		build    func() sched.Scheduler
 		machines int
-		minSpan  int64
 	}{
-		{"core", coreF, 1, 1},
-		{"trim", func() sched.Scheduler { return trim.New(8, coreF) }, 1, 1},
-		{"trim-incremental", func() sched.Scheduler { return trim.NewIncremental(8, coreF) }, 1, 2},
-		{"multi", func() sched.Scheduler { return multi.New(3, coreF) }, 3, 1},
-		{"full-stack", func() sched.Scheduler { return New(WithMachines(4)) }, 4, 1},
+		{"core", coreF, 1},
+		{"trim", func() sched.Scheduler { return trim.New(8, coreF) }, 1},
+		{"multi", func() sched.Scheduler { return multi.New(3, coreF) }, 3},
+		{"full-stack", func() sched.Scheduler { return New(WithMachines(4)) }, 4},
 	}
 }
 
@@ -108,8 +105,7 @@ func TestBatchDifferentialCleanStreams(t *testing.T) {
 	for _, v := range batchVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			g, err := workload.NewGenerator(workload.Config{
-				Seed: 41, Machines: v.machines, Gamma: 8, Horizon: 2048,
-				MinSpan: v.minSpan, Steps: 600,
+				Seed: 41, Machines: v.machines, Gamma: 8, Horizon: 2048, Steps: 600,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -144,8 +140,7 @@ func TestBatchDifferentialDirtyStreams(t *testing.T) {
 	for _, v := range batchVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			g, err := workload.NewGenerator(workload.Config{
-				Seed: 43, Machines: v.machines, Gamma: 8, Horizon: 2048,
-				MinSpan: v.minSpan, Steps: 300,
+				Seed: 43, Machines: v.machines, Gamma: 8, Horizon: 2048, Steps: 300,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -373,8 +368,7 @@ func TestBatchDifferentialTraceReplay(t *testing.T) {
 	for _, v := range batchVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			reqs, err := workload.TraceReplay(workload.TraceConfig{
-				Seed: 59, Machines: v.machines, Gamma: 8, Horizon: 2048,
-				MinSpan: v.minSpan, Steps: 800,
+				Seed: 59, Machines: v.machines, Gamma: 8, Horizon: 2048, Steps: 800,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -402,13 +396,12 @@ func TestBatchDifferentialTraceReplay(t *testing.T) {
 // rebuild-storm worst case — through every stack variant in both
 // modes. The storm maximizes resize churn, so this is the directed
 // check that batching never diverges from per-request execution in the
-// middle of a rebuild (or a deamortized transition).
+// middle of a rebuild.
 func TestBatchDifferentialAdversarial(t *testing.T) {
 	for _, v := range batchVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			reqs, err := workload.Adversarial(workload.AdversarialConfig{
-				Seed: 61, Machines: v.machines, Gamma: 8, Horizon: 1024,
-				MinSpan: v.minSpan, Cycles: 4,
+				Seed: 61, Machines: v.machines, Gamma: 8, Horizon: 1024, Cycles: 4,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -429,41 +422,5 @@ func TestBatchDifferentialAdversarial(t *testing.T) {
 				assertSameSchedule(t, fmt.Sprintf("%s adversarial batch=%d", v.name, b), ref, s)
 			}
 		})
-	}
-}
-
-// TestWithBatchSizeRunAutoChunks: Run must feed batch-sized stacks
-// through the bulk path and land on the same schedule as per-request
-// execution; the sharded front-end reports its configured size too.
-func TestWithBatchSizeRunAutoChunks(t *testing.T) {
-	g, err := workload.NewGenerator(workload.Config{Seed: 51, Machines: 2, Gamma: 8, Horizon: 1024, Steps: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := g.Sequence()
-
-	ref := New(WithMachines(2))
-	if _, err := Run(ref, seq); err != nil {
-		t.Fatal(err)
-	}
-	batched := New(WithMachines(2), WithBatchSize(64))
-	if bs, ok := batched.(interface{ BatchSize() int }); !ok || bs.BatchSize() != 64 {
-		t.Fatal("WithBatchSize not surfaced on the built stack")
-	}
-	if _, err := Run(batched, seq); err != nil {
-		t.Fatal(err)
-	}
-	assertSameSchedule(t, "run-batched", ref, batched)
-
-	sh := NewSharded(WithMachines(4), WithShards(2), WithBatchSize(32))
-	defer sh.Close()
-	if sh.BatchSize() != 32 {
-		t.Fatalf("sharded BatchSize = %d, want 32", sh.BatchSize())
-	}
-	if _, err := Run(sh, seq); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(sh); err != nil {
-		t.Fatal(err)
 	}
 }

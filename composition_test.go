@@ -26,17 +26,11 @@ func TestWrapperCompositions(t *testing.T) {
 		"trim(core)": func() sched.Scheduler {
 			return trim.New(8, coreF)
 		},
-		"inc(core)": func() sched.Scheduler {
-			return trim.NewIncremental(8, coreF)
-		},
 		"multi(core)": func() sched.Scheduler {
 			return multi.New(3, coreF)
 		},
 		"multi(trim(core))": func() sched.Scheduler {
 			return multi.New(3, func() sched.Scheduler { return trim.New(8, coreF) })
-		},
-		"multi(inc(core))": func() sched.Scheduler {
-			return multi.New(3, func() sched.Scheduler { return trim.NewIncremental(8, coreF) })
 		},
 		"align(multi(trim(core)))": func() sched.Scheduler {
 			return alignsched.New(multi.New(3, func() sched.Scheduler { return trim.New(8, coreF) }))

@@ -83,19 +83,13 @@ func TestAllSchedulersStayFeasibleOnSameSequence(t *testing.T) {
 	}
 	seq := g.Sequence()
 	schedulers := map[string]sched.Scheduler{
-		"core":        core.New(),
-		"naive":       naive.New(),
-		"edf":         edf.New(1, edf.TieByArrival),
-		"full-stack":  New(),
-		"deamortized": New(WithDeamortization()),
+		"core":       core.New(),
+		"naive":      naive.New(),
+		"edf":        edf.New(1, edf.TieByArrival),
+		"full-stack": New(),
 	}
 	for name, s := range schedulers {
-		seqCopy := seq
-		if name == "deamortized" {
-			// The incremental wrapper needs spans >= 2.
-			seqCopy = filterSpan1(seq)
-		}
-		if _, err := sched.Run(s, seqCopy, nil); err != nil {
+		if _, err := sched.Run(s, seq, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := feasible.VerifySchedule(s.Jobs(), s.Assignment(), s.Machines()); err != nil {
@@ -109,22 +103,6 @@ func TestAllSchedulersStayFeasibleOnSameSequence(t *testing.T) {
 			t.Errorf("%s holds %d jobs, core holds %d", name, got, want)
 		}
 	}
-}
-
-// filterSpan1 removes span-1 inserts and their deletes.
-func filterSpan1(seq []jobs.Request) []jobs.Request {
-	dropped := map[string]bool{}
-	var out []jobs.Request
-	for _, r := range seq {
-		switch {
-		case r.Kind == jobs.Insert && r.Window.Span() < 2:
-			dropped[r.Name] = true
-		case r.Kind == jobs.Delete && dropped[r.Name]:
-		default:
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // TestPlacementPoliciesBothSound runs the ablation variants through the

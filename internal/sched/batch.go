@@ -213,64 +213,6 @@ func ErrAt(err error, i int) error {
 	return err
 }
 
-// RunBatched feeds a request sequence to the scheduler in chunks of
-// batchSize through ApplyBatch, recording per-request costs. Like Run it
-// stops at the first error and returns the index of the first failing
-// request — but because failure detection happens at chunk granularity,
-// requests after the failure within the failing chunk may already have
-// been applied (bulk-admission semantics; use Run for strict
-// stop-on-first-error behavior).
-func RunBatched(s Scheduler, reqs []jobs.Request, batchSize int, rec *metrics.Recorder) (int, error) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	for off := 0; off < len(reqs); off += batchSize {
-		end := off + batchSize
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		chunk := reqs[off:end]
-		costs, err := ApplyBatch(s, chunk)
-		// Drain batch evictions every chunk: a shed job must surface on
-		// the chunk that shed it, never leak silently out of Run or get
-		// misattributed to a later bulk call on the same scheduler.
-		if ev := TakeBatchEvictions(s); len(ev) > 0 {
-			err = WithEvictions(err, ev)
-		}
-		if err != nil {
-			var be *BatchError
-			if asBatchError(err, &be) {
-				k, first := be.First()
-				if k < 0 {
-					// Eviction-only error: every request in the chunk was
-					// applied, but the batch shed active jobs. Record the
-					// whole chunk and stop after it.
-					if rec != nil {
-						for _, c := range costs {
-							rec.Record(c, s.Active())
-						}
-					}
-					return end, err
-				}
-				// Record the served prefix of the chunk.
-				if rec != nil {
-					for i := 0; i < k; i++ {
-						rec.Record(costs[i], s.Active())
-					}
-				}
-				return off + k, fmt.Errorf("request %d (%s): %w", off+k, chunk[k], first)
-			}
-			return off, err
-		}
-		if rec != nil {
-			for _, c := range costs {
-				rec.Record(c, s.Active())
-			}
-		}
-	}
-	return len(reqs), nil
-}
-
 // asBatchError is errors.As specialized to *BatchError without pulling
 // errors into the hot path.
 func asBatchError(err error, target **BatchError) bool {

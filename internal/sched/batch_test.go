@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
-	"repro/internal/metrics"
 	"repro/internal/naive"
 	"repro/internal/sched"
 )
@@ -73,51 +72,6 @@ func TestApplyBatchFallbackMatchesSequential(t *testing.T) {
 	}
 	if len(seq.Assignment()) != len(batched.Assignment()) {
 		t.Errorf("fallback diverged: %d vs %d jobs", len(batched.Assignment()), len(seq.Assignment()))
-	}
-}
-
-func TestRunBatchedStopsAtFirstFailedRequest(t *testing.T) {
-	s := naive.New()
-	reqs := []jobs.Request{
-		jobs.InsertReq("a", 0, 1),
-		jobs.InsertReq("b", 0, 1), // infeasible: slot 0 taken
-		jobs.InsertReq("c", 4, 8),
-	}
-	rec := metrics.NewRecorder()
-	n, err := sched.RunBatched(s, reqs, 2, rec)
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if n != 1 {
-		t.Errorf("first failure at %d, want 1", n)
-	}
-	if rec.Len() != 1 {
-		t.Errorf("recorded %d costs, want the served prefix of the failing chunk", rec.Len())
-	}
-	if !strings.Contains(err.Error(), "request 1") {
-		t.Errorf("error lacks the global request index: %v", err)
-	}
-}
-
-func TestRunBatchedServesEverything(t *testing.T) {
-	s := naive.New()
-	reqs := []jobs.Request{
-		jobs.InsertReq("a", 0, 4),
-		jobs.InsertReq("b", 0, 4),
-		jobs.DeleteReq("a"),
-		jobs.InsertReq("c", 0, 4),
-		jobs.DeleteReq("b"),
-	}
-	rec := metrics.NewRecorder()
-	n, err := sched.RunBatched(s, reqs, 2, rec)
-	if err != nil || n != len(reqs) {
-		t.Fatalf("RunBatched = (%d, %v), want (%d, nil)", n, err, len(reqs))
-	}
-	if rec.Len() != len(reqs) {
-		t.Errorf("recorded %d costs, want %d", rec.Len(), len(reqs))
-	}
-	if s.Active() != 1 {
-		t.Errorf("active = %d, want 1", s.Active())
 	}
 }
 

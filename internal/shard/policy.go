@@ -21,15 +21,6 @@ type PolicyFunc func(name string, shards int) int
 // Route implements Policy.
 func (f PolicyFunc) Route(name string, shards int) int { return f(name, shards) }
 
-// HashMod is the trivial policy: FNV-1a hash of the name modulo the
-// shard count. Cheap and even, but remapping under resharding is total;
-// the ring policy below is the default.
-func HashMod() Policy {
-	return PolicyFunc(func(name string, shards int) int {
-		return int(hash64(name) % uint64(shards))
-	})
-}
-
 // Ring is a consistent-hash ring: each shard owns `replicas` virtual
 // points on a 64-bit circle, and a name routes to the shard owning the
 // first point at or after the name's hash. Adding or removing a shard

@@ -24,7 +24,7 @@ import (
 // checkpoint is authoritative for the shard count and the machine
 // partition: cfg.Shards and cfg.Machines must be zero or match it
 // (a mismatch is an error, not a silent re-partition). The remaining
-// config (Factory, Policy, Buffer, BatchSize) applies as in New; leave
+// config (Factory, Policy, Buffer) applies as in New; leave
 // cfg.WAL nil and attach the log with AttachWAL once the tail replay is
 // done, so replaying a record cannot re-append it.
 //

@@ -122,11 +122,6 @@ type Config struct {
 	Policy Policy
 	// Buffer is the per-shard request queue capacity (default 256).
 	Buffer int
-	// BatchSize is the preferred bulk-admission chunk size reported by
-	// Scheduler.BatchSize (0 means 1, i.e. no auto-chunking; negative
-	// panics). It does not change ApplyBatch itself, which serves
-	// whatever slice it is given.
-	BatchSize int
 	// WAL, when non-nil, makes the scheduler durable: every admission
 	// path (sync Apply, async Submit, bulk ApplyBatch) and every resize
 	// appends a record to the log BEFORE the request is acknowledged —
@@ -141,9 +136,8 @@ type Config struct {
 // Scheduler is the sharded front-end. It implements sched.Scheduler and
 // is safe for concurrent use by any number of goroutines.
 type Scheduler struct {
-	workers   []*worker
-	policy    Policy
-	batchSize int
+	workers []*worker
+	policy  Policy
 
 	// names interns every tracked job name; routing is the ID-indexed
 	// shard table, holding a shard index or a negative marker
@@ -285,20 +279,13 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	if cfg.Buffer <= 0 {
 		cfg.Buffer = defaultBuffer
 	}
-	if cfg.BatchSize < 0 {
-		panic(fmt.Sprintf("shard: BatchSize %d", cfg.BatchSize))
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 1
-	}
 	s := &Scheduler{
-		workers:   make([]*worker, len(perShard)),
-		policy:    cfg.Policy,
-		batchSize: cfg.BatchSize,
-		names:     ident.New(),
-		loads:     make([]int, len(perShard)),
-		inflight:  make([]int, len(perShard)),
-		log:       cfg.WAL,
+		workers:  make([]*worker, len(perShard)),
+		policy:   cfg.Policy,
+		names:    ident.New(),
+		loads:    make([]int, len(perShard)),
+		inflight: make([]int, len(perShard)),
+		log:      cfg.WAL,
 	}
 	s.pendCond = sync.NewCond(&s.pendMu)
 	base := 0
@@ -476,11 +463,6 @@ func monotonicNS() int64 { return int64(time.Since(epoch)) }
 // Shards returns the shard count (fixed for the scheduler's lifetime;
 // only the machine pool is elastic).
 func (s *Scheduler) Shards() int { return len(s.workers) }
-
-// BatchSize returns the preferred bulk-admission chunk size configured
-// at construction (1 when unset); realloc.Run auto-chunks request
-// sequences through ApplyBatch when it exceeds 1.
-func (s *Scheduler) BatchSize() int { return s.batchSize }
 
 // isClosed samples the closed flag without touching the send lock.
 func (s *Scheduler) isClosed() bool { return s.closed.Load() }

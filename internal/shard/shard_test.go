@@ -81,21 +81,6 @@ func TestRingConsistency(t *testing.T) {
 	}
 }
 
-func TestHashModRoutes(t *testing.T) {
-	p := HashMod()
-	seen := make(map[int]bool)
-	for i := 0; i < 200; i++ {
-		idx := p.Route(fmt.Sprintf("j%d", i), 4)
-		if idx < 0 || idx >= 4 {
-			t.Fatalf("HashMod routed to %d, want [0,4)", idx)
-		}
-		seen[idx] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("HashMod hit %d of 4 shards over 200 names", len(seen))
-	}
-}
-
 func TestApplyInsertDelete(t *testing.T) {
 	s := newTestSharded(t, 4, 8)
 	if got := s.Machines(); got != 8 {

@@ -446,52 +446,38 @@ func runE10(quick bool) (*Table, error) {
 	if quick {
 		rounds = []int{64, 128}
 	}
-	t := newTable("E10", "variant", "peak n", "requests", "rebuilds", "total cost", "amortized/request", "max single request")
+	t := newTable("E10", "peak n", "requests", "rebuilds", "total cost", "amortized/request", "max single request")
 	factory := func() sched.Scheduler { return core.New(core.WithMaxIntervals(1 << 24)) }
 	for _, peak := range rounds {
-		for _, variant := range []string{"amortized", "incremental"} {
-			var s sched.Scheduler
-			rebuilds := func() int { return 0 }
-			switch variant {
-			case "amortized":
-				am := trim.New(8, factory)
-				rebuilds = am.Rebuilds
-				s = am
-			case "incremental":
-				inc := trim.NewIncremental(8, factory)
-				rebuilds = inc.Transitions
-				s = inc
+		s := trim.New(8, factory)
+		total, maxOne, requests := 0, 0, 0
+		apply := func(c metrics.Cost) {
+			total += c.Reallocations
+			if c.Reallocations > maxOne {
+				maxOne = c.Reallocations
 			}
-			total, maxOne, requests := 0, 0, 0
-			apply := func(c metrics.Cost) {
-				total += c.Reallocations
-				if c.Reallocations > maxOne {
-					maxOne = c.Reallocations
-				}
-				requests++
-			}
-			for i := 0; i < peak; i++ {
-				c, err := s.Insert(jobs.Job{Name: fmt.Sprintf("g%d", i),
-					Window: jobs.Window{Start: 0, End: 1 << 40}})
-				if err != nil {
-					return nil, err
-				}
-				apply(c)
-			}
-			for i := 0; i < peak; i++ {
-				c, err := s.Delete(fmt.Sprintf("g%d", i))
-				if err != nil {
-					return nil, err
-				}
-				apply(c)
-			}
-			t.AddRow(variant, peak, requests, rebuilds(), total,
-				float64(total)/float64(requests), maxOne)
+			requests++
 		}
+		for i := 0; i < peak; i++ {
+			c, err := s.Insert(jobs.Job{Name: fmt.Sprintf("g%d", i),
+				Window: jobs.Window{Start: 0, End: 1 << 40}})
+			if err != nil {
+				return nil, err
+			}
+			apply(c)
+		}
+		for i := 0; i < peak; i++ {
+			c, err := s.Delete(fmt.Sprintf("g%d", i))
+			if err != nil {
+				return nil, err
+			}
+			apply(c)
+		}
+		t.AddRow(peak, requests, s.Rebuilds(), total,
+			float64(total)/float64(requests), maxOne)
 	}
 	t.Notes = append(t.Notes,
-		"amortized: cost per request stays constant while peak n grows 16x, but single requests spike to O(n) at rebuilds",
-		"incremental (the paper's even/odd-slot deamortization): same amortized cost, worst single request O(1)")
+		"cost per request stays constant while peak n grows 16x, but single requests spike to O(n) at rebuilds")
 	return t, nil
 }
 

@@ -115,6 +115,34 @@ func TestE9GammaSweepShape(t *testing.T) {
 	}
 }
 
+// TestE10AmortizedShape pins Section 4's amortized claim and its price:
+// the cost per request stays flat while the single request that
+// carries a rebuild pays for a constant share of the peak population.
+func TestE10AmortizedShape(t *testing.T) {
+	e, _ := ByID("E10")
+	tab, err := e.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatal("no rows")
+	}
+	for _, row := range tab.Rows {
+		peak, err1 := strconv.Atoi(row[0])
+		perReq, err2 := strconv.ParseFloat(row[4], 64)
+		maxOne, err3 := strconv.Atoi(row[5])
+		if err1 != nil || err2 != nil || err3 != nil {
+			t.Fatalf("unparsable row %v", row)
+		}
+		if perReq > 1.5 {
+			t.Errorf("peak %d: amortized/request %.2f > 1.5", peak, perReq)
+		}
+		if maxOne < peak/4 {
+			t.Errorf("peak %d: max single request %d < peak/4; the rebuild spike is gone", peak, maxOne)
+		}
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tab := &Table{ID: "T", Title: "demo", Claim: "c", Header: []string{"a", "bb"}}
 	tab.AddRow(1, 2.5)

@@ -23,12 +23,7 @@
 // own request, and the doubling request carries the jobs the one
 // rebuild moved.
 //
-// A batch that contains a delete runs request by request. So does every
-// batch on the deamortized wrapper (Incremental), which deliberately
-// does not implement sched.BatchScheduler: its even/odd parity
-// discipline already bounds a request to O(1) inner operations, and
-// deferring the per-request transition moves would change the parity
-// state each insert observes.
+// A batch that contains a delete runs request by request.
 package trim
 
 import (

@@ -13,10 +13,10 @@ import (
 // stormSequence builds the adversarial threshold walk sized for one
 // machine: the population marches across the n* doubling/halving
 // thresholds every cycle.
-func stormSequence(t *testing.T, minSpan int64) []jobs.Request {
+func stormSequence(t *testing.T) []jobs.Request {
 	t.Helper()
 	reqs, err := workload.Adversarial(workload.AdversarialConfig{
-		Seed: 17, Machines: 1, Gamma: 8, Horizon: 1024, Cycles: 6, MinSpan: minSpan,
+		Seed: 17, Machines: 1, Gamma: 8, Horizon: 1024, Cycles: 6,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func stormSequence(t *testing.T, minSpan int64) []jobs.Request {
 // must never leave the scheduler poisoned, out of sync with its active
 // set, or holding stale evicted-name bookkeeping.
 func TestThresholdStormTrim(t *testing.T) {
-	reqs := stormSequence(t, 1)
+	reqs := stormSequence(t)
 	s := New(8, func() sched.Scheduler { return core.New() })
 	live := 0
 	for i, r := range reqs {
@@ -70,56 +70,6 @@ func TestThresholdStormTrim(t *testing.T) {
 	}
 	if _, err := s.Delete("post-storm"); err != nil {
 		t.Fatalf("delete after storm: %v", err)
-	}
-}
-
-// TestThresholdStormIncremental replays the same walk (with spans >= 2,
-// the deamortized layer's floor) through trim.Incremental: transitions
-// must actually trigger, drain fully, and never desync the parity
-// bookkeeping.
-func TestThresholdStormIncremental(t *testing.T) {
-	reqs := stormSequence(t, 2)
-	s := NewIncremental(8, func() sched.Scheduler { return core.New() })
-	live := 0
-	for i, r := range reqs {
-		if _, err := sched.Apply(s, r); err != nil {
-			t.Fatalf("request %d (%s) failed on an underallocated stream: %v", i, r, err)
-		}
-		if r.Kind == jobs.Insert {
-			live++
-		} else {
-			live--
-		}
-		if i%97 == 0 {
-			if err := s.SelfCheck(); err != nil {
-				t.Fatalf("self-check after request %d: %v", i, err)
-			}
-		}
-	}
-	if err := s.SelfCheck(); err != nil {
-		t.Fatalf("final self-check: %v", err)
-	}
-	if s.Active() != live {
-		t.Fatalf("active = %d, replay says %d live jobs", s.Active(), live)
-	}
-	if s.Transitions() < 12 {
-		t.Errorf("only %d transitions — the walk should force >= 2 per cycle", s.Transitions())
-	}
-	// A possibly in-flight final transition must drain under idle churn
-	// rather than wedge.
-	for i := 0; i < 2048 && s.InTransition(); i++ {
-		if _, err := s.Insert(jobs.Job{Name: "drain-probe", Window: jobs.Window{Start: 0, End: 1024}}); err != nil {
-			t.Fatalf("drain probe insert: %v", err)
-		}
-		if _, err := s.Delete("drain-probe"); err != nil {
-			t.Fatalf("drain probe delete: %v", err)
-		}
-	}
-	if s.InTransition() {
-		t.Fatal("transition failed to drain after 2048 idle requests")
-	}
-	if err := s.SelfCheck(); err != nil {
-		t.Fatalf("post-drain self-check: %v", err)
 	}
 }
 

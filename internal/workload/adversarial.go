@@ -23,9 +23,7 @@ type AdversarialConfig struct {
 	Machines int   // pool size (default 4)
 	Gamma    int64 // slack enforced by construction (default 8)
 	Horizon  int64 // schedule horizon, power of two (default 4096)
-	// MinSpan is the narrowest window span generated, a power of two
-	// (default 1; the deamortized trim layer needs >= 2).
-	MinSpan int64
+	MinSpan  int64 // narrowest window span generated, a power of two (default 1)
 	// Cycles is the number of grow/drain wave pairs (default 6).
 	Cycles int
 	// Peak is the population ceiling of each wave (default half the

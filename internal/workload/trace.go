@@ -26,9 +26,7 @@ type TraceConfig struct {
 	Gamma    int64 // slack enforced by construction (default 8)
 	Horizon  int64 // schedule horizon, power of two (default 4096)
 	Steps    int   // number of requests (default 4000)
-	// MinSpan is the narrowest window span generated, a power of two
-	// (default 1; the deamortized trim layer needs >= 2).
-	MinSpan int64
+	MinSpan  int64 // narrowest window span generated, a power of two (default 1)
 	// Period is the length of one diurnal cycle in requests (default
 	// Steps/2, i.e. two simulated days per trace).
 	Period int

@@ -155,11 +155,9 @@ type Options struct {
 	gamma      int64
 	align      bool
 	trim       bool
-	deamortize bool
 	shards     int
 	policy     shard.Policy
 	buffer     int
-	batchSize  int
 	walDir     string
 	walFsync   bool
 	walObserve func(seg uint64, off int64, group []byte)
@@ -198,13 +196,6 @@ func WithShardPolicy(p ShardPolicy) Option { return func(o *Options) { o.policy 
 // NewSharded (default 256). New ignores it.
 func WithShardBuffer(n int) Option { return func(o *Options) { o.buffer = n } }
 
-// WithBatchSize sets the scheduler's preferred bulk-admission chunk
-// size (default 1, i.e. per-request). When it exceeds 1, Run feeds the
-// request sequence to the scheduler in chunks of that size through
-// ApplyBatch instead of one request at a time — see ApplyBatch for the
-// bulk semantics. Negative sizes panic.
-func WithBatchSize(n int) Option { return func(o *Options) { o.batchSize = n } }
-
 // WithWAL makes NewSharded durable: dir receives a write-ahead log (a
 // CRC-framed binary log of every admitted request) and, on demand, the
 // point-in-time checkpoints written by Sharded.Checkpoint. Every
@@ -241,45 +232,12 @@ func WithWALObserver(fn func(seg uint64, off int64, group []byte)) Option {
 	return func(o *Options) { o.walObserve = fn }
 }
 
-// WithDeamortization replaces the amortized n*-rebuild with the paper's
-// even/odd-slot incremental rebuild: worst-case O(1) inner operations
-// per request instead of occasional O(n) rebuild spikes, at the price of
-// extra constant-factor underallocation (and windows must span >= 2
-// slots). Implies trimming.
-func WithDeamortization() Option {
-	return func(o *Options) { o.trim = true; o.deamortize = true }
-}
-
 // New builds the paper's Theorem 1 reallocating scheduler:
 // alignment -> round-robin delegation over m machines -> per-machine
 // window trimming -> reservation-based pecking-order scheduling.
 func New(opts ...Option) Scheduler {
 	o := defaultOptions(opts)
-	s := buildStack(o, o.machines)
-	if o.batchSize > 1 {
-		return batchSized{Scheduler: s, size: o.batchSize}
-	}
-	return s
-}
-
-// batchSized decorates a scheduler with a preferred bulk chunk size for
-// Run's auto-chunking, forwarding the bulk path of the wrapped stack.
-type batchSized struct {
-	sched.Scheduler
-	size int
-}
-
-// BatchSize reports the preferred ApplyBatch chunk size.
-func (b batchSized) BatchSize() int { return b.size }
-
-// ApplyBatch forwards to the wrapped stack's bulk path.
-func (b batchSized) ApplyBatch(reqs []Request) ([]Cost, error) {
-	return sched.ApplyBatch(b.Scheduler, reqs)
-}
-
-// TakeBatchEvictions forwards sched.BatchEvictor from the wrapped stack.
-func (b batchSized) TakeBatchEvictions() []string {
-	return sched.TakeBatchEvictions(b.Scheduler)
+	return buildStack(o, o.machines)
 }
 
 // NewSharded builds the concurrent sharded front-end: the machine pool
@@ -321,12 +279,11 @@ func NewSharded(opts ...Option) *Sharded {
 		log = l
 	}
 	return shard.New(shard.Config{
-		Shards:    o.shards,
-		Machines:  o.machines,
-		Policy:    o.policy,
-		Buffer:    o.buffer,
-		BatchSize: o.batchSize,
-		WAL:       log,
+		Shards:   o.shards,
+		Machines: o.machines,
+		Policy:   o.policy,
+		Buffer:   o.buffer,
+		WAL:      log,
 		// Always build the multi-machine wrapper (even for one machine)
 		// so every shard implements sched.Elastic and can be resized.
 		Factory: func(machines int) sched.Scheduler { return buildElasticStack(o, machines) },
@@ -360,19 +317,17 @@ func NewShardedFromCheckpoint(ck *Checkpoint, opts ...Option) (*Sharded, error) 
 	if ck == nil {
 		o.shardedDefaults()
 		return shard.New(shard.Config{
-			Shards:    o.shards,
-			Machines:  o.machines,
-			Policy:    o.policy,
-			Buffer:    o.buffer,
-			BatchSize: o.batchSize,
-			Factory:   factory,
+			Shards:   o.shards,
+			Machines: o.machines,
+			Policy:   o.policy,
+			Buffer:   o.buffer,
+			Factory:  factory,
 		}), nil
 	}
 	return shard.Restore(shard.Config{
-		Policy:    o.policy,
-		Buffer:    o.buffer,
-		BatchSize: o.batchSize,
-		Factory:   factory,
+		Policy:  o.policy,
+		Buffer:  o.buffer,
+		Factory: factory,
 	}, ck)
 }
 
@@ -481,9 +436,6 @@ func defaultOptions(opts []Option) Options {
 	for _, f := range opts {
 		f(&o)
 	}
-	if o.batchSize < 0 {
-		panic(fmt.Sprintf("realloc: WithBatchSize(%d)", o.batchSize))
-	}
 	return o
 }
 
@@ -515,16 +467,13 @@ func buildElasticStack(o Options, machines int) sched.Scheduler {
 }
 
 // singleFactory builds the per-machine scheduler New composes:
-// trimming (amortized or incremental) over the reservation core.
+// trimming over the reservation core.
 func singleFactory(o Options) func() sched.Scheduler {
 	coreFactory := func() sched.Scheduler { return core.New(core.WithMaxIntervals(1 << 20)) }
 	if !o.trim {
 		return coreFactory
 	}
 	gamma := o.gamma
-	if o.deamortize {
-		return func() sched.Scheduler { return trim.NewIncremental(gamma, coreFactory) }
-	}
 	return func() sched.Scheduler { return trim.New(gamma, coreFactory) }
 }
 
@@ -567,18 +516,10 @@ func ApplyBatch(s Scheduler, reqs []Request) ([]Cost, error) {
 // call; see sched.BatchError.
 type BatchError = sched.BatchError
 
-// Run feeds a request sequence to a scheduler, stopping at the first
-// error and returning how many requests were served. Schedulers built
-// with WithBatchSize(n > 1) are fed in chunks of n through ApplyBatch
-// (failure detection then happens at chunk granularity: requests after
-// the first failure within the failing chunk may already have been
-// applied).
-func Run(s Scheduler, reqs []Request) (int, error) {
-	if bs, ok := s.(interface{ BatchSize() int }); ok && bs.BatchSize() > 1 {
-		return sched.RunBatched(s, reqs, bs.BatchSize(), nil)
-	}
-	return sched.Run(s, reqs, nil)
-}
+// Run feeds a request sequence to a scheduler one request at a time,
+// stopping at the first error and returning how many requests were
+// served.
+func Run(s Scheduler, reqs []Request) (int, error) { return sched.Run(s, reqs, nil) }
 
 // Verify checks that the scheduler's current assignment is a feasible
 // schedule for its active job set: every job inside its window, machine

@@ -26,14 +26,21 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the golden replay files")
 
-// replayCases are the pinned (stream, stack) combinations. Streams must
-// be deterministic functions of their seed; stacks must be the
-// single-threaded builds (the sharded front-end is nondeterministic by
-// design and is covered by the differential harness instead).
-func replayCases(t *testing.T) map[string]struct {
+// replayCase is one pinned (stream, stack) combination. A batch above 1
+// serves the stream in chunks of that size through ApplyBatch instead of
+// one Apply per request.
+type replayCase struct {
 	reqs  []jobs.Request
 	build func() Scheduler
-} {
+	batch int
+}
+
+// replayCases are the pinned combinations, keyed by the name of their
+// testdata/replay_<name>.golden file. Streams must be deterministic
+// functions of their seed; stacks must be the single-threaded builds
+// (the sharded front-end is nondeterministic by design and is covered by
+// the differential harness instead).
+func replayCases(t *testing.T) map[string]replayCase {
 	t.Helper()
 	mixed, err := workload.Mixed(workload.MixedConfig{Seed: 7, Machines: 4, Horizon: 1 << 12, Steps: 3000})
 	if err != nil {
@@ -48,44 +55,22 @@ func replayCases(t *testing.T) map[string]struct {
 	if err != nil {
 		t.Fatalf("burst workload: %v", err)
 	}
-	return map[string]struct {
-		reqs  []jobs.Request
-		build func() Scheduler
-	}{
-		"mixed_theorem1_m4": {
-			reqs:  mixed,
-			build: func() Scheduler { return New(WithMachines(4)) },
-		},
-		"mixed_deamortized_m4": {
-			reqs:  mixed,
-			build: func() Scheduler { return New(WithMachines(4), WithDeamortization()) },
-		},
-		"burst_theorem1_m4": {
-			reqs:  burst,
-			build: func() Scheduler { return New(WithMachines(4)) },
-		},
-		"burst_batch64_m4": {
-			reqs: burst,
-			build: func() Scheduler {
-				return New(WithMachines(4), WithBatchSize(64))
-			},
-		},
+	theorem1 := func() Scheduler { return New(WithMachines(4)) }
+	return map[string]replayCase{
+		"mixed_theorem1_m4": {reqs: mixed, build: theorem1},
+		"burst_theorem1_m4": {reqs: burst, build: theorem1},
+		"burst_batch64_m4":  {reqs: burst, build: theorem1, batch: 64},
 	}
 }
 
-// renderReplay serves the stream and renders everything a string-API
-// caller can observe: per-request costs and error texts, then the final
-// assignment sorted by name.
-func renderReplay(s Scheduler, reqs []jobs.Request) string {
+// renderReplay serves the stream (in chunks of batch when it exceeds 1)
+// and renders everything a string-API caller can observe: per-request
+// costs and error texts, then the final assignment sorted by name.
+func renderReplay(s Scheduler, reqs []jobs.Request, batch int) string {
 	var b strings.Builder
-	if bs, ok := s.(interface{ BatchSize() int }); ok && bs.BatchSize() > 1 {
-		size := bs.BatchSize()
-		for off := 0; off < len(reqs); off += size {
-			end := off + size
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			chunk := reqs[off:end]
+	if batch > 1 {
+		for off := 0; off < len(reqs); off += batch {
+			chunk := reqs[off:min(off+batch, len(reqs))]
 			costs, err := ApplyBatch(s, chunk)
 			var be *BatchError
 			if err != nil {
@@ -128,9 +113,22 @@ func renderStep(b *strings.Builder, i int, c Cost, err error) {
 }
 
 func TestReplayGolden(t *testing.T) {
-	for name, tc := range replayCases(t) {
+	cases := replayCases(t)
+	// A golden without a case is a deleted case's leftover: nothing pins
+	// it any more, so it must go with the case.
+	files, err := filepath.Glob(filepath.Join("testdata", "replay_*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "replay_"), ".golden")
+		if _, ok := cases[name]; !ok {
+			t.Errorf("%s has no replay case; delete it or add the case", f)
+		}
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			got := renderReplay(tc.build(), tc.reqs)
+			got := renderReplay(tc.build(), tc.reqs, tc.batch)
 			path := filepath.Join("testdata", "replay_"+name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
