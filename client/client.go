@@ -407,7 +407,8 @@ func (c *Client) Batch(reqs []jobs.Request, timeout time.Duration) ([]error, err
 }
 
 // Drain blocks until everything this tenant had queued before the
-// call has been served, and returns the scheduler's drain verdict.
+// call has been served and acked. It fails only when the connection or
+// the tenant is closed.
 func (c *Client) Drain() error {
 	ch, err := c.call(&wire.Frame{Kind: wire.KindDrain})
 	if err != nil {

@@ -1,4 +1,4 @@
-package trace_test
+package main
 
 import (
 	"bytes"
@@ -6,26 +6,25 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
-	"repro/internal/trace"
 )
 
-// Record writes an annotated JSONL trace; Replay verifies a fresh
+// record writes an annotated JSONL trace; replay verifies a fresh
 // scheduler reproduces exactly the recorded costs.
-func ExampleRecord() {
+func Example_record() {
 	reqs := []jobs.Request{
 		jobs.InsertReq("a", 0, 64),
 		jobs.InsertReq("b", 0, 64),
 		jobs.DeleteReq("a"),
 	}
 	var buf bytes.Buffer
-	if _, err := trace.Record(core.New(), reqs, &buf); err != nil {
+	if _, err := record(core.New(), reqs, &buf); err != nil {
 		panic(err)
 	}
-	events, err := trace.ReadEvents(&buf)
+	events, err := readEvents(&buf)
 	if err != nil {
 		panic(err)
 	}
-	if err := trace.Replay(core.New(), events); err != nil {
+	if err := replay(core.New(), events); err != nil {
 		panic(err)
 	}
 	fmt.Printf("replayed %d events, costs matched\n", len(events))

@@ -1,5 +1,5 @@
 // Command realloctrace records, replays, and minimizes request traces
-// (JSON Lines, see internal/trace) against any of the repository's
+// (JSON Lines, see trace.go) against any of the repository's
 // schedulers, and converts binary WAL directories to the same JSONL
 // format.
 //
@@ -35,8 +35,6 @@ import (
 	"repro/internal/edf"
 	"repro/internal/naive"
 	"repro/internal/sched"
-	"repro/internal/stress"
-	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -80,41 +78,41 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := trace.Write(os.Stdout, g.Sequence()); err != nil {
+		if err := writeTrace(os.Stdout, g.Sequence()); err != nil {
 			fail(err)
 		}
 
 	case "record":
-		reqs, err := trace.Read(input(*in))
+		reqs, err := readTrace(input(*in))
 		if err != nil {
 			fail(err)
 		}
-		if _, err := trace.Record(factory(), reqs, os.Stdout); err != nil {
+		if _, err := record(factory(), reqs, os.Stdout); err != nil {
 			fail(err)
 		}
 
 	case "replay":
-		events, err := trace.ReadEvents(input(*in))
+		events, err := readEvents(input(*in))
 		if err != nil {
 			fail(err)
 		}
-		if err := trace.Replay(factory(), events); err != nil {
+		if err := replay(factory(), events); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "realloctrace: %d events replayed, all recorded costs match\n", len(events))
 
 	case "shrink":
-		reqs, err := trace.Read(input(*in))
+		reqs, err := readTrace(input(*in))
 		if err != nil {
 			fail(err)
 		}
-		if !stress.Fails(stress.Factory(factory), reqs) {
+		if !fails(factory, reqs) {
 			fmt.Fprintln(os.Stderr, "realloctrace: trace does not fail; nothing to shrink")
 			os.Exit(1)
 		}
-		small := stress.Shrink(stress.Factory(factory), reqs)
+		small := shrink(factory, reqs)
 		fmt.Fprintf(os.Stderr, "realloctrace: shrunk %d -> %d requests\n", len(reqs), len(small))
-		if err := trace.Write(os.Stdout, small); err != nil {
+		if err := writeTrace(os.Stdout, small); err != nil {
 			fail(err)
 		}
 
@@ -144,7 +142,7 @@ func dumpWAL(dir string, w io.Writer) error {
 		fmt.Fprintf(w, "# checkpoint: %d job(s) on %d machine(s) across %d shard(s) %v; log replays from segment %d\n",
 			len(ck.Jobs), ck.Machines(), len(ck.ShardMachines), ck.ShardMachines, ck.StartSeg)
 		for _, j := range ck.Jobs {
-			if err := enc.Encode(trace.FromRequest(realloc.InsertReq(j.Name, j.Window.Start, j.Window.End))); err != nil {
+			if err := enc.Encode(fromRequest(realloc.InsertReq(j.Name, j.Window.Start, j.Window.End))); err != nil {
 				return err
 			}
 		}
@@ -153,13 +151,13 @@ func dumpWAL(dir string, w io.Writer) error {
 	for _, r := range rec.Records {
 		switch r.Kind {
 		case wal.KindRequest:
-			if err := enc.Encode(trace.FromRequest(r.Req)); err != nil {
+			if err := enc.Encode(fromRequest(r.Req)); err != nil {
 				return err
 			}
 		case wal.KindBatch:
 			fmt.Fprintf(w, "# batch of %d\n", len(r.Batch))
 			for _, req := range r.Batch {
-				if err := enc.Encode(trace.FromRequest(req)); err != nil {
+				if err := enc.Encode(fromRequest(req)); err != nil {
 					return err
 				}
 			}

@@ -1,4 +1,4 @@
-package stress
+package main
 
 import (
 	"errors"
@@ -15,24 +15,26 @@ import (
 
 func coreFactory() sched.Scheduler { return core.New() }
 
+// cleanSequence generates a random underallocated workload.
+func cleanSequence(t *testing.T, seed int64) []jobs.Request {
+	t.Helper()
+	g, err := workload.NewGenerator(workload.Config{Seed: seed, Gamma: 8, Horizon: 512, Steps: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Sequence()
+}
+
 func TestCleanRun(t *testing.T) {
-	f := Run(Config{
-		Factory:  coreFactory,
-		Workload: workload.Config{Seed: 1, Gamma: 8, Horizon: 512, Steps: 200},
-	})
-	if f != nil {
-		t.Fatalf("clean workload failed: %v", f)
+	if step, err := firstFailure(coreFactory, cleanSequence(t, 1)); err != nil {
+		t.Fatalf("clean workload failed at step %d: %v", step, err)
 	}
 }
 
 func TestCleanRunNaive(t *testing.T) {
-	f := Run(Config{
-		Factory:    func() sched.Scheduler { return naive.New() },
-		Workload:   workload.Config{Seed: 2, Gamma: 8, Horizon: 512, Steps: 200},
-		CheckEvery: 5,
-	})
-	if f != nil {
-		t.Fatalf("clean workload failed: %v", f)
+	naiveFactory := func() sched.Scheduler { return naive.New() }
+	if step, err := firstFailure(naiveFactory, cleanSequence(t, 2)); err != nil {
+		t.Fatalf("clean workload failed at step %d: %v", step, err)
 	}
 }
 
@@ -98,11 +100,11 @@ func TestShrinkFindsMinimalReproducer(t *testing.T) {
 			reqs = append(reqs, jobs.InsertReq(fmt.Sprintf("tiny%02d", i), int64(i), int64(i)+1))
 		}
 	}
-	if !Fails(factory, reqs) {
+	if !fails(factory, reqs) {
 		t.Fatal("synthetic bug not triggered by the full sequence")
 	}
-	small := Shrink(factory, reqs)
-	if !Fails(factory, small) {
+	small := shrink(factory, reqs)
+	if !fails(factory, small) {
 		t.Fatal("shrunk sequence no longer fails")
 	}
 	// Minimal reproducer: exactly the three span-1 inserts.
@@ -118,23 +120,14 @@ func TestShrinkFindsMinimalReproducer(t *testing.T) {
 
 func TestShrinkOnPassingSequence(t *testing.T) {
 	reqs := []jobs.Request{jobs.InsertReq("a", 0, 4)}
-	out := Shrink(coreFactory, reqs)
+	out := shrink(coreFactory, reqs)
 	if len(out) != 1 {
 		t.Errorf("passing sequence altered: %v", out)
 	}
 }
 
 func TestFailsRejectsMalformed(t *testing.T) {
-	if Fails(coreFactory, []jobs.Request{jobs.DeleteReq("ghost")}) {
+	if fails(coreFactory, []jobs.Request{jobs.DeleteReq("ghost")}) {
 		t.Error("malformed sequence reported as interesting failure")
 	}
-}
-
-func TestRunPanicsWithoutFactory(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil factory accepted")
-		}
-	}()
-	Run(Config{})
 }

@@ -1,16 +1,16 @@
-// Package trace serializes request sequences and per-request costs as
-// JSON Lines, so experiment runs are reproducible artifacts: a recorded
+package main
+
+// The trace format: request sequences and per-request costs as JSON
+// Lines, so experiment runs are reproducible artifacts — a recorded
 // trace can be stored, diffed, and replayed against any scheduler.
-//
-// Format: one JSON object per line.
+// One JSON object per line:
 //
 //	{"op":"insert","name":"j1","start":0,"end":64}
 //	{"op":"delete","name":"j1"}
 //
-// An annotated trace (written by Record) adds the observed costs:
+// An annotated trace (written by record) adds the observed costs:
 //
 //	{"op":"insert","name":"j1","start":0,"end":64,"reallocs":1,"migrations":0}
-package trace
 
 import (
 	"bufio"
@@ -19,12 +19,11 @@ import (
 	"io"
 
 	"repro/internal/jobs"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
-// Event is one line of a trace: a request plus (optionally) its cost.
-type Event struct {
+// event is one line of a trace: a request plus (optionally) its cost.
+type event struct {
 	Op    string `json:"op"`              // "insert" or "delete"
 	Name  string `json:"name"`            // job name
 	Start int64  `json:"start,omitempty"` // window start (insert only)
@@ -34,9 +33,9 @@ type Event struct {
 	Migrations *int `json:"migrations,omitempty"` // observed cost, if annotated
 }
 
-// FromRequest converts a request to an (unannotated) event.
-func FromRequest(r jobs.Request) Event {
-	e := Event{Name: r.Name}
+// fromRequest converts a request to an (unannotated) event.
+func fromRequest(r jobs.Request) event {
+	e := event{Name: r.Name}
 	switch r.Kind {
 	case jobs.Insert:
 		e.Op = "insert"
@@ -48,8 +47,8 @@ func FromRequest(r jobs.Request) Event {
 	return e
 }
 
-// Request converts the event back to a request.
-func (e Event) Request() (jobs.Request, error) {
+// request converts the event back to a request.
+func (e event) request() (jobs.Request, error) {
 	switch e.Op {
 	case "insert":
 		r := jobs.InsertReq(e.Name, e.Start, e.End)
@@ -65,27 +64,27 @@ func (e Event) Request() (jobs.Request, error) {
 	}
 }
 
-// Write serializes requests as JSONL.
-func Write(w io.Writer, reqs []jobs.Request) error {
+// writeTrace serializes requests as JSONL.
+func writeTrace(w io.Writer, reqs []jobs.Request) error {
 	enc := json.NewEncoder(w)
 	for i, r := range reqs {
-		if err := enc.Encode(FromRequest(r)); err != nil {
+		if err := enc.Encode(fromRequest(r)); err != nil {
 			return fmt.Errorf("trace: writing request %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// Read parses a JSONL trace into requests (cost annotations, if present,
-// are ignored; use ReadEvents to keep them).
-func Read(r io.Reader) ([]jobs.Request, error) {
-	events, err := ReadEvents(r)
+// readTrace parses a JSONL trace into requests (cost annotations, if
+// present, are ignored; use readEvents to keep them).
+func readTrace(r io.Reader) ([]jobs.Request, error) {
+	events, err := readEvents(r)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]jobs.Request, 0, len(events))
 	for i, e := range events {
-		req, err := e.Request()
+		req, err := e.request()
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", i+1, err)
 		}
@@ -94,10 +93,10 @@ func Read(r io.Reader) ([]jobs.Request, error) {
 	return out, nil
 }
 
-// ReadEvents parses a JSONL trace preserving annotations. Blank lines
+// readEvents parses a JSONL trace preserving annotations. Blank lines
 // and lines starting with '#' are skipped.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	var out []Event
+func readEvents(r io.Reader) ([]event, error) {
+	var out []event
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
@@ -107,7 +106,7 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if len(raw) == 0 || raw[0] == '#' {
 			continue
 		}
-		var e Event
+		var e event
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
@@ -119,17 +118,17 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// Record replays the requests against the scheduler, writing an
+// record replays the requests against the scheduler, writing an
 // annotated trace of every served request to w. It stops at the first
 // scheduler error, returning how many requests were served.
-func Record(s sched.Scheduler, reqs []jobs.Request, w io.Writer) (int, error) {
+func record(s sched.Scheduler, reqs []jobs.Request, w io.Writer) (int, error) {
 	enc := json.NewEncoder(w)
 	for i, r := range reqs {
 		c, err := sched.Apply(s, r)
 		if err != nil {
 			return i, fmt.Errorf("trace: request %d (%s): %w", i, r, err)
 		}
-		e := FromRequest(r)
+		e := fromRequest(r)
 		re, mi := c.Reallocations, c.Migrations
 		e.Reallocs, e.Migrations = &re, &mi
 		if err := enc.Encode(e); err != nil {
@@ -139,13 +138,13 @@ func Record(s sched.Scheduler, reqs []jobs.Request, w io.Writer) (int, error) {
 	return len(reqs), nil
 }
 
-// Replay runs an annotated trace against a scheduler and compares the
+// replay runs an annotated trace against a scheduler and compares the
 // observed costs with the recorded ones, returning the first mismatch.
 // Unannotated events are replayed without comparison. This is the
 // regression check for cost accounting.
-func Replay(s sched.Scheduler, events []Event) error {
+func replay(s sched.Scheduler, events []event) error {
 	for i, e := range events {
-		r, err := e.Request()
+		r, err := e.request()
 		if err != nil {
 			return fmt.Errorf("trace: event %d: %w", i, err)
 		}
@@ -163,27 +162,4 @@ func Replay(s sched.Scheduler, events []Event) error {
 		}
 	}
 	return nil
-}
-
-// Costs extracts the annotated costs of a trace into a metrics recorder
-// (events without annotations contribute zero cost).
-func Costs(events []Event) *metrics.Recorder {
-	rec := metrics.NewRecorder()
-	active := 0
-	for _, e := range events {
-		if e.Op == "insert" {
-			active++
-		} else if e.Op == "delete" {
-			active--
-		}
-		var c metrics.Cost
-		if e.Reallocs != nil {
-			c.Reallocations = *e.Reallocs
-		}
-		if e.Migrations != nil {
-			c.Migrations = *e.Migrations
-		}
-		rec.Record(c, active)
-	}
-	return rec
 }

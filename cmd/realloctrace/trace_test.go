@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"bytes"
@@ -17,10 +17,10 @@ func TestRoundTrip(t *testing.T) {
 		jobs.DeleteReq("a"),
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, reqs); err != nil {
+	if err := writeTrace(&buf, reqs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 
 {"op":"insert","name":"x","start":0,"end":8}
 `)
-	reqs, err := Read(in)
+	reqs, err := readTrace(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +49,16 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not json\n")); err == nil {
+	if _, err := readTrace(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := Read(strings.NewReader(`{"op":"explode","name":"x"}` + "\n")); err == nil {
+	if _, err := readTrace(strings.NewReader(`{"op":"explode","name":"x"}` + "\n")); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := Read(strings.NewReader(`{"op":"insert","name":"x","start":5,"end":5}` + "\n")); err == nil {
+	if _, err := readTrace(strings.NewReader(`{"op":"insert","name":"x","start":5,"end":5}` + "\n")); err == nil {
 		t.Error("empty window accepted")
 	}
-	if _, err := Read(strings.NewReader(`{"op":"insert","name":"","start":0,"end":1}` + "\n")); err == nil {
+	if _, err := readTrace(strings.NewReader(`{"op":"insert","name":"","start":0,"end":1}` + "\n")); err == nil {
 		t.Error("nameless accepted")
 	}
 }
@@ -71,7 +71,7 @@ func TestRecordAndReplay(t *testing.T) {
 	reqs := g.Sequence()
 
 	var buf bytes.Buffer
-	n, err := Record(core.New(), reqs, &buf)
+	n, err := record(core.New(), reqs, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRecordAndReplay(t *testing.T) {
 		t.Fatalf("recorded %d of %d", n, len(reqs))
 	}
 
-	events, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	events, err := readEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,45 +93,30 @@ func TestRecordAndReplay(t *testing.T) {
 
 	// Replay against a fresh identical scheduler: costs must match
 	// exactly (the scheduler is deterministic).
-	if err := Replay(core.New(), events); err != nil {
+	if err := replay(core.New(), events); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestReplayDetectsMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Record(core.New(), []jobs.Request{jobs.InsertReq("a", 0, 64)}, &buf); err != nil {
+	if _, err := record(core.New(), []jobs.Request{jobs.InsertReq("a", 0, 64)}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadEvents(&buf)
+	events, err := readEvents(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bogus := 999
 	events[0].Reallocs = &bogus
-	if err := Replay(core.New(), events); err == nil {
+	if err := replay(core.New(), events); err == nil {
 		t.Error("cost mismatch not detected")
 	}
 }
 
-func TestCostsExtraction(t *testing.T) {
-	one, zero := 3, 0
-	events := []Event{
-		{Op: "insert", Name: "a", Start: 0, End: 8, Reallocs: &one, Migrations: &zero},
-		{Op: "delete", Name: "a"},
-	}
-	rec := Costs(events)
-	if rec.Len() != 2 {
-		t.Fatalf("len %d", rec.Len())
-	}
-	if rec.Summary().TotalReallocations != 3 {
-		t.Errorf("total %d", rec.Summary().TotalReallocations)
-	}
-}
-
 func TestEventRequestDelete(t *testing.T) {
-	e := Event{Op: "delete", Name: "z"}
-	r, err := e.Request()
+	e := event{Op: "delete", Name: "z"}
+	r, err := e.request()
 	if err != nil || r.Kind != jobs.Delete || r.Name != "z" {
 		t.Errorf("delete round trip: %v %v", r, err)
 	}

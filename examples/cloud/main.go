@@ -92,9 +92,8 @@ func main() {
 }
 
 // shardedVariant replays a similar churn concurrently: four submitter
-// goroutines with disjoint job namespaces hammer a 4-shard front-end —
-// inserts through the synchronous path, deletes fire-and-forget through
-// the asynchronous one, with a single Drain barrier at the end.
+// goroutines with disjoint job namespaces hammer a 4-shard front-end,
+// each request returning once its shard has served it.
 func shardedVariant() {
 	const submitters = 4
 	s := realloc.NewSharded(realloc.WithMachines(machines), realloc.WithShards(4))
@@ -109,12 +108,9 @@ func shardedVariant() {
 			var running []string
 			for step := 0; step < 500; step++ {
 				if len(running) > 30 && rng.Intn(2) == 0 {
-					// A job finished: fire-and-forget the delete. The
-					// insert was synchronous, so the job is settled and
-					// the async delete cannot outrun it; completion
-					// lands in the shard report.
+					// A job finished: delete it.
 					i := rng.Intn(len(running))
-					if err := s.Submit(realloc.DeleteReq(running[i])); err != nil {
+					if _, err := s.Delete(running[i]); err != nil {
 						log.Fatalf("submitter %d: %v", g, err)
 					}
 					running = append(running[:i], running[i+1:]...)
@@ -135,9 +131,6 @@ func shardedVariant() {
 		}(g)
 	}
 	wg.Wait()
-	if err := s.Drain(); err != nil {
-		log.Fatalf("drain: %v", err)
-	}
 	if err := realloc.Verify(s); err != nil {
 		log.Fatalf("verify: %v", err)
 	}

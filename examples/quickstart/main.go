@@ -10,7 +10,6 @@ import (
 	"os"
 
 	realloc "repro"
-	"repro/internal/viz"
 )
 
 func main() {
@@ -37,7 +36,7 @@ func main() {
 	}
 
 	fmt.Println("\ncurrent schedule (jobs shown by first letter, '-' marks each window):")
-	if err := viz.Render(os.Stdout, s.Jobs(), s.Assignment(), 1, viz.Options{
+	if err := render(os.Stdout, s.Jobs(), s.Assignment(), 1, renderOptions{
 		From: 0, To: 40, ShowWindows: true,
 	}); err != nil {
 		log.Fatal(err)

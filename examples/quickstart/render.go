@@ -1,8 +1,8 @@
-// Package viz renders schedules as ASCII timelines: one row per machine,
-// one column per timeslot, with job glyphs and window annotations. It is
-// the debugging view used while developing the reservation scheduler and
-// is exercised by the examples.
-package viz
+package main
+
+// render draws schedules as ASCII timelines: one row per machine, one
+// column per timeslot, with job glyphs and window annotations — the
+// debugging view used while developing the reservation scheduler.
 
 import (
 	"fmt"
@@ -10,14 +10,14 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/jobs"
+	realloc "repro"
 )
 
-// Options controls rendering.
-type Options struct {
+// renderOptions controls rendering.
+type renderOptions struct {
 	// From/To clip the rendered time range; when both are zero the range
 	// is derived from the placements.
-	From, To jobs.Time
+	From, To int64
 	// MaxWidth caps the number of rendered columns (default 120);
 	// longer ranges are clipped with an ellipsis marker.
 	MaxWidth int
@@ -25,16 +25,16 @@ type Options struct {
 	ShowWindows bool
 }
 
-// Render writes an ASCII view of the assignment.
+// render writes an ASCII view of the assignment.
 //
 //	machine 0 |.a..b...|
 //	machine 1 |c....d..|
 //
 // Each job is shown as the first rune of its name; collisions within a
 // cell render as '#' (which SelfCheck would reject anyway).
-func Render(w io.Writer, js []jobs.Job, asn jobs.Assignment, machines int, opt Options) error {
+func render(w io.Writer, js []realloc.Job, asn realloc.Assignment, machines int, opt renderOptions) error {
 	if machines < 1 {
-		return fmt.Errorf("viz: %d machines", machines)
+		return fmt.Errorf("render: %d machines", machines)
 	}
 	if opt.MaxWidth <= 0 {
 		opt.MaxWidth = 120
@@ -56,7 +56,7 @@ func Render(w io.Writer, js []jobs.Job, asn jobs.Assignment, machines int, opt O
 		}
 	}
 	if to <= from {
-		return fmt.Errorf("viz: empty range [%d, %d)", from, to)
+		return fmt.Errorf("render: empty range [%d, %d)", from, to)
 	}
 	width := to - from
 	clipped := false
@@ -101,7 +101,7 @@ func Render(w io.Writer, js []jobs.Job, asn jobs.Assignment, machines int, opt O
 		return nil
 	}
 	// Window rows, sorted by job name.
-	sorted := append([]jobs.Job{}, js...)
+	sorted := append([]realloc.Job{}, js...)
 	sort.Slice(sorted, func(i, k int) bool { return sorted[i].Name < sorted[k].Name })
 	for _, j := range sorted {
 		row := []rune(strings.Repeat(" ", int(width)))
@@ -136,28 +136,4 @@ func clipName(name string, n int) string {
 		return name
 	}
 	return name[:n-1] + "~"
-}
-
-// Sparkline renders a compact cost series (e.g. per-request reallocation
-// counts) using block glyphs, eight levels tall.
-func Sparkline(series []int) string {
-	if len(series) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	maxV := 1
-	for _, v := range series {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range series {
-		if v < 0 {
-			v = 0
-		}
-		idx := v * (len(blocks) - 1) / maxV
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
 }

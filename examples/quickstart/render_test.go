@@ -1,26 +1,26 @@
-package viz
+package main
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
-	"repro/internal/jobs"
+	realloc "repro"
 )
 
-func win(start, end int64) jobs.Window { return jobs.Window{Start: start, End: end} }
+func win(start, end int64) realloc.Window { return realloc.Window{Start: start, End: end} }
 
 func TestRenderBasic(t *testing.T) {
-	js := []jobs.Job{
+	js := []realloc.Job{
 		{Name: "alpha", Window: win(0, 4)},
 		{Name: "beta", Window: win(2, 6)},
 	}
-	asn := jobs.Assignment{
+	asn := realloc.Assignment{
 		"alpha": {Machine: 0, Slot: 1},
 		"beta":  {Machine: 1, Slot: 3},
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, js, asn, 2, Options{From: 0, To: 6}); err != nil {
+	if err := render(&buf, js, asn, 2, renderOptions{From: 0, To: 6}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -36,10 +36,10 @@ func TestRenderBasic(t *testing.T) {
 }
 
 func TestRenderWindows(t *testing.T) {
-	js := []jobs.Job{{Name: "a", Window: win(1, 5)}}
-	asn := jobs.Assignment{"a": {Machine: 0, Slot: 2}}
+	js := []realloc.Job{{Name: "a", Window: win(1, 5)}}
+	asn := realloc.Assignment{"a": {Machine: 0, Slot: 2}}
 	var buf bytes.Buffer
-	if err := Render(&buf, js, asn, 1, Options{From: 0, To: 6, ShowWindows: true}); err != nil {
+	if err := render(&buf, js, asn, 1, renderOptions{From: 0, To: 6, ShowWindows: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -55,12 +55,12 @@ func TestRenderWindows(t *testing.T) {
 }
 
 func TestRenderAutoRange(t *testing.T) {
-	asn := jobs.Assignment{
+	asn := realloc.Assignment{
 		"x": {Machine: 0, Slot: 10},
 		"y": {Machine: 0, Slot: 14},
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, asn, 1, Options{}); err != nil {
+	if err := render(&buf, nil, asn, 1, renderOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "slots [10, 15)") {
@@ -69,9 +69,9 @@ func TestRenderAutoRange(t *testing.T) {
 }
 
 func TestRenderClipping(t *testing.T) {
-	asn := jobs.Assignment{"a": {Machine: 0, Slot: 0}, "z": {Machine: 0, Slot: 1000}}
+	asn := realloc.Assignment{"a": {Machine: 0, Slot: 0}, "z": {Machine: 0, Slot: 1000}}
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, asn, 1, Options{MaxWidth: 20}); err != nil {
+	if err := render(&buf, nil, asn, 1, renderOptions{MaxWidth: 20}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "(clipped)") {
@@ -80,12 +80,12 @@ func TestRenderClipping(t *testing.T) {
 }
 
 func TestRenderCollision(t *testing.T) {
-	asn := jobs.Assignment{
+	asn := realloc.Assignment{
 		"a": {Machine: 0, Slot: 0},
 		"b": {Machine: 0, Slot: 0},
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, asn, 1, Options{From: 0, To: 2}); err != nil {
+	if err := render(&buf, nil, asn, 1, renderOptions{From: 0, To: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "#") {
@@ -95,39 +95,21 @@ func TestRenderCollision(t *testing.T) {
 
 func TestRenderErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, nil, 0, Options{}); err == nil {
+	if err := render(&buf, nil, nil, 0, renderOptions{}); err == nil {
 		t.Error("0 machines accepted")
 	}
-	if err := Render(&buf, nil, jobs.Assignment{}, 1, Options{From: 5, To: 5}); err == nil {
+	if err := render(&buf, nil, realloc.Assignment{}, 1, renderOptions{From: 5, To: 5}); err == nil {
 		t.Error("empty explicit range accepted")
 	}
 }
 
 func TestRenderEmptyAssignment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Render(&buf, nil, jobs.Assignment{}, 1, Options{}); err != nil {
+	if err := render(&buf, nil, realloc.Assignment{}, 1, renderOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "machine 0 |.|") {
 		t.Errorf("empty render wrong:\n%s", buf.String())
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Errorf("empty sparkline %q", got)
-	}
-	got := Sparkline([]int{0, 1, 2, 4})
-	if len([]rune(got)) != 4 {
-		t.Errorf("sparkline length %d", len([]rune(got)))
-	}
-	runes := []rune(got)
-	if runes[0] != '▁' || runes[3] != '█' {
-		t.Errorf("sparkline extremes wrong: %q", got)
-	}
-	// Negative values clamp.
-	if Sparkline([]int{-5, 10}) == "" {
-		t.Error("negative clamp broken")
 	}
 }
 

@@ -121,9 +121,6 @@ func DefaultLayerRules() map[string]LayerRule {
 		mixed     = "repro/internal/mixed"
 		sized     = "repro/internal/sized"
 		pma       = "repro/internal/pma"
-		trace     = "repro/internal/trace"
-		stress    = "repro/internal/stress"
-		viz       = "repro/internal/viz"
 		sim       = "repro/internal/sim"
 		analysisP = "repro/internal/analysis"
 		wire      = "repro/internal/wire"
@@ -168,10 +165,7 @@ func DefaultLayerRules() map[string]LayerRule {
 
 		// --- harnesses and tooling ---
 		feasible: {Internal: []string{jobs}, Note: "independent feasibility oracle for tests"},
-		viz:      {Internal: []string{jobs}, Note: "schedule rendering"},
 		workload: {Internal: []string{jobs, mathx}, Note: "scenario generators"},
-		trace:    {Internal: []string{jobs, metrics, sched}, Note: "trace record/replay"},
-		stress:   {Internal: []string{jobs, sched, workload}, Note: "stress drivers"},
 		sim: {Internal: []string{align, alignsch, core, edf, feasible, jobs, lowerb, mathx,
 			metrics, mixed, multi, naive, pma, sched, shard, sized, trim, workload},
 			Note: "the experiment harness may drive every scheduler"},
@@ -191,19 +185,19 @@ func DefaultLayerRules() map[string]LayerRule {
 			Note: "the public API composes the stacks; internals never import it back"},
 		"repro/cmd/reallocbench": {Internal: []string{root, hdr, jobs, workload}},
 		"repro/cmd/reallocsim":   {Internal: []string{sim}},
-		"repro/cmd/realloctrace": {Internal: []string{root, core, edf, naive, sched, stress, trace, wal, workload}},
+		"repro/cmd/realloctrace": {Internal: []string{root, core, edf, jobs, naive, sched, wal, workload}},
 		"repro/cmd/reallocvet":   {Internal: []string{analysisP}, Note: "the multichecker wraps the analysis toolkit"},
 		"repro/cmd/reallocd": {Internal: []string{root, repl, server, shard, wal},
 			Note: "the daemon composes public-API schedulers into the server and replication stack"},
 		"repro/cmd/reallocload": {Internal: []string{clientP, hdr, jobs, shard, workload},
 			Note: "still a pure client on the wire; workload pregenerates the replay scenarios and shard's ring aims their hot keys"},
 
-		// --- examples: drive the public API (sizedjobs/quickstart also
-		// demo internal helpers directly) ---
+		// --- examples: drive the public API (sizedjobs also demos
+		// internal helpers directly) ---
 		"repro/examples/adversary":  {Internal: []string{root}},
 		"repro/examples/clinic":     {Internal: []string{root}},
 		"repro/examples/cloud":      {Internal: []string{root}},
-		"repro/examples/quickstart": {Internal: []string{root, viz}},
+		"repro/examples/quickstart": {Internal: []string{root}},
 		"repro/examples/server":     {Internal: []string{root, clientP, server}},
 		"repro/examples/sizedjobs":  {Internal: []string{jobs, sized}},
 	}

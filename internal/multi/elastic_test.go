@@ -215,8 +215,8 @@ func TestElasticChurn(t *testing.T) {
 }
 
 // TestRejectionDoesNotPoisonBareCore: with bare reservation cores (no
-// trim wrapper, i.e. realloc.WithoutTrimming), a rejected insert
-// poisons the core mid-request; multi must detect it (sched.Poisoner)
+// trim wrapper, which no public constructor builds but multi.New
+// accepts), a rejected insert poisons the core mid-request; multi must detect it (sched.Poisoner)
 // and rebuild the machine so the retry paths that deliberately probe
 // full machines — shard overflow, shrink eviction — keep working.
 func TestRejectionDoesNotPoisonBareCore(t *testing.T) {

@@ -725,13 +725,14 @@ func (s *Server) submitBatch(c *conn, f *wire.Frame) {
 }
 
 // drain enqueues a barrier: its ack means everything this tenant had
-// queued before the drain has been served.
+// queued before the drain has been served and acked. The coalescer
+// serves every request synchronously, so reaching the barrier is the
+// whole proof and the ack is always CodeOK.
 func (s *Server) drain(c *conn, id uint64) {
 	t := c.t
 	c.pending.Add(1)
 	ok := t.enqueue(item{ctrl: func() {
-		code, detail := codeOf(t.sched.Drain())
-		c.send(wire.Frame{Kind: wire.KindDrainAck, ID: id, Code: code, Detail: detail})
+		c.send(wire.Frame{Kind: wire.KindDrainAck, ID: id, Code: wire.CodeOK})
 		c.pending.Done()
 	}})
 	if !ok {

@@ -124,6 +124,36 @@ func TestServerTwoTenantsE2E(t *testing.T) {
 	}
 }
 
+// TestServerDrainBarrier pins the wire Drain barrier: a Drain sent
+// after N pipelined requests on one connection is acked only once all
+// N are acked, and its code is OK. Closing the client right after Drain
+// returns fails every ack still outstanding, so a Pending that Drain
+// overtook would read ErrClosed instead of its verdict.
+func TestServerDrainBarrier(t *testing.T) {
+	s := startServer(t, server.Config{})
+	c := dial(t, s, "acme")
+
+	const n = 128
+	pend := make([]*client.Pending, 0, n)
+	for i := 0; i < n; i++ {
+		start := int64(i%32) * 64
+		p, err := c.SubmitAsync(jobs.InsertReq(fmt.Sprintf("job-%03d", i), start, start+64), 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		pend = append(pend, p)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatalf("drain ack = %v, want OK", err)
+	}
+	c.Close()
+	for i, p := range pend {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("request %d after the drain ack = %v, want an OK ack that preceded it", i, err)
+		}
+	}
+}
+
 // TestServerBatchAndResize: the batch frame reports per-request
 // verdicts index-aligned, and a resize reshapes the pool visibly.
 func TestServerBatchAndResize(t *testing.T) {

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/jobs"
@@ -43,39 +43,32 @@ func BenchmarkApplySequential(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitParallel measures async throughput with concurrent
-// submitters on disjoint name spaces.
-func BenchmarkSubmitParallel(b *testing.B) {
+// BenchmarkApplyParallel measures synchronous throughput with
+// concurrent callers on disjoint name spaces: each caller inserts a job
+// and deletes it on its next iteration.
+func BenchmarkApplyParallel(b *testing.B) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			s := New(Config{Shards: shards, Machines: 8, Factory: stackFactory})
 			defer s.Close()
-			var next int64
-			var mu sync.Mutex
+			var next atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				mu.Lock()
-				id := next
-				next++
-				mu.Unlock()
-				i := 0
-				for pb.Next() {
+				id := next.Add(1)
+				for i := 0; pb.Next(); i++ {
+					name := fmt.Sprintf("b%d-%06d", id, i/2)
+					var err error
 					if i%2 == 0 {
-						// Insert, then on the next iteration delete it.
-						// The delete may race the async insert and fail
-						// with ErrUnknownJob; tolerated — the benchmark
-						// measures enqueue throughput, not semantics.
-						_ = s.Submit(jobs.InsertReq(fmt.Sprintf("b%d-%06d", id, i), 0, 1<<14))
+						_, err = s.Apply(jobs.InsertReq(name, 0, 1<<14))
 					} else {
-						_ = s.Submit(jobs.DeleteReq(fmt.Sprintf("b%d-%06d", id, i-1)))
+						_, err = s.Apply(jobs.DeleteReq(name))
 					}
-					i++
+					if err != nil {
+						b.Error(err)
+						return
+					}
 				}
 			})
-			b.StopTimer()
-			if err := s.Drain(); err != nil {
-				b.Logf("drain: %v", err)
-			}
 		})
 	}
 }

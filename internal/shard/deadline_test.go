@@ -74,24 +74,6 @@ func TestApplyDeadlineUncontended(t *testing.T) {
 	}
 }
 
-// TestSubmitDeadlineExpirySurfacesInDrain: an async deadline expiry is
-// reported by Drain like any other async failure.
-func TestSubmitDeadlineExpirySurfacesInDrain(t *testing.T) {
-	s := newTestSharded(t, 1, 2)
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	if err := s.SubmitDeadline(jobs.InsertReq("late", 0, 64), 5*time.Millisecond); err != nil {
-		t.Fatalf("SubmitDeadline: %v", err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	close(gate)
-	wg.Wait()
-	err := s.Drain()
-	if err == nil || !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("Drain after async deadline expiry = %v, want ErrDeadlineExceeded", err)
-	}
-}
-
 // TestDeadlineExpiryNotLogged: under a WAL, a deadline-expired request
 // leaves no record — replaying the log after the run must reproduce
 // exactly the successful requests.

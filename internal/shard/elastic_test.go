@@ -209,35 +209,6 @@ func TestResizeValidation(t *testing.T) {
 	}
 }
 
-func TestSubmitResizeAsync(t *testing.T) {
-	s := newElasticSharded(t, 2, 2)
-	for i := 0; i < 8; i++ {
-		if err := s.Submit(jobs.InsertReq(fmt.Sprintf("a%d", i), 0, 256)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.SubmitResize(ResizeReq{Shard: -1, Machines: 6}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if got := s.Machines(); got != 6 {
-		t.Fatalf("Machines() = %d, want 6 after async resize", got)
-	}
-	// An invalid async resize surfaces in Drain.
-	if err := s.SubmitResize(ResizeReq{Shard: 0, Delta: -9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(); err == nil {
-		t.Error("invalid async resize surfaced no Drain error")
-	}
-	s.Close()
-	if err := s.SubmitResize(ResizeReq{Shard: 0, Delta: 1}); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitResize after close: %v, want ErrClosed", err)
-	}
-}
-
 // TestResizeStress churns jobs from many goroutines while the pool
 // grows and shrinks, then cross-checks the final schedule with the
 // external feasibility verifier. Run with -race (CI does).

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/feasible"
@@ -97,22 +98,25 @@ func TestOverflowStormSequential(t *testing.T) {
 	}
 }
 
-// TestOverflowStormNoThunderingHerd submits exactly cluster capacity
-// asynchronously. The 12 overflow hops are chosen while their
+// TestOverflowStormNoThunderingHerd inserts exactly cluster capacity
+// from concurrent callers. The 12 overflow hops are chosen while their
 // predecessors are still in flight, so only the inflight reservations
 // in leastLoaded keep them from stampeding onto one victim shard and
 // bouncing off its full book: with the reservations every job lands,
 // without them some of the herd fails while other shards sit empty.
 func TestOverflowStormNoThunderingHerd(t *testing.T) {
 	s := hotStormScheduler(t)
+	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
-		if err := s.Submit(hotInsert(i)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := s.Apply(hotInsert(i)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+			}
+		}(i)
 	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain reported async failures: %v", err)
-	}
+	wg.Wait()
 	rep := s.Report()
 	tot := rep.Total()
 	if tot.Failures != 0 {

@@ -138,10 +138,13 @@ func TestDeadlineExpiresWhileParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, release := stalledSharded(t, log)
+	acks := make(chan error, testBuffer)
 	for i := 0; i < testBuffer; i++ {
-		if err := s.Submit(insertReq(i)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+		go func(i int) {
+			_, err := s.Apply(insertReq(i))
+			acks <- err
+		}(i)
+		waitFor(t, "the request to be queued", func() bool { return queued(s) == i+1 && !inSend(s) })
 	}
 	late := jobs.InsertReq("late", 0, 4096)
 	if _, err := s.ApplyDeadline(late, 20*time.Millisecond); !errors.Is(err, ErrDeadlineExceeded) {
@@ -156,8 +159,10 @@ func TestDeadlineExpiresWhileParked(t *testing.T) {
 	}
 
 	release()
-	if err := s.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	for i := 0; i < testBuffer; i++ {
+		if err := <-acks; err != nil {
+			t.Fatalf("request queued before the expiry = %v, want served", err)
+		}
 	}
 	if _, err := s.Apply(late); err != nil {
 		t.Fatalf("re-insert after the expiry (reservation not released?): %v", err)

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -35,7 +34,7 @@ func TestCloseRacesOverflowHop(t *testing.T) {
 				for i := 0; i < 25; i++ {
 					// Errors (infeasible or closed) are expected; the
 					// point is the absence of panics and races.
-					_ = s.Submit(jobs.InsertReq(fmt.Sprintf("r%d-g%d-%d", round, g, i), 0, 64))
+					_, _ = s.Apply(jobs.InsertReq(fmt.Sprintf("r%d-g%d-%d", round, g, i), 0, 64))
 				}
 			}(g)
 		}
@@ -46,93 +45,10 @@ func TestCloseRacesOverflowHop(t *testing.T) {
 	}
 }
 
-// TestDrainTruncatesRetainedErrors: the async failure log keeps only
-// maxRetainedErrs entries but Drain must still report the full count,
-// and the log must reset afterward.
-func TestDrainTruncatesRetainedErrors(t *testing.T) {
-	s := New(Config{
-		Shards: 2, Machines: 2,
-		Factory: func(m int) sched.Scheduler { return rejecting{stackFactory(m)} },
-	})
-	defer s.Close()
-	const n = maxRetainedErrs + 9
-	for i := 0; i < n; i++ {
-		if err := s.Submit(jobs.InsertReq(fmt.Sprintf("fail-%02d", i), 0, 64)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	s.pendWait()
-	s.errMu.Lock()
-	retained := len(s.asyncErrs)
-	s.errMu.Unlock()
-	if retained != maxRetainedErrs {
-		t.Errorf("retained %d errors, want the cap %d", retained, maxRetainedErrs)
-	}
-	err := s.Drain()
-	if err == nil {
-		t.Fatal("Drain reported no error for failing submits")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("%d async request(s) failed", n)) {
-		t.Errorf("Drain error %q does not report the full count %d", err, n)
-	}
-	if err := s.Drain(); err != nil {
-		t.Errorf("second Drain not clean: %v", err)
-	}
-}
-
-// TestDrainConsumeOnce pins the drained-error handoff as consume-once:
-// a failure is reported by exactly one Drain call. After a Drain that
-// hit the maxRetainedErrs truncation, a later Drain must count ONLY the
-// failures recorded after the first Drain's cut — never re-report (or
-// re-count) errors the prior call already returned — and a Drain with
-// nothing new must be clean.
-func TestDrainConsumeOnce(t *testing.T) {
-	s := New(Config{
-		Shards: 2, Machines: 2,
-		Factory: func(m int) sched.Scheduler { return rejecting{stackFactory(m)} },
-	})
-	defer s.Close()
-
-	submitFailures := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			if err := s.Submit(jobs.InsertReq(fmt.Sprintf("batch-%d-%02d", n, i), 0, 64)); err != nil {
-				t.Fatalf("submit: %v", err)
-			}
-		}
-	}
-
-	const first = maxRetainedErrs + 5
-	submitFailures(first)
-	err := s.Drain()
-	if err == nil {
-		t.Fatal("first Drain reported no error")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("%d async request(s) failed", first)) {
-		t.Fatalf("first Drain error %q does not report count %d", err, first)
-	}
-
-	// New failures after the cut: the second Drain reports exactly these,
-	// not first+second.
-	const second = 3
-	submitFailures(second)
-	err = s.Drain()
-	if err == nil {
-		t.Fatal("second Drain reported no error")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("%d async request(s) failed", second)) {
-		t.Fatalf("second Drain error %q re-reports drained failures (want count %d)", err, second)
-	}
-
-	if err := s.Drain(); err != nil {
-		t.Fatalf("third Drain with nothing new reported %v", err)
-	}
-}
-
 // TestClosedSchedulerErrClosedConsistently pins the post-Close error
 // contract: EVERY entry point — sync Apply (insert, delete of a known
-// name, delete of an unknown name), the Insert/Delete methods, async
-// Submit and SubmitResize, and the bulk ApplyBatch — reports the
+// name, delete of an unknown name), the Insert/Delete methods,
+// ResizeShard, and the bulk ApplyBatch — reports the
 // ErrClosed sentinel, never a routing-derived error like ErrUnknownJob
 // and never a raw channel panic.
 func TestClosedSchedulerErrClosedConsistently(t *testing.T) {
@@ -163,11 +79,9 @@ func TestClosedSchedulerErrClosedConsistently(t *testing.T) {
 			_, err := s.Delete("pre")
 			return err
 		},
-		"Submit": func() error {
-			return s.Submit(jobs.InsertReq("post3", 0, 64))
-		},
-		"SubmitResize": func() error {
-			return s.SubmitResize(ResizeReq{Shard: 0, Delta: 1})
+		"ResizeShard": func() error {
+			_, err := s.ResizeShard(0, 1)
+			return err
 		},
 		"ApplyBatch": func() error {
 			_, err := s.ApplyBatch([]jobs.Request{

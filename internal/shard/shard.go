@@ -14,17 +14,20 @@
 // histogram surfaced through Report.
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
-// sched.Scheduler) is synchronous — it returns the request's cost after
-// the owning worker has served it — while Submit enqueues a request and
-// returns immediately, with Drain waiting for every outstanding request
-// and reporting asynchronous failures.
+// sched.Scheduler) serves one request and returns its cost after the
+// owning worker has served it, and ApplyBatch (batch.go) serves a
+// request slice in one routing pass. Both are synchronous and safe for
+// any number of concurrent callers, with one contract: requests that
+// touch the same job name must not be in flight concurrently (issue a
+// delete after its insert returned); requests for different names are
+// unordered across shards by design.
 //
 // The machine pool is elastic: Resize and ResizeShard grow or shrink
 // shards' machine ranges at runtime with bounded migrations — growing
 // never moves a job, shrinking re-places only the jobs that lived on
 // the drained machines (first within the shard, then via the overflow
-// path to the least-loaded shards). SubmitResize is the asynchronous
-// variant; per-resize migration counts land in the shard report.
+// path to the least-loaded shards). Per-resize migration counts land in
+// the shard report.
 //
 // Sharding trades the paper's global cost bounds for throughput: each
 // shard preserves Theorem 1's guarantees on its own machine range, but
@@ -123,7 +126,7 @@ type Config struct {
 	// Buffer is the per-shard request queue capacity (default 256).
 	Buffer int
 	// WAL, when non-nil, makes the scheduler durable: every admission
-	// path (sync Apply, async Submit, bulk ApplyBatch) and every resize
+	// path (per-request Apply, bulk ApplyBatch) and every resize
 	// appends a record to the log BEFORE the request is acknowledged —
 	// the ack is deferred until the record's group commit completes, so
 	// an acknowledged request is always recoverable. Ownership of the
@@ -168,23 +171,12 @@ type Scheduler struct {
 
 	// sendMu serializes request sends against Close: senders hold the
 	// read side, Close holds the write side while closing channels.
-	// closed is atomic so fast-path pre-checks (dispatch, ApplyBatch,
-	// SubmitResize) read it without touching sendMu; it is only ever set
-	// under the sendMu write lock, so a sender holding the read lock
-	// that observes it false is guaranteed the channels are still open.
+	// closed is atomic so fast-path pre-checks (dispatch, ApplyBatch)
+	// read it without touching sendMu; it is only ever set under the
+	// sendMu write lock, so a sender holding the read lock that
+	// observes it false is guaranteed the channels are still open.
 	sendMu sync.RWMutex
 	closed atomic.Bool
-
-	// pendMu/pendCond/pendN track outstanding Submit requests. A plain
-	// WaitGroup cannot be used: Submit may Add while another goroutine
-	// is already blocked in Drain, which WaitGroup forbids.
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	pendN    int
-
-	errMu     sync.Mutex
-	asyncErrs []error
-	errCount  int
 
 	// log is the attached write-ahead log (nil = durability off). It is
 	// set at construction (Config.WAL) or once by AttachWAL before the
@@ -287,7 +279,6 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 		inflight: make([]int, len(perShard)),
 		log:      cfg.WAL,
 	}
-	s.pendCond = sync.NewCond(&s.pendMu)
 	base := 0
 	for i, m := range perShard {
 		w := &worker{
@@ -554,96 +545,6 @@ func deadlineFrom(timeout time.Duration) int64 {
 	return monotonicNS() + int64(timeout)
 }
 
-// Submit enqueues one request and returns immediately; the result is
-// folded into the shard report and Drain's error summary. Submit blocks
-// only when the owning shard's buffer is full. Requests touching the
-// same job name must not be in flight concurrently (Drain between an
-// async insert and a delete of the same name); requests for different
-// names are unordered across shards by design.
-func (s *Scheduler) Submit(r jobs.Request) error {
-	return s.SubmitDeadline(r, 0)
-}
-
-// SubmitDeadline is Submit with a request deadline (see ApplyDeadline
-// for the semantics). A deadline expiry surfaces like any other async
-// failure: folded into Drain's error summary.
-func (s *Scheduler) SubmitDeadline(r jobs.Request, timeout time.Duration) error {
-	s.pendAdd()
-	err := s.dispatchTimed(r, deadlineFrom(timeout), func(_ metrics.Cost, err error) {
-		if err != nil {
-			s.recordAsyncErr(r.String(), err)
-		}
-		s.pendDone()
-	})
-	if err != nil {
-		s.pendDone()
-		return err
-	}
-	return nil
-}
-
-func (s *Scheduler) pendAdd() {
-	s.pendMu.Lock()
-	s.pendN++
-	s.pendMu.Unlock()
-}
-
-func (s *Scheduler) pendDone() {
-	s.pendMu.Lock()
-	s.pendN--
-	if s.pendN == 0 {
-		s.pendCond.Broadcast()
-	}
-	s.pendMu.Unlock()
-}
-
-func (s *Scheduler) pendWait() {
-	s.pendMu.Lock()
-	for s.pendN > 0 {
-		s.pendCond.Wait()
-	}
-	s.pendMu.Unlock()
-}
-
-// Drain blocks until every outstanding Submit has been served, then
-// reports asynchronous failures: nil if all succeeded, otherwise an
-// error summarizing the count and the first retained failure.
-//
-// The handoff is consume-once: Drain takes the whole retained log (and
-// the count, which keeps counting past the maxRetainedErrs retention
-// cap) in one atomic cut, so a failure is reported by exactly one Drain
-// call — a later Drain never re-reports errors a prior Drain already
-// returned, and failures recorded after the cut wait for the next
-// Drain.
-func (s *Scheduler) Drain() error {
-	s.pendWait()
-	errs, n := s.takeAsyncErrs()
-	if n == 0 {
-		return nil
-	}
-	return fmt.Errorf("shard: %d async request(s) failed, first: %w", n, errs[0])
-}
-
-// takeAsyncErrs atomically consumes the retained failure log.
-func (s *Scheduler) takeAsyncErrs() ([]error, int) {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	errs, n := s.asyncErrs, s.errCount
-	s.asyncErrs, s.errCount = nil, 0
-	return errs, n
-}
-
-const maxRetainedErrs = 16
-
-func (s *Scheduler) recordAsyncErr(what string, err error) {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	s.errCount++
-	if len(s.asyncErrs) < maxRetainedErrs {
-		s.asyncErrs = append(s.asyncErrs, fmt.Errorf("%s: %w", what, err))
-	}
-}
-
 // dispatchTimed validates, reserves (for inserts), routes, and enqueues
 // one request. finish runs exactly once with the request's final
 // outcome — on a worker goroutine, so it must not block on scheduler
@@ -655,9 +556,9 @@ func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(me
 		return err
 	}
 	if s.isClosed() {
-		// Fail fast with the sentinel so every post-Close request — sync
-		// or async, insert or delete, known name or not — reports
-		// ErrClosed instead of whatever routing would conclude first.
+		// Fail fast with the sentinel so every post-Close request —
+		// insert or delete, known name or not — reports ErrClosed
+		// instead of whatever routing would conclude first.
 		// (Closing between this check and the enqueue is still safe: the
 		// send itself re-checks under the lock.)
 		return ErrClosed
@@ -693,9 +594,9 @@ func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(me
 // job's overflow shard racing a re-insert on its primary) could log
 // out of execution order — but only if the caller issues same-name
 // requests concurrently, which the front-end's request contract
-// already forbids (see Submit): issue the re-insert after the delete's
-// ack and the delete's record is durable first, because acks happen
-// after the append.
+// already forbids (see the package comment): issue the re-insert after
+// the delete's ack and the delete's record is durable first, because
+// acks happen after the append.
 func (s *Scheduler) durableFinish(r jobs.Request, finish func(metrics.Cost, error)) func(metrics.Cost, error) {
 	return func(c metrics.Cost, err error) {
 		if errors.Is(err, ErrDeadlineExceeded) {
@@ -1283,39 +1184,6 @@ func (s *Scheduler) recordResize(rc metrics.ResizeCost) {
 	s.mu.Unlock()
 }
 
-// ResizeReq is an asynchronous pool-resize request for SubmitResize.
-type ResizeReq struct {
-	// Shard is the shard to resize, or -1 to re-partition the whole
-	// pool to Machines.
-	Shard int
-	// Delta is the machine-count change for Shard >= 0.
-	Delta int
-	// Machines is the new pool total for Shard == -1.
-	Machines int
-}
-
-// SubmitResize enqueues a resize and returns immediately; Drain waits
-// for it like any Submit, and failures surface in Drain's summary.
-func (s *Scheduler) SubmitResize(r ResizeReq) error {
-	if s.isClosed() {
-		return ErrClosed
-	}
-	s.pendAdd()
-	go func() {
-		defer s.pendDone()
-		var err error
-		if r.Shard < 0 {
-			_, err = s.Resize(r.Machines)
-		} else {
-			_, err = s.ResizeShard(r.Shard, r.Delta)
-		}
-		if err != nil {
-			s.recordAsyncErr(fmt.Sprintf("resize %+v", r), err)
-		}
-	}()
-	return nil
-}
-
 // SelfCheck validates every shard's internal invariants plus the
 // front-end's routing table. Implements sched.Scheduler.
 func (s *Scheduler) SelfCheck() error {
@@ -1467,12 +1335,10 @@ func (s *Scheduler) Checkpoint() error {
 	return nil
 }
 
-// Close drains outstanding asynchronous requests, stops every shard
-// worker, closes the attached WAL (if any), and releases the request
-// channels. Requests after Close fail with ErrClosed. Close is
-// idempotent.
+// Close serves every request already queued, stops every shard worker,
+// closes the attached WAL (if any), and releases the request channels.
+// Requests after Close fail with ErrClosed. Close is idempotent.
 func (s *Scheduler) Close() {
-	s.pendWait()
 	s.sendMu.Lock()
 	if s.closed.Load() {
 		s.sendMu.Unlock()

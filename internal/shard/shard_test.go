@@ -139,36 +139,6 @@ func TestDuplicateAndUnknown(t *testing.T) {
 	}
 }
 
-func TestSubmitDrain(t *testing.T) {
-	s := newTestSharded(t, 4, 4)
-	for i := 0; i < 100; i++ {
-		if err := s.Submit(jobs.InsertReq(fmt.Sprintf("async-%03d", i), 0, 1024)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if got := s.Active(); got != 100 {
-		t.Fatalf("Active() = %d, want 100", got)
-	}
-	rep := s.Report()
-	if tot := rep.Total(); tot.Requests != 100 || tot.Failures != 0 {
-		t.Errorf("report total = %+v, want 100 requests, 0 failures", tot)
-	}
-	// An async failure must surface in Drain, then reset.
-	if err := s.Submit(jobs.InsertReq("async-000", 0, 1024)); err == nil {
-		// Duplicate detection is synchronous at dispatch; either path
-		// (sync error or drained error) is acceptable, but one must fire.
-		if err := s.Drain(); err == nil {
-			t.Error("duplicate async insert surfaced no error")
-		}
-	}
-	if err := s.Drain(); err != nil {
-		t.Errorf("second drain should be clean, got %v", err)
-	}
-}
-
 // rejecting wraps a scheduler and refuses every insert, simulating a
 // shard whose machine range is locally overallocated.
 type rejecting struct{ sched.Scheduler }
@@ -276,8 +246,8 @@ func TestClose(t *testing.T) {
 	if _, err := s.Insert(jobs.Job{Name: "b", Window: jobs.Window{Start: 0, End: 64}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("insert after close err = %v, want ErrClosed", err)
 	}
-	if err := s.Submit(jobs.DeleteReq("a")); !errors.Is(err, ErrClosed) {
-		t.Errorf("submit after close err = %v, want ErrClosed", err)
+	if _, err := s.Apply(jobs.DeleteReq("a")); !errors.Is(err, ErrClosed) {
+		t.Errorf("delete after close err = %v, want ErrClosed", err)
 	}
 }
 

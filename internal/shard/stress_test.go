@@ -11,8 +11,8 @@ import (
 )
 
 // TestConcurrentStress hammers one sharded scheduler from many
-// goroutines — mixing the synchronous Apply path with the asynchronous
-// Submit path — and cross-checks the final assignment against the
+// goroutines — mixing the per-request Apply path with one-request
+// ApplyBatch calls — and cross-checks the final assignment against the
 // external feasibility verifier. Run with -race (CI does).
 func TestConcurrentStress(t *testing.T) {
 	const (
@@ -58,23 +58,23 @@ func TestConcurrentStress(t *testing.T) {
 				if r.Kind == jobs.Delete && failed[r.Name] {
 					continue
 				}
-				// Inserts always go through the sync path so a later
-				// delete of the same name (same lane, by the name
-				// partition) finds it settled; deletes alternate
-				// between the sync and async paths.
+				// Inserts always go through Apply, so an insert
+				// that failed is known before its delete comes up;
+				// deletes alternate between Apply and ApplyBatch.
 				if r.Kind == jobs.Insert {
 					if _, err := s.Apply(r); err != nil {
 						failed[r.Name] = true
 					}
 					continue
 				}
+				var err error
 				if i%2 == 0 {
-					if _, err := s.Apply(r); err != nil {
-						errCh <- fmt.Errorf("lane %d: %s: %w", lane, r, err)
-						return
-					}
-				} else if err := s.Submit(r); err != nil {
-					errCh <- fmt.Errorf("lane %d: submit %s: %w", lane, r, err)
+					_, err = s.Apply(r)
+				} else {
+					_, err = s.ApplyBatch([]jobs.Request{r})
+				}
+				if err != nil {
+					errCh <- fmt.Errorf("lane %d: %s: %w", lane, r, err)
 					return
 				}
 			}
@@ -84,11 +84,6 @@ func TestConcurrentStress(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Error(err)
-	}
-	if err := s.Drain(); err != nil {
-		// Async deletes may race an earlier failed insert; only report
-		// drain errors when no insert ever failed.
-		t.Logf("drain: %v", err)
 	}
 
 	if err := s.SelfCheck(); err != nil {
@@ -107,58 +102,4 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("no requests reached the shards")
 	}
 	t.Logf("stress report:\n%s", rep)
-}
-
-// TestConcurrentSubmitOnly floods the async path from many goroutines
-// with disjoint name spaces, then drains and verifies.
-func TestConcurrentSubmitOnly(t *testing.T) {
-	const goroutines = 8
-	per := 300
-	if testing.Short() {
-		per = 60
-	}
-	s := New(Config{Shards: 8, Machines: 8, Factory: stackFactory})
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	for gi := 0; gi < goroutines; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				name := fmt.Sprintf("g%d-j%04d", gi, i)
-				if err := s.Submit(jobs.InsertReq(name, 0, 1<<14)); err != nil {
-					t.Errorf("submit %s: %v", name, err)
-					return
-				}
-				if i%3 == 2 {
-					// Settle this goroutine's outstanding inserts, then
-					// delete one of its own jobs via the sync path.
-					if err := s.Drain(); err != nil {
-						t.Errorf("drain: %v", err)
-						return
-					}
-					victim := fmt.Sprintf("g%d-j%04d", gi, i-2)
-					if _, err := s.Delete(victim); err != nil {
-						t.Errorf("delete %s: %v", victim, err)
-						return
-					}
-				}
-			}
-		}(gi)
-	}
-	wg.Wait()
-	if err := s.Drain(); err != nil {
-		t.Fatalf("final drain: %v", err)
-	}
-	if err := s.SelfCheck(); err != nil {
-		t.Fatalf("SelfCheck: %v", err)
-	}
-	if err := feasible.VerifySchedule(s.Jobs(), s.Assignment(), s.Machines()); err != nil {
-		t.Fatalf("VerifySchedule: %v", err)
-	}
-	wantActive := goroutines * (per - per/3)
-	if got := s.Active(); got != wantActive {
-		t.Fatalf("Active() = %d, want %d", got, wantActive)
-	}
 }

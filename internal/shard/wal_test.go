@@ -166,8 +166,8 @@ func TestRestoreConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointRacesSubmitAndResize is the restore-vs-submit race
-// test: Checkpoint() runs repeatedly while Submit, ApplyBatch, and
-// SubmitResize traffic is in flight. Every checkpoint written must be a
+// test: Checkpoint() runs repeatedly while Apply, ApplyBatch, and
+// Resize traffic is in flight from concurrent goroutines. Every checkpoint written must be a
 // consistent point-in-time image — every job placed, every placement
 // inside the checkpointed machine range, feasible as a schedule — and
 // the final checkpoint must restore to exactly the final job set.
@@ -198,8 +198,8 @@ func TestCheckpointRacesSubmitAndResize(t *testing.T) {
 				name := fmt.Sprintf("c%d-%04d", g, i)
 				switch i % 3 {
 				case 0:
-					if err := s.Submit(jobs.InsertReq(name, 0, 4096)); err != nil {
-						t.Errorf("submit %s: %v", name, err)
+					if _, err := s.Apply(jobs.InsertReq(name, 0, 4096)); err != nil {
+						t.Errorf("apply %s: %v", name, err)
 						return
 					}
 				case 1:
@@ -218,7 +218,7 @@ func TestCheckpointRacesSubmitAndResize(t *testing.T) {
 						return
 					}
 					if g == 0 && i%15 == 2 {
-						if err := s.SubmitResize(ResizeReq{Shard: -1, Machines: 8 + int(resizes.Add(1))%4}); err != nil {
+						if _, err := s.Resize(8 + int(resizes.Add(1))%4); err != nil {
 							t.Errorf("resize: %v", err)
 							return
 						}
@@ -259,9 +259,6 @@ func TestCheckpointRacesSubmitAndResize(t *testing.T) {
 		}
 	}
 settled:
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("final checkpoint: %v", err)
 	}

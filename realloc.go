@@ -20,10 +20,11 @@
 // The stack composes, outermost first: window alignment (Section 5),
 // round-robin machine delegation (Section 3), window trimming with n*
 // doubling (Section 4), and the reservation-based pecking-order
-// scheduler (Section 4, the paper's core contribution). Each layer is
-// independently available via options, and the classical baselines the
-// paper compares against (naive pecking order, EDF/LLF recompute) are
-// exposed as NewNaive and NewEDF.
+// scheduler (Section 4, the paper's core contribution), with the fixed
+// trimming slack γ = 8 that Lemma 8 needs. The bare reservation
+// scheduler and the classical baselines the paper compares against
+// (naive pecking order, EDF/LLF recompute) are exposed as
+// NewReservation, NewNaive and NewEDF.
 //
 // Schedulers built by New are single-threaded. For concurrent callers,
 // NewSharded builds a thread-safe front-end that partitions the machine
@@ -34,8 +35,9 @@
 //	s := realloc.NewSharded(realloc.WithMachines(8), realloc.WithShards(4))
 //	defer s.Close()
 //	cost, err := s.Insert(realloc.Job{Name: "batch-1", Window: realloc.Win(0, 64)})
-//	_ = s.Submit(realloc.InsertReq("batch-2", 0, 64)) // async path
-//	err = s.Drain()
+//	costs, err := realloc.ApplyBatch(s, []realloc.Request{
+//		realloc.InsertReq("batch-2", 0, 64), realloc.DeleteReq("batch-1"),
+//	})
 //	report := s.Report() // per-shard cost breakdown
 //
 // Sharded schedulers can be made durable: WithWAL(dir) appends every
@@ -82,19 +84,15 @@ type (
 	// module.
 	Scheduler = sched.Scheduler
 	// Sharded is the concurrent sharded front-end built by NewSharded:
-	// a Scheduler that is safe for concurrent use, plus the async
-	// Submit/Drain path, the per-shard Report, and Close.
+	// a Scheduler that is safe for concurrent use, plus the bulk
+	// ApplyBatch, deadline-bounded ApplyDeadline, the per-shard Report,
+	// and Close.
 	Sharded = shard.Scheduler
-	// ShardPolicy routes job names to primary shards; see WithShardPolicy.
-	ShardPolicy = shard.Policy
 	// ShardReport is the per-shard cost breakdown of a Sharded scheduler.
 	ShardReport = metrics.ShardReport
 	// ResizeCost is the migration bill of one elastic pool resize; see
 	// Sharded.Resize and Sharded.ResizeShard.
 	ResizeCost = metrics.ResizeCost
-	// ResizeReq is the asynchronous resize request accepted by
-	// Sharded.SubmitResize; failures surface in Drain.
-	ResizeReq = shard.ResizeReq
 	// Snapshot is an atomically captured jobs+assignment view of a
 	// Sharded scheduler; see Sharded.Snapshot and Verify.
 	Snapshot = shard.Snapshot
@@ -105,8 +103,8 @@ type (
 // classes — the embedded schedulers, the WAL, the wire codec, the
 // network client — aliases the same sentinel, so errors.Is against
 // the realloc names works identically for embedded and remote callers:
-// a CodeOverload ack decoded by repro/client and an admission rejection
-// from Sharded.Submit both satisfy errors.Is(err, realloc.ErrOverload).
+// a CodeDeadline ack decoded by repro/client and a Sharded.ApplyDeadline
+// expiry both satisfy errors.Is(err, realloc.ErrDeadlineExceeded).
 var (
 	// ErrDuplicateJob reports an insert whose name is already active.
 	ErrDuplicateJob = fault.ErrDuplicateJob
@@ -116,7 +114,7 @@ var (
 	// instance is not sufficiently underallocated.
 	ErrInfeasible = fault.ErrInfeasible
 	// ErrMisaligned reports an unaligned window given to an aligned-only
-	// scheduler (disable alignment wrapping to see it).
+	// scheduler such as NewReservation or NewNaive.
 	ErrMisaligned = fault.ErrMisaligned
 	// ErrClosed reports an operation against a closed scheduler, WAL,
 	// server, or client connection.
@@ -152,12 +150,7 @@ func DeleteReq(name string) Request { return jobs.DeleteReq(name) }
 // Options configure New and NewSharded.
 type Options struct {
 	machines   int
-	gamma      int64
-	align      bool
-	trim       bool
 	shards     int
-	policy     shard.Policy
-	buffer     int
 	walDir     string
 	walFsync   bool
 	walObserve func(seg uint64, off int64, group []byte)
@@ -169,38 +162,17 @@ type Option func(*Options)
 // WithMachines sets the number of machines (default 1).
 func WithMachines(m int) Option { return func(o *Options) { o.machines = m } }
 
-// WithGamma sets the slack factor used by window trimming (default 8,
-// the constant Lemma 8 needs for the single-machine scheduler).
-func WithGamma(gamma int64) Option { return func(o *Options) { o.gamma = gamma } }
-
-// WithoutAlignment drops the Section 5 wrapper; every window must then
-// be aligned (span a power of two, start a multiple of the span).
-func WithoutAlignment() Option { return func(o *Options) { o.align = false } }
-
-// WithoutTrimming drops the Section 4 n*-trimming wrapper; windows are
-// then used at full span (reallocation cost follows log* Δ, and spans
-// above 2^28 are rejected to bound interval bookkeeping).
-func WithoutTrimming() Option { return func(o *Options) { o.trim = false } }
-
 // WithShards sets the shard count of NewSharded (0, the zero value,
 // means the default of 4; negative counts panic in NewSharded). New
 // ignores it. The same rules hold one layer down in shard.Config,
 // whose default is 1.
 func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 
-// WithShardPolicy overrides how NewSharded routes job names to primary
-// shards (default: consistent hash ring). New ignores it.
-func WithShardPolicy(p ShardPolicy) Option { return func(o *Options) { o.policy = p } }
-
-// WithShardBuffer sets the per-shard request channel capacity of
-// NewSharded (default 256). New ignores it.
-func WithShardBuffer(n int) Option { return func(o *Options) { o.buffer = n } }
-
 // WithWAL makes NewSharded durable: dir receives a write-ahead log (a
 // CRC-framed binary log of every admitted request) and, on demand, the
-// point-in-time checkpoints written by Sharded.Checkpoint. Every
-// admission path — sync Apply, async Submit, and bulk ApplyBatch — and
-// every resize appends its record BEFORE acknowledging, with group
+// point-in-time checkpoints written by Sharded.Checkpoint. Both
+// admission paths — per-request Apply and bulk ApplyBatch — and every
+// resize append their record BEFORE acknowledging, with group
 // commit coalescing concurrent appends into one write. A crashed
 // process recovers with OpenRecovered, which bounds recovery to "load
 // the latest checkpoint, replay the log tail".
@@ -236,8 +208,7 @@ func WithWALObserver(fn func(seg uint64, off int64, group []byte)) Option {
 // alignment -> round-robin delegation over m machines -> per-machine
 // window trimming -> reservation-based pecking-order scheduling.
 func New(opts ...Option) Scheduler {
-	o := defaultOptions(opts)
-	return buildStack(o, o.machines)
+	return buildStack(defaultOptions(opts).machines)
 }
 
 // NewSharded builds the concurrent sharded front-end: the machine pool
@@ -254,10 +225,10 @@ func New(opts ...Option) Scheduler {
 // skewed instances may pay overflow hops; Report exposes the per-shard
 // breakdown.
 //
-// The machine pool is elastic: Resize/ResizeShard (and the async
-// SubmitResize) grow or shrink shards' machine ranges at runtime with
-// bounded migrations — growing never moves a job, shrinking re-places
-// only the jobs of the drained machines.
+// The machine pool is elastic: Resize/ResizeShard grow or shrink
+// shards' machine ranges at runtime with bounded migrations — growing
+// never moves a job, shrinking re-places only the jobs of the drained
+// machines.
 //
 // Validation matches shard.New: WithShards(0) — the unset zero value —
 // means the default of 4, and negative shard counts panic. When the
@@ -281,12 +252,8 @@ func NewSharded(opts ...Option) *Sharded {
 	return shard.New(shard.Config{
 		Shards:   o.shards,
 		Machines: o.machines,
-		Policy:   o.policy,
-		Buffer:   o.buffer,
 		WAL:      log,
-		// Always build the multi-machine wrapper (even for one machine)
-		// so every shard implements sched.Elastic and can be resized.
-		Factory: func(machines int) sched.Scheduler { return buildElasticStack(o, machines) },
+		Factory:  buildElasticStack,
 	})
 }
 
@@ -313,22 +280,15 @@ func NewShardedFromCheckpoint(ck *Checkpoint, opts ...Option) (*Sharded, error) 
 	if o.shards < 0 {
 		return nil, fmt.Errorf("realloc: WithShards(%d)", o.shards)
 	}
-	factory := func(machines int) sched.Scheduler { return buildElasticStack(o, machines) }
 	if ck == nil {
 		o.shardedDefaults()
 		return shard.New(shard.Config{
 			Shards:   o.shards,
 			Machines: o.machines,
-			Policy:   o.policy,
-			Buffer:   o.buffer,
-			Factory:  factory,
+			Factory:  buildElasticStack,
 		}), nil
 	}
-	return shard.Restore(shard.Config{
-		Policy:  o.policy,
-		Buffer:  o.buffer,
-		Factory: factory,
-	}, ck)
+	return shard.Restore(shard.Config{Factory: buildElasticStack}, ck)
 }
 
 // Recovery reports what OpenRecovered found and replayed.
@@ -369,9 +329,9 @@ type Recovery struct {
 // image owns the topology: the shard count and machine partition come
 // from it, and explicit shard/machine options are ignored, so a process
 // that restarts with its original options after a Resize recovers the
-// resized pool. Without a checkpoint they come from the options, and the
-// routing policy must match for the replay to reproduce the original
-// placement decisions.
+// resized pool. Without a checkpoint they come from the options, which
+// must match for the replay to reproduce the original placement
+// decisions.
 func OpenRecovered(dir string, opts ...Option) (*Sharded, *Recovery, error) {
 	o := defaultOptions(opts)
 	if o.shards < 0 {
@@ -432,49 +392,37 @@ func (o *Options) shardedDefaults() {
 }
 
 func defaultOptions(opts []Option) Options {
-	o := Options{machines: 1, gamma: 8, align: true, trim: true}
+	o := Options{machines: 1}
 	for _, f := range opts {
 		f(&o)
 	}
 	return o
 }
 
+// gamma is the trimming slack factor: the constant Lemma 8 needs for
+// the single-machine scheduler.
+const gamma = 8
+
 // buildStack composes the Theorem 1 stack over the given machine count:
 // alignment -> balanced delegation -> trimming -> reservations.
-func buildStack(o Options, machines int) sched.Scheduler {
-	single := singleFactory(o)
-	var s sched.Scheduler
+func buildStack(machines int) sched.Scheduler {
 	if machines == 1 {
-		s = single()
-	} else {
-		s = multi.New(machines, multi.Factory(single))
+		return alignsched.New(single())
 	}
-	if o.align {
-		s = alignsched.New(s)
-	}
-	return s
+	return buildElasticStack(machines)
 }
 
 // buildElasticStack is buildStack with the multi wrapper always present
 // (even over a single machine), so the result implements sched.Elastic
 // and a sharded front-end can grow or shrink it at runtime.
-func buildElasticStack(o Options, machines int) sched.Scheduler {
-	var s sched.Scheduler = multi.New(machines, multi.Factory(singleFactory(o)))
-	if o.align {
-		s = alignsched.New(s)
-	}
-	return s
+func buildElasticStack(machines int) sched.Scheduler {
+	return alignsched.New(multi.New(machines, single))
 }
 
-// singleFactory builds the per-machine scheduler New composes:
-// trimming over the reservation core.
-func singleFactory(o Options) func() sched.Scheduler {
-	coreFactory := func() sched.Scheduler { return core.New(core.WithMaxIntervals(1 << 20)) }
-	if !o.trim {
-		return coreFactory
-	}
-	gamma := o.gamma
-	return func() sched.Scheduler { return trim.New(gamma, coreFactory) }
+// single builds the per-machine scheduler New composes: trimming over
+// the reservation core.
+func single() sched.Scheduler {
+	return trim.New(gamma, func() sched.Scheduler { return core.New(core.WithMaxIntervals(1 << 20)) })
 }
 
 // NewReservation returns the bare single-machine reservation scheduler

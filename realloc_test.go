@@ -51,7 +51,7 @@ func TestErrorsExported(t *testing.T) {
 
 func TestMultiMachineStack(t *testing.T) {
 	m := 4
-	s := New(WithMachines(m), WithGamma(8))
+	s := New(WithMachines(m))
 	if s.Machines() != m {
 		t.Fatalf("machines = %d", s.Machines())
 	}
@@ -78,16 +78,6 @@ func TestMultiMachineStack(t *testing.T) {
 		if c.Migrations > 1 {
 			t.Errorf("delete %d migrated %d", i, c.Migrations)
 		}
-	}
-}
-
-func TestWithoutWrappers(t *testing.T) {
-	s := New(WithoutAlignment(), WithoutTrimming())
-	if _, err := s.Insert(Job{Name: "x", Window: Win(5, 9)}); !errors.Is(err, ErrMisaligned) {
-		t.Errorf("expected misaligned without the Section 5 wrapper, got %v", err)
-	}
-	if _, err := s.Insert(Job{Name: "y", Window: Win(0, 64)}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -184,34 +174,6 @@ func TestNewShardedBasics(t *testing.T) {
 		t.Errorf("report total = %+v", tot)
 	}
 }
-
-func TestNewShardedAsyncAndOptions(t *testing.T) {
-	// One shard per machine, tiny buffer, custom policy pinning
-	// everything to shard 0.
-	s := NewSharded(WithShards(2), WithShardBuffer(4),
-		WithShardPolicy(pinPolicy{}))
-	defer s.Close()
-	for i := 0; i < 20; i++ {
-		if err := s.Submit(InsertReq(fmt.Sprintf("a%02d", i), 0, 512)); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	}
-	if err := s.Drain(); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	rep := s.Report()
-	if rep.Shards[0].Requests == 0 {
-		t.Error("pinning policy routed nothing to shard 0")
-	}
-	if _, err := Apply(s, DeleteReq("a00")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// pinPolicy pins every job to shard 0.
-type pinPolicy struct{}
-
-func (pinPolicy) Route(string, int) int { return 0 }
 
 func TestNewShardedGrowsMachinePool(t *testing.T) {
 	// machines < shards: the pool grows so each shard owns a machine.
@@ -331,7 +293,7 @@ func TestShardCountValidationUnified(t *testing.T) {
 }
 
 // TestShardedResizePublicAPI drives the elastic control path through
-// the public aliases: Resize, ResizeShard, SubmitResize + ResizeReq.
+// the public aliases: Resize, ResizeShard, ResizeCost and Snapshot.
 func TestShardedResizePublicAPI(t *testing.T) {
 	s := NewSharded(WithMachines(4), WithShards(2))
 	defer s.Close()
@@ -354,10 +316,7 @@ func TestShardedResizePublicAPI(t *testing.T) {
 	if _, err := s.ResizeShard(1, -2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitResize(ResizeReq{Shard: -1, Machines: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Drain(); err != nil {
+	if _, err := s.Resize(4); err != nil {
 		t.Fatal(err)
 	}
 	if s.Machines() != 4 {

@@ -277,10 +277,7 @@ func TestRecoveredSchedulerContinuesLogging(t *testing.T) {
 	if _, err := r1.Insert(Job{Name: "second", Window: Win(64, 128)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Submit(InsertReq("third", 128, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r1.Drain(); err != nil {
+	if _, err := ApplyBatch(r1, []Request{InsertReq("third", 128, 256)}); err != nil {
 		t.Fatal(err)
 	}
 	r1.Close()
