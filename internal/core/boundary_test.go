@@ -1,14 +1,14 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
+	"runtime"
 	"testing"
 
 	"repro/internal/align"
 	"repro/internal/feasible"
 	"repro/internal/jobs"
+	"repro/internal/sched"
 )
 
 // Spans exactly at the level thresholds: 32 (top of level 0), 64 (bottom
@@ -41,7 +41,7 @@ func TestLevelBoundarySpans(t *testing.T) {
 	}
 }
 
-// Jobs at large time offsets: the sparse interval map must not care
+// Jobs at large time offsets: the sparse page directory must not care
 // where on the timeline windows sit.
 func TestFarOffsets(t *testing.T) {
 	s := New()
@@ -108,62 +108,6 @@ func TestAllowanceExhaustionAndRecovery(t *testing.T) {
 	}
 }
 
-func TestLevelBreakdown(t *testing.T) {
-	s := New()
-	mustInsert(t, s, job("base", 0, 8))    // level 0
-	mustInsert(t, s, job("mid", 0, 64))    // level 1
-	mustInsert(t, s, job("big", 0, 1024))  // level 2
-	mustInsert(t, s, job("mid2", 64, 128)) // level 1
-	br := s.LevelBreakdown()
-	if len(br) != align.NumLevels {
-		t.Fatalf("%d levels", len(br))
-	}
-	if br[0].Jobs != 1 || br[1].Jobs != 2 || br[2].Jobs != 1 {
-		t.Errorf("job breakdown %+v", br)
-	}
-	if br[1].Intervals == 0 || br[2].Intervals == 0 {
-		t.Errorf("intervals missing: %+v", br)
-	}
-	if br[1].Fulfilled == 0 {
-		t.Errorf("no fulfilled reservations at level 1: %+v", br)
-	}
-}
-
-func TestDebugDump(t *testing.T) {
-	s := New()
-	mustInsert(t, s, job("alpha", 0, 64))
-	mustInsert(t, s, job("beta", 0, 8))
-	var buf bytes.Buffer
-	if err := s.DebugDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"2 jobs",
-		"job alpha",
-		"job beta",
-		"window [0,64)",
-		"interval L1 [0,32)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestDebugDumpPoisoned(t *testing.T) {
-	s := New()
-	mustInsert(t, s, job("a", 0, 1))
-	s.Insert(job("b", 0, 1)) // poisons
-	var buf bytes.Buffer
-	if err := s.DebugDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "POISONED") {
-		t.Error("poison marker missing")
-	}
-}
-
 // Interleave base and level jobs at the same timeline region heavily and
 // confirm feasibility against offline EDF at every tenth step.
 func TestDenseInterleaving(t *testing.T) {
@@ -184,4 +128,59 @@ func TestDenseInterleaving(t *testing.T) {
 		}
 		verifyFeasible(t, s)
 	}
+}
+
+// TestDirectoryIsSparse puts base, level-1 and level-2 jobs (spans 8,
+// 128, 2048) at 1<<61 next to the same jobs at 0, and again at 4096:
+// the page directory materializes only the intervals the windows cover,
+// and what the requests allocate does not grow with the start, as a
+// dense, horizon-sized directory's would.
+func TestDirectoryIsSparse(t *testing.T) {
+	run := func(far int64) uint64 {
+		for schedPool.Get() != nil { // a fresh scheduler, not a recycled one
+		}
+		s := New()
+		var allocated uint64
+		var before, after runtime.MemStats
+		request := func(r jobs.Request) {
+			t.Helper()
+			runtime.ReadMemStats(&before)
+			_, err := sched.Apply(s, r)
+			runtime.ReadMemStats(&after)
+			allocated += after.TotalAlloc - before.TotalAlloc
+			if err != nil {
+				t.Fatalf("start %d: %v: %v", far, r, err)
+			}
+			if err := s.SelfCheck(); err != nil {
+				t.Fatalf("start %d: after %v: %v", far, r, err)
+			}
+		}
+		var names []string
+		for _, start := range []int64{0, far} {
+			for _, span := range []int64{8, 128, 2048} {
+				name := fmt.Sprintf("s%d@%d", span, start)
+				names = append(names, name)
+				request(jobs.Request{Kind: jobs.Insert, Name: name, Window: win(start, start+span)})
+			}
+		}
+		// Two level-1 windows of 4 intervals, two level-2 windows of 8.
+		counted := 0
+		for _, p := range s.livePages() {
+			for range p.intervals() {
+				counted++
+			}
+		}
+		if got := s.Stats().Intervals; got != 24 || counted != 24 {
+			t.Fatalf("start %d: Stats reports %d intervals, the pages hold %d, the windows cover 24", far, got, counted)
+		}
+		for _, name := range names {
+			request(jobs.Request{Kind: jobs.Delete, Name: name})
+		}
+		return allocated
+	}
+	near, far := run(1<<12), run(1<<61)
+	if far > 2*near {
+		t.Fatalf("requests at 1<<61 allocate %d bytes, at 4096 %d: the directory is not sparse", far, near)
+	}
+	t.Logf("allocated %d bytes at 4096, %d at 1<<61", near, far)
 }

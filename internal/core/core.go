@@ -32,6 +32,16 @@
 // waitlisted" and "longest fulfilled" are the lowest and highest set bits
 // of two masks, with no tie to break.
 //
+// # Positions
+//
+// Slots, intervals and windows are all found by position, with no hash
+// map keyed by them: a sparse page directory (page.go) maps each run of
+// 256 slots (one level-2 interval) to a page holding the slots'
+// occupants, the intervals inside it and the windows that start in it.
+// A new interval takes each enclosing window that does not start with it
+// from its left neighbour's rank table, and fulfills its base
+// reservations in one pass over its slots.
+//
 // # Pecking order
 //
 // Lower levels schedule without regard to higher levels: placing a job in
@@ -76,17 +86,11 @@ func (k winKey) window() jobs.Window { return jobs.Window{Start: k.start, End: k
 
 func keyOf(w jobs.Window) winKey { return winKey{start: w.Start, span: w.Span()} }
 
-// ivKey identifies a level-l interval by its level and start.
-type ivKey struct {
-	level int
-	start Time
-}
-
 // jobState is one active job. The hot-path machinery references jobs by
-// their interned dense ID (slice indexing, integer map keys); the name
-// is kept only for error texts and the public snapshots. jobStates are
-// recycled through the scheduler's free list, so a steady-state
-// insert/delete churn allocates nothing.
+// their interned dense ID (slice indexing, the 4-byte slot entries of a
+// page); the name is kept only for error texts and the public snapshots.
+// jobStates are recycled through the scheduler's free list, so a
+// steady-state insert/delete churn allocates nothing.
 type jobState struct {
 	name  string
 	id    ident.ID
@@ -104,29 +108,33 @@ func (j *jobState) window() jobs.Window { return j.key.window() }
 // reservations. Window states are created lazily (either by a job arrival
 // or by an interval materializing its base reservation) and persist for
 // the lifetime of the scheduler, exactly as the paper's conceptual
-// "every window always has its base reservations".
+// "every window always has its base reservations". The page holding the
+// window's first slot owns it.
 type windowState struct {
 	key          winKey
 	level        int
-	rank         int   // index of key.span in align.SpansAtLevel(level)
-	numIntervals int64 // 2^k
-	x            int   // active jobs with exactly this window
-	materialized bool  // all intervals created (true once a job arrives)
+	rank         int  // index of key.span in align.SpansAtLevel(level)
+	x            int  // active jobs with exactly this window
+	materialized bool // all intervals created (true once a job arrives)
 	// nFulfilled counts the slots backing this window's fulfilled
 	// reservations: those its intervals assign to its rank. The own-level
-	// job on such a slot, if any, is the s.slots entry there.
+	// job on such a slot, if any, is the page's occupant there.
 	nFulfilled int
 	// free indexes a materialized window's job-free fulfilled slots by
 	// offset from key.start, by kind (freeEmpty, freeUnder); see
-	// freeindex.go.
-	free [2]bitIndex
+	// freeindex.go. It is allocated when the window first materializes:
+	// most windows only ever hold base reservations.
+	free *[2]bitIndex
 }
+
+// numIntervals is 2^k, the number of level-l intervals the window spans.
+func (ws *windowState) numIntervals() int64 { return 2 << ws.rank }
 
 // rankEntry is one enclosing window's row in an interval's table.
 type rankEntry struct {
 	ws        *windowState
-	reserved  int // reservations held here (base + round-robin extras)
-	fulfilled int // how many of them this interval fulfills
+	reserved  int32 // reservations held here (base + round-robin extras)
+	fulfilled int32 // how many of them this interval fulfills
 }
 
 // interval is one level-l interval: Ll consecutive slots. Its tables are
@@ -143,7 +151,10 @@ type interval struct {
 	// slotRank[t-start] is the rank whose fulfilled reservation slot t
 	// backs, or -1. Slots occupied by lower-level jobs are never assigned
 	// (they are outside the allowance).
-	slotRank  []int8
+	slotRank []int8
+	// occ is the owning page's occupant table over the interval's slots:
+	// occ[t-start] is the ID of the job on t.
+	occ       []ident.ID
 	nAssigned int
 }
 
@@ -152,34 +163,53 @@ type interval struct {
 // and slotRank is int8, so every level must have at most 64 spans.
 var rankBase = func() (b [align.NumLevels]int) {
 	for l := 1; l < align.NumLevels; l++ {
-		if align.NumSpansAtLevel(l) > 64 {
-			panic(fmt.Sprintf("core: level %d has %d spans, rank masks hold 64", l, align.NumSpansAtLevel(l)))
+		if n := [...]int{0, l1Ranks, l2Ranks}[l]; align.NumSpansAtLevel(l) != n || align.IntervalSpan(l) != 1<<ivShift[l] {
+			panic(fmt.Sprintf("core: level %d has %d spans and %d-slot intervals, the page geometry assumes %d and %d",
+				l, align.NumSpansAtLevel(l), align.IntervalSpan(l), n, 1<<ivShift[l]))
 		}
 		b[l] = mathx.Log2Exact(align.SpansAtLevel(l)[0])
 	}
 	return b
 }()
 
-// reset sizes iv's tables for the level-lvl interval at start, reusing a
-// pooled interval's capacity: every rank empty, every slot unassigned.
-func (iv *interval) reset(lvl int, start Time) {
-	iv.level, iv.start, iv.span = lvl, start, align.IntervalSpan(lvl)
-	iv.ranks = resized(iv.ranks, align.NumSpansAtLevel(lvl))
+var _ [64 - l2Ranks]struct{} // the rank masks hold every level-2 span
+
+// l1Block and l2Block hold an interval and its tables in one allocation.
+type l1Block struct {
+	iv    interval
+	ranks [l1Ranks]rankEntry
+	slots [1 << l1Shift]int8
+}
+
+type l2Block struct {
+	iv    interval
+	ranks [l2Ranks]rankEntry
+	slots [pageSize]int8
+}
+
+// newInterval allocates a level-lvl interval with its tables. Recycle
+// keeps it for reuse at the same level, so its tables never change size.
+func newInterval(lvl int) (iv *interval) {
+	if lvl == 1 {
+		b := new(l1Block)
+		iv, b.iv.ranks, b.iv.slotRank = &b.iv, b.ranks[:], b.slots[:]
+	} else {
+		b := new(l2Block)
+		iv, b.iv.ranks, b.iv.slotRank = &b.iv, b.ranks[:], b.slots[:]
+	}
+	iv.level, iv.span = lvl, int64(len(iv.slotRank))
+	return iv
+}
+
+// reset readies iv as the interval at start over the occupant table occ:
+// every rank empty, every slot unassigned.
+func (iv *interval) reset(start Time, occ []ident.ID) {
+	iv.start, iv.occ = start, occ
 	clear(iv.ranks)
-	iv.slotRank = resized(iv.slotRank, int(iv.span))
 	for i := range iv.slotRank {
 		iv.slotRank[i] = -1
 	}
 	iv.waitMask, iv.fullMask, iv.nAssigned = 0, 0, 0
-}
-
-// resized returns b with length n, reallocating only when it lacks the
-// capacity.
-func resized[T any](b []T, n int) []T {
-	if cap(b) < n {
-		return make([]T, n)
-	}
-	return b[:n]
 }
 
 // syncMasks refreshes rank r's waitMask and fullMask bits from its counts.
@@ -243,9 +273,17 @@ type Scheduler struct {
 	spare  []*jobState // recycled jobState structs
 	active int
 
-	slots   map[Time]*jobState
-	windows map[winKey]*windowState
-	ivs     map[ivKey]*interval
+	// dir is the page directory (page.go): key t >> pageShift. pages
+	// holds every page the scheduler owns, the nPages in dir first; the
+	// rest were emptied by Recycle. last caches the latest lookup.
+	dir    map[int64]*page
+	pages  []*page
+	nPages int
+	last   *page
+	// Spare intervals by level and windows by log2 of their span, kept
+	// by Recycle for the next generation.
+	spareIv [align.NumLevels][]*interval
+	spareWs [64][]*windowState
 
 	maxIntervals int64
 	policy       PlacementPolicy
@@ -259,24 +297,22 @@ type Scheduler struct {
 
 var _ sched.Scheduler = (*Scheduler)(nil)
 
-// Pools for the reservation machinery. The trimming wrappers rebuild by
-// building a FRESH core and discarding the old one, so on rebuild-heavy
-// workloads the windows, intervals, and their tables are the dominant
-// allocation source. Recycle (sched.Recycler) feeds a discarded
-// scheduler's structures back here; New drains the pools first, so a
-// rebuild reuses the previous generation's capacity.
-// Pooling invariant: everything is cleared on the way in — maps emptied
-// (capacity kept), rank tables' window pointers dropped, window counts
-// zeroed, jobState name strings and window pointers zeroed, the ID table
-// reset — so pooled structures pin no job names and leak no state
-// between generations. A pooled interval may come back at another
-// level; reset resizes its tables. A pooled window keeps its free-index
-// capacity; materialize resets the index before it is read.
-var (
-	schedPool    sync.Pool // *Scheduler
-	windowPool   sync.Pool // *windowState (counts zeroed)
-	intervalPool sync.Pool // *interval (ranks cleared)
-)
+// Recycling. The trimming wrappers rebuild by building a FRESH core and
+// discarding the old one, so on rebuild-heavy workloads the pages, with
+// their intervals and windows, are the dominant allocation source.
+// Recycle (sched.Recycler) empties a discarded scheduler's pages, keeps
+// them and their intervals and windows on its own spare lists (page.go),
+// and pools the scheduler; New takes a pooled one first, so a rebuild
+// reuses an earlier generation's structures. An interval comes back at
+// its own level and a window at its own span.
+// Pooling invariant: everything is cleared on the way in — slot entries
+// zeroed, page entries and the directory emptied (capacity kept),
+// jobState name strings and window pointers zeroed, the ID table reset —
+// so a pooled scheduler pins no job names and leaks no state between
+// generations. A reused interval or window is reset when it is next
+// created; a window keeps its free-index capacity, and materialize
+// resets the index before it is read.
+var schedPool sync.Pool // *Scheduler
 
 // errRecycled poisons a recycled scheduler so a stale reference fails
 // loudly instead of corrupting the structure's next life.
@@ -293,11 +329,9 @@ func New(opts ...Option) *Scheduler {
 		s.policy = PreferEmpty
 	} else {
 		s = &Scheduler{
-			names:   ident.New(),
-			byID:    make([]*jobState, 1), // ID 0 is ident.None
-			slots:   make(map[Time]*jobState),
-			windows: make(map[winKey]*windowState),
-			ivs:     make(map[ivKey]*interval),
+			names: ident.New(),
+			byID:  make([]*jobState, 1), // ID 0 is ident.None
+			dir:   make(map[int64]*page),
 		}
 		s.maxIntervals = 1 << 20
 	}
@@ -307,21 +341,13 @@ func New(opts ...Option) *Scheduler {
 	return s
 }
 
-// Recycle implements sched.Recycler: every window, interval, and job
-// state goes back to the package pools, the ID space resets, and the
-// scheduler itself is pooled for the next New. The caller must hold no
-// references; a stale use fails with a poisoned error.
+// Recycle implements sched.Recycler: every page (with its intervals and
+// windows) and job state is retired onto the scheduler's free lists, the
+// ID space resets, and the scheduler itself is pooled for the next New.
+// The caller must hold no references; a stale use fails with a poisoned
+// error.
 func (s *Scheduler) Recycle() {
-	for key, iv := range s.ivs {
-		delete(s.ivs, key)
-		clear(iv.ranks) // drop the window pointers
-		intervalPool.Put(iv)
-	}
-	for key, ws := range s.windows {
-		delete(s.windows, key)
-		ws.x, ws.nFulfilled, ws.materialized = 0, 0, false
-		windowPool.Put(ws)
-	}
+	s.retire()
 	for i, j := range s.byID {
 		if j != nil {
 			s.byID[i] = nil
@@ -329,7 +355,6 @@ func (s *Scheduler) Recycle() {
 			s.spare = append(s.spare, j)
 		}
 	}
-	clear(s.slots)
 	s.names.Reset()
 	s.active = 0
 	s.cost = metrics.Cost{}
@@ -355,13 +380,12 @@ func (s *Scheduler) activeJob(name string) *jobState {
 	return s.jobAt(id)
 }
 
-// registerJob binds js.id to js, growing the ID-indexed slice on demand.
-func (s *Scheduler) registerJob(js *jobState) {
+// bindJob binds js.id to js, growing the ID-indexed slice on demand.
+func (s *Scheduler) bindJob(js *jobState) {
 	for int(js.id) >= len(s.byID) {
 		s.byID = append(s.byID, nil)
 	}
 	s.byID[js.id] = js
-	s.active++
 }
 
 // releaseJob unbinds a deleted job, frees its ID, and recycles the
@@ -439,6 +463,7 @@ func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 	*js = jobState{name: j.Name, id: s.names.Intern(j.Name), key: keyOf(j.Window), level: level}
 	s.cost = metrics.Cost{}
 	s.levelCost = [align.NumLevels]int{}
+	s.bindJob(js) // bound before placement: occupants resolve through byID
 
 	var err error
 	if js.level == 0 {
@@ -450,12 +475,14 @@ func (s *Scheduler) Insert(j jobs.Job) (metrics.Cost, error) {
 		// A mid-request failure can leave partially updated reservation
 		// state; poison the scheduler so the caller cannot keep using an
 		// inconsistent schedule. (Failures only occur on instances that
-		// are not sufficiently underallocated. The interned ID is not
-		// released: a poisoned scheduler serves nothing anyway.)
+		// are not sufficiently underallocated. The job is unbound, so the
+		// snapshots leave it out, but its interned ID is not released: a
+		// poisoned scheduler serves nothing anyway.)
+		s.byID[js.id] = nil
 		s.poisoned = fmt.Errorf("core: scheduler poisoned by failed insert of %q: %w", j.Name, err) //reallocvet:allow hotpath (poison path: the scheduler is already lost; the post-mortem may allocate)
 		return s.cost, err
 	}
-	s.registerJob(js)
+	s.active++
 	return s.cost, nil
 }
 
@@ -499,22 +526,17 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 //
 //reallocvet:hotpath
 func (s *Scheduler) reservedInsert(j *jobState) error {
-	ws, err := s.ensureWindow(j.key)
-	if err != nil {
-		return err
-	}
+	ws := s.window(j.level, bits.TrailingZeros64(uint64(j.key.span))-rankBase[j.level], j.key.start)
 	j.ws = ws
-	if err := s.materialize(ws); err != nil {
-		return err
-	}
+	s.materialize(ws)
 	xOld := int64(ws.x)
 	ws.x++
 	// Invariant 5: the two new reservations go to the leftmost intervals
 	// with the fewest of W's reservations, i.e. round-robin positions
 	// 2*xOld and 2*xOld+1 (extras are even, so the pair never wraps).
-	r := (2 * xOld) % ws.numIntervals
+	r := (2 * xOld) % ws.numIntervals()
 	for _, idx := range []int64{r, r + 1} {
-		iv := s.ivs[s.intervalKeyAt(ws.level, ws.key.start+idx*align.IntervalSpan(ws.level))]
+		iv := s.intervalAt(ws.level, ws.key.start+idx<<ivShift[ws.level])
 		if iv == nil {
 			return fmt.Errorf("core: interval %d of window %v not materialized", idx, ws.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 		}
@@ -534,8 +556,8 @@ func (s *Scheduler) reservedDelete(j *jobState) error {
 		return fmt.Errorf("core: window state missing for %v", j.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
 	slot := j.slot
-	delete(s.slots, slot)
-	if iv := s.ivs[s.intervalKeyAt(ws.level, slot)]; iv == nil || int(iv.slotRank[slot-iv.start]) != ws.rank {
+	_, p := s.occupy(slot, nil)
+	if iv := p.interval(ws.level, slot); iv == nil || int(iv.slotRank[slot-iv.start]) != ws.rank {
 		return fmt.Errorf("core: job %q at slot %d not backed by a fulfilled reservation", j.name, slot) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 	}
 	ws.index(slot, nil) // the reservation stays fulfilled, now job-free
@@ -547,9 +569,9 @@ func (s *Scheduler) reservedDelete(j *jobState) error {
 	ws.x--
 	// Remove the two most recently added reservations (the rightmost
 	// intervals holding the most of W's reservations).
-	r := (2 * int64(ws.x)) % ws.numIntervals
+	r := (2 * int64(ws.x)) % ws.numIntervals()
 	for _, idx := range []int64{r + 1, r} {
-		iv := s.ivs[s.intervalKeyAt(ws.level, ws.key.start+idx*align.IntervalSpan(ws.level))]
+		iv := s.intervalAt(ws.level, ws.key.start+idx<<ivShift[ws.level])
 		if iv == nil {
 			return fmt.Errorf("core: interval %d of window %v not materialized", idx, ws.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 		}
@@ -579,8 +601,7 @@ func (s *Scheduler) place(j *jobState) error {
 				Detail: fmt.Sprintf("window %v has no job-free fulfilled reservation (Lemma 8 requires 8-underallocation)", cur.key.window()), //reallocvet:allow hotpath (infeasible-rejection path, off the steady-state hot path)
 			}
 		}
-		displaced := s.slots[slot] // nil, or a strictly higher-level job
-		s.slots[slot] = cur
+		displaced, p := s.occupy(slot, cur) // nil, or a strictly higher-level job
 		cur.slot = slot
 		s.cost.Reallocations++
 		s.levelCost[cur.level]++
@@ -601,7 +622,7 @@ func (s *Scheduler) place(j *jobState) error {
 		// allowance of every higher-level interval up to the displaced
 		// job's level (above that it was already occupied).
 		for lvl := cur.level + 1; lvl <= topLevel && lvl <= hLevel; lvl++ {
-			iv := s.ivs[s.intervalKeyAt(lvl, slot)]
+			iv := p.interval(lvl, slot)
 			if iv == nil {
 				continue
 			}
@@ -631,22 +652,21 @@ func (s *Scheduler) move(j *jobState) error {
 			Detail: fmt.Sprintf("MOVE: window %v has no job-free fulfilled reservation", j.key.window()),
 		}
 	}
-	h := s.slots[to] // nil or higher-level job occupying the fulfilled slot
+	h := s.occupant(to) // nil or higher-level job occupying the fulfilled slot
 	if h != nil && h.level <= j.level {
 		return fmt.Errorf("core: MOVE target %d of %v held level-%d job %q", to, j.key.window(), h.level, h.name)
 	}
 	// Physical relocation: j goes from 'from' to 'to'; any higher-level
 	// occupant of 'to' takes j's old slot 'from'.
-	delete(s.slots, from)
+	_, p := s.occupy(from, h)
 	if h != nil {
-		s.slots[from] = h
 		h.slot = from
 		s.cost.Reallocations++
 		s.levelCost[h.level]++
 		// h's own window keeps its fulfilled reservation; the per-level
 		// swap below renames the backing slot from 'to' to 'from'.
 	}
-	s.slots[to] = j
+	s.occupy(to, j)
 	j.slot = to
 	s.cost.Reallocations++
 	s.levelCost[j.level]++
@@ -662,11 +682,11 @@ func (s *Scheduler) move(j *jobState) error {
 	// allowance of each ancestor is unchanged: no promotion or waitlist
 	// adjustments are needed.
 	for lvl := j.level + 1; lvl <= topLevel; lvl++ {
-		iv := s.ivs[s.intervalKeyAt(lvl, from)]
+		iv := p.interval(lvl, from)
 		if iv == nil {
 			continue
 		}
-		if s.intervalKeyAt(lvl, to) != (ivKey{level: lvl, start: iv.start}) {
+		if to&^(iv.span-1) != iv.start {
 			return fmt.Errorf("core: MOVE slots %d and %d straddle level-%d intervals", from, to, lvl)
 		}
 		s.swapAssigned(iv, from, to, h, j)
@@ -721,7 +741,7 @@ func (s *Scheduler) addReservation(iv *interval, ws *windowState) error {
 //
 //reallocvet:hotpath
 func (s *Scheduler) fulfill(iv *interval, ws *windowState) error {
-	if f, ok := s.freeSlot(iv); ok {
+	if f, ok := s.freeSlot(iv, 0); ok {
 		s.assign(iv, f, ws)
 		return nil
 	}
@@ -788,12 +808,11 @@ func (s *Scheduler) shrink(iv *interval, t Time) error {
 //
 //reallocvet:hotpath
 func (s *Scheduler) growAbove(t Time, l int) {
+	p := s.pageAt(t)
 	for lvl := l + 1; lvl <= topLevel; lvl++ {
-		iv := s.ivs[s.intervalKeyAt(lvl, t)]
-		if iv == nil {
-			continue
+		if iv := p.interval(lvl, t); iv != nil {
+			s.promote(iv, t)
 		}
-		s.promote(iv, t)
 	}
 }
 
@@ -821,7 +840,7 @@ func (s *Scheduler) assign(iv *interval, t Time, ws *windowState) {
 	iv.syncMasks(ws.rank)
 	ws.nFulfilled++
 	if ws.materialized {
-		ws.setFree(t, s.slots[t]) // a fresh fulfilled slot never holds an own-level job
+		ws.setFree(t, s.byID[iv.occ[i]]) // a fresh fulfilled slot never holds an own-level job
 	}
 }
 
@@ -844,23 +863,22 @@ func (s *Scheduler) unassign(iv *interval, t Time) {
 	ws.unindex(t)
 }
 
-// freeSlot returns the lowest slot of iv that is inside the allowance and
-// not yet assigned.
+// freeSlot returns the lowest slot of iv at offset from or later that is
+// inside the allowance and not yet assigned.
 //
 //reallocvet:hotpath
-func (s *Scheduler) freeSlot(iv *interval) (Time, bool) {
+func (s *Scheduler) freeSlot(iv *interval, from int) (Time, bool) {
 	if iv.nAssigned == len(iv.slotRank) {
 		return 0, false
 	}
-	for i, r := range iv.slotRank {
-		if r >= 0 {
+	for i := from; i < len(iv.slotRank); i++ {
+		if iv.slotRank[i] >= 0 {
 			continue
 		}
-		t := iv.start + Time(i)
-		if occ := s.slots[t]; occ != nil && occ.level < iv.level {
+		if occ := s.byID[iv.occ[i]]; occ != nil && occ.level < iv.level {
 			continue // outside the allowance
 		}
-		return t, true
+		return iv.start + Time(i), true
 	}
 	return 0, false
 }
@@ -880,85 +898,72 @@ func (iv *interval) longestFulfilled() (int, bool) {
 // Window and interval lifecycle
 // ---------------------------------------------------------------------
 
-// ensureWindow returns (creating if needed) the window state for key.
-// Creation does not materialize the window's intervals.
-func (s *Scheduler) ensureWindow(key winKey) (*windowState, error) {
-	if ws, ok := s.windows[key]; ok {
-		return ws, nil
-	}
-	level := align.LevelOfSpan(key.span)
-	if level == 0 {
-		return nil, fmt.Errorf("core: window %v is base-level; no window state needed", key.window())
-	}
-	n := key.span / align.IntervalSpan(level)
-	rank := mathx.Log2Exact(key.span) - rankBase[level]
-	var ws *windowState
-	if v := windowPool.Get(); v != nil {
-		ws = v.(*windowState)
-		ws.key, ws.level, ws.rank, ws.numIntervals = key, level, rank, n
-	} else {
-		ws = &windowState{key: key, level: level, rank: rank, numIntervals: n}
-	}
-	s.windows[key] = ws
-	return ws, nil
-}
-
 // materialize creates every interval of ws (idempotent) and builds its
 // free index. Called before the first job of a window arrives, so that
 // all of the window's base reservations physically exist, matching
 // Invariant 5's 2^k term.
-func (s *Scheduler) materialize(ws *windowState) error {
+func (s *Scheduler) materialize(ws *windowState) {
 	if ws.materialized {
-		return nil
+		return
+	}
+	if ws.free == nil {
+		ws.free = new([2]bitIndex)
 	}
 	ws.free[freeEmpty].reset(int(ws.key.span))
 	ws.free[freeUnder].reset(int(ws.key.span))
 	ivSpan := align.IntervalSpan(ws.level)
 	for t := ws.key.start; t < ws.key.start+ws.key.span; t += ivSpan {
-		iv, err := s.getInterval(ws.level, t)
-		if err != nil {
-			return err
-		}
-		s.buildIndex(ws, iv)
+		s.buildIndex(ws, s.getInterval(ws.level, t))
 	}
 	ws.materialized = true
-	return nil
-}
-
-// intervalKeyAt returns the key of the level-lvl interval containing t.
-func (s *Scheduler) intervalKeyAt(lvl int, t Time) ivKey {
-	return ivKey{level: lvl, start: mathx.AlignDown(t, align.IntervalSpan(lvl))}
 }
 
 // getInterval returns (creating if needed) the level-lvl interval
-// starting at start. Creation scans current slot occupancy to derive the
-// allowance and installs one base reservation for every possible
-// enclosing window span, fulfilled shortest-first.
-func (s *Scheduler) getInterval(lvl int, start Time) (*interval, error) {
-	key := s.intervalKeyAt(lvl, start)
-	if iv, ok := s.ivs[key]; ok {
-		return iv, nil
+// starting at start. Creation derives the allowance from the page's
+// occupants and installs one base reservation for every enclosing window
+// span, fulfilled shortest-first at the lowest free allowance slots.
+func (s *Scheduler) getInterval(lvl int, start Time) *interval {
+	p := s.pageFor(start)
+	k := ivPos(lvl, start)
+	if p.ivs[k] != nil {
+		return p.ivs[k]
 	}
-	iv, _ := intervalPool.Get().(*interval)
-	if iv == nil {
-		iv = new(interval)
+	var iv *interval
+	if n := len(s.spareIv[lvl]); n > 0 {
+		iv, s.spareIv[lvl] = s.spareIv[lvl][n-1], s.spareIv[lvl][:n-1]
+	} else {
+		iv = newInterval(lvl)
 	}
-	iv.reset(lvl, key.start)
-	s.ivs[key] = iv
-	// Base reservations: one per enclosing window, fulfilled in
-	// shortest-span-first order into the allowance.
-	for r, span := range align.SpansAtLevel(lvl) {
-		ws, err := s.ensureWindow(keyOf(align.EnclosingAligned(iv.start, span)))
-		if err != nil {
-			return nil, err
+	off := start & pageMask
+	iv.reset(start, p.occ[off:off+iv.span])
+	p.ivs[k] = iv
+	// A window that does not start here also encloses the left
+	// neighbour, whose rank table already names it.
+	var left *interval
+	if start > 0 {
+		left = s.intervalAt(lvl, start-iv.span)
+	}
+	next := 0 // every slot below next is assigned or outside the allowance
+	for r := range iv.ranks {
+		var ws *windowState
+		switch span := iv.span << (r + 1); {
+		case start&(span-1) == 0:
+			ws = s.window(lvl, r, start)
+		case left != nil:
+			ws = left.ranks[r].ws
+		default:
+			ws = s.window(lvl, r, start&^(span-1))
 		}
 		iv.ranks[r] = rankEntry{ws: ws, reserved: 1}
 		iv.syncMasks(r)
-		if f, ok := s.freeSlot(iv); ok {
+		if f, ok := s.freeSlot(iv, next); ok {
 			s.assign(iv, f, ws)
+			next = int(f-start) + 1
+		} else {
+			next = len(iv.slotRank)
 		}
 	}
-	return iv, nil
+	return iv
 }
 
 // ---------------------------------------------------------------------
@@ -980,8 +985,12 @@ func (s *Scheduler) baseInsert(j *jobState) error {
 		finalSlot, finalOK := Time(0), false
 		finalEmpty := false
 		var victim *jobState
+		p := s.pageAt(w.Start) // a base window lies inside one page
 		for t := w.Start; t < w.End; t++ {
-			occ := s.slots[t]
+			var occ *jobState
+			if p != nil {
+				occ = s.byID[p.occ[t&pageMask]]
+			}
 			switch {
 			case occ == nil:
 				if !finalOK || !finalEmpty {
@@ -1001,8 +1010,7 @@ func (s *Scheduler) baseInsert(j *jobState) error {
 			}
 		}
 		if finalOK {
-			displaced := s.slots[finalSlot] // nil or higher-level
-			s.slots[finalSlot] = cur
+			displaced, p := s.occupy(finalSlot, cur) // nil or higher-level
 			cur.slot = finalSlot
 			s.cost.Reallocations++
 			s.levelCost[0]++
@@ -1011,7 +1019,7 @@ func (s *Scheduler) baseInsert(j *jobState) error {
 				hLevel = displaced.level
 			}
 			for lvl := 1; lvl <= topLevel && lvl <= hLevel; lvl++ {
-				iv := s.ivs[s.intervalKeyAt(lvl, finalSlot)]
+				iv := p.interval(lvl, finalSlot)
 				if iv == nil {
 					continue
 				}
@@ -1033,7 +1041,7 @@ func (s *Scheduler) baseInsert(j *jobState) error {
 		// Swap with the longer-span base job: the set of base-occupied
 		// slots is unchanged, so no higher-level bookkeeping is needed.
 		slot := victim.slot
-		s.slots[slot] = cur
+		s.occupy(slot, cur)
 		cur.slot = slot
 		s.cost.Reallocations++
 		s.levelCost[0]++
@@ -1045,6 +1053,6 @@ func (s *Scheduler) baseInsert(j *jobState) error {
 //
 //reallocvet:hotpath
 func (s *Scheduler) baseDelete(j *jobState) {
-	delete(s.slots, j.slot)
+	s.occupy(j.slot, nil)
 	s.growAbove(j.slot, 0)
 }

@@ -11,7 +11,7 @@ import (
 // lowest of either under LowestSlot. A materialized window keeps its
 // job-free fulfilled slots in two bitIndexes over its span, so the pick
 // is a minimum query. Which own-level job holds a fulfilled slot, if any,
-// is not stored at all: it is s.slots' entry there.
+// is not stored at all: it is the page's occupant there.
 //
 // A slot's entry changes only where the slot changes: when an interval
 // assigns or releases it (assign, unassign, swapAssigned), when an
@@ -55,6 +55,15 @@ func (b *bitIndex) reset(n int) {
 			return
 		}
 	}
+}
+
+// resized returns b with length n, reallocating only when it lacks the
+// capacity.
+func resized(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n)
+	}
+	return b[:n]
 }
 
 // add inserts i.
@@ -124,7 +133,7 @@ func (b *bitIndex) minIn(lo, hi int) int {
 }
 
 // setFree files the fulfilled slot t of ws under its occupant occ (the
-// job in s.slots at t, or nil): empty, under a higher-level job, or not
+// job on t, or nil): empty, under a higher-level job, or not
 // free (an own-level job).
 //
 //reallocvet:hotpath
@@ -175,7 +184,7 @@ func (s *Scheduler) buildIndex(ws *windowState, iv *interval) {
 		}
 		if int(r) == ws.rank {
 			t := iv.start + Time(i)
-			ws.setFree(t, s.slots[t])
+			ws.setFree(t, s.byID[iv.occ[i]])
 			left--
 		}
 	}
@@ -188,8 +197,9 @@ func (s *Scheduler) buildIndex(ws *windowState, iv *interval) {
 //
 //reallocvet:hotpath
 func (s *Scheduler) reindexBelow(t Time, l int, occ *jobState) {
+	p := s.pageAt(t)
 	for lvl := 1; lvl < l; lvl++ {
-		if iv := s.ivs[s.intervalKeyAt(lvl, t)]; iv != nil {
+		if iv := p.interval(lvl, t); iv != nil {
 			if r := iv.slotRank[t-iv.start]; r >= 0 {
 				iv.ranks[r].ws.index(t, occ)
 			}
@@ -239,7 +249,7 @@ func (s *Scheduler) pickAssignedSlot(iv *interval, ws *windowState) (Time, *jobS
 			if !ws.materialized {
 				return t, nil
 			}
-			return t, s.slots[t] // every fulfilled slot of ws in iv holds an own-level job
+			return t, s.byID[iv.occ[i]] // every fulfilled slot of ws in iv holds an own-level job
 		}
 	}
 	panic(fmt.Sprintf("core: window %v has no fulfilled slot in interval %d", ws.key.window(), iv.start)) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)

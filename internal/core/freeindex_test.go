@@ -18,13 +18,13 @@ func scanPick(s *Scheduler, ws *windowState) (Time, bool) {
 	found := false
 	ivSpan := align.IntervalSpan(ws.level)
 	for start := ws.key.start; start < ws.key.start+ws.key.span; start += ivSpan {
-		iv := s.ivs[ivKey{level: ws.level, start: start}]
+		iv := s.intervalAt(ws.level, start)
 		for i, r := range iv.slotRank {
 			t := iv.start + Time(i)
 			if int(r) != ws.rank {
 				continue
 			}
-			if occ := s.slots[t]; occ != nil && occ.level <= ws.level {
+			if occ := s.occupant(t); occ != nil && occ.level <= ws.level {
 				continue // an own-level job holds it
 			}
 			if s.policy == LowestSlot {
@@ -33,7 +33,7 @@ func scanPick(s *Scheduler, ws *windowState) (Time, bool) {
 				}
 				continue
 			}
-			empty := s.slots[t] == nil
+			empty := s.occupant(t) == nil
 			switch {
 			case !found,
 				empty && !bestEmpty,
@@ -62,19 +62,21 @@ func TestFreeIndexMatchesScan(t *testing.T) {
 				if _, err := sched.Apply(s, r); err != nil {
 					t.Fatalf("request %d %v: %v", i, r, err)
 				}
-				for _, ws := range s.windows {
-					if !ws.materialized {
-						continue
-					}
-					got, gotOK := s.pickFulfilledSlot(ws)
-					want, wantOK := scanPick(s, ws)
-					if got != want || gotOK != wantOK {
-						t.Fatalf("after request %d: window %v picks %d (%v), the scan picks %d (%v)",
-							i, ws.key.window(), got, gotOK, want, wantOK)
-					}
-					compared++
-					if gotOK && s.slots[got] != nil {
-						under++
+				for _, p := range s.livePages() {
+					for _, ws := range p.windows() {
+						if !ws.materialized {
+							continue
+						}
+						got, gotOK := s.pickFulfilledSlot(ws)
+						want, wantOK := scanPick(s, ws)
+						if got != want || gotOK != wantOK {
+							t.Fatalf("after request %d: window %v picks %d (%v), the scan picks %d (%v)",
+								i, ws.key.window(), got, gotOK, want, wantOK)
+						}
+						compared++
+						if gotOK && s.occupant(got) != nil {
+							under++
+						}
 					}
 				}
 				if i%100 == 0 {

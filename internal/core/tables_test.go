@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/feasible"
+	"repro/internal/ident"
 	"repro/internal/jobs"
 )
 
@@ -50,12 +51,34 @@ func checked(t *testing.T, s *Scheduler, after string) {
 // time on a live scheduler and expects SelfCheck to notice each one.
 func TestSelfCheckCatchesStaleTables(t *testing.T) {
 	s := New()
-	for _, j := range tableJobs("j", true) {
+	set := tableJobs("j", true)
+	for _, j := range set {
 		mustInsert(t, s, j)
 	}
+	// One deleted job leaves a released ID behind, for a stale slot entry.
+	gone := s.activeJob(set[len(set)-1].Name).id
+	mustDelete(t, s, set[len(set)-1].Name)
+
 	var ivs [3]*interval
-	for key, iv := range s.ivs {
-		ivs[key.level] = iv
+	var idle *windowState // a level-1 window that never held a job
+	var pg *page          // a page with two level-1 intervals free of level-1 jobs
+	var pair []int
+	for _, p := range s.livePages() {
+		var quiet []int
+		for k, iv := range p.intervals() {
+			ivs[iv.level] = iv
+			if iv.level == 1 && !holdsLevel(s, iv, 1) {
+				quiet = append(quiet, k)
+			}
+		}
+		if pg == nil && len(quiet) >= 2 {
+			pg, pair = p, quiet[:2]
+		}
+		for _, ws := range p.windows() {
+			if ws.level == 1 && !ws.materialized {
+				idle = ws
+			}
+		}
 	}
 	var leveled *jobState
 	for _, j := range s.byID {
@@ -64,8 +87,18 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 			break
 		}
 	}
-	if ivs[1] == nil || ivs[2] == nil || leveled == nil {
-		t.Fatal("job set built no level-1 or level-2 interval")
+	if ivs[1] == nil || ivs[2] == nil || leveled == nil || idle == nil || pg == nil {
+		t.Fatal("job set built no level-1 or level-2 interval, idle window, or job-free interval pair")
+	}
+	empty := -1
+	for i, id := range pg.occ {
+		if id == ident.None {
+			empty = i
+			break
+		}
+	}
+	if empty < 0 {
+		t.Fatal("the page has no empty slot")
 	}
 	// ws is the leveled job's window; its free index holds job-free
 	// fulfilled slots (Lemma 8), and the job's own slot is not among them.
@@ -75,26 +108,31 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 		t.Fatal("the leveled job's window has no empty fulfilled slot")
 	}
 	own := int(leveled.slot - ws.key.start)
+	swapIvs := func() { pg.ivs[pair[0]], pg.ivs[pair[1]] = pg.ivs[pair[1]], pg.ivs[pair[0]] }
 	corruptions := []struct {
 		name string
 		flip func()
+		undo func() // for state outside ivs[1], ivs[2] and ws
 	}{
-		{"level-1 waitMask bit", func() { ivs[1].waitMask ^= 1 << 2 }},
-		{"level-2 waitMask bit", func() { ivs[2].waitMask ^= 1 << 40 }},
-		{"level-1 fulfilled count", func() { ivs[1].ranks[0].fulfilled++ }},
-		{"level-2 fulfilled count", func() { ivs[2].ranks[3].fulfilled++ }},
-		{"level-2 fullMask bit", func() { ivs[2].fullMask ^= 1 << 1 }},
-		{"assigned count", func() { ivs[2].nAssigned++ }},
-		{"rank window", func() { ivs[2].ranks[0].ws, ivs[2].ranks[1].ws = ivs[2].ranks[1].ws, ivs[2].ranks[0].ws }},
-		{"cached job window", func() { leveled.ws = nil }},
-		{"window fulfilled count", func() { ws.nFulfilled-- }},
-		{"stale free bit", func() { ws.free[freeEmpty].remove(free) }},
-		{"free bit under an own-level job", func() { ws.free[freeEmpty].add(own) }},
+		{"level-1 waitMask bit", func() { ivs[1].waitMask ^= 1 << 2 }, nil},
+		{"level-2 waitMask bit", func() { ivs[2].waitMask ^= 1 << 40 }, nil},
+		{"level-1 fulfilled count", func() { ivs[1].ranks[0].fulfilled++ }, nil},
+		{"level-2 fulfilled count", func() { ivs[2].ranks[3].fulfilled++ }, nil},
+		{"level-2 fullMask bit", func() { ivs[2].fullMask ^= 1 << 1 }, nil},
+		{"assigned count", func() { ivs[2].nAssigned++ }, nil},
+		{"rank window", func() { ivs[2].ranks[0].ws, ivs[2].ranks[1].ws = ivs[2].ranks[1].ws, ivs[2].ranks[0].ws }, nil},
+		{"cached job window", func() { leveled.ws = nil }, nil},
+		{"window fulfilled count", func() { ws.nFulfilled-- }, nil},
+		{"stale free bit", func() { ws.free[freeEmpty].remove(free) }, nil},
+		{"free bit under an own-level job", func() { ws.free[freeEmpty].add(own) }, nil},
 		{"free slot filed under the wrong kind", func() {
 			ws.free[freeEmpty].remove(free)
 			ws.free[freeUnder].add(free)
-		}},
-		{"free index summary bit", func() { top := ws.free[freeEmpty].lv; top[len(top)-1][0] = 0 }},
+		}, nil},
+		{"free index summary bit", func() { top := ws.free[freeEmpty].lv; top[len(top)-1][0] = 0 }, nil},
+		{"misfiled interval", swapIvs, swapIvs},
+		{"misfiled window", func() { idle.rank ^= 1 }, func() { idle.rank ^= 1 }},
+		{"stale slot ID", func() { pg.occ[empty] = gone }, func() { pg.occ[empty] = ident.None }},
 	}
 	for _, c := range corruptions {
 		ivSaved := [2]interval{*ivs[1], *ivs[2]}
@@ -104,6 +142,9 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 		c.flip()
 		if err := s.SelfCheck(); err == nil {
 			t.Errorf("SelfCheck passed with a corrupted %s", c.name)
+		}
+		if c.undo != nil {
+			c.undo()
 		}
 		*ivs[1], *ivs[2] = ivSaved[0], ivSaved[1]
 		copy(ivs[1].ranks, r1)
@@ -118,16 +159,26 @@ func TestSelfCheckCatchesStaleTables(t *testing.T) {
 	}
 }
 
-// TestRecycleReuseAcrossLevels runs three generations through
-// Recycle/New — level-2-heavy, level-1 only, level-2-heavy again — so
-// pooled intervals come back at the other level with differently sized
-// tables. Every request keeps the invariants, and each generation ends
-// in the reservation state a never-pooled scheduler reaches from the
-// same job set (Observation 7).
-func TestRecycleReuseAcrossLevels(t *testing.T) {
-	// A GC cycle empties the sync.Pools; with the collector off, Recycle's
-	// intervals are certain to reach the next generation. The test
-	// allocates under 20 MB.
+// holdsLevel reports whether a level-l job occupies a slot of iv.
+func holdsLevel(s *Scheduler, iv *interval, l int) bool {
+	for _, id := range iv.occ {
+		if j := s.byID[id]; j != nil && j.level == l {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRecycleGenerations runs three generations through Recycle/New —
+// level-2-heavy, level-1 only, level-2-heavy again — on one recycled
+// scheduler, which builds each generation on its predecessors' pages,
+// intervals and windows. Every request keeps the invariants, and each
+// generation ends in the reservation state a never-recycled scheduler
+// reaches from the same job set (Observation 7).
+func TestRecycleGenerations(t *testing.T) {
+	// A GC cycle empties the sync.Pool; with the collector off, the
+	// recycled scheduler is certain to reach the next generation. The
+	// test allocates under 20 MB.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	gens := []struct {
 		name   string
@@ -149,13 +200,11 @@ func TestRecycleReuseAcrossLevels(t *testing.T) {
 		want[g] = ref.ReservationSnapshot()
 	}
 
-	// pastLevel records the level each interval struct last served at.
-	pastLevel := make(map[*interval]int)
 	s := New()
 	for g, gen := range gens {
 		js := tableJobs(gen.name, gen.level2)
 		// tableJobs lists long windows first, so the generation's first
-		// intervals are built at its top level from what the last one
+		// intervals are built at its top level on what the last one
 		// recycled, and short jobs then displace long ones. Then delete
 		// every third job.
 		for _, j := range js {
@@ -171,18 +220,8 @@ func TestRecycleReuseAcrossLevels(t *testing.T) {
 			checked(t, s, "delete "+js[i].Name)
 		}
 		if got := s.ReservationSnapshot(); !reflect.DeepEqual(got, want[g]) {
-			t.Fatalf("generation %s: pooled snapshot (%d entries) differs from a fresh scheduler's (%d entries)",
+			t.Fatalf("generation %s: recycled snapshot (%d entries) differs from a fresh scheduler's (%d entries)",
 				gen.name, len(got), len(want[g]))
-		}
-		crossed := 0
-		for key, iv := range s.ivs {
-			if l, ok := pastLevel[iv]; ok && l != key.level {
-				crossed++
-			}
-			pastLevel[iv] = key.level
-		}
-		if g > 0 && crossed == 0 {
-			t.Fatalf("generation %s reused no pooled interval at another level", gen.name)
 		}
 		s.Recycle()
 		s = New()

@@ -10,18 +10,46 @@ import (
 	"repro/internal/workload"
 )
 
-// stormSequence builds the adversarial threshold walk sized for one
-// machine: the population marches across the n* doubling/halving
-// thresholds every cycle.
-func stormSequence(t *testing.T) []jobs.Request {
-	t.Helper()
+// stormSequence builds the adversarial threshold walk for one machine
+// over the horizon: the population marches across the n*
+// doubling/halving thresholds every cycle.
+func stormSequence(tb testing.TB, horizon int64) []jobs.Request {
+	tb.Helper()
 	reqs, err := workload.Adversarial(workload.AdversarialConfig{
-		Seed: 17, Machines: 1, Gamma: 8, Horizon: 1024, Cycles: 6,
+		Seed: 17, Machines: 1, Gamma: 8, Horizon: horizon, Cycles: 6,
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return reqs
+}
+
+// BenchmarkThresholdWalk measures trim over the core on the threshold
+// walk, where every n* crossing rebuilds a fresh core: its cost is
+// materializing pages, intervals and windows. One op is one request;
+// the walk replays on a fresh trim when it runs out. 20000 ops cross
+// well over four thresholds.
+func BenchmarkThresholdWalk(b *testing.B) {
+	reqs := stormSequence(b, 1<<14)
+	var s *Scheduler
+	rebuilds := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(reqs)
+		if k == 0 {
+			if s != nil {
+				rebuilds += s.Rebuilds()
+			}
+			s = New(8, func() sched.Scheduler { return core.New() })
+		}
+		if _, err := sched.Apply(s, reqs[k]); err != nil {
+			b.Fatalf("request %d (%s): %v", k, reqs[k], err)
+		}
+	}
+	b.StopTimer()
+	if rebuilds += s.Rebuilds(); b.N >= 20000 && rebuilds < 4 {
+		b.Fatalf("%d requests crossed only %d n* thresholds", b.N, rebuilds)
+	}
 }
 
 // TestThresholdStormTrim replays the adversarial walk through the
@@ -29,7 +57,7 @@ func stormSequence(t *testing.T) []jobs.Request {
 // must never leave the scheduler poisoned, out of sync with its active
 // set, or holding stale evicted-name bookkeeping.
 func TestThresholdStormTrim(t *testing.T) {
-	reqs := stormSequence(t)
+	reqs := stormSequence(t, 1024)
 	s := New(8, func() sched.Scheduler { return core.New() })
 	live := 0
 	for i, r := range reqs {
