@@ -1,7 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out:
 //
-//   - placement policy: PreferEmpty (displacement-avoiding) vs LowestSlot
-//     (the literal pecking order) inside the reservation scheduler;
 //   - trimming: amortized rebuild vs no trimming at all;
 //   - the alignment wrapper's overhead on already-aligned input.
 package realloc
@@ -16,20 +14,6 @@ import (
 	"repro/internal/trim"
 	"repro/internal/workload"
 )
-
-// BenchmarkAblationPlacementPolicy compares the two PLACE heuristics
-// under identical churn. PreferEmpty should show fewer reallocs/req.
-func BenchmarkAblationPlacementPolicy(b *testing.B) {
-	for name, policy := range map[string]core.PlacementPolicy{
-		"prefer-empty": core.PreferEmpty,
-		"lowest-slot":  core.LowestSlot,
-	} {
-		b.Run(name, func(b *testing.B) {
-			s := core.New(core.WithPlacementPolicy(policy), core.WithMaxIntervals(1<<24))
-			churn(b, s, workload.Config{Seed: 77, Gamma: 8, Horizon: 4096, Steps: 1 << 30})
-		})
-	}
-}
 
 // BenchmarkAblationTrimming compares the trimming variants over a
 // grow/shrink oscillation that crosses n* boundaries.

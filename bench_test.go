@@ -94,7 +94,7 @@ func BenchmarkE2NaiveLogDelta(b *testing.B) {
 // BenchmarkE3EDFBrittle and BenchmarkE3ReservationRobust regenerate E3:
 // the same urgent-insert probe against both schedulers.
 func BenchmarkE3EDFBrittle(b *testing.B) {
-	benchE3(b, func() sched.Scheduler { return edf.New(1, edf.TieByArrival) })
+	benchE3(b, func() sched.Scheduler { return edf.New(1) })
 }
 
 // BenchmarkE3ReservationRobust is E3's reservation-side series.
@@ -156,7 +156,7 @@ func BenchmarkE4MigrationLB(b *testing.B) {
 // toggle pair on a fully subscribed chain (Θ(eta) cost each).
 func BenchmarkE5QuadraticLB(b *testing.B) {
 	const eta = 256
-	s := edf.New(1, edf.TieByArrival)
+	s := edf.New(1)
 	if _, err := sched.Run(s, lowerbound.Lemma12Sequence(eta, 0), nil); err != nil {
 		b.Fatal(err)
 	}

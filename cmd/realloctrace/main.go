@@ -61,7 +61,7 @@ func main() {
 		case "naive":
 			return naive.New()
 		case "edf":
-			return edf.New(*machines, edf.TieByArrival)
+			return edf.New(*machines)
 		default:
 			fmt.Fprintf(os.Stderr, "realloctrace: unknown scheduler %q\n", *schedKnd)
 			os.Exit(2)

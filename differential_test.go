@@ -30,7 +30,7 @@ func TestReportedCostsMatchAssignmentDiffs(t *testing.T) {
 	factories := map[string]func() sched.Scheduler{
 		"core":  func() sched.Scheduler { return core.New() },
 		"naive": func() sched.Scheduler { return naive.New() },
-		"edf":   func() sched.Scheduler { return edf.New(1, edf.TieByArrival) },
+		"edf":   func() sched.Scheduler { return edf.New(1) },
 		"multi": func() sched.Scheduler {
 			return multi.New(3, func() sched.Scheduler { return core.New() })
 		},
@@ -85,7 +85,7 @@ func TestAllSchedulersStayFeasibleOnSameSequence(t *testing.T) {
 	schedulers := map[string]sched.Scheduler{
 		"core":       core.New(),
 		"naive":      naive.New(),
-		"edf":        edf.New(1, edf.TieByArrival),
+		"edf":        edf.New(1),
 		"full-stack": New(),
 	}
 	for name, s := range schedulers {
@@ -105,28 +105,19 @@ func TestAllSchedulersStayFeasibleOnSameSequence(t *testing.T) {
 	}
 }
 
-// TestPlacementPoliciesBothSound runs the ablation variants through the
-// full invariant suite; LowestSlot may cost more but must stay correct.
-func TestPlacementPoliciesBothSound(t *testing.T) {
+// TestCoreSoundUnderChurn runs seeded churn through the reservation
+// scheduler with the full invariant suite after every request.
+func TestCoreSoundUnderChurn(t *testing.T) {
 	f := func(seed int64) bool {
 		g1, err := workload.NewGenerator(workload.Config{Seed: seed, Gamma: 8, Horizon: 1024, Steps: 150})
 		if err != nil {
 			return false
 		}
-		seq := g1.Sequence()
-		for _, policy := range []core.PlacementPolicy{core.PreferEmpty, core.LowestSlot} {
-			s := core.New(core.WithPlacementPolicy(policy))
-			if _, err := sched.RunChecked(s, seq, nil); err != nil {
-				return false
-			}
-			if err := s.VerifyLemma8(); err != nil {
-				return false
-			}
-			if feasible.VerifySchedule(s.Jobs(), s.Assignment(), 1) != nil {
-				return false
-			}
+		s := core.New()
+		if _, err := sched.RunChecked(s, g1.Sequence(), nil); err != nil {
+			return false
 		}
-		return true
+		return s.VerifyLemma8() == nil && feasible.VerifySchedule(s.Jobs(), s.Assignment(), 1) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

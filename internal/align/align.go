@@ -4,8 +4,8 @@
 //     window W (Section 5); |ALIGNED(W)| >= |W|/4.
 //   - The tower-function level thresholds L1 = 32, L_{l+1} = 2^{Ll/4}
 //     of the interval decomposition (Section 4).
-//   - The decomposition of a level-l window into its aligned level-l
-//     intervals of exactly Ll slots.
+//   - The span Ll of the aligned level-l intervals a level-l window
+//     decomposes into, and the spans each level covers.
 //
 // A window is aligned when its span is a power of two and its start is a
 // multiple of its span. Recursively aligned windows are laminar: any two
@@ -18,11 +18,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/mathx"
 )
-
-// BaseLevelSpan is L1: the largest span handled by the base level of the
-// reservation scheduler. Windows with span <= BaseLevelSpan are level-0
-// ("base") windows scheduled by constant-depth pecking order.
-const BaseLevelSpan = int64(32) // 2^5, the paper's L1 = 2^5
 
 // NumLevels is the number of reservation levels representable with spans
 // up to mathx.MaxSpan = 2^62: level 1 covers (32, 256], level 2 covers
@@ -37,14 +32,6 @@ var levelBounds = [NumLevels + 1]int64{
 	32,            // L1 = 2^5
 	256,           // L2 = 2^{32/4} = 2^8
 	mathx.MaxSpan, // L3 is 2^64 in the paper; clamped to MaxSpan
-}
-
-// LevelThreshold returns L_l for l in [0, NumLevels]. L_0 is reported as 1.
-func LevelThreshold(l int) int64 {
-	if l < 0 || l > NumLevels {
-		panic(fmt.Sprintf("align: LevelThreshold(%d) out of range", l))
-	}
-	return levelBounds[l]
 }
 
 // LevelOfSpan returns the reservation level of an aligned span:
@@ -140,52 +127,4 @@ func EnclosingAligned(t jobs.Time, span int64) jobs.Window {
 	}
 	start := mathx.AlignDown(t, span)
 	return jobs.Window{Start: start, End: start + span}
-}
-
-// IntervalsOf decomposes an aligned level-l window (l >= 1) into its
-// level-l intervals, returned in increasing order. The window's span must
-// be a multiple (indeed a power-of-two multiple) of IntervalSpan(l).
-func IntervalsOf(w jobs.Window, l int) []jobs.Window {
-	is := IntervalSpan(l)
-	if !w.IsAligned() || w.Span()%is != 0 || w.Span() <= is {
-		panic(fmt.Sprintf("align: IntervalsOf(%v, %d): not a level-%d window", w, l, l))
-	}
-	n := w.Span() / is
-	out := make([]jobs.Window, 0, n)
-	for s := w.Start; s < w.End; s += is {
-		out = append(out, jobs.Window{Start: s, End: s + is})
-	}
-	return out
-}
-
-// IntervalIndex returns which level-l interval of window w contains
-// timeslot t, as an index in [0, span(w)/Ll).
-func IntervalIndex(w jobs.Window, l int, t jobs.Time) int64 {
-	if !w.Contains(t) {
-		panic(fmt.Sprintf("align: IntervalIndex: %d not in %v", t, w))
-	}
-	return (t - w.Start) / IntervalSpan(l)
-}
-
-// VerifyRecursivelyAligned reports an error naming the first job whose
-// window is not aligned, or nil if all are. (Recursive alignment of a set
-// is equivalent to every member being aligned, since aligned windows are
-// automatically laminar.)
-func VerifyRecursivelyAligned(js []jobs.Job) error {
-	for _, j := range js {
-		if !j.Window.IsAligned() {
-			return fmt.Errorf("align: job %q window %v is not aligned", j.Name, j.Window)
-		}
-	}
-	return nil
-}
-
-// Laminar reports whether two aligned windows satisfy the laminar
-// property (equal, disjoint, or nested). For genuinely aligned windows
-// this always holds; the function exists for property tests.
-func Laminar(a, b jobs.Window) bool {
-	if !a.Overlaps(b) {
-		return true
-	}
-	return a.ContainsWindow(b) || b.ContainsWindow(a)
 }

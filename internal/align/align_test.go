@@ -12,17 +12,17 @@ import (
 func win(start, end int64) jobs.Window { return jobs.Window{Start: start, End: end} }
 
 func TestLevelThresholds(t *testing.T) {
-	if LevelThreshold(1) != 32 {
-		t.Errorf("L1 = %d, want 32", LevelThreshold(1))
+	if levelBounds[1] != 32 {
+		t.Errorf("L1 = %d, want 32", levelBounds[1])
 	}
-	if LevelThreshold(2) != 256 {
-		t.Errorf("L2 = %d, want 256 (2^{32/4})", LevelThreshold(2))
+	if levelBounds[2] != 256 {
+		t.Errorf("L2 = %d, want 256 (2^{32/4})", levelBounds[2])
 	}
-	if LevelThreshold(3) != mathx.MaxSpan {
-		t.Errorf("L3 = %d, want MaxSpan", LevelThreshold(3))
+	if levelBounds[3] != mathx.MaxSpan {
+		t.Errorf("L3 = %d, want MaxSpan", levelBounds[3])
 	}
 	// The paper's recurrence: Ll = 4*lg(L_{l+1}) for l >= 1.
-	if LevelThreshold(1) != 4*int64(mathx.Log2Exact(LevelThreshold(2))) {
+	if levelBounds[1] != 4*int64(mathx.Log2Exact(levelBounds[2])) {
 		t.Error("L1 != 4*lg(L2)")
 	}
 }
@@ -64,10 +64,10 @@ func TestNumSpansAtLevel(t *testing.T) {
 		t.Errorf("NumSpansAtLevel(1) = %d, want 3", got)
 	}
 	// Equation 1: number of distinct spans <= lg(L_{l+1}) = Ll/4.
-	if int64(NumSpansAtLevel(1)) > LevelThreshold(1)/4 {
+	if int64(NumSpansAtLevel(1)) > levelBounds[1]/4 {
 		t.Error("Equation 1 violated at level 1")
 	}
-	if int64(NumSpansAtLevel(2)) > LevelThreshold(2)/4 {
+	if int64(NumSpansAtLevel(2)) > levelBounds[2]/4 {
 		t.Error("Equation 1 violated at level 2")
 	}
 	got := SpansAtLevel(1)
@@ -96,7 +96,7 @@ func TestAlignedExamples(t *testing.T) {
 		{win(7, 8), win(7, 8)},
 	}
 	for _, c := range cases {
-		if got := Aligned(c.in); !got.Equal(c.want) {
+		if got := Aligned(c.in); got != c.want {
 			t.Errorf("Aligned(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
@@ -123,7 +123,7 @@ func TestAlignedIdempotent(t *testing.T) {
 		span := int64(1) << (e % 12)
 		start := mathx.AlignDown(int64(sRaw), span)
 		w := win(start, start+span)
-		return Aligned(w).Equal(w)
+		return Aligned(w) == w
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -132,55 +132,14 @@ func TestAlignedIdempotent(t *testing.T) {
 
 func TestEnclosingAligned(t *testing.T) {
 	w := EnclosingAligned(37, 32)
-	if !w.Equal(win(32, 64)) {
+	if w != win(32, 64) {
 		t.Errorf("EnclosingAligned(37,32) = %v", w)
 	}
 	if !w.IsAligned() || !w.Contains(37) {
 		t.Error("enclosing window not aligned/containing")
 	}
-	if got := EnclosingAligned(0, 1); !got.Equal(win(0, 1)) {
+	if got := EnclosingAligned(0, 1); got != win(0, 1) {
 		t.Errorf("EnclosingAligned(0,1) = %v", got)
-	}
-}
-
-func TestIntervalsOf(t *testing.T) {
-	w := win(0, 128) // level-1 window: span 128 in (32,256]
-	ivs := IntervalsOf(w, 1)
-	if len(ivs) != 4 {
-		t.Fatalf("got %d intervals, want 4", len(ivs))
-	}
-	for i, iv := range ivs {
-		if iv.Span() != 32 || iv.Start != int64(i)*32 || !iv.IsAligned() {
-			t.Errorf("interval %d = %v", i, iv)
-		}
-	}
-}
-
-func TestIntervalIndex(t *testing.T) {
-	w := win(128, 256)
-	if got := IntervalIndex(w, 1, 128); got != 0 {
-		t.Errorf("index of 128 = %d", got)
-	}
-	if got := IntervalIndex(w, 1, 200); got != 2 {
-		t.Errorf("index of 200 = %d, want 2", got)
-	}
-	if got := IntervalIndex(w, 1, 255); got != 3 {
-		t.Errorf("index of 255 = %d, want 3", got)
-	}
-}
-
-func TestVerifyRecursivelyAligned(t *testing.T) {
-	good := []jobs.Job{
-		{Name: "a", Window: win(0, 4)},
-		{Name: "b", Window: win(4, 8)},
-		{Name: "c", Window: win(0, 64)},
-	}
-	if err := VerifyRecursivelyAligned(good); err != nil {
-		t.Errorf("aligned set rejected: %v", err)
-	}
-	bad := append(good, jobs.Job{Name: "d", Window: win(1, 3)})
-	if err := VerifyRecursivelyAligned(bad); err == nil {
-		t.Error("misaligned set accepted")
 	}
 }
 
@@ -194,20 +153,12 @@ func TestAlignedLaminarProperty(t *testing.T) {
 		wa.End = wa.Start + sa
 		wb := jobs.Window{Start: mathx.AlignDown(int64(b), sb)}
 		wb.End = wb.Start + sb
-		return Laminar(wa, wb)
+		// Equal, disjoint or nested.
+		return !wa.Overlaps(wb) || wa.ContainsWindow(wb) || wb.ContainsWindow(wa)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestIntervalsOfPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntervalsOf accepted a non-level-1 window")
-		}
-	}()
-	IntervalsOf(win(0, 32), 1) // span == Ll, not a level-1 window
 }
 
 // Lemma 2 measured: for a recursively aligned gamma-underallocated set,

@@ -28,16 +28,3 @@ func ExampleLevelOfSpan() {
 	// span  256 -> level 1
 	// span 4096 -> level 2
 }
-
-// A level-1 window decomposes into intervals of exactly L1 = 32 slots.
-func ExampleIntervalsOf() {
-	w := jobs.Window{Start: 128, End: 256} // span 128, level 1
-	for _, iv := range align.IntervalsOf(w, 1) {
-		fmt.Println(iv)
-	}
-	// Output:
-	// [128,160)
-	// [160,192)
-	// [192,224)
-	// [224,256)
-}

@@ -34,7 +34,7 @@ func TestAlignsUnalignedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Jobs() reports the original window.
-	if got := s.Jobs()[0].Window; !got.Equal(win(3, 17)) {
+	if got := s.Jobs()[0].Window; got != win(3, 17) {
 		t.Errorf("Jobs() window %v", got)
 	}
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Hotpath returns the analyzer that checks functions annotated
@@ -334,10 +333,4 @@ func exprRoot(e ast.Expr) string {
 		return exprRoot(e.Fun)
 	}
 	return ""
-}
-
-// rootBase returns the first identifier of a dotted root path.
-func rootBase(root string) string {
-	base, _, _ := strings.Cut(root, ".")
-	return base
 }

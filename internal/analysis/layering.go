@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"sort"
 	"strings"
 )
 
@@ -201,15 +200,4 @@ func DefaultLayerRules() map[string]LayerRule {
 		"repro/examples/server":     {Internal: []string{root, clientP, server}},
 		"repro/examples/sizedjobs":  {Internal: []string{jobs, sized}},
 	}
-}
-
-// LayerRuleNames returns the sorted package paths covered by the table
-// (used by tests asserting the table covers the whole tree).
-func LayerRuleNames(rules map[string]LayerRule) []string {
-	names := make([]string, 0, len(rules))
-	for p := range rules {
-		names = append(names, p)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -377,32 +377,3 @@ func (s *Scheduler) ReservationSnapshot() []ReservationState {
 	})
 	return out
 }
-
-// Stats reports coarse internal statistics, useful in examples and
-// benchmarks.
-type Stats struct {
-	ActiveJobs int
-	Windows    int
-	Intervals  int
-	SlotsInUse int
-}
-
-// Stats returns current internal statistics, recounted from the live
-// pages.
-func (s *Scheduler) Stats() Stats {
-	st := Stats{ActiveJobs: s.active}
-	for _, p := range s.livePages() {
-		for _, id := range p.occ {
-			if id != ident.None {
-				st.SlotsInUse++
-			}
-		}
-		for range p.intervals() {
-			st.Intervals++
-		}
-		for range p.windows() {
-			st.Windows++
-		}
-	}
-	return st
-}

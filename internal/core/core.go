@@ -240,29 +240,6 @@ func WithMaxIntervals(n int64) Option {
 	return func(s *Scheduler) { s.maxIntervals = n }
 }
 
-// PlacementPolicy selects which fulfilled slot PLACE and MOVE take when
-// several are available. The paper's algorithm is correct under any
-// choice ("the scheduler chooses s without regard to these
-// possibilities"); the policy is an ablation knob for measuring how much
-// the displacement-avoiding heuristic saves.
-type PlacementPolicy uint8
-
-const (
-	// PreferEmpty takes a completely empty slot when one exists,
-	// avoiding a higher-level displacement (default).
-	PreferEmpty PlacementPolicy = iota
-	// LowestSlot always takes the lowest fulfilled slot, displacing
-	// higher-level jobs indiscriminately — the literal reading of the
-	// paper's pecking order.
-	LowestSlot
-)
-
-// WithPlacementPolicy sets the slot-choice heuristic (default
-// PreferEmpty).
-func WithPlacementPolicy(p PlacementPolicy) Option {
-	return func(s *Scheduler) { s.policy = p }
-}
-
 // Scheduler is the reservation-based pecking-order scheduler.
 type Scheduler struct {
 	// names is the per-scheduler ID space: a job's name is interned when
@@ -286,7 +263,6 @@ type Scheduler struct {
 	spareWs [64][]*windowState
 
 	maxIntervals int64
-	policy       PlacementPolicy
 	poisoned     error
 
 	// cost accumulates the reallocations of the request in flight;
@@ -326,7 +302,6 @@ func New(opts ...Option) *Scheduler {
 		s = v.(*Scheduler)
 		s.poisoned = nil
 		s.maxIntervals = 1 << 20
-		s.policy = PreferEmpty
 	} else {
 		s = &Scheduler{
 			names: ident.New(),
@@ -594,7 +569,7 @@ func (s *Scheduler) place(j *jobState) error {
 		if ws == nil {
 			return fmt.Errorf("core: window state missing for %v", cur.key.window()) //reallocvet:allow hotpath (corruption guard: unreachable on a consistent schedule)
 		}
-		slot, ok := s.pickFulfilledSlot(ws)
+		slot, ok := ws.pickFulfilledSlot()
 		if !ok {
 			return &sched.InfeasibleError{ //reallocvet:allow hotpath (infeasible-rejection path, off the steady-state hot path)
 				Req:    jobs.Request{Kind: jobs.Insert, Name: cur.name, Window: cur.window()},
@@ -645,7 +620,7 @@ func (s *Scheduler) place(j *jobState) error {
 func (s *Scheduler) move(j *jobState) error {
 	ws := j.ws
 	from := j.slot
-	to, ok := s.pickFulfilledSlot(ws)
+	to, ok := ws.pickFulfilledSlot()
 	if !ok {
 		return &sched.InfeasibleError{
 			Req:    jobs.Request{Kind: jobs.Insert, Name: j.name, Window: j.window()},

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/feasible"
+	"repro/internal/ident"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -432,4 +433,32 @@ func TestInterfaceCompliance(t *testing.T) {
 	if got := len(s.Jobs()); got != 0 {
 		t.Errorf("empty scheduler has %d jobs", got)
 	}
+}
+
+// Stats reports coarse internal statistics.
+type Stats struct {
+	ActiveJobs int
+	Windows    int
+	Intervals  int
+	SlotsInUse int
+}
+
+// Stats returns current internal statistics, recounted from the live
+// pages.
+func (s *Scheduler) Stats() Stats {
+	st := Stats{ActiveJobs: s.active}
+	for _, p := range s.livePages() {
+		for _, id := range p.occ {
+			if id != ident.None {
+				st.SlotsInUse++
+			}
+		}
+		for range p.intervals() {
+			st.Intervals++
+		}
+		for range p.windows() {
+			st.Windows++
+		}
+	}
+	return st
 }

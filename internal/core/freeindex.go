@@ -6,12 +6,12 @@ import (
 )
 
 // Free-slot index. PLACE and MOVE take "a job-free fulfilled slot" of
-// the job's window (Lemma 8 guarantees one exists): the lowest empty one
-// under PreferEmpty, else the lowest one under a higher-level job; the
-// lowest of either under LowestSlot. A materialized window keeps its
-// job-free fulfilled slots in two bitIndexes over its span, so the pick
-// is a minimum query. Which own-level job holds a fulfilled slot, if any,
-// is not stored at all: it is the page's occupant there.
+// the job's window (Lemma 8 guarantees one exists): the lowest empty
+// one, else the lowest one under a higher-level job. A materialized
+// window keeps its job-free fulfilled slots in two bitIndexes over its
+// span, so the pick is a minimum query. Which own-level job holds a
+// fulfilled slot, if any, is not stored at all: it is the page's
+// occupant there.
 //
 // A slot's entry changes only where the slot changes: when an interval
 // assigns or releases it (assign, unassign, swapAssigned), when an
@@ -207,16 +207,18 @@ func (s *Scheduler) reindexBelow(t Time, l int, occ *jobState) {
 	}
 }
 
-// pickFulfilledSlot returns a job-free fulfilled slot of ws. Under
-// PreferEmpty it takes the lowest empty one (avoiding a higher-level
-// displacement), else the lowest one under a higher-level job; under
-// LowestSlot the lowest of either.
+// pickFulfilledSlot returns a job-free fulfilled slot of ws: the lowest
+// empty one, which avoids displacing a higher-level job, else the lowest
+// one under a higher-level job. The paper's algorithm is correct under
+// any choice. Taking the lowest of either kind instead cost 0.541
+// reallocations per request against this rule's 0.516 on seeded
+// γ=8 churn over a 4096-slot horizon.
 //
 //reallocvet:hotpath
-func (s *Scheduler) pickFulfilledSlot(ws *windowState) (Time, bool) {
+func (ws *windowState) pickFulfilledSlot() (Time, bool) {
 	i := ws.free[freeEmpty].min()
-	if u := ws.free[freeUnder].min(); u >= 0 && (i < 0 || s.policy == LowestSlot && u < i) {
-		i = u
+	if i < 0 {
+		i = ws.free[freeUnder].min()
 	}
 	if i < 0 {
 		return 0, false

@@ -9,8 +9,7 @@ import (
 )
 
 // FuzzRequestStream drives the reservation scheduler with a byte-decoded
-// request stream under the placement policy the input picks (lowest
-// selects LowestSlot). The fuzzer explores window geometries and churn
+// request stream. The fuzzer explores window geometries and churn
 // orders the random generators never produce; every reachable state must
 // keep all invariants (failures on infeasible input are fine — corruption
 // is not). Run with: go test -fuzz=FuzzRequestStream ./internal/core
@@ -24,16 +23,11 @@ func FuzzRequestStream(f *testing.F) {
 			0x0a, 0x00, 0x09, 0x80, 0x0a, 0x40, 0x81, 0x01, 0x03, 0x02, 0x0a, 0x10},
 	}
 	for _, seed := range seeds {
-		f.Add(false, seed)
-		f.Add(true, seed)
+		f.Add(seed)
 	}
 
-	f.Fuzz(func(t *testing.T, lowest bool, data []byte) {
-		policy := PreferEmpty
-		if lowest {
-			policy = LowestSlot
-		}
-		s := New(WithPlacementPolicy(policy))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New()
 		var live []string
 		id := 0
 		for i := 0; i+1 < len(data); i += 2 {

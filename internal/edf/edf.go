@@ -12,9 +12,8 @@
 // For unit-length jobs, least-laxity-first (LLF) induces the same order
 // as EDF (the laxity of an unfinished unit job at time t is d - t - 1,
 // monotone in the deadline), so this package covers both classical
-// policies; the Policy knob only changes tie-breaking among equal
-// deadlines, which is enough to observe that the brittleness is not an
-// artifact of one tie-break rule.
+// policies. Deadline ties go to the earlier arrival, then to the smaller
+// name, so the schedule is a pure function of the active set.
 package edf
 
 import (
@@ -27,20 +26,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Policy selects the tie-breaking rule among equal deadlines.
-type Policy uint8
-
-const (
-	// TieByArrival breaks deadline ties by earlier arrival, then name.
-	TieByArrival Policy = iota
-	// TieByName breaks deadline ties by job name only.
-	TieByName
-)
-
 // Scheduler is the EDF-recompute reallocating scheduler.
 type Scheduler struct {
 	m       int
-	policy  Policy
 	jobs    map[string]jobs.Window
 	current jobs.Assignment
 }
@@ -48,13 +36,12 @@ type Scheduler struct {
 var _ sched.Scheduler = (*Scheduler)(nil)
 
 // New returns an EDF-recompute scheduler on m machines.
-func New(m int, policy Policy) *Scheduler {
+func New(m int) *Scheduler {
 	if m < 1 {
 		panic(fmt.Sprintf("edf: %d machines", m))
 	}
 	return &Scheduler{
 		m:       m,
-		policy:  policy,
 		jobs:    make(map[string]jobs.Window),
 		current: make(jobs.Assignment),
 	}
@@ -144,7 +131,7 @@ func (s *Scheduler) schedule() (jobs.Assignment, error) {
 	})
 
 	out := make(jobs.Assignment, len(list))
-	h := &jobHeap{policy: s.policy}
+	h := &jobHeap{}
 	i := 0
 	var t jobs.Time
 	for i < len(list) || h.Len() > 0 {
@@ -193,10 +180,9 @@ func (s *Scheduler) SelfCheck() error {
 	return nil
 }
 
-// jobHeap orders by (deadline, tie-break).
+// jobHeap orders by deadline, then arrival, then name.
 type jobHeap struct {
-	policy Policy
-	items  []jobs.Job
+	items []jobs.Job
 }
 
 func (h *jobHeap) Len() int { return len(h.items) }
@@ -205,7 +191,7 @@ func (h *jobHeap) Less(i, k int) bool {
 	if a.Window.End != b.Window.End {
 		return a.Window.End < b.Window.End
 	}
-	if h.policy == TieByArrival && a.Window.Start != b.Window.Start {
+	if a.Window.Start != b.Window.Start {
 		return a.Window.Start < b.Window.Start
 	}
 	return a.Name < b.Name

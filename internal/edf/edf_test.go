@@ -18,7 +18,7 @@ func job(name string, start, end int64) jobs.Job {
 }
 
 func TestBasicInsertDelete(t *testing.T) {
-	s := New(1, TieByArrival)
+	s := New(1)
 	c, err := s.Insert(job("a", 0, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestBasicInsertDelete(t *testing.T) {
 }
 
 func TestInfeasibleRollsBack(t *testing.T) {
-	s := New(1, TieByArrival)
+	s := New(1)
 	if _, err := s.Insert(job("a", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestInfeasibleRollsBack(t *testing.T) {
 }
 
 func TestRejections(t *testing.T) {
-	s := New(2, TieByName)
+	s := New(2)
 	if _, err := s.Insert(job("a", 0, 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRejections(t *testing.T) {
 // packed in deadline order; inserting one job with an earlier deadline
 // shifts every one of them, Θ(n) reallocations despite 2-underallocation.
 func TestFrontInsertCascade(t *testing.T) {
-	s := New(1, TieByArrival)
+	s := New(1)
 	const n = 64
 	for i := 0; i < n; i++ {
 		// Jobs with staggered deadlines: job i has window [0, 2n + i + 1).
@@ -93,7 +93,7 @@ func TestFrontInsertCascade(t *testing.T) {
 }
 
 func TestMultiMachine(t *testing.T) {
-	s := New(3, TieByArrival)
+	s := New(3)
 	for i := 0; i < 9; i++ {
 		if _, err := s.Insert(job(fmt.Sprintf("j%d", i), 0, 3)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
@@ -112,7 +112,7 @@ func TestRandomChurnStaysFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(1, TieByArrival)
+	s := New(1)
 	if _, err := sched.RunChecked(s, g.Sequence(), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -121,38 +121,20 @@ func TestRandomChurnStaysFeasible(t *testing.T) {
 	}
 }
 
-func TestPoliciesDiffer(t *testing.T) {
-	// Same deadline, different arrivals: TieByArrival prefers the earlier
-	// arrival; TieByName prefers the lexicographically smaller name.
-	build := func(p Policy) jobs.Assignment {
-		s := New(1, p)
-		// "z" arrives earlier, "a" later; both deadline 4.
-		if _, err := s.Insert(job("z", 0, 4)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Insert(job("a", 1, 4)); err != nil {
-			t.Fatal(err)
-		}
-		return s.Assignment()
-	}
-	byArrival := build(TieByArrival)
-	byName := build(TieByName)
-	if byArrival["z"].Slot != 0 {
-		t.Errorf("TieByArrival: z at %d", byArrival["z"].Slot)
-	}
-	// TieByName: at slot 0 only z is available, so z still runs first;
-	// at slot 1 'a' vs nothing. Use three jobs to expose the difference.
-	s := New(1, TieByName)
-	for _, j := range []jobs.Job{job("z", 0, 4), job("b", 0, 4)} {
+// Deadline ties go to the earlier arrival, then to the smaller name.
+func TestTieBreak(t *testing.T) {
+	s := New(1)
+	// x takes slot 0. At slot 1, z (arrived at 0) and a and b (arrived at
+	// 1) tie on deadline 4: z goes first, then a before b by name.
+	for _, j := range []jobs.Job{job("x", 0, 1), job("z", 0, 4), job("a", 1, 4), job("b", 1, 4)} {
 		if _, err := s.Insert(j); err != nil {
 			t.Fatal(err)
 		}
 	}
 	asn := s.Assignment()
-	if asn["b"].Slot != 0 || asn["z"].Slot != 1 {
-		t.Errorf("TieByName order wrong: %v", asn)
+	if asn["z"].Slot != 1 || asn["a"].Slot != 2 || asn["b"].Slot != 3 {
+		t.Errorf("tie-break order wrong: %v", asn)
 	}
-	_ = byName
 }
 
 func TestNewPanics(t *testing.T) {
@@ -161,5 +143,5 @@ func TestNewPanics(t *testing.T) {
 			t.Fatal("m=0 accepted")
 		}
 	}()
-	New(0, TieByArrival)
+	New(0)
 }

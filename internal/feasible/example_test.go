@@ -35,15 +35,3 @@ func ExampleUnderallocated() {
 	// true
 	// false
 }
-
-// Diagnose names the congested interval when an instance is too tight.
-func ExampleDiagnose() {
-	js := []jobs.Job{
-		{Name: "a", Window: jobs.Window{Start: 4, End: 6}},
-		{Name: "b", Window: jobs.Window{Start: 4, End: 6}},
-		{Name: "c", Window: jobs.Window{Start: 0, End: 64}},
-	}
-	fmt.Println(feasible.Diagnose(js, 1, 1)[0])
-	// Output:
-	// [4,6): 2 jobs / 2 slots (load 1.000)
-}

@@ -223,3 +223,23 @@ func TestEDFOutputVerifiesProperty(t *testing.T) {
 func name(i int) string {
 	return "j" + string(rune('A'+i/26)) + string(rune('a'+i%26))
 }
+
+// MaxCongestion returns the maximum over critical intervals [s, t) of
+// count(jobs inside) * span_unit / (m * (t-s)) expressed as the largest γ
+// for which Underallocated holds, i.e. floor(min over intervals of
+// m*(t-s)/count). Returns a very large value (1<<30) for an empty set.
+func MaxCongestion(js []jobs.Job, m int) int64 {
+	lo, hi := int64(1), int64(1)<<30
+	if !Underallocated(js, m, 1) {
+		return 0
+	}
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if Underallocated(js, m, mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}

@@ -11,7 +11,7 @@
 // which is what lets the shard dispatch hot path record every request
 // without disturbing the zero-alloc budget it is measuring.
 //
-// Reading happens through Snapshot, a frozen copy with quantile, mean,
+// Reading happens through Snapshot, a frozen copy with quantile, max
 // and merge operations. Snapshots of independent histograms (one per
 // shard, one per benchmark lane) merge associatively into the same
 // totals as a single shared histogram would have recorded.
@@ -46,7 +46,6 @@ const (
 type Histogram struct {
 	counts [nBuckets]atomic.Uint64
 	count  atomic.Uint64
-	sum    atomic.Uint64
 	max    atomic.Int64
 }
 
@@ -88,9 +87,6 @@ func bucketHigh(i int) int64 {
 func (h *Histogram) Record(v int64) {
 	h.counts[bucketOf(v)].Add(1)
 	h.count.Add(1)
-	if v > 0 {
-		h.sum.Add(uint64(v))
-	}
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -110,9 +106,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 	h.counts[bucketOf(v)].Add(n)
 	h.count.Add(n)
-	if v > 0 {
-		h.sum.Add(uint64(v) * n)
-	}
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -121,9 +114,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Reset zeroes the histogram. It must not race Record: callers
 // quiesce writers first (benchmark harnesses between runs).
 func (h *Histogram) Reset() {
@@ -131,7 +121,6 @@ func (h *Histogram) Reset() {
 		h.counts[i].Store(0)
 	}
 	h.count.Store(0)
-	h.sum.Store(0)
 	h.max.Store(0)
 }
 
@@ -142,7 +131,6 @@ func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		counts: make([]uint64, nBuckets),
 		count:  h.count.Load(),
-		sum:    h.sum.Load(),
 		max:    h.max.Load(),
 	}
 	for i := range h.counts {
@@ -157,7 +145,6 @@ func (h *Histogram) Snapshot() Snapshot {
 type Snapshot struct {
 	counts []uint64
 	count  uint64
-	sum    uint64
 	max    int64
 }
 
@@ -167,15 +154,6 @@ func (s Snapshot) Count() uint64 { return s.count }
 // Max returns the largest recorded value (exact, not bucketed), or 0
 // when empty.
 func (s Snapshot) Max() int64 { return s.max }
-
-// Mean returns the arithmetic mean of the recorded values, 0 when
-// empty. (The sum is exact; only quantiles are bucketed.)
-func (s Snapshot) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return float64(s.sum) / float64(s.count)
-}
 
 // Quantile returns the q-th quantile (q in [0,1]) by nearest rank: the
 // upper bound of the bucket holding the ceil(q*count)-th observation,
@@ -231,7 +209,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 		s.counts[i] += c
 	}
 	s.count += o.count
-	s.sum += o.sum
 	if o.max > s.max {
 		s.max = o.max
 	}

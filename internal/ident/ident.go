@@ -104,12 +104,6 @@ func (t *Table) Len() int {
 	return len(t.byName)
 }
 
-// Cap returns an exclusive upper bound on every ID the table has ever
-// issued — the size an ID-indexed slice needs to cover them all.
-func (t *Table) Cap() int {
-	return len(t.names) + 1
-}
-
 // Range calls fn for every bound (ID, name) until fn returns false. fn
 // must not call mutating table methods; the order is unspecified.
 func (t *Table) Range(fn func(id ID, name string) bool) {

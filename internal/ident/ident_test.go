@@ -171,3 +171,9 @@ func BenchmarkGetHit(b *testing.B) {
 		}
 	}
 }
+
+// Cap returns an exclusive upper bound on every ID the table has ever
+// issued — the size an ID-indexed slice needs to cover them all.
+func (t *Table) Cap() int {
+	return len(t.names) + 1
+}

@@ -22,16 +22,6 @@ type Window struct {
 	End   Time
 }
 
-// NewWindow builds the window [start, end). It returns an error if the
-// window is empty or exceeds the supported span.
-func NewWindow(start, end Time) (Window, error) {
-	w := Window{Start: start, End: end}
-	if err := w.Validate(); err != nil {
-		return Window{}, err
-	}
-	return w, nil
-}
-
 // Validate reports whether the window is well-formed.
 func (w Window) Validate() error {
 	if w.End <= w.Start {
@@ -59,9 +49,6 @@ func (w Window) ContainsWindow(o Window) bool {
 func (w Window) Overlaps(o Window) bool {
 	return w.Start < o.End && o.Start < w.End
 }
-
-// Equal reports whether the two windows are identical.
-func (w Window) Equal(o Window) bool { return w.Start == o.Start && w.End == o.End }
 
 // IsAligned reports whether the window is aligned in the paper's sense:
 // its span is a power of two and its start is a multiple of the span.

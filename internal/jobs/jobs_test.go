@@ -5,18 +5,14 @@ import (
 	"testing/quick"
 )
 
-func TestNewWindow(t *testing.T) {
-	w, err := NewWindow(3, 7)
-	if err != nil {
-		t.Fatalf("NewWindow(3,7): %v", err)
+func TestWindowValidate(t *testing.T) {
+	if err := (Window{3, 7}).Validate(); err != nil {
+		t.Fatalf("[3,7): %v", err)
 	}
-	if w.Span() != 4 {
-		t.Errorf("span = %d, want 4", w.Span())
-	}
-	if _, err := NewWindow(7, 7); err == nil {
+	if err := (Window{7, 7}).Validate(); err == nil {
 		t.Error("empty window accepted")
 	}
-	if _, err := NewWindow(8, 3); err == nil {
+	if err := (Window{8, 3}).Validate(); err == nil {
 		t.Error("inverted window accepted")
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Lemma 12's toggle chain forces quadratic total cost on any scheduler.
 func ExampleLemma12Sequence() {
 	seq := lowerbound.Lemma12Sequence(32, 16)
-	rec, err := lowerbound.MeasureDiffCosts(edf.New(1, edf.TieByArrival), seq)
+	rec, err := lowerbound.MeasureDiffCosts(edf.New(1), seq)
 	if err != nil {
 		panic(err)
 	}

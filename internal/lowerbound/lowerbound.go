@@ -41,7 +41,7 @@ func MeasureDiffCosts(s sched.Scheduler, reqs []jobs.Request) (*metrics.Recorder
 		if r.Kind == jobs.Insert {
 			moved++ // initial placement of the new job
 		}
-		rec.Record(metrics.Cost{Reallocations: moved, Migrations: migrated}, s.Active())
+		rec.Record(metrics.Cost{Reallocations: moved, Migrations: migrated})
 		before = after
 	}
 	return rec, nil

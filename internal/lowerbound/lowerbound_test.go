@@ -40,7 +40,7 @@ func TestLemma12SequenceShape(t *testing.T) {
 // Θ(eta) per toggle, Θ(eta²) total.
 func TestLemma12QuadraticOnEDF(t *testing.T) {
 	const eta, cycles = 40, 20
-	s := edf.New(1, edf.TieByArrival)
+	s := edf.New(1)
 	rec, err := MeasureDiffCosts(s, Lemma12Sequence(eta, cycles))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestEDFBrittleVsReservationRobust(t *testing.T) {
 	const n, probes = 64, 8
 	seq := FrontInsertSequence(n, probes)
 
-	edfRec, err := MeasureDiffCosts(edf.New(1, edf.TieByArrival), seq)
+	edfRec, err := MeasureDiffCosts(edf.New(1), seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLemma11LinearMigrations(t *testing.T) {
 
 // Lemma 11 on EDF too: the bound is algorithm-independent.
 func TestLemma11OnEDF(t *testing.T) {
-	res, err := RunLemma11(edf.New(2, edf.TieByArrival), 4)
+	res, err := RunLemma11(edf.New(2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestLemma11OnEDF(t *testing.T) {
 }
 
 func TestMeasureDiffCostsCountsInsertPlacement(t *testing.T) {
-	s := edf.New(1, edf.TieByArrival)
+	s := edf.New(1)
 	rec, err := MeasureDiffCosts(s, []jobs.Request{jobs.InsertReq("a", 0, 4)})
 	if err != nil {
 		t.Fatal(err)

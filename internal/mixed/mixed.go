@@ -54,15 +54,6 @@ func New(horizon int64) *Scheduler {
 	}
 }
 
-// Active returns the number of active jobs (unit jobs plus the big job).
-func (s *Scheduler) Active() int {
-	n := len(s.units)
-	if s.big != nil {
-		n++
-	}
-	return n
-}
-
 // coveredByBig reports whether slot t lies under the size-k job.
 func (s *Scheduler) coveredByBig(t jobs.Time) bool {
 	return s.big != nil && t >= s.big.start && t < s.big.start+s.big.size
@@ -85,17 +76,6 @@ func (s *Scheduler) InsertUnit(name string, w jobs.Window) (metrics.Cost, error)
 	s.units[name] = u
 	s.slots[slot] = name
 	return metrics.Cost{Reallocations: 1}, nil
-}
-
-// DeleteUnit removes a unit job.
-func (s *Scheduler) DeleteUnit(name string) (metrics.Cost, error) {
-	u, ok := s.units[name]
-	if !ok {
-		return metrics.Cost{}, fmt.Errorf("mixed: unknown unit job %q", name)
-	}
-	delete(s.slots, u.slot)
-	delete(s.units, name)
-	return metrics.Cost{}, nil
 }
 
 // InsertBig places the size-k job at exactly [start, start+size),

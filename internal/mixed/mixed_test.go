@@ -10,39 +10,16 @@ import (
 
 func win(start, end int64) jobs.Window { return jobs.Window{Start: start, End: end} }
 
-func TestUnitInsertDelete(t *testing.T) {
-	s := New(16)
-	c, err := s.InsertUnit("a", win(0, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Reallocations != 1 {
-		t.Errorf("cost %+v", c)
-	}
-	if err := s.SelfCheck(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DeleteUnit("a"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Active() != 0 {
-		t.Error("not deleted")
-	}
-}
-
 func TestUnitRejections(t *testing.T) {
 	s := New(16)
-	if _, err := s.InsertUnit("a", win(0, 1)); err != nil {
-		t.Fatal(err)
+	if c, err := s.InsertUnit("a", win(0, 1)); err != nil || c.Reallocations != 1 {
+		t.Fatalf("insert: cost %+v, err %v", c, err)
 	}
 	if _, err := s.InsertUnit("a", win(0, 4)); err == nil {
 		t.Error("duplicate accepted")
 	}
 	if _, err := s.InsertUnit("b", win(0, 1)); err == nil {
 		t.Error("overfull window accepted")
-	}
-	if _, err := s.DeleteUnit("ghost"); err == nil {
-		t.Error("unknown delete accepted")
 	}
 }
 

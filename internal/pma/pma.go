@@ -6,10 +6,10 @@
 //
 // A PMA keeps n ordered keys in an array of size O(n) with gaps, so that
 // an insertion only rewrites a small neighborhood. In reallocation terms:
-// the resource is array cells, a request is an insert/delete of a key,
-// and the reallocation cost is the number of keys moved to new cells.
+// the resource is array cells, a request is an insert of a key, and the
+// reallocation cost is the number of keys moved to new cells.
 // Classic density-threshold rebalancing achieves amortized O(log² n)
-// moves per update — the experiment harness (E15) measures exactly that
+// moves per insert — the experiment harness (E15) measures exactly that
 // shape, putting the paper's scheduler (O(log* n)) side by side with
 // another member of its reallocation framework.
 package pma
@@ -68,13 +68,6 @@ func leafSizeFor(capacity int) int {
 // Len returns the number of stored keys.
 func (p *PMA) Len() int { return p.used }
 
-// Capacity returns the backing array size.
-func (p *PMA) Capacity() int { return len(p.cells) }
-
-// LastMoves returns how many keys the most recent operation moved to a
-// different cell (the reallocation cost).
-func (p *PMA) LastMoves() int { return p.moves }
-
 // Keys returns the stored keys in order.
 func (p *PMA) Keys() []int64 {
 	out := make([]int64, 0, p.used)
@@ -84,12 +77,6 @@ func (p *PMA) Keys() []int64 {
 		}
 	}
 	return out
-}
-
-// Contains reports whether key is stored.
-func (p *PMA) Contains(key int64) bool {
-	_, ok := p.find(key)
-	return ok
 }
 
 // find locates the cell of key, or the insertion region.
@@ -142,19 +129,6 @@ func (p *PMA) Insert(key int64) (int, error) {
 	p.used++
 	p.moves++ // the inserted key's own placement
 	p.rebalanceAfter(landed)
-	return p.moves, nil
-}
-
-// Delete removes a key; returns the number of keys moved.
-func (p *PMA) Delete(key int64) (int, error) {
-	p.moves = 0
-	idx, ok := p.find(key)
-	if !ok {
-		return 0, fmt.Errorf("pma: unknown key %d", key)
-	}
-	p.cells[idx] = 0
-	p.used--
-	p.rebalanceAfter(idx)
 	return p.moves, nil
 }
 

@@ -55,32 +55,6 @@ func TestRejections(t *testing.T) {
 	if _, err := p.Insert(7); err == nil {
 		t.Error("duplicate accepted")
 	}
-	if _, err := p.Delete(9); err == nil {
-		t.Error("unknown delete accepted")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	p := New()
-	for i := int64(1); i <= 64; i++ {
-		if _, err := p.Insert(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(1); i <= 64; i += 2 {
-		if _, err := p.Delete(i); err != nil {
-			t.Fatalf("delete %d: %v", i, err)
-		}
-		if err := p.SelfCheck(); err != nil {
-			t.Fatalf("after delete %d: %v", i, err)
-		}
-	}
-	if p.Len() != 32 {
-		t.Errorf("len = %d", p.Len())
-	}
-	if p.Contains(3) || !p.Contains(4) {
-		t.Error("membership wrong after deletes")
-	}
 }
 
 func TestCapacityTracksN(t *testing.T) {
@@ -90,16 +64,8 @@ func TestCapacityTracksN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c := p.Capacity(); c > 8*p.Len() {
+	if c := len(p.cells); c > 8*p.Len() {
 		t.Errorf("capacity %d too large for %d keys", c, p.Len())
-	}
-	for i := int64(1); i <= 950; i++ {
-		if _, err := p.Delete(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c := p.Capacity(); c > 64*p.Len() {
-		t.Errorf("capacity %d did not shrink for %d keys", c, p.Len())
 	}
 }
 
@@ -138,33 +104,19 @@ func TestAmortizedMovesLogSquared(t *testing.T) {
 	}
 }
 
-// Property: random insert/delete mixes keep order and count.
+// Property: inserts in random order, duplicates rejected, keep order
+// and count.
 func TestRandomChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := New()
 		live := map[int64]bool{}
 		for step := 0; step < 300; step++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				var victim int64
-				for k := range live {
-					victim = k
-					break
-				}
-				if _, err := p.Delete(victim); err != nil {
-					return false
-				}
-				delete(live, victim)
-			} else {
-				key := rng.Int63n(10000) + 1
-				if live[key] {
-					continue
-				}
-				if _, err := p.Insert(key); err != nil {
-					return false
-				}
-				live[key] = true
+			key := rng.Int63n(500) + 1
+			if _, err := p.Insert(key); (err != nil) != live[key] {
+				return false
 			}
+			live[key] = true
 			if p.SelfCheck() != nil {
 				return false
 			}

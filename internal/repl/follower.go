@@ -229,17 +229,6 @@ func (f *Follower) Adopt(tenant string) *shard.Scheduler {
 	return r.sched
 }
 
-// Tenants lists the tenants with adoptable schedulers.
-func (f *Follower) Tenants() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.tenants))
-	for t := range f.tenants {
-		names = append(names, t)
-	}
-	return names
-}
-
 // Run follows the primary until promotion or Close: dial, handshake,
 // ingest frames; on connection loss redial, and if the primary stays
 // silent past PromoteAfter (when set), self-promote. Silence is

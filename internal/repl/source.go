@@ -108,9 +108,6 @@ func NewSource(cfg SourceConfig) *Source {
 	}
 }
 
-// Epoch returns the primary's fencing epoch.
-func (s *Source) Epoch() uint64 { return s.cfg.Epoch }
-
 // Fenced reports whether a follower with a higher epoch has connected:
 // this primary has been deposed and must stop accepting writes.
 func (s *Source) Fenced() bool {

@@ -173,7 +173,7 @@ func Run(s Scheduler, reqs []jobs.Request, rec *metrics.Recorder) (int, error) {
 			return i, fmt.Errorf("request %d (%s): %w", i, r, err)
 		}
 		if rec != nil {
-			rec.Record(c, s.Active())
+			rec.Record(c)
 		}
 	}
 	return len(reqs), nil
@@ -188,7 +188,7 @@ func RunChecked(s Scheduler, reqs []jobs.Request, rec *metrics.Recorder) (int, e
 			return i, fmt.Errorf("request %d (%s): %w", i, r, err)
 		}
 		if rec != nil {
-			rec.Record(c, s.Active())
+			rec.Record(c)
 		}
 		if err := s.SelfCheck(); err != nil {
 			return i, fmt.Errorf("invariant violation after request %d (%s): %w", i, r, err)

@@ -15,12 +15,6 @@ type Policy interface {
 	Route(name string, shards int) int
 }
 
-// PolicyFunc adapts a function to the Policy interface.
-type PolicyFunc func(name string, shards int) int
-
-// Route implements Policy.
-func (f PolicyFunc) Route(name string, shards int) int { return f(name, shards) }
-
 // Ring is a consistent-hash ring: each shard owns `replicas` virtual
 // points on a 64-bit circle, and a name routes to the shard owning the
 // first point at or after the name's hash. Adding or removing a shard

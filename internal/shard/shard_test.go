@@ -30,6 +30,12 @@ func stackFactory(machines int) sched.Scheduler {
 	return alignsched.New(s)
 }
 
+// PolicyFunc adapts a function to the Policy interface.
+type PolicyFunc func(name string, shards int) int
+
+// Route implements Policy.
+func (f PolicyFunc) Route(name string, shards int) int { return f(name, shards) }
+
 func newTestSharded(t *testing.T, shards, machines int) *Scheduler {
 	t.Helper()
 	s := New(Config{Shards: shards, Machines: machines, Factory: stackFactory})

@@ -194,7 +194,7 @@ func runE3(quick bool) (*Table, error) {
 	t := newTable("E3", "n", "EDF mean probe cost", "reservation mean probe cost", "ratio")
 	for _, n := range sizes {
 		seq := lowerbound.FrontInsertSequence(n, probes)
-		edfRec, err := lowerbound.MeasureDiffCosts(edf.New(1, edf.TieByArrival), seq)
+		edfRec, err := lowerbound.MeasureDiffCosts(edf.New(1), seq)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func runE5(quick bool) (*Table, error) {
 	for _, eta := range etas {
 		cycles := eta / 2
 		seq := lowerbound.Lemma12Sequence(eta, cycles)
-		rec, err := lowerbound.MeasureDiffCosts(edf.New(1, edf.TieByArrival), seq)
+		rec, err := lowerbound.MeasureDiffCosts(edf.New(1), seq)
 		if err != nil {
 			return nil, err
 		}
@@ -758,7 +758,7 @@ func runE16(quick bool) (*Table, error) {
 			continue
 		}
 		served++
-		rec.Record(c, seq.Active())
+		rec.Record(c)
 	}
 	sum := rec.Summary()
 	t.AddRow("sequential", served, failed, sum.TotalReallocations, sum.MeanReallocations,

@@ -72,18 +72,6 @@ func New() *Scheduler {
 	}
 }
 
-// Active returns the number of active jobs.
-func (s *Scheduler) Active() int { return len(s.jobs) }
-
-// Placement returns the block start of an active job.
-func (s *Scheduler) Placement(name string) (jobs.Time, bool) {
-	p, ok := s.jobs[name]
-	if !ok {
-		return 0, false
-	}
-	return p.block, true
-}
-
 // Insert places the job, evicting strictly smaller jobs from one
 // candidate block if necessary. Cost is 1 + the number of relocated
 // smaller jobs (each <= size/1, so O(size) total).

@@ -41,9 +41,9 @@ func TestInsertDeleteBasic(t *testing.T) {
 	if c.Reallocations != 1 {
 		t.Errorf("cost %+v", c)
 	}
-	b, ok := s.Placement("a")
-	if !ok || b%4 != 0 {
-		t.Errorf("placement %d, %v", b, ok)
+	p, ok := s.jobs["a"]
+	if !ok || p.block%4 != 0 {
+		t.Errorf("placement %+v, %v", p, ok)
 	}
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestInsertDeleteBasic(t *testing.T) {
 	if _, err := s.Delete("a"); err != nil {
 		t.Fatal(err)
 	}
-	if s.Active() != 0 {
+	if len(s.jobs) != 0 {
 		t.Error("not deleted")
 	}
 }
@@ -65,8 +65,7 @@ func TestBlockAlignment(t *testing.T) {
 	if _, err := s.Insert(Job{Name: "big", Size: 4, Window: win(0, 8)}); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := s.Placement("big")
-	if b != 4 {
+	if b := s.jobs["big"].block; b != 4 {
 		t.Errorf("big at %d, want 4", b)
 	}
 }

@@ -122,9 +122,6 @@ func (s *Scheduler) Machines() int { return s.inner.Machines() }
 // Active returns the number of active jobs.
 func (s *Scheduler) Active() int { return s.names.Len() }
 
-// NStar exposes the current estimate n* (for tests and experiments).
-func (s *Scheduler) NStar() int { return s.nStar }
-
 // Rebuilds returns how many full rebuilds have occurred.
 func (s *Scheduler) Rebuilds() int { return s.rebuilds }
 

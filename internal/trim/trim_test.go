@@ -34,7 +34,7 @@ func TestTrimWindow(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := trimWindow(c.w, c.cap)
-		if !got.Equal(c.want) {
+		if got != c.want {
 			t.Errorf("trimWindow(%v, %d) = %v, want %v", c.w, c.cap, got, c.want)
 		}
 		if !got.IsAligned() {
@@ -45,8 +45,8 @@ func TestTrimWindow(t *testing.T) {
 
 func TestCapGrowsWithNStar(t *testing.T) {
 	s := New(8, coreFactory)
-	if s.NStar() != 1 {
-		t.Fatalf("initial n* = %d", s.NStar())
+	if s.nStar != 1 {
+		t.Fatalf("initial n* = %d", s.nStar)
 	}
 	if s.Cap() != 16 { // CeilPow2(2*8*1)
 		t.Fatalf("initial cap = %d", s.Cap())
@@ -60,8 +60,8 @@ func TestCapGrowsWithNStar(t *testing.T) {
 		}
 	}
 	// n = 9 forces n* to 16, cap = CeilPow2(2*8*16) = 256.
-	if s.NStar() != 16 || s.Cap() != 256 {
-		t.Errorf("n* = %d cap = %d", s.NStar(), s.Cap())
+	if s.nStar != 16 || s.Cap() != 256 {
+		t.Errorf("n* = %d cap = %d", s.nStar, s.Cap())
 	}
 	if s.Rebuilds() == 0 {
 		t.Error("no rebuilds recorded")
@@ -81,7 +81,7 @@ func TestHalving(t *testing.T) {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	grew := s.NStar()
+	grew := s.nStar
 	for i := 0; i < 30; i++ {
 		if _, err := s.Delete(fmt.Sprintf("j%d", i)); err != nil {
 			t.Fatalf("delete %d: %v", i, err)
@@ -90,8 +90,8 @@ func TestHalving(t *testing.T) {
 			t.Fatalf("after delete %d: %v", i, err)
 		}
 	}
-	if s.NStar() >= grew {
-		t.Errorf("n* did not shrink: %d -> %d", grew, s.NStar())
+	if s.nStar >= grew {
+		t.Errorf("n* did not shrink: %d -> %d", grew, s.nStar)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestJobsReportsOriginalWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	js := s.Jobs()
-	if len(js) != 1 || !js[0].Window.Equal(orig.Window) {
+	if len(js) != 1 || js[0].Window != orig.Window {
 		t.Errorf("Jobs() = %v", js)
 	}
 	// Schedule remains feasible against the original windows.

@@ -399,9 +399,6 @@ func syncDir(dir string) {
 	}
 }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Enqueue hands a record to the group-commit flusher. done runs exactly
 // once — after the record's group is written (and synced, under
 // Options.Fsync) — with nil on success or the write error. done is

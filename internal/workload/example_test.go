@@ -36,15 +36,3 @@ func ExampleGenerator() {
 	// Output:
 	// still 8-underallocated after 100 requests: true
 }
-
-// Scenario generators produce well-formed request streams for the
-// examples: clinic bookings, cloud pools, sliding horizons.
-func ExampleClinic() {
-	reqs, err := workload.Clinic(workload.ClinicConfig{Seed: 1, Patients: 10, ChurnRounds: 3})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%d requests (%d bookings + %d churn pairs)\n", len(reqs), 10, 3)
-	// Output:
-	// 16 requests (10 bookings + 3 churn pairs)
-}

@@ -8,139 +8,6 @@ import (
 	"repro/internal/mathx"
 )
 
-// ClinicConfig parameterizes the appointment-book scenario from the
-// paper's introduction: patients book within availability windows, some
-// cancel, and walk-ins demand narrow windows.
-type ClinicConfig struct {
-	Seed int64
-	// Day is the number of appointment slots, a power of two
-	// (default 512).
-	Day int64
-	// Patients is the size of the morning booking rush (default 40).
-	Patients int
-	// ChurnRounds is the number of cancellation+walk-in pairs
-	// (default 20).
-	ChurnRounds int
-	// WalkinSpan is the (maximum) window span a walk-in tolerates
-	// (default 8).
-	WalkinSpan int64
-}
-
-func (c *ClinicConfig) fill() error {
-	if c.Day == 0 {
-		c.Day = 512
-	}
-	if c.Patients == 0 {
-		c.Patients = 40
-	}
-	if c.ChurnRounds == 0 {
-		c.ChurnRounds = 20
-	}
-	if c.WalkinSpan == 0 {
-		c.WalkinSpan = 8
-	}
-	if !mathx.IsPow2(c.Day) {
-		return fmt.Errorf("workload: clinic day %d must be a power of two", c.Day)
-	}
-	if c.Patients > int(c.Day/4) {
-		return fmt.Errorf("workload: %d patients overbook a %d-slot day", c.Patients, c.Day)
-	}
-	return nil
-}
-
-// Clinic generates the appointment scenario as a request sequence. All
-// requests keep the book comfortably underallocated, so any scheduler in
-// this repository can serve them.
-func Clinic(cfg ClinicConfig) ([]jobs.Request, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var reqs []jobs.Request
-	booked := []string{}
-
-	for i := 0; i < cfg.Patients; i++ {
-		name := fmt.Sprintf("patient-%03d", i)
-		start := rng.Int63n(cfg.Day / 2)
-		span := cfg.Day/8 + rng.Int63n(cfg.Day/4)
-		end := mathx.MinI64(start+span, cfg.Day)
-		reqs = append(reqs, jobs.InsertReq(name, start, end))
-		booked = append(booked, name)
-	}
-	for round := 0; round < cfg.ChurnRounds; round++ {
-		if len(booked) > 1 {
-			i := rng.Intn(len(booked))
-			reqs = append(reqs, jobs.DeleteReq(booked[i]))
-			booked = append(booked[:i], booked[i+1:]...)
-		}
-		name := fmt.Sprintf("walkin-%03d", round)
-		start := rng.Int63n(cfg.Day - cfg.WalkinSpan)
-		reqs = append(reqs, jobs.InsertReq(name, start, start+cfg.WalkinSpan))
-		booked = append(booked, name)
-	}
-	return reqs, nil
-}
-
-// CloudConfig parameterizes the batch-pool scenario: jobs with deadlines
-// arriving over an advancing clock on an m-machine pool.
-type CloudConfig struct {
-	Seed     int64
-	Machines int   // pool size (default 4)
-	Horizon  int64 // schedule horizon, power of two (default 4096)
-	Steps    int   // number of requests (default 2000)
-	// Resident steers the steady-state job population (default
-	// Horizon*Machines/64).
-	Resident int
-}
-
-func (c *CloudConfig) fill() error {
-	if c.Machines == 0 {
-		c.Machines = 4
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 4096
-	}
-	if c.Steps == 0 {
-		c.Steps = 2000
-	}
-	if c.Resident == 0 {
-		c.Resident = int(c.Horizon * int64(c.Machines) / 64)
-	}
-	if !mathx.IsPow2(c.Horizon) {
-		return fmt.Errorf("workload: cloud horizon %d must be a power of two", c.Horizon)
-	}
-	return nil
-}
-
-// Cloud generates the batch-pool scenario: wide-window batch jobs mixed
-// with deadline-driven service jobs, arrivals skewed toward the front of
-// the horizon.
-func Cloud(cfg CloudConfig) ([]jobs.Request, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var reqs []jobs.Request
-	running := []string{}
-	id := 0
-	for step := 0; step < cfg.Steps; step++ {
-		if len(running) > cfg.Resident && rng.Intn(2) == 0 {
-			i := rng.Intn(len(running))
-			reqs = append(reqs, jobs.DeleteReq(running[i]))
-			running = append(running[:i], running[i+1:]...)
-			continue
-		}
-		name := fmt.Sprintf("batch-%06d", id)
-		id++
-		start := rng.Int63n(cfg.Horizon * 3 / 4)
-		span := cfg.Horizon/16 + rng.Int63n(cfg.Horizon/4)
-		end := mathx.MinI64(start+span, cfg.Horizon)
-		reqs = append(reqs, jobs.InsertReq(name, start, end))
-		running = append(running, name)
-	}
-	return reqs, nil
-}
-
 // MixedConfig parameterizes the mixed production workload: wide batch
 // jobs, narrow deadline-driven service jobs, and steady insert/delete
 // churn, all γ-underallocated by construction so any scheduler stack in
@@ -234,79 +101,6 @@ func Mixed(cfg MixedConfig) ([]jobs.Request, error) {
 func renamed(r jobs.Request, prefix string) jobs.Request {
 	r.Name = prefix + r.Name
 	return r
-}
-
-// SlidingConfig parameterizes a moving-horizon workload: the request
-// clock advances and jobs book windows relative to "now", modeling a
-// schedule that is always changing at its leading edge (the paper's
-// "real schedules are always changing").
-type SlidingConfig struct {
-	Seed int64
-	// Lookahead is how far past "now" windows may reach, a power of two
-	// (default 256).
-	Lookahead int64
-	// Advance is how many slots the clock moves per request (default 1).
-	Advance int64
-	// Steps is the number of requests (default 1000).
-	Steps int
-	// Lifetime is roughly how many requests a job stays active
-	// (default 64).
-	Lifetime int
-}
-
-func (c *SlidingConfig) fill() error {
-	if c.Lookahead == 0 {
-		c.Lookahead = 256
-	}
-	if c.Advance == 0 {
-		c.Advance = 1
-	}
-	if c.Steps == 0 {
-		c.Steps = 1000
-	}
-	if c.Lifetime == 0 {
-		c.Lifetime = 64
-	}
-	if !mathx.IsPow2(c.Lookahead) {
-		return fmt.Errorf("workload: lookahead %d must be a power of two", c.Lookahead)
-	}
-	return nil
-}
-
-// Sliding generates the moving-horizon workload. Jobs whose windows have
-// fallen behind the clock are deleted before they would pin the past.
-func Sliding(cfg SlidingConfig) ([]jobs.Request, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	type live struct {
-		name    string
-		expires int
-	}
-	var reqs []jobs.Request
-	var active []live
-	now := int64(0)
-	id := 0
-	for step := 0; step < cfg.Steps; step++ {
-		now += cfg.Advance
-		// Retire expired jobs first (deterministic order).
-		for len(active) > 0 && active[0].expires <= step {
-			reqs = append(reqs, jobs.DeleteReq(active[0].name))
-			active = active[1:]
-		}
-		name := fmt.Sprintf("slide-%06d", id)
-		id++
-		start := now + rng.Int63n(cfg.Lookahead/2)
-		span := 4 + rng.Int63n(cfg.Lookahead/2)
-		reqs = append(reqs, jobs.InsertReq(name, start, start+span))
-		active = append(active, live{name: name, expires: step + 1 + rng.Intn(cfg.Lifetime)})
-	}
-	// Drain.
-	for _, l := range active {
-		reqs = append(reqs, jobs.DeleteReq(l.name))
-	}
-	return reqs, nil
 }
 
 // BurstConfig parameterizes the synchronized-wave scenario: the

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,93 +33,12 @@ func replayWellFormed(t *testing.T, reqs []jobs.Request) int {
 	return len(live)
 }
 
-func TestClinicScenario(t *testing.T) {
-	reqs, err := Clinic(ClinicConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 40+2*20 {
-		t.Errorf("len = %d", len(reqs))
-	}
-	replayWellFormed(t, reqs)
-	// All windows inside the day.
-	for _, r := range reqs {
-		if r.Kind == jobs.Insert && (r.Window.Start < 0 || r.Window.End > 512) {
-			t.Errorf("window %v outside day", r.Window)
-		}
-	}
-}
-
-func TestClinicValidation(t *testing.T) {
-	if _, err := Clinic(ClinicConfig{Day: 100}); err == nil {
-		t.Error("non-pow2 day accepted")
-	}
-	if _, err := Clinic(ClinicConfig{Day: 64, Patients: 60}); err == nil {
-		t.Error("overbooked day accepted")
-	}
-}
-
-func TestCloudScenario(t *testing.T) {
-	reqs, err := Cloud(CloudConfig{Seed: 2, Steps: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 500 {
-		t.Errorf("len = %d", len(reqs))
-	}
-	n := replayWellFormed(t, reqs)
-	if n == 0 {
-		t.Error("cloud scenario drained completely")
-	}
-}
-
-func TestCloudValidation(t *testing.T) {
-	if _, err := Cloud(CloudConfig{Horizon: 100}); err == nil {
-		t.Error("non-pow2 horizon accepted")
-	}
-}
-
-func TestSlidingScenario(t *testing.T) {
-	reqs, err := Sliding(SlidingConfig{Seed: 3, Steps: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := replayWellFormed(t, reqs); n != 0 {
-		t.Errorf("%d jobs left after drain", n)
-	}
-	// Windows march forward: the k-th insert's window start is
-	// nondecreasing-ish; check the first and last differ substantially.
-	var first, last int64 = -1, -1
-	for _, r := range reqs {
-		if r.Kind != jobs.Insert {
-			continue
-		}
-		if first == -1 {
-			first = r.Window.Start
-		}
-		last = r.Window.Start
-	}
-	if last < first+200 {
-		t.Errorf("clock did not advance: first=%d last=%d", first, last)
-	}
-}
-
-func TestSlidingValidation(t *testing.T) {
-	if _, err := Sliding(SlidingConfig{Lookahead: 100}); err == nil {
-		t.Error("non-pow2 lookahead accepted")
-	}
-}
-
 func TestScenariosDeterministic(t *testing.T) {
-	a, _ := Clinic(ClinicConfig{Seed: 9})
-	b, _ := Clinic(ClinicConfig{Seed: 9})
-	if len(a) != len(b) {
-		t.Fatal("length mismatch")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d differs", i)
-		}
+	cfg := ElasticConfig{Seed: 9, StepsPerPhase: 200}
+	a, _ := Elastic(cfg)
+	b, _ := Elastic(cfg)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed, different phases")
 	}
 }
 

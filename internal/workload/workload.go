@@ -1,7 +1,8 @@
 // Package workload generates random request sequences that are
 // γ-underallocated by construction, the precondition of the paper's
-// Theorem 1. It also provides the scenario generators used by the
-// examples (clinic bookings, cloud batch churn).
+// Theorem 1. It also provides the scenario generators the experiments
+// and load tools replay (mixed, burst, elastic, trace-shaped and
+// adversarial streams).
 //
 // Underallocation is enforced with a dyadic budget tree: for every
 // aligned window V over the horizon, the number of active jobs whose

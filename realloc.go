@@ -436,7 +436,7 @@ func NewNaive() Scheduler { return naive.New() }
 // NewEDF returns the earliest-deadline-first recompute baseline on m
 // machines: feasible whenever possible, but brittle — a single request
 // can reallocate Θ(n) jobs.
-func NewEDF(m int) Scheduler { return edf.New(m, edf.TieByArrival) }
+func NewEDF(m int) Scheduler { return edf.New(m) }
 
 // Apply routes one request to a scheduler.
 func Apply(s Scheduler, r Request) (Cost, error) { return sched.Apply(s, r) }
