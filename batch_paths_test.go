@@ -1,7 +1,7 @@
 // Tests for the two batch paths the layers keep: a batch that contains a
 // delete runs request by request (so it must report exactly what Apply
 // reports), and an insert-only batch takes the bulk path (whose costs
-// and shed jobs are checked here; its final schedules are the
+// and overloaded fallback are checked here; its final schedules are the
 // differential harness's job).
 package realloc
 
@@ -50,8 +50,8 @@ func TestMixedBatchEqualsPerRequest(t *testing.T) {
 	s := New(WithMachines(2))
 	costs, err := ApplyBatch(s, chunk)
 	var be *BatchError
-	if !errors.As(err, &be) || be.Failed != 2 || len(be.Evicted) != 0 {
-		t.Fatalf("want a batch error with 2 failures and no evictions, got %v", err)
+	if !errors.As(err, &be) || be.Failed != 2 {
+		t.Fatalf("want a batch error with 2 failures, got %v", err)
 	}
 	for i := range chunk {
 		if costs[i] != wantCosts[i] {
@@ -78,8 +78,6 @@ func (c *costSum) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	return costs, err
 }
 
-func (c *costSum) TakeBatchEvictions() []string { return sched.TakeBatchEvictions(c.Scheduler) }
-
 // TestRestoreCountsFirstPlacements: a job the bulk path admits as
 // bookkeeping ahead of the rebuild still reports its first placement, so
 // restoring N jobs costs at least N reallocations, as N inserts do.
@@ -105,17 +103,18 @@ func TestRestoreCountsFirstPlacements(t *testing.T) {
 	}
 }
 
-// TestInsertOnlyBatchShedsLoudly drives the shed path, which the other
-// tests only ever assert empty. Every machine starts with one job in
-// each of the unit windows [0,1)..[3,4); the batch then offers each
-// machine a rival for every one of them, a second rival for [0,1), and
-// a job for the free window [4,5). The batch's last n* doubling (8 to
-// 16, on the fifth insert a machine sees) rebuilds the first five of
-// them in name order, so the a-rivals take the slots, the b-rival fails
-// on its own request, and the four z-jobs — admitted by earlier requests
-// — are shed. Every layer must come out consistent and the error must
-// account for exactly the jobs that are gone.
-func TestInsertOnlyBatchShedsLoudly(t *testing.T) {
+// TestInsertOnlyBatchNeverSheds drives an insert-only batch whose
+// merged rebuild cannot place everyone. Every machine starts with one
+// job in each of the unit windows [0,1)..[3,4); the batch then offers
+// each machine a rival for every one of them, a second rival for
+// [0,1), and a job for the free window [4,5). The batch's last n*
+// doubling (8 to 16, on the fifth insert a machine sees) would rebuild
+// the first five of them in name order, where the a-rivals take the
+// slots and the z-jobs no longer fit. No batch may take back an earlier
+// request's job: every z-job stays, every rival fails on its own
+// request, and the a4-jobs land. On a lone trim layer the verdicts and
+// the schedule are exactly those of per-request Apply.
+func TestInsertOnlyBatchNeverSheds(t *testing.T) {
 	trimF := func() sched.Scheduler { return trim.New(8, func() sched.Scheduler { return core.New() }) }
 	variants := []struct {
 		name     string
@@ -129,10 +128,6 @@ func TestInsertOnlyBatchShedsLoudly(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			s := v.build()
-			if c, ok := s.(interface{ Close() error }); ok {
-				defer c.Close()
-			}
 			// One job per machine under each label: multi sends the i-th
 			// job of a window to machine i.
 			group := func(label string, slot int64) []jobs.Request {
@@ -142,69 +137,81 @@ func TestInsertOnlyBatchShedsLoudly(t *testing.T) {
 				}
 				return out
 			}
-			offered := map[string]bool{}
+			var pre, batch []jobs.Request
 			for k := int64(0); k < 4; k++ {
-				for _, r := range group(fmt.Sprintf("z%d", k), k) {
-					if _, err := sched.Apply(s, r); err != nil {
-						t.Fatalf("pre-batch %s: %v", r, err)
-					}
-					offered[r.Name] = true
-				}
+				pre = append(pre, group(fmt.Sprintf("z%d", k), k)...)
 			}
-			var batch []jobs.Request
 			for _, g := range []struct {
 				label string
 				slot  int64
 			}{{"a0", 0}, {"b0", 0}, {"a1", 1}, {"a2", 2}, {"a3", 3}, {"a4", 4}} {
 				batch = append(batch, group(g.label, g.slot)...)
 			}
-			for _, r := range batch {
-				offered[r.Name] = true
-			}
 
+			s := v.build()
+			if c, ok := s.(interface{ Close() error }); ok {
+				defer c.Close()
+			}
+			for _, r := range pre {
+				if _, err := sched.Apply(s, r); err != nil {
+					t.Fatalf("pre-batch %s: %v", r, err)
+				}
+			}
 			_, err := ApplyBatch(s, batch)
 			var be *BatchError
 			if !errors.As(err, &be) {
 				t.Fatalf("want a *BatchError, got %v", err)
 			}
-			if len(be.Evicted) != 4*v.machines || be.Failed != v.machines {
-				t.Errorf("shed %d jobs and failed %d requests, want %d and %d: %v",
-					len(be.Evicted), be.Failed, 4*v.machines, v.machines, err)
-			}
 			if err := s.SelfCheck(); err != nil {
-				t.Fatalf("self-check after the shedding batch: %v", err)
+				t.Fatalf("self-check after the batch: %v", err)
 			}
 			if err := feasible.VerifySchedule(s.Jobs(), s.Assignment(), s.Machines()); err != nil {
-				t.Fatalf("schedule after the shedding batch: %v", err)
+				t.Fatalf("schedule after the batch: %v", err)
 			}
 
-			for _, j := range s.Jobs() {
-				if !offered[j.Name] {
-					t.Fatalf("job %q was never offered", j.Name)
-				}
-				delete(offered, j.Name)
+			var want []string
+			for _, r := range pre {
+				want = append(want, r.Name)
 			}
-			var missing []string
-			for name := range offered {
-				missing = append(missing, name)
-			}
-			named := append([]string(nil), be.Evicted...)
 			for i, r := range batch {
-				if be.At(i) != nil {
+				rival := r.Window.Start < 4
+				if rival {
 					if !errors.Is(be.At(i), ErrInfeasible) {
-						t.Errorf("request %d (%s) failed with %v, want ErrInfeasible", i, r, be.At(i))
+						t.Errorf("rival %s: error %v, want ErrInfeasible", r, be.At(i))
 					}
-					named = append(named, r.Name)
+					continue
+				}
+				if be.At(i) != nil {
+					t.Errorf("%s failed: %v", r, be.At(i))
+				}
+				want = append(want, r.Name)
+			}
+			var got []string
+			for _, j := range s.Jobs() {
+				got = append(got, j.Name)
+			}
+			sort.Strings(want)
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("jobs after the batch: %v\nwant every pre-batch job and the a4 jobs: %v", got, want)
+			}
+
+			if v.name != "trim" {
+				return
+			}
+			twin := v.build()
+			for _, r := range pre {
+				if _, err := sched.Apply(twin, r); err != nil {
+					t.Fatalf("twin pre-batch %s: %v", r, err)
 				}
 			}
-			sort.Strings(missing)
-			sort.Strings(named)
-			if !reflect.DeepEqual(missing, named) {
-				t.Errorf("jobs missing from Jobs(): %v\nnamed by the batch error: %v", missing, named)
+			for i, r := range batch {
+				_, e := sched.Apply(twin, r)
+				if fmt.Sprint(e) != fmt.Sprint(be.At(i)) {
+					t.Errorf("%s: batched error %v, per-request %v", r, be.At(i), e)
+				}
 			}
-			if ev := sched.TakeBatchEvictions(s); len(ev) != 0 {
-				t.Errorf("evictions reported twice: %v still queued", ev)
-			}
+			assertSameSchedule(t, "trim vs per-request", twin, s)
 		})
 	}
 }

@@ -26,10 +26,6 @@ type Scheduler struct {
 	// original (unaligned) window, indexed by interned ID.
 	names *ident.Table
 	wins  []jobs.Window
-
-	// evicted accumulates jobs the inner scheduler's batch rebuilds
-	// shed; see sched.BatchEvictor.
-	evicted []string
 }
 
 // setWin records the original window of an interned job.
@@ -40,19 +36,11 @@ func (s *Scheduler) setWin(id ident.ID, w jobs.Window) {
 	s.wins[id] = w
 }
 
-// dropName releases a tracked name, if present.
-func (s *Scheduler) dropName(name string) {
-	if id, ok := s.names.Get(name); ok {
-		s.names.Release(id)
-	}
-}
-
-// TakeBatchEvictions implements sched.BatchEvictor.
-func (s *Scheduler) TakeBatchEvictions() []string {
-	ev := s.evicted
-	s.evicted = nil
-	return ev
-}
+// TakeBatchEvictions implements sched.BatchEvictor. No batch sheds a
+// job, so it always returns nil; it exists only because the benchmark's
+// decorator table (bench/trace.go) expects every stack layer to keep
+// its current set of optional interfaces.
+func (s *Scheduler) TakeBatchEvictions() []string { return nil }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
 

@@ -38,11 +38,5 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 			s.setWin(s.names.Intern(reqs[i].Name), reqs[i].Window)
 		}
 	}
-	// The shed jobs predate the batch: a job this batch admitted fails
-	// on its own request instead.
-	for _, name := range sched.TakeBatchEvictions(s.inner) {
-		s.dropName(name)
-		s.evicted = append(s.evicted, name)
-	}
 	return costs, sched.NewBatchError(errs)
 }

@@ -5,8 +5,10 @@
 // machine then admits its share through its own bulk path, which is
 // where the trimming layer merges its rebuilds. A machine sees its jobs
 // in batch order and machines are independent, so the final schedule
-// equals the per-request one whenever no insert fails. A batch that
-// contains a delete runs request by request.
+// equals the per-request one whenever no insert fails. A machine whose
+// merged rebuild cannot place everyone serves its share request by
+// request, so no machine ever loses a job it already held. A batch
+// that contains a delete runs request by request.
 package multi
 
 import (
@@ -56,7 +58,6 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 				firstFailed = i
 			}
 		}
-		s.dropEvicted(sched.TakeBatchEvictions(s.machines[mi]))
 		if firstFailed >= 0 {
 			// A failed insert can poison a bare reservation core; the
 			// rebuild replays the machine's tracked jobs, so it runs
@@ -69,8 +70,8 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	return costs, sched.NewBatchError(errs)
 }
 
-// drop erases the routing entry of a job that is not, or no longer, on
-// its machine.
+// drop erases the routing entry of a job that did not land on its
+// machine.
 func (s *Scheduler) drop(name string) {
 	if id, ok := s.names.Get(name); ok {
 		w := s.win[id]
@@ -80,18 +81,8 @@ func (s *Scheduler) drop(name string) {
 	}
 }
 
-// dropEvicted erases the wrapper bookkeeping for jobs a machine's batch
-// rebuild shed, and re-exposes them to the layer above.
-func (s *Scheduler) dropEvicted(shed []string) {
-	for _, name := range shed {
-		s.drop(name)
-		s.evicted = append(s.evicted, name)
-	}
-}
-
-// TakeBatchEvictions implements sched.BatchEvictor.
-func (s *Scheduler) TakeBatchEvictions() []string {
-	ev := s.evicted
-	s.evicted = nil
-	return ev
-}
+// TakeBatchEvictions implements sched.BatchEvictor. No batch sheds a
+// job, so it always returns nil; it exists only because the benchmark's
+// decorator table (bench/trace.go) expects every stack layer to keep
+// its current set of optional interfaces.
+func (s *Scheduler) TakeBatchEvictions() []string { return nil }

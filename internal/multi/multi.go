@@ -74,10 +74,6 @@ type Scheduler struct {
 	// perWin holds every window's record. Records persist once created,
 	// so the ID-indexed win pointers never dangle.
 	perWin map[winKey]*winRec
-
-	// evicted accumulates jobs the machines' batch rebuilds shed; see
-	// sched.BatchEvictor.
-	evicted []string
 }
 
 // winRec is one window's balance record.

@@ -23,14 +23,13 @@
 //     requests one at a time. Every admitted job reports its first
 //     placement on its own request; the reallocations of the merged
 //     rebuild land on the request that crossed the last threshold.
-//   - Only an insert-only batch can shed jobs admitted by earlier
-//     requests (BatchError.Evicted), and only on a job set that is not
-//     sufficiently underallocated.
+//   - An insert-only batch whose merged rebuild cannot place every job
+//     runs request by request and returns exactly what that returns.
+//   - No batch removes a job that an earlier request admitted.
 package sched
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/jobs"
 	"repro/internal/metrics"
@@ -53,30 +52,6 @@ type BatchError struct {
 	Failed int
 	// Errs has one entry per request of the batch; nil means success.
 	Errs []error
-	// Evicted names active jobs (admitted by earlier requests) that the
-	// rebuild of an insert-only batch shed because they no longer fit
-	// next to the batch's jobs. Evictions are not request failures — the
-	// requests of this batch may all have succeeded — and occur only on
-	// job sets that are not sufficiently underallocated.
-	Evicted []string
-}
-
-// WithEvictions attaches shed-job names to a batch error, creating one
-// when every request succeeded. It returns err unchanged when there is
-// nothing to attach.
-func WithEvictions(err error, evicted []string) error {
-	if len(evicted) == 0 {
-		return err
-	}
-	be, ok := err.(*BatchError)
-	if !ok {
-		if err != nil {
-			return err // never swallow a structural (non-batch) error
-		}
-		be = &BatchError{}
-	}
-	be.Evicted = append(be.Evicted, evicted...)
-	return be
 }
 
 // NewBatchError builds a *BatchError from a per-request error slice, or
@@ -94,24 +69,11 @@ func NewBatchError(errs []error) error {
 	return &BatchError{Failed: failed, Errs: errs}
 }
 
-// Error summarizes the failure count, the first failure, and any
-// evictions.
+// Error summarizes the failure count and the first failure.
 func (e *BatchError) Error() string {
-	var b strings.Builder
-	b.WriteString("sched:")
-	if e.Failed > 0 {
-		i, first := e.First()
-		fmt.Fprintf(&b, " %d of %d batched request(s) failed, first at index %d: %v",
-			e.Failed, len(e.Errs), i, first)
-	}
-	if len(e.Evicted) > 0 {
-		if e.Failed > 0 {
-			b.WriteString(";")
-		}
-		fmt.Fprintf(&b, " batch rebuild shed %d active job(s) infeasible at the new cap: %s",
-			len(e.Evicted), strings.Join(e.Evicted, ", "))
-	}
-	return b.String()
+	i, first := e.First()
+	return fmt.Sprintf("sched: %d of %d batched request(s) failed, first at index %d: %v",
+		e.Failed, len(e.Errs), i, first)
 }
 
 // First returns the index and error of the first failed request.
@@ -143,26 +105,11 @@ func (e *BatchError) Unwrap() []error {
 	return out
 }
 
-// BatchEvictor is implemented by bulk schedulers that can shed jobs
-// during an insert-only batch: on job sets that are not sufficiently
-// underallocated, the trim rebuild's feasibility recheck may find a job
-// admitted in an earlier request no longer fits and drop it (the
-// batch's error names it). TakeBatchEvictions returns and clears the
-// names shed by the most recent ApplyBatch call, so wrapping layers can
-// erase their own bookkeeping for those jobs; every wrapper in this
-// repository drains its inner scheduler after each bulk call and
-// re-exposes the names to the layer above.
+// BatchEvictor is kept only for the benchmark's decorator table
+// (bench/trace.go), which expects trim, multi and alignsched to show it.
+// No batch sheds a job, so every implementation returns nil.
 type BatchEvictor interface {
 	TakeBatchEvictions() []string
-}
-
-// TakeBatchEvictions drains s's batch evictions, or returns nil for
-// schedulers that never shed jobs.
-func TakeBatchEvictions(s Scheduler) []string {
-	if e, ok := s.(BatchEvictor); ok {
-		return e.TakeBatchEvictions()
-	}
-	return nil
 }
 
 // ApplyBatch routes a request slice to the scheduler's bulk path when it

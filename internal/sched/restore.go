@@ -20,10 +20,9 @@ import (
 // checkpointed one.
 //
 // The returned slice holds the jobs that could NOT be re-admitted —
-// rejected inserts plus jobs the bulk rebuild shed — for the caller to
-// re-place elsewhere (the sharded front-end retries them through its
-// overflow path). A non-batch (structural) failure is returned as an
-// error.
+// the rejected inserts — for the caller to re-place elsewhere (the
+// sharded front-end retries them through its overflow path). A
+// non-batch (structural) failure is returned as an error.
 func RestoreJobs(s Scheduler, js []jobs.Job) ([]jobs.Job, error) {
 	if len(js) == 0 {
 		return nil, nil
@@ -39,13 +38,9 @@ func RestoreJobs(s Scheduler, js []jobs.Job) ([]jobs.Job, error) {
 	if err != nil && !asBatchError(err, &be) {
 		return nil, fmt.Errorf("sched: restore: %w", err)
 	}
-	lost := make(map[string]bool)
-	for _, name := range TakeBatchEvictions(s) {
-		lost[name] = true
-	}
 	var failed []jobs.Job
 	for i, j := range sorted {
-		if (be != nil && be.At(i) != nil) || lost[j.Name] {
+		if be != nil && be.At(i) != nil {
 			failed = append(failed, j)
 		}
 	}

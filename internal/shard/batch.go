@@ -142,10 +142,9 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	sc := takeRoute(len(s.workers), len(reqs))
 	defer putRoute(sc)
 	deferred := s.routeBatch(sc, reqs, errs)
-	var shed []string
-	s.fanOut(sc.groups, reqs, costs, errs, nil, &shed)
-	s.reconcile(sc, reqs, deferred, costs, errs, &shed)
-	err := sched.WithEvictions(sched.NewBatchError(errs), shed)
+	s.fanOut(sc.groups, reqs, costs, errs, nil)
+	s.reconcile(sc, reqs, deferred, costs, errs)
+	err := sched.NewBatchError(errs)
 	if s.log != nil {
 		// Group-commit the whole batch as ONE record before it is
 		// acknowledged. The full original batch is logged (including
@@ -300,7 +299,7 @@ func (s *Scheduler) routeBatch(sc *routeScratch, reqs []jobs.Request, errs []err
 // task and waits for all of them. A non-nil overflow set marks the
 // reconcile round (failures are terminal there) and names the requests
 // that are genuine overflow retries (counted as Overflow on success).
-func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.Cost, errs []error, overflow map[int]bool, shed *[]string) {
+func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.Cost, errs []error, overflow map[int]bool) {
 	var wg sync.WaitGroup
 	for si, idxs := range groups {
 		if len(idxs) == 0 {
@@ -310,7 +309,7 @@ func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.
 		wg.Add(1)
 		enq := monotonicNS()
 		err := s.send(si, task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
-			s.execBatchOn(si, inner, st, reqs, idxs, costs, errs, overflow, shed)
+			s.execBatchOn(si, inner, st, reqs, idxs, costs, errs, overflow)
 			// Every request of the sub-batch shares the control task's
 			// enqueue-to-served latency — the same boundary the
 			// per-request path records in exec.
@@ -344,7 +343,7 @@ func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.
 // the per-request statistics, and commits the routing-table bookkeeping
 // before the control task finishes — so self-checks and snapshots
 // queued behind the batch observe a consistent shard.
-func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.ShardCost, reqs []jobs.Request, idxs []int, costs []metrics.Cost, errs []error, overflow map[int]bool, shedOut *[]string) {
+func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.ShardCost, reqs []jobs.Request, idxs []int, costs []metrics.Cost, errs []error, overflow map[int]bool) {
 	scratch := takeSub(len(idxs))
 	defer putSub(scratch)
 	sub := scratch.reqs
@@ -372,19 +371,8 @@ func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.Shard
 		errs[i] = e
 	}
 	// Commit the routing-table bookkeeping for the whole sub-batch under
-	// one lock acquisition. Jobs the inner stack's batch rebuild shed on
-	// a non-underallocated stream leave the routing table too, and are
-	// reported in the batch error via shedOut.
-	shed := sched.TakeBatchEvictions(inner)
+	// one lock acquisition.
 	s.mu.Lock()
-	for _, name := range shed {
-		if id, idx, ok := s.trackedID(name); ok && idx == si {
-			s.dropRoute(id)
-			s.loads[si]--
-			s.active--
-		}
-	}
-	*shedOut = append(*shedOut, shed...)
 	for k, i := range idxs {
 		switch reqs[i].Kind {
 		case jobs.Insert:
@@ -430,7 +418,7 @@ func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.Shard
 // name either belongs to a retried insert or resolved to a different
 // shard (a concurrent resize migrated the job). Whatever still fails is
 // terminal.
-func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []int, costs []metrics.Cost, errs []error, shed *[]string) {
+func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []int, costs []metrics.Cost, errs []error) {
 	// Pass 1's groups are fully served: reuse the scratch for the
 	// reconcile groups. The overlay maps are reused likewise (the
 	// overflow map must be non-nil even when empty — execBatchOn reads
@@ -525,6 +513,6 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 		}
 	}
 	if any {
-		s.fanOut(groups, reqs, costs, errs, overflow, shed)
+		s.fanOut(groups, reqs, costs, errs, overflow)
 	}
 }

@@ -9,9 +9,7 @@
 //
 //   - Inserts up to and including the last doubling are admitted as
 //     bookkeeping (the inner scheduler is not consulted), then ONE
-//     rebuild at the final cap places the whole population. A job the
-//     per-request path would have rejected fails the rebuild instead,
-//     is dropped, and reports the rejection on its own request.
+//     rebuild at the final cap places the whole population.
 //   - Inserts after the last doubling (the whole batch when there is
 //     none) go through Insert.
 //
@@ -23,12 +21,16 @@
 // own request, and the doubling request carries the jobs the one
 // rebuild moved.
 //
+// When the rebuild cannot place some job, the bookkeeping is undone —
+// the old inner schedule was never touched — and the batch runs
+// request by request, so a rejection lands on the request that caused
+// it and no job admitted by an earlier request is ever dropped.
+//
 // A batch that contains a delete runs request by request.
 package trim
 
 import (
-	"sort"
-
+	"repro/internal/ident"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/sched"
@@ -45,16 +47,28 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	errs := make([]error, len(reqs))
 	last, nStar := s.lastDoubling(reqs)
 	if last >= 0 {
-		idxOf := make(map[string]int, last+1)
+		prev := s.nStar
+		admitted := make([]ident.ID, 0, last+1)
 		for i, r := range reqs[:last+1] {
 			_, active := s.names.Get(r.Name)
 			if errs[i] = sched.AdmitAligned(jobs.Job{Name: r.Name, Window: r.Window}, active); errs[i] == nil {
-				s.setWin(s.names.Intern(r.Name), r.Window)
-				idxOf[r.Name] = i
+				id := s.names.Intern(r.Name)
+				s.setWin(id, r.Window)
+				admitted = append(admitted, id)
 			}
 		}
 		s.nStar = nStar
-		costs[last] = s.rebuildDropping(idxOf, errs)
+		rc, err := s.rebuild()
+		if err != nil {
+			// Releasing in reverse restores the free list, so the
+			// per-request run reissues the same IDs.
+			for k := len(admitted) - 1; k >= 0; k-- {
+				s.names.Release(admitted[k])
+			}
+			s.nStar = prev
+			return sched.ApplyEach(s, reqs)
+		}
+		costs[last] = rc
 		for i := range reqs[:last+1] {
 			if errs[i] == nil {
 				costs[i].Reallocations++ // the job's first placement
@@ -85,83 +99,4 @@ func (s *Scheduler) lastDoubling(reqs []jobs.Request) (last, nStar int) {
 		}
 	}
 	return last, nStar
-}
-
-// rebuildDropping is rebuild with per-job failure recovery: a job that
-// fails the rebuild's feasibility recheck is dropped from the active
-// set instead of aborting. A job this batch admitted reports the
-// rejection on its own request (via idxOf); a pre-batch job becomes a
-// batch eviction (sched.BatchEvictor) so wrapping layers erase their
-// bookkeeping and the top-level caller sees it in the batch error —
-// NOT a failure of whichever request triggered the rebuild, whose own
-// work may well have succeeded. The scheduler is always left
-// consistent. When drops change the population enough to move a
-// threshold, the rebuild runs again at the settled cap (bounded
-// retries).
-func (s *Scheduler) rebuildDropping(idxOf map[string]int, errs []error) metrics.Cost {
-	var total metrics.Cost
-	drop := func(name string, err error) {
-		if id, ok := s.names.Get(name); ok {
-			s.names.Release(id)
-		}
-		if i, ok := idxOf[name]; ok {
-			errs[i] = err
-			delete(idxOf, name)
-		} else {
-			s.evicted = append(s.evicted, name)
-		}
-	}
-	for {
-		old := s.inner
-		before := old.Assignment()
-		// Build a fresh inner schedule. A rejection can poison the
-		// half-built scheduler (the reservation core's mid-request
-		// state); when it does, restart the build without the dropped
-		// job — every restart shrinks the population, so this
-		// terminates. Clean rejections just drop and continue.
-		var fresh sched.Scheduler
-		scratch := takeScratch()
-		for {
-			s.rebuilds++
-			if fresh != nil {
-				sched.Recycle(fresh) // poisoned half-build: reuse its structures
-			}
-			fresh = s.factory()
-			cap := s.Cap()
-			names := s.names.AppendNames((*scratch)[:0])
-			sort.Strings(names)
-			*scratch = names
-			poisoned := false
-			for _, name := range names {
-				w, _, _ := s.winOf(name)
-				j := jobs.Job{Name: name, Window: trimWindow(w, cap)}
-				if _, err := fresh.Insert(j); err != nil {
-					drop(name, err)
-					if sched.Poisoned(fresh) != nil {
-						poisoned = true
-						break
-					}
-				}
-			}
-			if !poisoned {
-				break
-			}
-		}
-		putScratch(scratch)
-		s.inner = fresh
-		moved, migrated := before.Diff(s.inner.Assignment())
-		sched.Recycle(old)
-		total.Add(metrics.Cost{Reallocations: moved, Migrations: migrated})
-
-		// Re-settle the thresholds after drops and rebuild again at the
-		// moved cap. This terminates: a round repeats only when the
-		// previous one dropped at least one job (otherwise n is unchanged
-		// and the settled n* matches), and the population only shrinks.
-		next := settled(s.names.Len(), s.nStar)
-		if next == s.nStar {
-			break
-		}
-		s.nStar = next
-	}
-	return total
 }

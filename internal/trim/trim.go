@@ -65,10 +65,6 @@ type Scheduler struct {
 
 	// rebuilds counts schedule rebuilds, exposed for experiments.
 	rebuilds int
-
-	// evicted accumulates pre-batch jobs a batch rebuild had to shed
-	// (non-underallocated streams only); see sched.BatchEvictor.
-	evicted []string
 }
 
 // setWin records the original window of an interned job.
@@ -89,14 +85,11 @@ func (s *Scheduler) winOf(name string) (jobs.Window, ident.ID, bool) {
 	return s.wins[id], id, true
 }
 
-// TakeBatchEvictions implements sched.BatchEvictor: it returns and
-// clears the jobs the most recent ApplyBatch shed during its rebuild
-// recheck.
-func (s *Scheduler) TakeBatchEvictions() []string {
-	ev := s.evicted
-	s.evicted = nil
-	return ev
-}
+// TakeBatchEvictions implements sched.BatchEvictor. No batch sheds a
+// job, so it always returns nil; it exists only because the benchmark's
+// decorator table (bench/trace.go) expects every stack layer to keep
+// its current set of optional interfaces.
+func (s *Scheduler) TakeBatchEvictions() []string { return nil }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
 
@@ -242,6 +235,7 @@ func (s *Scheduler) rebuild() (metrics.Cost, error) {
 		w, _, _ := s.winOf(name)
 		j := jobs.Job{Name: name, Window: trimWindow(w, cap)}
 		if _, err := fresh.Insert(j); err != nil {
+			sched.Recycle(fresh) // the half-built schedule donates its structures too
 			return metrics.Cost{}, fmt.Errorf("trim: rebuild failed inserting %q: %w", name, err)
 		}
 	}

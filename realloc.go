@@ -448,16 +448,12 @@ func Apply(s Scheduler, r Request) (Cost, error) { return sched.Apply(s, r) }
 // request and returns exactly what Apply would. An insert-only batch (a
 // restore, a preload) takes the stack's bulk path, which merges the
 // trim rebuilds of the ramp into one: when no insert fails, the final
-// schedule is identical to applying the requests one at a time. On a
-// job set that is NOT sufficiently underallocated, that rebuild can
-// additionally shed active jobs admitted by earlier requests; those are
-// reported in BatchError.Evicted, never silently.
+// schedule is identical to applying the requests one at a time. A
+// machine whose merged rebuild cannot place every job serves its share
+// of the batch request by request instead. No batch removes a job that
+// an earlier request admitted.
 func ApplyBatch(s Scheduler, reqs []Request) ([]Cost, error) {
-	costs, err := sched.ApplyBatch(s, reqs)
-	if ev := sched.TakeBatchEvictions(s); len(ev) > 0 {
-		err = sched.WithEvictions(err, ev)
-	}
-	return costs, err
+	return sched.ApplyBatch(s, reqs)
 }
 
 // BatchError aggregates the per-request failures of one ApplyBatch
