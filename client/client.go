@@ -3,13 +3,19 @@
 // Dial time; it is safe for concurrent use and pipelines requests —
 // many submits can be in flight before the first ack returns.
 //
-// Synchronous helpers (Submit, Batch, Drain, Snapshot, Resize) block
-// for their ack. SubmitAsync returns a Pending handle so open-loop
-// callers can keep the pipe full; admission pushback arrives as
-// ErrOverload, deadline expiry as ErrDeadline — both are per-request
-// verdicts, the connection stays healthy. Err frames and transport
-// failures are connection-fatal: every outstanding and future call
-// fails with the same error.
+// Synchronous helpers (Submit, SubmitDeadline, Batch, Drain, Snapshot,
+// Resize) block for their ack. SubmitAsync returns a Pending handle so
+// open-loop callers can keep the pipe full: it returns once its frame
+// is queued. Every call queues its frame, and a per-connection flusher
+// writes everything queued since its last flush in one write when the
+// queue goes idle (the server's ack writer has the same shape). A
+// transport failure after SubmitAsync returned surfaces through Wait
+// and later calls, not from SubmitAsync itself. Acks are read through
+// one buffered reader, so a burst of them costs one read. Admission
+// pushback arrives as ErrOverload, deadline expiry as ErrDeadline —
+// both are per-request verdicts, the connection stays healthy. Err
+// frames and transport failures are connection-fatal: every
+// outstanding and future call fails with the same error.
 package client
 
 import (
@@ -146,11 +152,13 @@ type Client struct {
 	deadline         time.Duration // default per-request deadline (WithDeadline)
 
 	// wmu serializes the write side (frame encode + bufio flush) and
-	// ID allocation.
+	// ID allocation. The frames calls queue in bw are flushed by
+	// flushLoop, which a send on kick wakes.
 	wmu    sync.Mutex
 	bw     *bufio.Writer
 	wbuf   []byte
 	nextID uint64
+	kick   chan struct{}
 
 	// mu guards the demux table and the sticky fatal error.
 	mu      sync.Mutex
@@ -158,6 +166,8 @@ type Client struct {
 	err     error
 	closed  bool
 	rdone   chan struct{}
+
+	loops sync.WaitGroup // readLoop and flushLoop
 }
 
 // Dial connects to a reallocd server and performs the Hello/Welcome
@@ -197,6 +207,7 @@ func dialOne(addr, tenant string, cfg *dialConfig) (*Client, error) {
 		tenant:   tenant,
 		deadline: cfg.deadline,
 		bw:       bufio.NewWriter(nc),
+		kick:     make(chan struct{}, 1),
 		pending:  make(map[uint64]chan wire.Frame),
 		rdone:    make(chan struct{}),
 	}
@@ -228,7 +239,9 @@ func dialOne(addr, tenant string, cfg *dialConfig) (*Client, error) {
 		return nil, fmt.Errorf("client: handshake: unexpected %s frame", welcome.Kind)
 	}
 	c.shards, c.machines = welcome.Shards, welcome.Machines
+	c.loops.Add(2)
 	go c.readLoop()
+	go c.flushLoop()
 	return c, nil
 }
 
@@ -243,10 +256,12 @@ func (c *Client) Machines() int { return c.machines }
 
 // readLoop demultiplexes acks to their waiting calls by request ID.
 func (c *Client) readLoop() {
+	defer c.loops.Done()
 	defer close(c.rdone)
+	br := bufio.NewReader(c.nc)
 	var buf []byte
 	for {
-		f, b, err := wire.ReadFrame(c.nc, buf)
+		f, b, err := wire.ReadFrame(br, buf)
 		buf = b
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
@@ -266,6 +281,28 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ok {
 			ch <- f // buffered: never blocks
+		}
+	}
+}
+
+// flushLoop writes out the frames calls queued: each kick flushes
+// everything written since the last flush, so a burst of pipelined
+// submits costs one write. It exits when the read loop ends; by then
+// the client is poisoned, so any frame left unflushed belongs to a
+// request whose Wait fails with the sticky error.
+func (c *Client) flushLoop() {
+	defer c.loops.Done()
+	for {
+		select {
+		case <-c.kick:
+		case <-c.rdone:
+			return
+		}
+		c.wmu.Lock()
+		err := c.bw.Flush()
+		c.wmu.Unlock()
+		if err != nil {
+			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
 		}
 	}
 }
@@ -304,7 +341,9 @@ func (c *Client) register() (uint64, chan wire.Frame, error) {
 	return id, ch, nil
 }
 
-// call sends f (assigning its ID) and returns the ack channel.
+// call queues f (assigning its ID) and returns the ack channel. When
+// the buffer was clean it kicks the flusher: a buffer holding frames
+// always has a kick outstanding, so no frame waits for a later call.
 func (c *Client) call(f *wire.Frame) (chan wire.Frame, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -313,9 +352,13 @@ func (c *Client) call(f *wire.Frame) (chan wire.Frame, error) {
 		return nil, err
 	}
 	f.ID = id
+	clean := c.bw.Buffered() == 0
 	c.wbuf, err = wire.WriteFrame(c.bw, c.wbuf, f)
-	if err == nil {
-		err = c.bw.Flush()
+	if err == nil && clean {
+		select {
+		case c.kick <- struct{}{}:
+		default:
+		}
 	}
 	if err != nil {
 		c.mu.Lock()
@@ -351,6 +394,8 @@ func (p *Pending) Wait() error {
 
 // SubmitAsync sends one request without waiting for its ack. A zero
 // timeout means the WithDeadline default, or no deadline without one.
+// It returns once the frame is queued for the connection's flusher; a
+// transport failure after that surfaces through Wait and later calls.
 // Acks may settle in any order; each Pending resolves independently.
 func (c *Client) SubmitAsync(r jobs.Request, timeout time.Duration) (*Pending, error) {
 	if timeout <= 0 {
@@ -447,19 +492,25 @@ func (c *Client) Resize(machines int) error {
 	return codeErr(f.Code, f.Detail)
 }
 
-// Close tears down the connection. Outstanding calls fail with
-// ErrClosed. Idempotent.
+// Close flushes any queued frames and tears down the connection.
+// Outstanding calls fail with ErrClosed. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		<-c.rdone
+		c.loops.Wait()
 		return nil
 	}
 	c.closed = true
 	c.mu.Unlock()
+	// Bound the final flush: a server that stopped reading must not
+	// hold Close (or a flusher stuck in its write) forever.
+	c.nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
+	c.wmu.Lock()
+	_ = c.bw.Flush() // a failure reaches the queued submits' Wait as ErrClosed
+	c.wmu.Unlock()
 	err := c.nc.Close()
-	<-c.rdone
+	c.loops.Wait()
 	return err
 }
 

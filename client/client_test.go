@@ -204,3 +204,163 @@ func TestDialRedialAndFallback(t *testing.T) {
 		t.Fatal("dial of a dead address succeeded")
 	}
 }
+
+// ackAll is a script body that acks every Submit it reads with OK
+// until the connection ends.
+func ackAll(nc net.Conn, buf []byte) {
+	for {
+		f, b, err := wire.ReadFrame(nc, buf)
+		if err != nil {
+			return
+		}
+		if buf, err = wire.WriteFrame(nc, b, &wire.Frame{Kind: wire.KindAck, ID: f.ID, Code: wire.CodeOK}); err != nil {
+			return
+		}
+	}
+}
+
+// waitWithin resolves p or fails the test after d: a Pending that
+// never resolves is the bug these tests look for.
+func waitWithin(t *testing.T, p *client.Pending, d time.Duration) error {
+	t.Helper()
+	res := make(chan error, 1)
+	go func() { res <- p.Wait() }()
+	select {
+	case err := <-res:
+		return err
+	case <-time.After(d):
+		t.Fatalf("Pending did not resolve within %v", d)
+		return nil
+	}
+}
+
+// TestSubmitAsyncLoneIsFlushed: one SubmitAsync with no later call to
+// push it out is still written and acked, so the flusher cannot miss
+// the kick of a submit that found the buffer clean.
+func TestSubmitAsyncLoneIsFlushed(t *testing.T) {
+	c, err := client.Dial(script(t, ackAll), "acme")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		p, err := c.SubmitAsync(jobs.InsertReq("job", 0, 8), 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if err := waitWithin(t, p, 5*time.Second); err != nil {
+			t.Fatalf("lone submit %d = %v, want OK", i, err)
+		}
+	}
+}
+
+// TestCloseAfterUnwaitedSubmits: Close right after a burst of
+// unwaited SubmitAsyncs resolves every Pending, with an ack or
+// ErrClosed; none hangs.
+func TestCloseAfterUnwaitedSubmits(t *testing.T) {
+	const n = 200
+	c, err := client.Dial(script(t, ackAll), "acme")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	pendings := make([]*client.Pending, 0, n)
+	for i := 0; i < n; i++ {
+		p, err := c.SubmitAsync(jobs.InsertReq("job", jobs.Time(i*16), jobs.Time(i*16+8)), 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		pendings = append(pendings, p)
+	}
+	c.Close()
+	for i, p := range pendings {
+		if err := waitWithin(t, p, 5*time.Second); err != nil && !errors.Is(err, client.ErrClosed) {
+			t.Fatalf("pending %d after Close = %v, want an ack or ErrClosed", i, err)
+		}
+	}
+}
+
+// TestSubmitAsyncAfterDropFails: once the server has dropped the
+// connection, the failure reaches later calls. A submit queued after
+// the drop resolves with ErrClosed through Wait (whether the flusher's
+// write or the read loop sees the drop first), and every later
+// SubmitAsync returns ErrClosed itself.
+func TestSubmitAsyncAfterDropFails(t *testing.T) {
+	dropped := make(chan struct{})
+	addr := script(t, func(nc net.Conn, buf []byte) {
+		nc.(*net.TCPConn).SetLinger(0) // drop with a reset, not a clean close
+		nc.Close()
+		close(dropped)
+	})
+	c, err := client.Dial(addr, "acme")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	<-dropped
+
+	var queued []*client.Pending
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p, err := c.SubmitAsync(jobs.InsertReq("job", 0, 8), 0)
+		if err != nil {
+			if !errors.Is(err, client.ErrClosed) {
+				t.Fatalf("submit after drop = %v, want ErrClosed", err)
+			}
+			break
+		}
+		queued = append(queued, p)
+		if time.Now().After(deadline) {
+			t.Fatal("SubmitAsync still succeeds 5s after the server dropped the connection")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, p := range queued {
+		if err := waitWithin(t, p, 5*time.Second); !errors.Is(err, client.ErrClosed) {
+			t.Fatalf("pending %d queued after the drop = %v, want ErrClosed", i, err)
+		}
+	}
+	if _, err := c.SubmitAsync(jobs.InsertReq("after", 0, 8), 0); !errors.Is(err, client.ErrClosed) {
+		t.Fatalf("later submit = %v, want ErrClosed", err)
+	}
+}
+
+// TestCloseFlushesQueuedSubmits: Close writes out every submit that
+// SubmitAsync reported as queued before it closes the socket. The
+// script server reads without acking, so no unread ack can turn the
+// close into a reset, and counts the Submit frames it got.
+func TestCloseFlushesQueuedSubmits(t *testing.T) {
+	const n = 200
+	got := make(chan int, 1)
+	addr := script(t, func(nc net.Conn, buf []byte) {
+		count := 0
+		for {
+			f, b, err := wire.ReadFrame(nc, buf)
+			if err != nil {
+				break
+			}
+			buf = b
+			if f.Kind == wire.KindSubmit {
+				count++
+			}
+		}
+		got <- count
+	})
+	c, err := client.Dial(addr, "acme")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := c.SubmitAsync(jobs.InsertReq("job", jobs.Time(i*16), jobs.Time(i*16+8)), 0); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	c.Close()
+	select {
+	case count := <-got:
+		if count != n {
+			t.Fatalf("server received %d submits before the close, want all %d", count, n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server did not see the connection end within 5s of Close")
+	}
+}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -201,6 +202,16 @@ func (f *Follower) Close() error {
 	return nil
 }
 
+// stopping reports whether Close or PromoteNow has been called.
+func (f *Follower) stopping() bool {
+	select {
+	case <-f.closedCh:
+		return true
+	default:
+		return f.promoteReq.Load()
+	}
+}
+
 func (f *Follower) kickConn() {
 	f.connMu.Lock()
 	if f.conn != nil {
@@ -340,12 +351,13 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 	// The frame loop reads through an idle deadline: PromoteAfter when
 	// set (silence promotes), IdleTimeout otherwise (silence redials).
 	// The primary heartbeats between data frames, so only a wedged or
-	// partitioned primary ever goes silent that long.
+	// partitioned primary ever goes silent that long. One buffered
+	// reader over it turns a burst of frames into one read.
 	window := f.cfg.IdleTimeout
 	if f.cfg.PromoteAfter > 0 && f.cfg.PromoteAfter < window {
 		window = f.cfg.PromoteAfter
 	}
-	r := idleReader{nc: nc, window: window}
+	r := bufio.NewReader(idleReader{nc: nc, window: window})
 	for {
 		fr, buf, err = wire.ReadFrame(r, buf)
 		if err != nil {
@@ -362,6 +374,11 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 			// to send before dying — the kernel delivers buffered bytes
 			// even after a SIGKILL.
 			return false, err
+		}
+		if f.stopping() {
+			// Close's and PromoteNow's kick closed the connection, but
+			// whole frames can still sit in the buffered reader.
+			return false, net.ErrClosed
 		}
 		*lastContact = time.Now()
 		switch fr.Kind {

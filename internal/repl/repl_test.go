@@ -576,6 +576,66 @@ func TestPartialInstallDiscardedTombstone(t *testing.T) {
 	}
 }
 
+// TestCloseStopsBufferedFrames: Close stops the frame loop even when
+// whole frames already sit in the follower's read buffer, where the
+// kick's closed connection cannot reach them. An Install, a Tail and a
+// Promote arrive in one write; Close lands while the Install is being
+// handled, so the follower must neither ingest the Tail nor promote.
+func TestCloseStopsBufferedFrames(t *testing.T) {
+	addr := fakePrimary(t, func(nc net.Conn, buf []byte) {
+		burst := buf[:0]
+		for _, f := range []wire.Frame{
+			{Kind: wire.KindCheckpointInstall, Tenant: "acme"},
+			{Kind: wire.KindTail, Tenant: "acme", Seg: 1, Data: []byte{1, 2, 3, 4}},
+			{Kind: wire.KindPromote, Epoch: 5},
+		} {
+			var err error
+			if burst, err = wire.AppendFrame(burst, &f); err != nil {
+				return
+			}
+		}
+		nc.Write(burst)
+	})
+	folDir := t.TempDir()
+	var fol *repl.Follower
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Primary:      addr.String(),
+		Dir:          folDir,
+		NewScheduler: newFollowerSched,
+		RedialEvery:  20 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			if strings.HasPrefix(format, "repl: installing") {
+				fol.Close() // from the frame loop, while the burst is buffered
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("new follower: %v", err)
+	}
+	defer fol.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- fol.Run() }()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("follower run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still going 10s after Close")
+	}
+	if st := fol.Stats(); st.Promoted {
+		t.Fatalf("follower promoted after Close: %+v", st)
+	}
+	if e, err := repl.ReadEpoch(folDir); err != nil || e != 0 {
+		t.Fatalf("persisted epoch after Close = %d, %v; want 0", e, err)
+	}
+	seg := wal.SegmentPath(filepath.Join(folDir, repl.TenantDir("acme")), 1)
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("the Tail after Close was ingested: %s exists (%v)", seg, err)
+	}
+}
+
 // TestHandoffRefusesColdFollower pins the handoff barrier: Promote
 // must never be sent to a follower that is still installing, because
 // promotion would discard the in-flight tenant — including writes the

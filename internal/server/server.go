@@ -596,16 +596,23 @@ func (s *Server) handle(nc net.Conn) {
 }
 
 // readLoop dispatches frames until the connection ends (client close,
-// protocol error, or shutdown kick).
+// protocol error, or shutdown kick). It reads through one buffered
+// reader, so a burst of pipelined frames costs one read, not two per
+// frame. Whole frames can then sit in the buffer past a kick's read
+// deadline, so the kick is checked before each dispatch.
 func (s *Server) readLoop(c *conn, buf []byte) {
+	br := bufio.NewReader(c.nc)
 	for {
-		f, b, err := wire.ReadFrame(c.nc, buf)
+		f, b, err := wire.ReadFrame(br, buf)
 		buf = b
 		if err != nil {
 			if isWireError(err) {
 				s.cfg.Logf("server: %s tenant %q: protocol error: %v", c.nc.RemoteAddr(), c.t.name, err)
 				c.send(wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest, Detail: err.Error()})
 			}
+			return
+		}
+		if c.kicked.Load() {
 			return
 		}
 		switch f.Kind {

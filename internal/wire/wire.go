@@ -775,6 +775,11 @@ func WriteFrame(w io.Writer, buf []byte, f *Frame) ([]byte, error) {
 // the read scratch. Any violation — short read, oversized length, CRC
 // mismatch, undecodable payload — is fatal to the stream: the caller
 // must close the connection, since resynchronization is impossible.
+//
+// It consumes exactly one frame's bytes, so a handshake may read the
+// raw connection. A long-lived stream reader should pass a buffered
+// io.Reader (bufio.Reader): an unbuffered one costs two reads per
+// frame, one for the header and one for the payload.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if cap(buf) < frameHeaderLen {
 		buf = make([]byte, frameHeaderLen, 4096)
