@@ -171,7 +171,7 @@ func DefaultLayerRules() map[string]LayerRule {
 
 		// --- serving stack ---
 		wire: {Internal: []string{fault, jobs, wal},
-			Note: "network frames reuse the WAL's request codec: the on-disk format is the wire format"},
+			Note: "network frames use wal's codec (frame envelope, bounded Reader, request and placed-job encodings): the on-disk format is the wire format"},
 		repl: {Internal: []string{fault, jobs, sched, shard, wal, wire},
 			Note: "WAL shipping: reads segment bytes, speaks frames, replays into warm shard schedulers"},
 		server: {Internal: []string{jobs, sched, shard, wire},

@@ -41,16 +41,8 @@ type FollowerConfig struct {
 	// be several multiples of the primary's heartbeat interval. Zero
 	// means only an explicit Promote frame or PromoteNow promotes.
 	PromoteAfter time.Duration
-	// IdleTimeout bounds inter-byte silence on a session when
-	// PromoteAfter is zero (default 15s): a session that silent is
-	// torn down and redialed rather than blocking in a read forever.
-	// When PromoteAfter is positive it takes precedence and silence
-	// promotes instead.
-	IdleTimeout time.Duration
 	// RedialEvery is the pause between dial attempts (default 250ms).
 	RedialEvery time.Duration
-	// DialTimeout bounds each dial and the handshake read (default 5s).
-	DialTimeout time.Duration
 	// Logf receives operational log lines (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -67,12 +59,6 @@ func (c *FollowerConfig) fill() error {
 	}
 	if c.RedialEvery <= 0 {
 		c.RedialEvery = 250 * time.Millisecond
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 15 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -264,7 +250,7 @@ func (f *Follower) Run() error {
 		if f.cfg.PromoteAfter > 0 && time.Since(lastContact) >= f.cfg.PromoteAfter {
 			return f.promote(0, fmt.Sprintf("primary unreachable for %v", f.cfg.PromoteAfter))
 		}
-		nc, err := net.DialTimeout("tcp", f.cfg.Primary, f.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", f.cfg.Primary, dialTimeout)
 		if err != nil {
 			f.sleep()
 			continue
@@ -328,7 +314,7 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	nc.SetReadDeadline(time.Now().Add(f.cfg.DialTimeout))
+	nc.SetReadDeadline(time.Now().Add(dialTimeout))
 	fr, buf, err := wire.ReadFrame(nc, buf)
 	if err != nil {
 		return false, err
@@ -349,11 +335,11 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 	f.cfg.Logf("repl: following %s at epoch %d", f.cfg.Primary, fr.Epoch)
 
 	// The frame loop reads through an idle deadline: PromoteAfter when
-	// set (silence promotes), IdleTimeout otherwise (silence redials).
+	// set (silence promotes), idleTimeout otherwise (silence redials).
 	// The primary heartbeats between data frames, so only a wedged or
 	// partitioned primary ever goes silent that long. One buffered
 	// reader over it turns a burst of frames into one read.
-	window := f.cfg.IdleTimeout
+	window := idleTimeout
 	if f.cfg.PromoteAfter > 0 && f.cfg.PromoteAfter < window {
 		window = f.cfg.PromoteAfter
 	}
@@ -395,7 +381,7 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 			if perr := f.promote(fr.Epoch, "primary handoff"); perr != nil {
 				return true, perr
 			}
-			nc.SetWriteDeadline(time.Now().Add(f.cfg.DialTimeout))
+			nc.SetWriteDeadline(time.Now().Add(dialTimeout))
 			wire.WriteFrame(nc, buf[:0], &wire.Frame{Kind: wire.KindPromoteAck, Epoch: f.Epoch()})
 			return true, nil
 		default:
@@ -653,6 +639,16 @@ func (f *Follower) promote(wireEpoch uint64, reason string) error {
 	return nil
 }
 
+// Session timeouts.
+const (
+	// idleTimeout bounds inter-byte silence on a session when
+	// PromoteAfter is zero (or longer): a session that silent is torn
+	// down and redialed rather than blocking in a read forever.
+	idleTimeout = 15 * time.Second
+	// dialTimeout bounds each dial and the handshake read.
+	dialTimeout = 5 * time.Second
+)
+
 // fenceRetryEvery paces fenceOldPrimary's dial attempts.
 const fenceRetryEvery = time.Second
 
@@ -669,9 +665,9 @@ func (f *Follower) fenceOldPrimary(epoch uint64) {
 			return
 		default:
 		}
-		nc, err := net.DialTimeout("tcp", f.cfg.Primary, f.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", f.cfg.Primary, dialTimeout)
 		if err == nil {
-			nc.SetDeadline(time.Now().Add(f.cfg.DialTimeout))
+			nc.SetDeadline(time.Now().Add(dialTimeout))
 			buf, err = wire.WriteFrame(nc, buf, &wire.Frame{Kind: wire.KindFollow, Version: wire.Version, Epoch: epoch})
 			if err == nil {
 				fr, rbuf, rerr := wire.ReadFrame(nc, buf)

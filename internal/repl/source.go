@@ -20,18 +20,10 @@ type SourceConfig struct {
 	// this primary has been deposed: the connection is refused with
 	// CodeFenced and Fenced() starts reporting true.
 	Epoch uint64
-	// ChunkBytes caps each SegmentChunk/Tail frame's Data (default
-	// 256 KiB, max wire.MaxChunk).
-	ChunkBytes int
 	// WriteTimeout bounds every frame write to a follower (default 5s).
 	// A follower too slow to keep up is dropped rather than allowed to
 	// stall the primary's WAL flusher.
 	WriteTimeout time.Duration
-	// MaxPending caps the bytes of live tails buffered per connection
-	// while a tenant's snapshot transfer is still in flight (default
-	// 64 MiB). Overflow drops the connection; the follower reconnects
-	// and reinstalls.
-	MaxPending int
 	// PromoteTimeout bounds each of Handoff's two waits: for a fully
 	// warm follower to hand off to, and then for that follower's
 	// PromoteAck (default 30s each).
@@ -51,14 +43,8 @@ type SourceConfig struct {
 }
 
 func (c *SourceConfig) fill() {
-	if c.ChunkBytes <= 0 || c.ChunkBytes > wire.MaxChunk {
-		c.ChunkBytes = 256 << 10
-	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 5 * time.Second
-	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 64 << 20
 	}
 	if c.PromoteTimeout <= 0 {
 		c.PromoteTimeout = 30 * time.Second
@@ -321,6 +307,17 @@ func (s *Source) Handoff(reason string) (uint64, error) {
 	return newEpoch, nil
 }
 
+// Shipping limits.
+const (
+	// chunkBytes caps each SegmentChunk/Tail frame's Data (at most
+	// wire.MaxChunk).
+	chunkBytes = 256 << 10
+	// maxPending caps the bytes of live tails buffered per connection
+	// while a tenant's snapshot transfer is still in flight. Overflow
+	// drops the connection; the follower reconnects and reinstalls.
+	maxPending = 64 << 20
+)
+
 // Per-tenant shipping state on one connection.
 const (
 	stateBuffering  = iota // no install started: hold tails
@@ -522,16 +519,15 @@ func (c *srcConn) writeLocked(f *wire.Frame) bool {
 // tail ships one observed WAL span. Live tenants get it written
 // through immediately (on the WAL flusher goroutine, before the acks —
 // the zero-lost-acks shipping point); tenants still installing get it
-// buffered, bounded by MaxPending.
+// buffered, bounded by maxPending.
 func (c *srcConn) tail(tenant string, seg uint64, off int64, p []byte) {
-	chunk := c.src.cfg.ChunkBytes
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dead {
 		return
 	}
-	for start := 0; start < len(p); start += chunk {
-		end := start + chunk
+	for start := 0; start < len(p); start += chunkBytes {
+		end := start + chunkBytes
 		if end > len(p) {
 			end = len(p)
 		}
@@ -547,8 +543,8 @@ func (c *srcConn) tail(tenant string, seg uint64, off int64, p []byte) {
 		f.Data = append([]byte(nil), f.Data...)
 		c.pending[tenant] = append(c.pending[tenant], f)
 		c.pendingBytes += len(f.Data)
-		if c.pendingBytes > c.src.cfg.MaxPending {
-			c.failLocked(fmt.Errorf("pending tail buffer exceeded %d bytes during install", c.src.cfg.MaxPending))
+		if c.pendingBytes > maxPending {
+			c.failLocked(fmt.Errorf("pending tail buffer exceeded %d bytes during install", maxPending))
 			return
 		}
 	}
@@ -600,7 +596,6 @@ func (c *srcConn) install(f *feed) {
 	if !c.write(&wire.Frame{Kind: wire.KindCheckpointInstall, Tenant: f.tenant, Data: ckData}) {
 		return
 	}
-	chunk := c.src.cfg.ChunkBytes
 	for _, n := range segs {
 		if n < startSeg {
 			continue // covered by the checkpoint image
@@ -610,8 +605,8 @@ func (c *srcConn) install(f *feed) {
 			c.fail(fmt.Errorf("read segment %d for %q: %w", n, f.tenant, err))
 			return
 		}
-		for off := 0; off < len(data); off += chunk {
-			end := off + chunk
+		for off := 0; off < len(data); off += chunkBytes {
+			end := off + chunkBytes
 			if end > len(data) {
 				end = len(data)
 			}

@@ -115,6 +115,38 @@ func TestE9GammaSweepShape(t *testing.T) {
 	}
 }
 
+// TestE1FlatShape pins Theorem 1's headline on the quick table: the
+// reservation scheduler's per-request cost stays flat as n grows, so
+// the largest n's max cost is no worse than the smallest n's and its
+// mean cost at most 1.25x the smallest n's.
+func TestE1FlatShape(t *testing.T) {
+	e, _ := ByID("E1")
+	tab, err := e.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) < 2 {
+		t.Fatalf("%d rows, want at least two sizes", len(tab.Rows))
+	}
+	cost := func(row []string) (int, float64) {
+		maxC, err1 := strconv.Atoi(row[2])
+		meanC, err2 := strconv.ParseFloat(row[3], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable row %v", row)
+		}
+		return maxC, meanC
+	}
+	first, last := tab.Rows[0], tab.Rows[len(tab.Rows)-1]
+	max0, mean0 := cost(first)
+	max1, mean1 := cost(last)
+	if max1 > max0 {
+		t.Errorf("max cost grew from %d at n=%s to %d at n=%s", max0, first[0], max1, last[0])
+	}
+	if mean1 > 1.25*mean0 {
+		t.Errorf("mean cost grew from %.2f at n=%s to %.2f at n=%s (> 1.25x)", mean0, first[0], mean1, last[0])
+	}
+}
+
 // TestE10AmortizedShape pins Section 4's amortized claim and its price:
 // the cost per request stays flat while the single request that
 // carries a rebuild pays for a constant share of the peak population.

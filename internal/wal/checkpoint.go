@@ -78,12 +78,7 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("wal: job %q has no placement in the checkpoint assignment", j.Name)
 		}
-		b = binary.AppendUvarint(b, uint64(len(j.Name)))
-		b = append(b, j.Name...)
-		b = binary.AppendVarint(b, j.Window.Start)
-		b = binary.AppendVarint(b, j.Window.End)
-		b = binary.AppendVarint(b, int64(pl.Machine))
-		b = binary.AppendVarint(b, pl.Slot)
+		b = AppendPlaced(b, j, pl)
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	return b, nil
@@ -108,95 +103,33 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if crc32.Checksum(body, castagnoli) != sum {
 		return nil, fmt.Errorf("wal: checkpoint CRC mismatch")
 	}
-	p := body[ckptHeaderLen:]
-	off := 0
-	uv := func(what string) (uint64, error) {
-		v, w := binary.Uvarint(p[off:])
-		if w <= 0 {
-			return 0, fmt.Errorf("wal: checkpoint: bad %s", what)
-		}
-		off += w
-		return v, nil
-	}
-	sv := func(what string) (int64, error) {
-		v, w := binary.Varint(p[off:])
-		if w <= 0 {
-			return 0, fmt.Errorf("wal: checkpoint: bad %s", what)
-		}
-		off += w
-		return v, nil
-	}
-
-	ck := &Checkpoint{}
-	var err error
-	if ck.StartSeg, err = uv("start segment"); err != nil {
-		return nil, err
-	}
-	shards, err := uv("shard count")
-	if err != nil {
-		return nil, err
-	}
+	r := NewReader(body[ckptHeaderLen:])
+	ck := &Checkpoint{StartSeg: r.Uvarint()}
+	shards := r.Count(1)
 	if shards == 0 || shards > maxShards {
-		return nil, fmt.Errorf("wal: checkpoint with %d shard(s)", shards)
+		r.Fail(fmt.Errorf("%d shard(s)", shards))
 	}
 	ck.ShardMachines = make([]int, shards)
 	for i := range ck.ShardMachines {
-		m, err := uv("shard machines")
-		if err != nil {
-			return nil, err
-		}
+		m := r.Uvarint()
 		if m < 1 || m > 1<<32 {
-			return nil, fmt.Errorf("wal: checkpoint shard %d with %d machines", i, m)
+			r.Fail(fmt.Errorf("shard %d with %d machines", i, m))
 		}
 		ck.ShardMachines[i] = int(m)
 	}
-	njobs, err := uv("job count")
-	if err != nil {
-		return nil, err
-	}
-	// A serialized job is at least 5 bytes; reject counts the remaining
-	// bytes cannot possibly hold before allocating for them.
-	if njobs > uint64(len(p)-off)/5+1 {
-		return nil, fmt.Errorf("wal: checkpoint job count %d exceeds the payload", njobs)
-	}
+	njobs := r.Count(MinPlacedLen)
 	ck.Jobs = make([]jobs.Job, 0, njobs)
 	ck.Assignment = make(jobs.Assignment, njobs)
-	prev := ""
-	for i := uint64(0); i < njobs; i++ {
-		n, err := uv("job name length")
-		if err != nil {
-			return nil, err
+	for i := 0; i < njobs; i++ {
+		j, pl := r.Placed()
+		if i > 0 && j.Name <= ck.Jobs[i-1].Name {
+			r.Fail(fmt.Errorf("jobs out of canonical order at %q", j.Name))
 		}
-		if n > maxNameLen || uint64(len(p)-off) < n {
-			return nil, fmt.Errorf("wal: checkpoint: bad job name length")
-		}
-		name := string(p[off : off+int(n)])
-		off += int(n)
-		if i > 0 && name <= prev {
-			return nil, fmt.Errorf("wal: checkpoint jobs out of canonical order at %q", name)
-		}
-		prev = name
-		start, err := sv("window start")
-		if err != nil {
-			return nil, err
-		}
-		end, err := sv("window end")
-		if err != nil {
-			return nil, err
-		}
-		mach, err := sv("machine")
-		if err != nil {
-			return nil, err
-		}
-		slot, err := sv("slot")
-		if err != nil {
-			return nil, err
-		}
-		ck.Jobs = append(ck.Jobs, jobs.Job{Name: name, Window: jobs.Window{Start: start, End: end}})
-		ck.Assignment[name] = jobs.Placement{Machine: int(mach), Slot: slot}
+		ck.Jobs = append(ck.Jobs, j)
+		ck.Assignment[j.Name] = pl
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("wal: %d trailing byte(s) in checkpoint", len(p)-off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	return ck, nil
 }

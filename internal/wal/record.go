@@ -41,12 +41,19 @@
 // fsync) per group rather than one per record. Completion callbacks run
 // only after the group is written, which is how the sharded front-end
 // defers request acknowledgements until durability.
+//
+// # Codec
+//
+// codec.go holds the one codec the log, the checkpoint and the wire
+// protocol (internal/wire) share: the frame envelope (OpenFrame,
+// SealFrame, FrameLen, FrameIntact), the bounded sticky-error payload
+// Reader, and the request and placed-job encodings (AppendRequest,
+// AppendPlaced and their Reader methods).
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/jobs"
 )
@@ -105,66 +112,12 @@ func (r Record) Requests() int {
 	}
 }
 
-// Frame and payload limits. Limits exist so a corrupt length or count
-// field is rejected before it can drive a huge allocation.
+// Payload limits. They exist so a corrupt length or count field is
+// rejected before it can drive a huge allocation.
 const (
-	frameHeaderLen = 8       // u32 length + u32 CRC
-	maxRecordLen   = 1 << 26 // 64 MiB per framed payload
-	maxNameLen     = 1 << 20 // per job name
+	maxRecordLen = 1 << 26 // 64 MiB per framed payload
+	maxNameLen   = 1 << 20 // per job name
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// AppendRequest encodes one request: kind byte, name, and (for inserts)
-// the window bounds as signed varints. It is exported because the wire
-// protocol (internal/wire) frames jobs.Request payloads with exactly
-// this encoding — the WAL's on-disk request format is the network
-// format.
-func AppendRequest(b []byte, r jobs.Request) []byte {
-	b = append(b, byte(r.Kind))
-	b = binary.AppendUvarint(b, uint64(len(r.Name)))
-	b = append(b, r.Name...)
-	if r.Kind == jobs.Insert {
-		b = binary.AppendVarint(b, r.Window.Start)
-		b = binary.AppendVarint(b, r.Window.End)
-	}
-	return b
-}
-
-// DecodeRequest is the inverse of AppendRequest, returning the request
-// and the number of bytes consumed. It never panics on arbitrary input.
-func DecodeRequest(p []byte) (jobs.Request, int, error) {
-	if len(p) < 1 {
-		return jobs.Request{}, 0, fmt.Errorf("wal: truncated request")
-	}
-	kind := jobs.RequestKind(p[0])
-	if kind != jobs.Insert && kind != jobs.Delete {
-		return jobs.Request{}, 0, fmt.Errorf("wal: unknown request kind %d", p[0])
-	}
-	off := 1
-	n, w := binary.Uvarint(p[off:])
-	if w <= 0 || n > maxNameLen || uint64(len(p)-off-w) < n {
-		return jobs.Request{}, 0, fmt.Errorf("wal: bad request name length")
-	}
-	off += w
-	name := string(p[off : off+int(n)])
-	off += int(n)
-	r := jobs.Request{Kind: kind, Name: name}
-	if kind == jobs.Insert {
-		start, w1 := binary.Varint(p[off:])
-		if w1 <= 0 {
-			return jobs.Request{}, 0, fmt.Errorf("wal: bad window start")
-		}
-		off += w1
-		end, w2 := binary.Varint(p[off:])
-		if w2 <= 0 {
-			return jobs.Request{}, 0, fmt.Errorf("wal: bad window end")
-		}
-		off += w2
-		r.Window = jobs.Window{Start: start, End: end}
-	}
-	return r, off, nil
-}
 
 // appendPayload encodes a record's payload (kind byte + body).
 func appendPayload(b []byte, rec Record) ([]byte, error) {
@@ -193,60 +146,26 @@ func appendPayload(b []byte, rec Record) ([]byte, error) {
 // must be consumed exactly, so a frame with trailing garbage is invalid.
 // It never panics on arbitrary input.
 func DecodePayload(p []byte) (Record, error) {
-	if len(p) < 1 {
-		return Record{}, fmt.Errorf("wal: empty payload")
-	}
-	kind := Kind(p[0])
-	body := p[1:]
-	var rec Record
-	rec.Kind = kind
-	switch kind {
+	r := NewReader(p)
+	rec := Record{Kind: Kind(r.Byte())}
+	switch rec.Kind {
 	case KindRequest:
-		r, n, err := DecodeRequest(body)
-		if err != nil {
-			return Record{}, err
-		}
-		if n != len(body) {
-			return Record{}, fmt.Errorf("wal: %d trailing byte(s) after request", len(body)-n)
-		}
-		rec.Req = r
+		rec.Req = r.Request()
 	case KindBatch:
-		count, w := binary.Uvarint(body)
-		if w <= 0 || count > uint64(len(body)) {
-			return Record{}, fmt.Errorf("wal: bad batch count")
-		}
-		off := w
-		if count > 0 {
-			rec.Batch = make([]jobs.Request, 0, count)
-		}
-		for i := uint64(0); i < count; i++ {
-			r, n, err := DecodeRequest(body[off:])
-			if err != nil {
-				return Record{}, fmt.Errorf("wal: batch request %d: %w", i, err)
+		// A request takes at least two bytes: kind and name length.
+		if n := r.Count(2); n > 0 {
+			rec.Batch = make([]jobs.Request, n)
+			for i := range rec.Batch {
+				rec.Batch[i] = r.Request()
 			}
-			off += n
-			rec.Batch = append(rec.Batch, r)
-		}
-		if off != len(body) {
-			return Record{}, fmt.Errorf("wal: %d trailing byte(s) after batch", len(body)-off)
 		}
 	case KindResize:
-		off := 0
-		vals := [3]int64{}
-		for i := range vals {
-			v, w := binary.Varint(body[off:])
-			if w <= 0 {
-				return Record{}, fmt.Errorf("wal: bad resize field %d", i)
-			}
-			vals[i] = v
-			off += w
-		}
-		if off != len(body) {
-			return Record{}, fmt.Errorf("wal: %d trailing byte(s) after resize", len(body)-off)
-		}
-		rec.Resize = ResizeSpec{Shard: int(vals[0]), Delta: int(vals[1]), Machines: int(vals[2])}
+		rec.Resize = ResizeSpec{Shard: int(r.Varint()), Delta: int(r.Varint()), Machines: int(r.Varint())}
 	default:
-		return Record{}, fmt.Errorf("wal: unknown record kind %d", p[0])
+		r.Fail(fmt.Errorf("unknown record kind %d", rec.Kind))
+	}
+	if err := r.Done(); err != nil {
+		return Record{}, fmt.Errorf("wal: record: %w", err)
 	}
 	return rec, nil
 }
@@ -254,17 +173,13 @@ func DecodePayload(p []byte) (Record, error) {
 // AppendFrame appends the framed encoding of rec to dst.
 func AppendFrame(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst, err := appendPayload(dst, rec)
+	dst, err := appendPayload(OpenFrame(dst), rec)
 	if err != nil {
 		return dst[:start], err
 	}
-	payload := dst[start+frameHeaderLen:]
-	if len(payload) > maxRecordLen {
-		return dst[:start], fmt.Errorf("wal: record payload %d bytes exceeds the %d cap", len(payload), maxRecordLen)
+	if dst, err = SealFrame(dst, start, maxRecordLen); err != nil {
+		return dst, fmt.Errorf("wal: %w", err)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst, nil
 }
 
@@ -275,18 +190,17 @@ func AppendFrame(dst []byte, rec Record) ([]byte, error) {
 // point. valid == len(data) means every byte checked out. ScanRecords
 // never panics on arbitrary input.
 func ScanRecords(data []byte) (recs []Record, valid int) {
-	off := 0
-	for {
-		if len(data)-off < frameHeaderLen {
+	for off := 0; ; {
+		if len(data)-off < FrameHeaderLen {
 			return recs, off
 		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxRecordLen || uint64(len(data)-off-frameHeaderLen) < uint64(n) {
+		hdr := data[off : off+FrameHeaderLen]
+		n, ok := FrameLen(hdr, min(maxRecordLen, len(data)-off-FrameHeaderLen))
+		if !ok {
 			return recs, off
 		}
-		payload := data[off+frameHeaderLen : off+frameHeaderLen+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
+		payload := data[off+FrameHeaderLen : off+FrameHeaderLen+n]
+		if !FrameIntact(hdr, payload) {
 			return recs, off
 		}
 		rec, err := DecodePayload(payload)
@@ -294,6 +208,6 @@ func ScanRecords(data []byte) (recs []Record, valid int) {
 			return recs, off
 		}
 		recs = append(recs, rec)
-		off += frameHeaderLen + int(n)
+		off += FrameHeaderLen + n
 	}
 }

@@ -96,7 +96,7 @@ func TestTornTailTruncation(t *testing.T) {
 	off := segHeaderLen
 	for range want {
 		n := int(uint32(full[off]) | uint32(full[off+1])<<8 | uint32(full[off+2])<<16 | uint32(full[off+3])<<24)
-		off += frameHeaderLen + n
+		off += FrameHeaderLen + n
 		bounds = append(bounds, off)
 	}
 
@@ -153,7 +153,7 @@ func TestCorruptMiddleBitFlip(t *testing.T) {
 	l.Close()
 	path := segPath(dir, 1)
 	data, _ := os.ReadFile(path)
-	data[segHeaderLen+frameHeaderLen+2] ^= 0xff // inside record 0's payload
+	data[segHeaderLen+FrameHeaderLen+2] ^= 0xff // inside record 0's payload
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

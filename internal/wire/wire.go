@@ -1,9 +1,11 @@
 // Package wire is the reallocd network protocol: length-prefixed,
-// CRC-framed binary frames over a byte stream, sharing the WAL's
-// framing discipline and its jobs.Request encoding
-// (wal.AppendRequest/wal.DecodeRequest) — the on-disk request format
-// IS the network format, so a server can hand a submitted payload to
-// the durability layer without re-encoding.
+// CRC-framed binary frames over a byte stream. It has no codec of its
+// own: the frame envelope (wal.OpenFrame/SealFrame, wal.FrameLen,
+// wal.FrameIntact), the bounded payload reader (wal.Reader) and the
+// request and placed-job encodings (wal.AppendRequest, wal.AppendPlaced)
+// all live in internal/wal — the on-disk request format IS the network
+// format, so a server can hand a submitted payload to the durability
+// layer without re-encoding.
 //
 // # Frame layout
 //
@@ -38,8 +40,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/fault"
@@ -318,29 +320,18 @@ type Frame struct {
 
 // Frame and field limits. A reader rejects any frame past them.
 const (
-	frameHeaderLen = 8       // u32 length + u32 CRC
-	MaxFrameLen    = 1 << 24 // 16 MiB payload cap
-	MaxBatch       = 1 << 14 // requests per Batch frame
-	MaxTenantLen   = 256
-	MaxDetailLen   = 1 << 12
+	MaxFrameLen  = 1 << 24 // 16 MiB payload cap
+	MaxBatch     = 1 << 14 // requests per Batch frame
+	MaxTenantLen = 256
+	MaxDetailLen = 1 << 12
 	// MaxChunk caps Data in replication frames. Shippers must split
 	// larger spans across frames.
 	MaxChunk = 1 << 22 // 4 MiB
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
-}
-
-func decodeString(p []byte, max int) (string, int, error) {
-	n, w := binary.Uvarint(p)
-	if w <= 0 || n > uint64(max) || uint64(len(p)-w) < n {
-		return "", 0, fmt.Errorf("wire: bad string length")
-	}
-	return string(p[w : w+int(n)]), w + int(n), nil
 }
 
 // appendPayload encodes f's payload (kind byte + body).
@@ -424,11 +415,7 @@ func appendPayload(b []byte, f *Frame) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(f.Machines))
 		b = binary.AppendUvarint(b, uint64(len(f.Jobs)))
 		for _, pj := range f.Jobs {
-			b = appendString(b, pj.Job.Name)
-			b = binary.AppendVarint(b, pj.Job.Window.Start)
-			b = binary.AppendVarint(b, pj.Job.Window.End)
-			b = binary.AppendVarint(b, int64(pj.Placement.Machine))
-			b = binary.AppendVarint(b, pj.Placement.Slot)
+			b = wal.AppendPlaced(b, pj.Job, pj.Placement)
 		}
 	default:
 		return b, fmt.Errorf("wire: unknown frame kind %d", f.Kind)
@@ -461,302 +448,123 @@ func clip(s string, max int) string {
 // DecodePayload decodes one frame payload. Strict: the payload must be
 // consumed exactly. It never panics on arbitrary input.
 func DecodePayload(p []byte) (Frame, error) {
-	if len(p) < 1 {
-		return Frame{}, fmt.Errorf("wire: empty payload")
-	}
-	f := Frame{Kind: Kind(p[0])}
-	body := p[1:]
-	off := 0
-
-	uvar := func() (uint64, error) {
-		v, w := binary.Uvarint(body[off:])
-		if w <= 0 {
-			return 0, fmt.Errorf("wire: bad varint in %s frame", f.Kind)
-		}
-		off += w
-		return v, nil
-	}
-	svar := func() (int64, error) {
-		v, w := binary.Varint(body[off:])
-		if w <= 0 {
-			return 0, fmt.Errorf("wire: bad varint in %s frame", f.Kind)
-		}
-		off += w
-		return v, nil
-	}
-	str := func(max int) (string, error) {
-		s, n, err := decodeString(body[off:], max)
-		if err != nil {
-			return "", fmt.Errorf("%w in %s frame", err, f.Kind)
-		}
-		off += n
-		return s, nil
-	}
-	codeByte := func() (Code, error) {
-		if off >= len(body) {
-			return 0, fmt.Errorf("wire: truncated %s frame", f.Kind)
-		}
-		c := Code(body[off])
-		off++
-		if c > maxCode {
-			return 0, fmt.Errorf("wire: unknown code %d in %s frame", c, f.Kind)
-		}
-		return c, nil
-	}
-	tstr := func() (string, error) {
-		s, serr := str(MaxTenantLen)
-		if serr != nil {
-			return "", serr
-		}
-		if s == "" {
-			return "", fmt.Errorf("wire: empty tenant in %s frame", f.Kind)
-		}
-		return s, nil
-	}
-	data := func() ([]byte, error) {
-		n, nerr := uvar()
-		if nerr != nil {
-			return nil, nerr
-		}
-		if n > MaxChunk || uint64(len(body)-off) < n {
-			return nil, fmt.Errorf("wire: bad data length %d in %s frame", n, f.Kind)
-		}
-		d := append([]byte(nil), body[off:off+int(n)]...)
-		off += int(n)
-		return d, nil
-	}
-
-	var err error
-	fail := func(e error) (Frame, error) { return Frame{}, e }
+	r := wal.NewReader(p)
+	f := Frame{Kind: Kind(r.Byte())}
 	switch f.Kind {
 	case KindHello:
-		var v uint64
-		if v, err = uvar(); err != nil {
-			return fail(err)
-		}
-		f.Version = int(v)
-		if f.Tenant, err = str(MaxTenantLen); err != nil {
-			return fail(err)
-		}
-		if f.Tenant == "" {
-			return fail(fmt.Errorf("wire: hello with empty tenant"))
-		}
+		f.Version = int(r.Uvarint())
+		f.Tenant = tenant(&r)
 	case KindWelcome:
-		var s, m uint64
-		if s, err = uvar(); err != nil {
-			return fail(err)
-		}
-		if m, err = uvar(); err != nil {
-			return fail(err)
-		}
+		s, m := r.Uvarint(), r.Uvarint()
 		if s > 1<<20 || m > 1<<30 {
-			return fail(fmt.Errorf("wire: implausible welcome geometry %d/%d", s, m))
+			r.Fail(fmt.Errorf("implausible geometry %d/%d", s, m))
 		}
 		f.Shards, f.Machines = int(s), int(m)
 	case KindSubmit:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
-		}
-		if f.DeadlineUS, err = uvar(); err != nil {
-			return fail(err)
-		}
-		r, n, derr := wal.DecodeRequest(body[off:])
-		if derr != nil {
-			return fail(derr)
-		}
-		off += n
-		f.Req = r
+		f.ID, f.DeadlineUS, f.Req = r.Uvarint(), r.Uvarint(), r.Request()
 	case KindBatch:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
+		f.ID, f.DeadlineUS = r.Uvarint(), r.Uvarint()
+		// A request takes at least two bytes: kind and name length.
+		n := r.Count(2)
+		if n == 0 || n > MaxBatch {
+			r.Fail(fmt.Errorf("batch of %d requests (want 1..%d)", n, MaxBatch))
+			break
 		}
-		if f.DeadlineUS, err = uvar(); err != nil {
-			return fail(err)
-		}
-		count, cerr := uvar()
-		if cerr != nil {
-			return fail(cerr)
-		}
-		if count == 0 || count > MaxBatch {
-			return fail(fmt.Errorf("wire: batch of %d requests (want 1..%d)", count, MaxBatch))
-		}
-		f.Batch = make([]jobs.Request, 0, count)
-		for i := uint64(0); i < count; i++ {
-			r, n, derr := wal.DecodeRequest(body[off:])
-			if derr != nil {
-				return fail(fmt.Errorf("wire: batch request %d: %w", i, derr))
-			}
-			off += n
-			f.Batch = append(f.Batch, r)
+		f.Batch = make([]jobs.Request, n)
+		for i := range f.Batch {
+			f.Batch[i] = r.Request()
 		}
 	case KindAck, KindDrainAck:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
-		}
-		if f.Code, err = codeByte(); err != nil {
-			return fail(err)
-		}
-		if f.Detail, err = str(MaxDetailLen); err != nil {
-			return fail(err)
-		}
+		f.ID, f.Code, f.Detail = r.Uvarint(), code(&r), r.String(MaxDetailLen)
 	case KindBatchAck:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
+		f.ID = r.Uvarint()
+		n := r.Count(1)
+		if n > MaxBatch {
+			r.Fail(fmt.Errorf("batchack of %d codes", n))
+			break
 		}
-		count, cerr := uvar()
-		if cerr != nil {
-			return fail(cerr)
-		}
-		if count > MaxBatch || uint64(len(body)-off) < count {
-			return fail(fmt.Errorf("wire: bad batchack count %d", count))
-		}
-		f.Codes = make([]Code, 0, count)
-		for i := uint64(0); i < count; i++ {
-			c, cerr := codeByte()
-			if cerr != nil {
-				return fail(cerr)
-			}
-			f.Codes = append(f.Codes, c)
+		f.Codes = make([]Code, n)
+		for i := range f.Codes {
+			f.Codes[i] = code(&r)
 		}
 	case KindErr:
-		if f.Code, err = codeByte(); err != nil {
-			return fail(err)
-		}
-		if f.Detail, err = str(MaxDetailLen); err != nil {
-			return fail(err)
-		}
+		f.Code, f.Detail = code(&r), r.String(MaxDetailLen)
 	case KindDrain, KindSnapshotReq:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
-		}
+		f.ID = r.Uvarint()
 	case KindFollow:
-		var v uint64
-		if v, err = uvar(); err != nil {
-			return fail(err)
-		}
-		f.Version = int(v)
-		if f.Epoch, err = uvar(); err != nil {
-			return fail(err)
-		}
+		f.Version, f.Epoch = int(r.Uvarint()), r.Uvarint()
 	case KindFollowAck, KindPromoteAck:
-		if f.Epoch, err = uvar(); err != nil {
-			return fail(err)
-		}
+		f.Epoch = r.Uvarint()
 	case KindPromote:
-		if f.Epoch, err = uvar(); err != nil {
-			return fail(err)
-		}
-		if f.Detail, err = str(MaxDetailLen); err != nil {
-			return fail(err)
-		}
+		f.Epoch, f.Detail = r.Uvarint(), r.String(MaxDetailLen)
 	case KindCheckpointInstall:
-		if f.Tenant, err = tstr(); err != nil {
-			return fail(err)
-		}
-		if f.Data, err = data(); err != nil {
-			return fail(err)
-		}
+		f.Tenant, f.Data = tenant(&r), r.Bytes(MaxChunk)
 	case KindSegmentChunk, KindTail:
-		if f.Tenant, err = tstr(); err != nil {
-			return fail(err)
-		}
-		if f.Seg, err = uvar(); err != nil {
-			return fail(err)
-		}
-		var o uint64
-		if o, err = uvar(); err != nil {
-			return fail(err)
-		}
+		f.Tenant, f.Seg = tenant(&r), r.Uvarint()
+		o := r.Uvarint()
 		if o > 1<<62 {
-			return fail(fmt.Errorf("wire: implausible segment offset %d", o))
+			r.Fail(fmt.Errorf("implausible segment offset %d", o))
 		}
-		f.Off = int64(o)
-		if f.Data, err = data(); err != nil {
-			return fail(err)
-		}
+		f.Off, f.Data = int64(o), r.Bytes(MaxChunk)
 	case KindInstalled:
-		if f.Tenant, err = tstr(); err != nil {
-			return fail(err)
-		}
+		f.Tenant = tenant(&r)
 	case KindPing:
 		// No body.
 	case KindResize:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
-		}
-		m, merr := uvar()
-		if merr != nil {
-			return fail(merr)
-		}
+		f.ID = r.Uvarint()
+		m := r.Uvarint()
 		if m > 1<<30 {
-			return fail(fmt.Errorf("wire: implausible resize to %d machines", m))
+			r.Fail(fmt.Errorf("implausible resize to %d machines", m))
 		}
 		f.Machines = int(m)
 	case KindSnapshot:
-		if f.ID, err = uvar(); err != nil {
-			return fail(err)
-		}
-		m, merr := uvar()
-		if merr != nil {
-			return fail(merr)
-		}
-		f.Machines = int(m)
-		count, cerr := uvar()
-		if cerr != nil {
-			return fail(cerr)
-		}
-		// Each entry takes at least 5 bytes (name length + four
-		// varints), so more entries than bytes/5 cannot decode. The
-		// prealloc is additionally capped: a forged count must not
-		// drive a huge allocation before the per-entry decode fails.
-		if count > uint64(len(body)-off)/5 {
-			return fail(fmt.Errorf("wire: bad snapshot count %d", count))
-		}
-		f.Jobs = make([]PlacedJob, 0, min(count, 1<<16))
-		for i := uint64(0); i < count; i++ {
+		f.ID, f.Machines = r.Uvarint(), int(r.Uvarint())
+		n := r.Count(wal.MinPlacedLen)
+		// The prealloc is capped: a forged count must not drive a huge
+		// allocation before the per-entry decode fails.
+		f.Jobs = make([]PlacedJob, 0, min(n, 1<<16))
+		for i := 0; i < n && r.Err() == nil; i++ {
 			var pj PlacedJob
-			if pj.Job.Name, err = str(MaxFrameLen); err != nil {
-				return fail(err)
-			}
-			if pj.Job.Window.Start, err = svar(); err != nil {
-				return fail(err)
-			}
-			if pj.Job.Window.End, err = svar(); err != nil {
-				return fail(err)
-			}
-			var mach int64
-			if mach, err = svar(); err != nil {
-				return fail(err)
-			}
-			pj.Placement.Machine = int(mach)
-			if pj.Placement.Slot, err = svar(); err != nil {
-				return fail(err)
-			}
+			pj.Job, pj.Placement = r.Placed()
 			f.Jobs = append(f.Jobs, pj)
 		}
 	default:
-		return fail(fmt.Errorf("wire: unknown frame kind %d", p[0]))
+		r.Fail(fmt.Errorf("unknown frame kind %d", f.Kind))
 	}
-	if off != len(body) {
-		return Frame{}, fmt.Errorf("wire: %d trailing byte(s) after %s frame", len(body)-off, f.Kind)
+	if err := r.Done(); err != nil {
+		return Frame{}, fmt.Errorf("wire: %s frame: %w", f.Kind, err)
 	}
 	return f, nil
+}
+
+// tenant reads a tenant name, which must be non-empty.
+func tenant(r *wal.Reader) string {
+	s := r.String(MaxTenantLen)
+	if s == "" {
+		r.Fail(errors.New("empty tenant"))
+	}
+	return s
+}
+
+// code reads one outcome byte, refusing codes past maxCode.
+func code(r *wal.Reader) Code {
+	c := Code(r.Byte())
+	if c > maxCode {
+		r.Fail(fmt.Errorf("unknown code %d", c))
+	}
+	return c
 }
 
 // AppendFrame appends f's framed encoding to dst.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst, err := appendPayload(dst, f)
+	dst, err := appendPayload(wal.OpenFrame(dst), f)
 	if err != nil {
 		return dst[:start], err
 	}
-	payload := dst[start+frameHeaderLen:]
-	if len(payload) > MaxFrameLen {
-		return dst[:start], fmt.Errorf("wire: frame payload %d bytes exceeds the %d cap", len(payload), MaxFrameLen)
+	if dst, err = wal.SealFrame(dst, start, MaxFrameLen); err != nil {
+		return dst, fmt.Errorf("wire: %w", err)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst, nil
 }
 
@@ -781,19 +589,18 @@ func WriteFrame(w io.Writer, buf []byte, f *Frame) ([]byte, error) {
 // io.Reader (bufio.Reader): an unbuffered one costs two reads per
 // frame, one for the header and one for the payload.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	if cap(buf) < frameHeaderLen {
-		buf = make([]byte, frameHeaderLen, 4096)
+	if cap(buf) < wal.FrameHeaderLen {
+		buf = make([]byte, wal.FrameHeaderLen, 4096)
 	}
-	hdr := buf[:frameHeaderLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	if _, err := io.ReadFull(r, buf[:wal.FrameHeaderLen]); err != nil {
 		return Frame{}, buf, err // io.EOF at a frame boundary is a clean close
 	}
-	n := binary.LittleEndian.Uint32(hdr)
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if n == 0 || n > MaxFrameLen {
+	hdr := [wal.FrameHeaderLen]byte(buf[:wal.FrameHeaderLen]) // buf may be replaced below
+	n, ok := wal.FrameLen(hdr[:], MaxFrameLen)
+	if !ok {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	if uint32(cap(buf)) < n {
+	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	payload := buf[:n]
@@ -803,7 +610,7 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, fmt.Errorf("wire: truncated frame: %w", err)
 	}
-	if crc32.Checksum(payload, castagnoli) != sum {
+	if !wal.FrameIntact(hdr[:], payload) {
 		return Frame{}, buf, fmt.Errorf("wire: frame CRC mismatch")
 	}
 	f, err := DecodePayload(payload)

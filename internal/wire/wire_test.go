@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/jobs"
+	"repro/internal/wal"
 )
 
 // sampleFrames covers every kind with every meaningful field set.
@@ -45,6 +46,7 @@ func sampleFrames() []Frame {
 		{Kind: KindInstalled, Tenant: "acme"},
 		{Kind: KindPromote, Epoch: 5, Detail: "primary unreachable for 2s"},
 		{Kind: KindPromoteAck, Epoch: 5},
+		{Kind: KindPing},
 	}
 }
 
@@ -186,6 +188,24 @@ func BenchmarkSubmitRoundtrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.Reset(enc)
 		if _, buf, err = ReadFrame(r, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeSubmit measures decoding one Submit payload, the work
+// the server does per served request before admission.
+func BenchmarkDecodeSubmit(b *testing.B) {
+	f := Frame{Kind: KindSubmit, ID: 42, DeadlineUS: 1000, Req: jobs.InsertReq("bench-job", 0, 4096)}
+	enc, err := AppendFrame(nil, &f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := enc[wal.FrameHeaderLen:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodePayload(p); err != nil {
 			b.Fatal(err)
 		}
 	}
