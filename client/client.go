@@ -8,14 +8,13 @@
 // open-loop callers can keep the pipe full: it returns once its frame
 // is queued. Every call queues its frame, and a per-connection flusher
 // writes everything queued since its last flush in one write when the
-// queue goes idle (the server's ack writer has the same shape). A
-// transport failure after SubmitAsync returned surfaces through Wait
-// and later calls, not from SubmitAsync itself. Acks are read through
-// one buffered reader, so a burst of them costs one read. Admission
-// pushback arrives as ErrOverload, deadline expiry as ErrDeadline —
-// both are per-request verdicts, the connection stays healthy. Err
-// frames and transport failures are connection-fatal: every
-// outstanding and future call fails with the same error.
+// queue goes idle. A transport failure after SubmitAsync returned
+// surfaces through Wait and later calls, not from SubmitAsync itself.
+// Acks are read through one buffered reader, so a burst of them costs
+// one read. Admission pushback arrives as ErrOverload, deadline expiry
+// as ErrDeadline — both are per-request verdicts, the connection stays
+// healthy. Err frames and transport failures are connection-fatal:
+// every outstanding and future call fails with the same error.
 package client
 
 import (
@@ -451,9 +450,10 @@ func (c *Client) Batch(reqs []jobs.Request, timeout time.Duration) ([]error, err
 	return errs, nil
 }
 
-// Drain blocks until everything this tenant had queued before the
-// call has been served and acked. It fails only when the connection or
-// the tenant is closed.
+// Drain blocks until everything sent on this connection before the
+// call has been served and acked, and every batch the tenant had begun
+// serving for its other connections has finished. It fails only when
+// the connection or the tenant is closed.
 func (c *Client) Drain() error {
 	ch, err := c.call(&wire.Frame{Kind: wire.KindDrain})
 	if err != nil {

@@ -1,9 +1,10 @@
 // Command reallocd serves the repro reallocating scheduler over TCP as
 // a multi-tenant front-end. Each tenant (named by the client's Hello
 // frame) gets its own lazily created sharded Theorem 1 scheduler;
-// requests from all of a tenant's connections are coalesced into
-// group-committed ApplyBatch calls; a bounded per-tenant inflight
-// budget sheds overload with explicit rejections instead of queueing.
+// each connection's reader serves the requests of every frame already
+// buffered as one ApplyBatch and writes their acks in one write; a
+// bounded per-tenant inflight budget sheds overload with explicit
+// rejections instead of queueing.
 //
 // Usage:
 //
@@ -57,7 +58,7 @@ func main() {
 		shards       = flag.Int("shards", 4, "shards per tenant scheduler")
 		machines     = flag.Int("machines", 16, "machines per tenant pool")
 		inflight     = flag.Int("inflight", 1024, "per-tenant inflight admission budget")
-		batch        = flag.Int("batch", 128, "max requests coalesced into one ApplyBatch")
+		batch        = flag.Int("batch", 128, "max buffered requests a connection serves as one ApplyBatch")
 		maxTenants   = flag.Int("max-tenants", 0, "tenant limit (0 = unbounded)")
 		walRoot      = flag.String("wal", "", "WAL root directory (empty = in-memory tenants)")
 		fsync        = flag.Bool("fsync", false, "fsync each WAL group commit (requires -wal)")

@@ -419,7 +419,7 @@ func (f *Follower) install(tenant string, ckData []byte) error {
 		return &fatalError{fmt.Errorf("repl: create mirror for %q: %w", tenant, err)}
 	}
 	if len(ckData) > 0 {
-		if err := writeFileSync(wal.CheckpointPath(dir), ckData); err != nil {
+		if err := wal.WriteFileSync(wal.CheckpointPath(dir), ckData); err != nil {
 			return &fatalError{fmt.Errorf("repl: persist checkpoint for %q: %w", tenant, err)}
 		}
 	}
@@ -686,36 +686,4 @@ func (f *Follower) fenceOldPrimary(epoch uint64) {
 		case <-time.After(fenceRetryEvery):
 		}
 	}
-}
-
-// writeFileSync writes data durably: temp file, fsync, rename, dir sync.
-func writeFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	g, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := g.Write(data); err != nil {
-		g.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := g.Sync(); err != nil {
-		g.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := g.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

@@ -43,6 +43,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"repro/internal/wal"
 )
 
 // TenantDir maps a tenant name to a filesystem-safe directory name:
@@ -85,7 +87,7 @@ func MarkDiscarded(dir, reason string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeFileSync(filepath.Join(dir, discardedFile), []byte(reason+"\n"))
+	return wal.WriteFileSync(filepath.Join(dir, discardedFile), []byte(reason+"\n"))
 }
 
 // Discarded reports whether dir carries a promotion tombstone, and the
@@ -123,33 +125,5 @@ func WriteEpoch(root string, epoch uint64) error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(root, epochFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(strconv.FormatUint(epoch, 10) + "\n"); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(root); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	return wal.WriteFileSync(filepath.Join(root, epochFile), []byte(strconv.FormatUint(epoch, 10)+"\n"))
 }

@@ -10,34 +10,40 @@
 // concurrent ones included — share it. Tenants are isolated: separate
 // schedulers, separate machine pools, separate admission budgets.
 //
-// # Admission control and coalescing
+// # Admission and batching
 //
-// Each tenant has a bounded inflight budget (Config.MaxInflight). A
-// submit that would exceed it is rejected immediately with a
-// CodeOverload ack — the server never queues unboundedly; the client
-// backs off and retries. Admitted requests flow through the tenant's
-// coalescer goroutine, which drains whatever has accumulated — across
-// all of the tenant's connections — and serves it as ONE
-// shard.Scheduler.ApplyBatch per tick, exactly the way the WAL
-// group-commits concurrent appends: one routing lock, one coalesced
-// trim rebuild, per-shard sub-batches, regardless of how many
-// connections produced the requests.
+// Each connection has one goroutine, its reader, and it does all of
+// the connection's request work. It admits the requests of every whole
+// frame already in its read buffer, up to Config.BatchLimit, serves
+// them as one shard.Scheduler.ApplyBatch (a lone request goes through
+// Apply or ApplyDeadline), and writes all of their acks in one write.
+// It serves and writes before any read that could block, so a request
+// never waits for bytes that have not arrived.
+//
+// Each tenant has a bounded inflight budget (Config.MaxInflight)
+// shared by its connections. A submit that would exceed it is rejected
+// immediately with a CodeOverload ack: the server never queues
+// unboundedly; the client backs off and retries. A tenant's batches
+// are served under one lock, so when a tenant has several connections
+// its log order is its execution order.
 //
 // # Deadlines
 //
 // Submit/Batch frames carry an optional relative deadline. An admitted
-// request that is still waiting when its deadline passes is rejected
-// with CodeDeadline, having mutated nothing: the coalescer checks
-// expiry when it builds a batch, and a request that travels alone also
-// propagates its deadline into the scheduler (ApplyDeadline), where
-// the shard queue enforces it while parked or queued.
+// request whose deadline has passed when its batch is served is
+// rejected with CodeDeadline, having mutated nothing. A request served
+// alone also propagates its deadline into the scheduler
+// (ApplyDeadline), where the shard queue enforces it while parked or
+// queued.
 //
 // # Shutdown
 //
 // Close stops the listener, kicks every connection's reader, lets
 // in-flight requests finish and their acks flush, then closes every
 // tenant scheduler (which flushes tenant WALs). In-flight work is
-// drained, not dropped.
+// drained, not dropped. Every socket write has a deadline, so a client
+// that stops reading its acks cannot hold Close up: the write fails,
+// and the connection ends once its admitted requests are served.
 package server
 
 import (
@@ -70,8 +76,9 @@ type Config struct {
 	// but not yet acked. Beyond it, submits are rejected with
 	// CodeOverload. Default 1024.
 	MaxInflight int
-	// BatchLimit caps how many queued requests one coalescer tick
-	// serves as a single ApplyBatch. Default 128.
+	// BatchLimit caps how many requests a connection's reader admits
+	// from its buffered frames before it serves them as one ApplyBatch.
+	// Default 128.
 	BatchLimit int
 	// MaxTenants bounds lazy tenant creation (0 = unbounded).
 	MaxTenants int
@@ -213,7 +220,7 @@ func (s *Server) Close() error {
 	}
 	s.mu.Unlock()
 	for _, t := range tenants {
-		t.close()
+		t.sched.Close()
 	}
 	return nil
 }
@@ -257,127 +264,64 @@ func (s *Server) tenant(name string) (*tenant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: creating tenant %q: %w", name, err)
 	}
-	t := &tenant{
-		name:  name,
-		sched: sc,
-		q:     make(chan item, s.cfg.MaxInflight),
-		done:  make(chan struct{}),
-	}
-	go t.run(s.cfg.BatchLimit)
+	t := &tenant{name: name, sched: sc}
 	s.tenants[name] = t
 	return t, nil
 }
 
 // ---------------------------------------------------------------------
-// tenant: one scheduler namespace + its coalescer
+// tenant: one scheduler namespace
 // ---------------------------------------------------------------------
-
-// item is one queued unit of tenant work: a request with its ack
-// callback, or a ctrl barrier (drain) that runs after everything
-// queued before it has been served.
-type item struct {
-	req jobs.Request
-	// exp is the request's absolute expiry (zero = none).
-	exp  time.Time
-	done func(code wire.Code, detail string)
-	ctrl func()
-}
 
 type tenant struct {
 	name  string
 	sched *shard.Scheduler
 
 	// inflight is the admission budget: admitted-not-yet-acked
-	// requests. It is bounded by Config.MaxInflight, which also sizes
-	// q — so an admitted enqueue never blocks the reader for long.
+	// requests across the tenant's connections, bounded by
+	// Config.MaxInflight.
 	inflight atomic.Int64
 
-	// qmu guards qClosed and the channel send (the wal.Log sendMu
-	// idiom: enqueuers hold the read side, close holds the write side).
-	qmu     sync.RWMutex
-	qClosed bool
-	q       chan item
-	done    chan struct{}
-
-	// Coalescer-owned scratch, reused across ticks.
+	// mu is held around serve, so the tenant's batches run one at a
+	// time and its log order is its execution order. It also guards
+	// the scratch below.
+	mu   sync.Mutex
 	reqs []jobs.Request
 	idx  []int
 }
 
-// enqueue hands an item to the coalescer, reporting false if the
-// tenant is shut down.
-func (t *tenant) enqueue(it item) bool {
-	t.qmu.RLock()
-	defer t.qmu.RUnlock()
-	if t.qClosed {
-		return false
-	}
-	t.q <- it
-	return true
+// item is one admitted request: a Submit, or one member of a Batch
+// frame. serve sets its verdict.
+type item struct {
+	req jobs.Request
+	// exp is the request's absolute expiry (zero = none).
+	exp    time.Time
+	code   wire.Code
+	detail string
+
+	// Where the verdict goes: a Submit's Ack carries id (codes is nil);
+	// a Batch member's code lands in codes[member], and the frame's last
+	// admitted member sends the BatchAck.
+	id     uint64
+	codes  []wire.Code
+	member int
+	last   bool
 }
 
-// close stops the coalescer (serving everything already queued) and
-// closes the scheduler, flushing its WAL.
-func (t *tenant) close() {
-	t.qmu.Lock()
-	if !t.qClosed {
-		t.qClosed = true
-		close(t.q)
-	}
-	t.qmu.Unlock()
-	<-t.done
-	t.sched.Close()
-}
-
-// run is the coalescer loop: drain whatever has accumulated across
-// the tenant's connections, serve it as one ApplyBatch. Mirrors the
-// WAL flusher's group-commit drain.
-func (t *tenant) run(batchLimit int) {
-	defer close(t.done)
-	batch := make([]item, 0, batchLimit)
-	for it := range t.q {
-		if it.ctrl != nil {
-			it.ctrl()
-			continue
-		}
-		batch = append(batch[:0], it)
-	fill:
-		for len(batch) < batchLimit {
-			select {
-			case it2, ok := <-t.q:
-				if !ok {
-					break fill
-				}
-				if it2.ctrl != nil {
-					// Barrier: everything queued before it must be
-					// served first.
-					t.serve(batch)
-					batch = batch[:0]
-					it2.ctrl()
-					continue
-				}
-				batch = append(batch, it2)
-			default:
-				break fill
-			}
-		}
-		t.serve(batch)
-	}
-}
-
-// serve executes one coalesced tick.
+// serve executes one batch under the tenant lock. An empty batch only
+// takes the lock: it returns once every batch the tenant had begun
+// serving has finished.
 func (t *tenant) serve(batch []item) {
-	if len(batch) == 0 {
-		return
-	}
-	// Expiry check at batch build: a request that waited past its
-	// deadline in the coalescer queue is rejected un-executed.
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	// Expiry check at serve time: a request that waited past its
+	// deadline is rejected un-executed.
 	now := time.Now()
 	reqs, idx := t.reqs[:0], t.idx[:0]
 	for i := range batch {
 		it := &batch[i]
 		if !it.exp.IsZero() && now.After(it.exp) {
-			it.done(wire.CodeDeadline, "")
+			it.code = wire.CodeDeadline
 			continue
 		}
 		reqs = append(reqs, it.req)
@@ -394,13 +338,13 @@ func (t *tenant) serve(batch []item) {
 		if it.exp.IsZero() {
 			_, err = t.sched.Apply(it.req)
 		} else if remain := time.Until(it.exp); remain <= 0 {
-			// Expired since the batch-build check: a non-positive
-			// timeout would read as "no deadline" downstream.
+			// Expired since the check above: a non-positive timeout
+			// would read as "no deadline" downstream.
 			err = shard.ErrDeadlineExceeded
 		} else {
 			_, err = t.sched.ApplyDeadline(it.req, remain)
 		}
-		it.done(codeOf(err))
+		it.code, it.detail = codeOf(err)
 	default:
 		_, err := t.sched.ApplyBatch(reqs)
 		var be *sched.BatchError
@@ -412,7 +356,8 @@ func (t *tenant) serve(batch []item) {
 			if be != nil {
 				e = be.At(k)
 			}
-			batch[idx[k]].done(codeOf(e))
+			it := &batch[idx[k]]
+			it.code, it.detail = codeOf(e)
 		}
 	}
 	t.reqs, t.idx = reqs, idx // keep grown scratch
@@ -442,24 +387,33 @@ func codeOf(err error) (wire.Code, string) {
 // connection handling
 // ---------------------------------------------------------------------
 
-const handshakeTimeout = 30 * time.Second
+const (
+	handshakeTimeout = 30 * time.Second
+	// writeTimeout bounds every socket write: a client that stops
+	// reading its acks loses its connection instead of pinning the
+	// server.
+	writeTimeout = 10 * time.Second
+)
 
 type conn struct {
 	nc net.Conn
 	t  *tenant
 
-	// out feeds the writer goroutine. Sends go through send() (closed
-	// check under outMu); capacity covers the tenant budget so acks
-	// rarely block the coalescer.
-	outMu     sync.RWMutex
-	outClosed bool
-	out       chan wire.Frame
-	wdone     chan struct{}
+	// Reader-owned: the requests admitted since the last flush, and the
+	// encoded replies waiting for it.
+	items []item
+	out   []byte
 
-	// pending counts outstanding acks (submits, drains, snapshots):
-	// teardown waits for them before closing out, so an accepted
-	// request's ack is never dropped by a racing shutdown.
-	pending sync.WaitGroup
+	// wmu serializes socket writes between the reader and the one-shot
+	// snapshot and resize repliers. werr is the first write error; it
+	// ends the connection.
+	wmu  sync.Mutex
+	werr error
+
+	// repliers counts the running snapshot and resize repliers:
+	// teardown waits for them, so their replies are never dropped by a
+	// racing shutdown.
+	repliers sync.WaitGroup
 
 	// kicked marks a shutdown kick; the handshake-deadline reset
 	// re-checks it so a kick can never be erased.
@@ -472,51 +426,58 @@ func (c *conn) kick() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
-// send queues a frame for the writer, dropping it if the writer is
-// gone (connection torn down — its client cannot receive anything).
-func (c *conn) send(f wire.Frame) {
-	c.outMu.RLock()
-	defer c.outMu.RUnlock()
-	if c.outClosed {
+// write sends b in one socket write under the write deadline. After
+// the first failure it drops everything and kicks the reader: nobody
+// is left to receive.
+func (c *conn) write(b []byte) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil || len(b) == 0 {
 		return
 	}
-	c.out <- f
-}
-
-func (c *conn) closeOut() {
-	c.outMu.Lock()
-	if !c.outClosed {
-		c.outClosed = true
-		close(c.out)
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, c.werr = c.nc.Write(b); c.werr != nil {
+		c.kick()
 	}
-	c.outMu.Unlock()
 }
 
-// writeLoop is the connection's writer: one goroutine owns the socket
-// write side, batching frames through bufio and flushing when the
-// queue goes idle (the group-commit shape again). After a write error
-// it keeps draining so producers never block on a dead connection.
-func (c *conn) writeLoop() {
-	defer close(c.wdone)
-	bw := bufio.NewWriter(c.nc)
-	var buf []byte
-	var werr error
-	for f := range c.out {
-		if werr != nil {
-			continue // drain
+// reply queues f for the reader's next flush. The reader's replies
+// (acks, Err) always encode.
+func (c *conn) reply(f *wire.Frame) {
+	c.out, _ = wire.AppendFrame(c.out, f)
+}
+
+// serve runs the admitted requests through the tenant, at most
+// BatchLimit per ApplyBatch, and queues their acks.
+func (c *conn) serve(batchLimit int) {
+	for at := 0; at < len(c.items); at += batchLimit {
+		c.t.serve(c.items[at:min(at+batchLimit, len(c.items))])
+	}
+	c.t.inflight.Add(-int64(len(c.items)))
+	for i := range c.items {
+		it := &c.items[i]
+		if it.codes == nil {
+			c.reply(&wire.Frame{Kind: wire.KindAck, ID: it.id, Code: it.code, Detail: it.detail})
+			continue
 		}
-		buf, werr = wire.WriteFrame(bw, buf, &f)
-		if werr == nil && len(c.out) == 0 {
-			werr = bw.Flush()
+		it.codes[it.member] = it.code
+		if it.last {
+			c.reply(&wire.Frame{Kind: wire.KindBatchAck, ID: it.id, Codes: it.codes})
 		}
 	}
-	if werr == nil {
-		bw.Flush()
-	}
+	c.items = c.items[:0]
 }
 
-// fatal writes a connection-fatal Err frame directly (the writer may
-// not exist yet) and is followed by connection close.
+// flush serves the admitted requests and writes every queued reply in
+// one write.
+func (c *conn) flush(batchLimit int) {
+	c.serve(batchLimit)
+	c.write(c.out)
+	c.out = c.out[:0]
+}
+
+// fatal writes a connection-fatal Err frame directly (no conn exists
+// yet) and is followed by connection close.
 func fatal(nc net.Conn, code wire.Code, detail string) {
 	f := wire.Frame{Kind: wire.KindErr, Code: code, Detail: detail}
 	b, err := wire.AppendFrame(nil, &f)
@@ -556,12 +517,7 @@ func (s *Server) handle(nc net.Conn) {
 		return
 	}
 
-	c := &conn{
-		nc:    nc,
-		t:     t,
-		out:   make(chan wire.Frame, s.cfg.MaxInflight+64),
-		wdone: make(chan struct{}),
-	}
+	c := &conn{nc: nc, t: t}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -576,8 +532,8 @@ func (s *Server) handle(nc net.Conn) {
 		s.mu.Unlock()
 	}()
 
-	go c.writeLoop()
-	c.send(wire.Frame{Kind: wire.KindWelcome, Shards: t.sched.Shards(), Machines: t.sched.Machines()})
+	c.reply(&wire.Frame{Kind: wire.KindWelcome, Shards: t.sched.Shards(), Machines: t.sched.Machines()})
+	c.flush(s.cfg.BatchLimit)
 
 	// Lift the handshake deadline — unless a shutdown kick raced the
 	// reset, in which case re-arm it so the kick sticks.
@@ -587,28 +543,32 @@ func (s *Server) handle(nc net.Conn) {
 	}
 
 	s.readLoop(c, buf)
-
-	// Drain: every accepted request acks, acks flush, then the socket
-	// closes (via the deferred nc.Close).
-	c.pending.Wait()
-	c.closeOut()
-	<-c.wdone
+	// Every admitted request was served and acked by readLoop; the
+	// socket closes (via the deferred nc.Close) once the repliers have
+	// written too.
+	c.repliers.Wait()
 }
 
 // readLoop dispatches frames until the connection ends (client close,
-// protocol error, or shutdown kick). It reads through one buffered
-// reader, so a burst of pipelined frames costs one read, not two per
-// frame. Whole frames can then sit in the buffer past a kick's read
-// deadline, so the kick is checked before each dispatch.
+// protocol error, write failure or shutdown kick). It reads through one
+// buffered reader, so a burst of pipelined frames costs one read, and
+// before any read that could block it serves what it admitted and
+// writes the acks. Whole frames can sit in the buffer past a kick's
+// read deadline, so the kick is checked before each dispatch. Whatever
+// was admitted when the loop ends is still served and acked.
 func (s *Server) readLoop(c *conn, buf []byte) {
 	br := bufio.NewReader(c.nc)
+	defer c.flush(s.cfg.BatchLimit)
 	for {
+		if len(c.items) >= s.cfg.BatchLimit || !wire.FrameBuffered(br) {
+			c.flush(s.cfg.BatchLimit)
+		}
 		f, b, err := wire.ReadFrame(br, buf)
 		buf = b
 		if err != nil {
 			if isWireError(err) {
 				s.cfg.Logf("server: %s tenant %q: protocol error: %v", c.nc.RemoteAddr(), c.t.name, err)
-				c.send(wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest, Detail: err.Error()})
+				c.reply(&wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest, Detail: err.Error()})
 			}
 			return
 		}
@@ -621,13 +581,17 @@ func (s *Server) readLoop(c *conn, buf []byte) {
 		case wire.KindBatch:
 			s.submitBatch(c, &f)
 		case wire.KindDrain:
-			s.drain(c, f.ID)
+			// Serve this connection's batch, then wait out any batch
+			// another connection of the tenant had begun serving.
+			c.serve(s.cfg.BatchLimit)
+			c.t.serve(nil)
+			c.reply(&wire.Frame{Kind: wire.KindDrainAck, ID: f.ID, Code: wire.CodeOK})
 		case wire.KindSnapshotReq:
-			s.snapshot(c, f.ID)
+			c.snapshot(f.ID)
 		case wire.KindResize:
-			s.resize(c, f.ID, f.Machines)
+			c.resize(f.ID, f.Machines)
 		default:
-			c.send(wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest,
+			c.reply(&wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest,
 				Detail: fmt.Sprintf("unexpected %s frame", f.Kind)})
 			return
 		}
@@ -655,123 +619,88 @@ func expiry(deadlineUS uint64) time.Time {
 	return time.Now().Add(time.Duration(deadlineUS) * time.Microsecond)
 }
 
-// submit admits one request: budget check, then the coalescer queue.
+// submit admits one request into the reader's batch, or rejects it
+// with an immediate verdict.
 func (s *Server) submit(c *conn, f *wire.Frame) {
-	id := f.ID
 	if err := f.Req.Validate(); err != nil {
-		c.send(wire.Frame{Kind: wire.KindAck, ID: id, Code: wire.CodeBadRequest, Detail: err.Error()})
+		c.reply(&wire.Frame{Kind: wire.KindAck, ID: f.ID, Code: wire.CodeBadRequest, Detail: err.Error()})
 		return
 	}
-	t := c.t
-	if t.inflight.Add(1) > int64(s.cfg.MaxInflight) {
-		t.inflight.Add(-1)
-		c.send(wire.Frame{Kind: wire.KindAck, ID: id, Code: wire.CodeOverload,
+	if c.t.inflight.Add(1) > int64(s.cfg.MaxInflight) {
+		c.t.inflight.Add(-1)
+		c.reply(&wire.Frame{Kind: wire.KindAck, ID: f.ID, Code: wire.CodeOverload,
 			Detail: wire.ErrOverload.Error()})
 		return
 	}
-	c.pending.Add(1)
-	ok := t.enqueue(item{req: f.Req, exp: expiry(f.DeadlineUS), done: func(code wire.Code, detail string) {
-		c.send(wire.Frame{Kind: wire.KindAck, ID: id, Code: code, Detail: detail})
-		t.inflight.Add(-1)
-		c.pending.Done()
-	}})
-	if !ok {
-		c.send(wire.Frame{Kind: wire.KindAck, ID: id, Code: wire.CodeClosed})
-		t.inflight.Add(-1)
-		c.pending.Done()
-	}
+	c.items = append(c.items, item{req: f.Req, exp: expiry(f.DeadlineUS), id: f.ID})
 }
 
 // submitBatch admits a Batch frame: all-or-nothing on the budget, one
-// BatchAck with per-request codes once every member settles.
+// BatchAck with per-request codes once every member is served.
 func (s *Server) submitBatch(c *conn, f *wire.Frame) {
-	id := f.ID
-	t := c.t
 	n := len(f.Batch)
 	codes := make([]wire.Code, n)
-
-	if t.inflight.Add(int64(n)) > int64(s.cfg.MaxInflight) {
-		t.inflight.Add(int64(-n))
+	if c.t.inflight.Add(int64(n)) > int64(s.cfg.MaxInflight) {
+		c.t.inflight.Add(int64(-n))
 		for i := range codes {
 			codes[i] = wire.CodeOverload
 		}
-		c.send(wire.Frame{Kind: wire.KindBatchAck, ID: id, Codes: codes})
+		c.reply(&wire.Frame{Kind: wire.KindBatchAck, ID: f.ID, Codes: codes})
 		return
 	}
-	c.pending.Add(1)
-	var remaining atomic.Int64
 	exp := expiry(f.DeadlineUS)
-	settle := func() {
-		if remaining.Add(-1) == 0 {
-			c.send(wire.Frame{Kind: wire.KindBatchAck, ID: id, Codes: codes})
-			c.pending.Done()
-		}
-	}
-	// Count every member before enqueueing any, so an early settle
-	// cannot fire the ack while later members are still unqueued.
-	remaining.Store(int64(n))
+	first := len(c.items)
 	for i, r := range f.Batch {
-		i := i
 		if err := r.Validate(); err != nil {
 			codes[i] = wire.CodeBadRequest
-			t.inflight.Add(-1)
-			settle()
+			c.t.inflight.Add(-1)
 			continue
 		}
-		ok := t.enqueue(item{req: r, exp: exp, done: func(code wire.Code, _ string) {
-			codes[i] = code
-			t.inflight.Add(-1)
-			settle()
-		}})
-		if !ok {
-			codes[i] = wire.CodeClosed
-			t.inflight.Add(-1)
-			settle()
-		}
+		c.items = append(c.items, item{req: r, exp: exp, id: f.ID, codes: codes, member: i})
 	}
+	if len(c.items) == first {
+		c.reply(&wire.Frame{Kind: wire.KindBatchAck, ID: f.ID, Codes: codes})
+		return
+	}
+	c.items[len(c.items)-1].last = true
 }
 
-// drain enqueues a barrier: its ack means everything this tenant had
-// queued before the drain has been served and acked. The coalescer
-// serves every request synchronously, so reaching the barrier is the
-// whole proof and the ack is always CodeOK.
-func (s *Server) drain(c *conn, id uint64) {
-	t := c.t
-	c.pending.Add(1)
-	ok := t.enqueue(item{ctrl: func() {
-		c.send(wire.Frame{Kind: wire.KindDrainAck, ID: id, Code: wire.CodeOK})
-		c.pending.Done()
-	}})
-	if !ok {
-		c.send(wire.Frame{Kind: wire.KindDrainAck, ID: id, Code: wire.CodeClosed})
-		c.pending.Done()
-	}
-}
-
-// snapshot answers with a consistent schedule snapshot. It runs off
-// the reader so a big snapshot never stalls request intake.
-func (s *Server) snapshot(c *conn, id uint64) {
-	t := c.t
-	c.pending.Add(1)
+// replier runs fn off the reader, so a big snapshot or a resize never
+// stalls request intake, and writes its reply on its own.
+func (c *conn) replier(id uint64, fn func() wire.Frame) {
+	c.repliers.Add(1)
 	go func() {
-		defer c.pending.Done()
-		snap := t.sched.Snapshot()
+		defer c.repliers.Done()
+		f := fn()
+		f.ID = id
+		b, err := wire.AppendFrame(nil, &f)
+		if err != nil {
+			// Unencodable (a snapshot past the frame cap): end the
+			// connection rather than leave the caller waiting.
+			c.kick()
+			return
+		}
+		c.write(b)
+	}()
+}
+
+// snapshot answers with a consistent schedule snapshot.
+func (c *conn) snapshot(id uint64) {
+	c.replier(id, func() wire.Frame {
+		snap := c.t.sched.Snapshot()
 		placed := make([]wire.PlacedJob, 0, len(snap.Jobs))
 		for _, j := range snap.Jobs {
 			placed = append(placed, wire.PlacedJob{Job: j, Placement: snap.Assignment[j.Name]})
 		}
-		c.send(wire.Frame{Kind: wire.KindSnapshot, ID: id, Machines: snap.Machines, Jobs: placed})
-	}()
+		return wire.Frame{Kind: wire.KindSnapshot, Machines: snap.Machines, Jobs: placed}
+	})
 }
 
 // resize re-partitions the tenant's machine pool.
-func (s *Server) resize(c *conn, id uint64, machines int) {
-	t := c.t
-	c.pending.Add(1)
-	go func() {
-		defer c.pending.Done()
-		_, err := t.sched.Resize(machines)
+func (c *conn) resize(id uint64, machines int) {
+	c.replier(id, func() wire.Frame {
+		_, err := c.t.sched.Resize(machines)
 		code, detail := codeOf(err)
-		c.send(wire.Frame{Kind: wire.KindAck, ID: id, Code: code, Detail: detail})
-	}()
+		return wire.Frame{Kind: wire.KindAck, Code: code, Detail: detail}
+	})
 }

@@ -13,8 +13,8 @@ import (
 
 // TestServerHotKeyTraceReplay replays a hot-key trace through the
 // served path: 80% of the inserts route to shard 0 of the 2-shard
-// per-tenant scheduler, so the storm crosses the coalescer, the
-// admission budget, and the shard overflow path at once. The contract
+// per-tenant scheduler, so the storm crosses the reader's batching,
+// the admission budget, and the shard overflow path at once. The contract
 // under that pressure: every request gets exactly one verdict (no
 // lost acks, no unbounded queueing — overload is an explicit ack),
 // every verdict is OK/Overload/UnknownJob, and the final snapshot is

@@ -399,6 +399,33 @@ func syncDir(dir string) {
 	}
 }
 
+// WriteFileSync replaces path with data durably: it writes a temp file
+// beside path, fsyncs and closes it, renames it over path, and syncs
+// the directory. On failure the temp file is removed and path is left
+// as it was.
+func WriteFileSync(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
 // Enqueue hands a record to the group-commit flusher. done runs exactly
 // once — after the record's group is written (and synced, under
 // Options.Fsync) — with nil on success or the write error. done is
@@ -449,26 +476,9 @@ func (l *Log) WriteCheckpoint(ck Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(l.dir, checkpointName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := WriteFileSync(filepath.Join(l.dir, checkpointName), data); err != nil {
 		return fmt.Errorf("wal: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: installing checkpoint: %w", err)
-	}
-	syncDir(l.dir)
 	// The checkpoint is durable; segments it covers are dead weight.
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {

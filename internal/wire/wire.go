@@ -39,6 +39,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -618,4 +619,17 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 		return Frame{}, buf, err
 	}
 	return f, buf, nil
+}
+
+// FrameBuffered reports whether br already holds a whole frame, so that
+// ReadFrame on it cannot block. A buffer that ends partway through a
+// frame does not count. A header with an out-of-range length does:
+// ReadFrame fails on it without reading.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < wal.FrameHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(wal.FrameHeaderLen) // already buffered: cannot fail
+	n, ok := wal.FrameLen(hdr, MaxFrameLen)
+	return !ok || br.Buffered() >= wal.FrameHeaderLen+n
 }

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"reflect"
 	"strings"
@@ -112,6 +114,38 @@ func TestFrameTruncation(t *testing.T) {
 		}
 		if n == 0 && err != io.EOF {
 			t.Fatalf("empty stream read = %v, want io.EOF", err)
+		}
+	}
+}
+
+// TestFrameBuffered: only a whole frame in the buffer counts, so every
+// proper prefix reads false; a header whose length is out of range
+// counts, because ReadFrame fails on it without reading further.
+func TestFrameBuffered(t *testing.T) {
+	f := Frame{Kind: KindSubmit, ID: 3, Req: jobs.InsertReq("whole", 0, 64)}
+	enc, err := AppendFrame(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := binary.LittleEndian.AppendUint32(nil, MaxFrameLen+1)
+	bad = append(bad, 0, 0, 0, 0)
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want bool
+	}{
+		{"empty", nil, false},
+		{"partial header", enc[:wal.FrameHeaderLen-1], false},
+		{"header only", enc[:wal.FrameHeaderLen], false},
+		{"partial payload", enc[:len(enc)-1], false},
+		{"whole", enc, true},
+		{"whole and a partial header", append(enc[:len(enc):len(enc)], 1), true},
+		{"length out of range", bad, true},
+	} {
+		br := bufio.NewReader(bytes.NewReader(c.b))
+		br.Peek(len(c.b)) // fill
+		if got := FrameBuffered(br); got != c.want {
+			t.Errorf("%s: FrameBuffered = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
