@@ -201,8 +201,9 @@ func main() {
 
 // logRecovery reports every Recovery field: what seeded the scheduler,
 // how much history was replayed (records vs the requests inside them,
-// resizes included), how many replay rejections were counted (benign
-// checkpoint overlap), and how many torn-tail bytes were truncated.
+// resizes included), how many replay rejections were counted (requests
+// the original run also rejected), and how many torn-tail bytes were
+// truncated.
 func logRecovery(logger *log.Logger, tenant, dir string, rec *realloc.Recovery) {
 	logger.Printf("tenant %q: wal=%s checkpoint=%v checkpoint_jobs=%d replayed_records=%d replayed_requests=%d replayed_resizes=%d replay_failures=%d truncated_bytes=%d",
 		tenant, dir, rec.CheckpointLoaded, rec.CheckpointJobs,

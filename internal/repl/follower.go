@@ -94,7 +94,7 @@ type FollowerStats struct {
 	Warm      int     // tenants fully installed (snapshot complete)
 	Records   int     // WAL records replayed across all tenants
 	Requests  int     // individual requests those records carried
-	Failures  int     // replay rejections (benign checkpoint overlap)
+	Failures  int     // replay rejections (requests the primary also rejected)
 	Epoch     uint64  // highest fencing epoch seen (or persisted)
 	Promoted  bool    // promotion has completed
 	PromoteMS float64 // wall-clock promotion work, milliseconds

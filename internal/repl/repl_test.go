@@ -678,11 +678,18 @@ func TestHandoffRefusesColdFollower(t *testing.T) {
 		t.Fatalf("handshake: frame %v, err %v", fr.Kind, err)
 	}
 
+	// The refusal is bounded by PromoteTimeout, not by the install's
+	// WriteTimeout: polling the follower's readiness must not wait
+	// behind the write it has wedged.
+	start := time.Now()
 	_, err = src.Handoff("test")
 	if err == nil {
 		t.Fatal("handoff to a cold follower must be refused")
 	}
 	if !strings.Contains(err.Error(), "refusing handoff") {
 		t.Fatalf("refusal error = %v", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("refusal took %v with a %v PromoteTimeout", took, 300*time.Millisecond)
 	}
 }

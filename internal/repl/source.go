@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wal"
@@ -337,6 +338,10 @@ type srcConn struct {
 	pending      map[string][]wire.Frame
 	pendingBytes int
 	dead         bool
+	// live counts the tenants flipped to stateLive. It is written under
+	// mu but read without it, so a Handoff or Followers poll never waits
+	// behind a write wedged on a follower that stopped reading.
+	live atomic.Int32
 
 	promoteAck chan uint64
 }
@@ -461,17 +466,7 @@ func (c *srcConn) heartbeat(every time.Duration, done <-chan struct{}) {
 	}
 }
 
-func (c *srcConn) liveTenants() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, st := range c.state {
-		if st == stateLive {
-			n++
-		}
-	}
-	return n
-}
+func (c *srcConn) liveTenants() int { return int(c.live.Load()) }
 
 // fail poisons the connection: every later write is a no-op and the
 // socket is closed, which unblocks the handler's read loop. The close
@@ -633,5 +628,6 @@ func (c *srcConn) install(f *feed) {
 	}
 	delete(c.pending, f.tenant)
 	c.state[f.tenant] = stateLive
+	c.live.Add(1)
 	c.writeLocked(&wire.Frame{Kind: wire.KindInstalled, Tenant: f.tenant})
 }

@@ -278,8 +278,8 @@ func TestServerOverloadBurst(t *testing.T) {
 }
 
 // TestServerDeadlineExpiry: a microsecond deadline expires in the
-// coalescer queue (or the shard queue) and is rejected un-executed with
-// the deadline verdict; the schedule never contains the expired job.
+// shard queue and is rejected un-executed with the deadline verdict;
+// the schedule never contains the expired job.
 func TestServerDeadlineExpiry(t *testing.T) {
 	s := startServer(t, server.Config{})
 	c := dial(t, s, "acme")

@@ -5,9 +5,8 @@
 // the per-shard sub-batches out to the shard workers concurrently as
 // single control tasks, and reconciles the failures that need a second
 // placement — inserts a shard rejected as locally infeasible (the
-// overflow path) and deletes whose job a concurrent resize migrated
-// away (the chase path) — in ONE second pass instead of one hop per
-// request.
+// overflow path) and the deletes that trail them — in ONE second pass
+// instead of one hop per request.
 //
 // Compared to per-request Apply, a batch pays one routing-table lock
 // acquisition per request but only one channel round trip per involved
@@ -126,13 +125,26 @@ func putSub(b *subScratch) {
 // synchronous (like Apply) and safe for concurrent use. See
 // sched.BatchScheduler for the shared bulk semantics; after Close every
 // request fails with ErrClosed.
+//
+// A batch holds the admission gate from routing until its record is
+// logged, so no resize or checkpoint runs inside it. With a WAL attached
+// it holds the gate exclusively: its one record covers sub-batches on
+// several shards, and only with no other request in flight does every
+// shard execute its share where the record sits in the log.
 func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 	costs := make([]metrics.Cost, len(reqs))
 	errs := make([]error, len(reqs))
 	if len(reqs) == 0 {
 		return costs, nil
 	}
-	if s.isClosed() {
+	if s.log != nil {
+		s.gate.Lock()
+		defer s.gate.Unlock()
+	} else {
+		s.gate.RLock()
+		defer s.gate.RUnlock()
+	}
+	if s.closed {
 		for i := range errs {
 			errs[i] = ErrClosed
 		}
@@ -170,10 +182,9 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 // in the routing table (so concurrent inserts of the same name are
 // rejected as duplicates, exactly like the per-request path). The whole
 // batch is routed under ONE routing-table lock acquisition — the main
-// front-end amortization — with two exceptions: deletes of
-// resize-migrating jobs take a slow path that waits the migration out,
-// and a re-insert of a name the batch deletes on a DIFFERENT shard than
-// its routing primary is deferred to the reconcile pass (it must not
+// front-end amortization — with one exception: a re-insert of a name
+// the batch deletes on a DIFFERENT shard than its routing primary is
+// deferred to the reconcile pass (it must not
 // execute before the delete, and cross-shard sub-batches are
 // unordered). Same-name request chains on one shard ride in one group,
 // in batch order, so a batch may freely insert, delete, and re-insert a
@@ -205,7 +216,6 @@ func (s *Scheduler) routeBatch(sc *routeScratch, reqs []jobs.Request, errs []err
 	deletedAt := sc.deletedAt
 	deferredName := sc.deferredName
 	var deferred []int
-	var slow []int // deletes of resize-migrating jobs
 	s.mu.Lock()
 	for i, r := range reqs {
 		if errs[i] != nil {
@@ -266,32 +276,16 @@ func (s *Scheduler) routeBatch(sc *routeScratch, reqs []jobs.Request, errs []err
 				continue
 			}
 			_, idx, ok := s.trackedID(r.Name)
-			switch {
-			case !ok || idx == reservedShard:
+			if !ok || idx == reservedShard {
 				errs[i] = fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-			case idx >= 0:
-				shardOf[i] = idx
-				groups[idx] = append(groups[idx], i)
-				deletedAt[r.Name] = idx
-			default:
-				slow = append(slow, i)
+				continue
 			}
+			shardOf[i] = idx
+			groups[idx] = append(groups[idx], i)
+			deletedAt[r.Name] = idx
 		}
 	}
 	s.mu.Unlock()
-
-	// Slow path: deletes of jobs a concurrent pool shrink is migrating.
-	// They join their group after the fast-routed requests, which only
-	// reorders them relative to unrelated names.
-	for _, i := range slow {
-		idx, err := s.resolveDeleteShard(reqs[i].Name)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		shardOf[i] = idx
-		groups[idx] = append(groups[idx], i)
-	}
 	return deferred
 }
 
@@ -305,35 +299,15 @@ func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.
 		if len(idxs) == 0 {
 			continue
 		}
-		si, idxs := si, idxs
 		wg.Add(1)
 		enq := monotonicNS()
-		err := s.send(si, task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
+		s.workers[si].q <- task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
 			s.execBatchOn(si, inner, st, reqs, idxs, costs, errs, overflow)
 			// Every request of the sub-batch shares the control task's
 			// enqueue-to-served latency — the same boundary the
 			// per-request path records in exec.
 			s.workers[si].lat.RecordN(monotonicNS()-enq, uint64(len(idxs)))
-		}})
-		if err != nil {
-			wg.Done()
-			s.mu.Lock()
-			for _, i := range idxs {
-				errs[i] = err
-				if reqs[i].Kind != jobs.Insert {
-					continue
-				}
-				s.inflight[si]--
-				// Only drop an actual reservation: a ride-behind
-				// re-insert holds none — the routing entry still belongs
-				// to the committed job whose delete (in this same failed
-				// group) never ran.
-				if id, v, ok := s.trackedID(reqs[i].Name); ok && v == reservedShard {
-					s.dropRoute(id)
-				}
-			}
-			s.mu.Unlock()
-		}
+		}}
 	}
 	wg.Wait()
 }
@@ -415,9 +389,7 @@ func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.Shard
 // routeBatch deferred (cross-shard re-insert chains, which must run
 // after pass 1's deletes), infeasible inserts retrying on the
 // least-loaded other shard (overflow), and unknown-job deletes whose
-// name either belongs to a retried insert or resolved to a different
-// shard (a concurrent resize migrated the job). Whatever still fails is
-// terminal.
+// name belongs to a retried insert. Whatever still fails is terminal.
 func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []int, costs []metrics.Cost, errs []error) {
 	// Pass 1's groups are fully served: reuse the scratch for the
 	// reconcile groups. The overlay maps are reused likewise (the
@@ -499,17 +471,10 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 		case r.Kind == jobs.Delete && errors.Is(errs[i], sched.ErrUnknownJob):
 			if fb, ok := retriedTo[r.Name]; ok {
 				// The delete trailed an insert that is being retried on
-				// fb; chase it there, behind the insert.
+				// fb; follow it there, behind the insert.
 				groups[fb] = append(groups[fb], i)
 				any = true
-				continue
 			}
-			cur, err := s.resolveDeleteShard(r.Name)
-			if err != nil || cur == shardOf[i] {
-				continue // terminal: the pass-1 error stands
-			}
-			groups[cur] = append(groups[cur], i)
-			any = true
 		}
 	}
 	if any {

@@ -6,8 +6,10 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -49,16 +51,22 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func queued(s *Scheduler) int { return len(s.workers[0].q) }
 
-// inSend reports whether a producer is inside send: send holds the
-// sendMu read lock for its whole stay, so the write lock is free exactly
-// when nobody is in there. With the worker stalled and the queue full, a
-// producer inside send is parked on the queue.
+// inSend reports whether a producer is inside send. With the worker
+// stalled and the queue full, a producer inside send is parked on the
+// queue. The admission gate cannot tell: a request holds its shared
+// side until the ack, so a queued request holds it as long as a parked
+// one. The goroutine dump can, because it names every goroutine whose
+// stack runs through send. No test here runs in parallel, so a
+// goroutine in send belongs to s.
 func inSend(s *Scheduler) bool {
-	if s.sendMu.TryLock() {
-		s.sendMu.Unlock()
-		return false
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Contains(buf[:n], []byte("repro/internal/shard.(*Scheduler).send("))
+		}
+		buf = make([]byte, 2*len(buf))
 	}
-	return true
 }
 
 func waitParked(t *testing.T, s *Scheduler) {

@@ -77,13 +77,10 @@ func Restore(cfg Config, ck *wal.Checkpoint) (*Scheduler, error) {
 			continue
 		}
 		var failed []jobs.Job
-		var restoreErr error
-		err := s.ctrlOn(i, func(inner sched.Scheduler, _ *metrics.ShardCost) {
-			failed, restoreErr = sched.RestoreJobs(inner, perShard[i])
+		var err error
+		s.ctrlOn(i, func(inner sched.Scheduler, _ *metrics.ShardCost) {
+			failed, err = sched.RestoreJobs(inner, perShard[i])
 		})
-		if err == nil {
-			err = restoreErr
-		}
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("shard: restoring shard %d: %w", i, err)

@@ -25,9 +25,16 @@
 // The machine pool is elastic: Resize and ResizeShard grow or shrink
 // shards' machine ranges at runtime with bounded migrations — growing
 // never moves a job, shrinking re-places only the jobs that lived on
-// the drained machines (first within the shard, then via the overflow
-// path to the least-loaded shards). Per-resize migration counts land in
-// the shard report.
+// the drained machines (first within the shard, then on the
+// least-loaded other shards). Per-resize migration counts land in the
+// shard report.
+//
+// One admission gate orders everything. Requests and reads hold its
+// shared side from routing until their ack returns, WAL group commit
+// included. Resize, ResizeShard, Checkpoint, Close and a logged
+// ApplyBatch hold it exclusively: they are barriers that run with no
+// request in flight, so each executes, and logs, at an exact cut of
+// the request stream.
 //
 // Sharding trades the paper's global cost bounds for throughput: each
 // shard preserves Theorem 1's guarantees on its own machine range, but
@@ -42,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -75,12 +81,9 @@ var ErrNotElastic = sched.ErrNotElastic
 const (
 	// reservedShard marks a name whose insert is still in flight.
 	reservedShard = -1
-	// migratingShard marks a name a pool shrink evicted from its shard
-	// and is moving to another; deletes wait for the move to settle.
-	migratingShard = -2
 	// noShard marks an unused slot of the ID-indexed routing table (the
 	// ID is not currently issued, or its insert never committed).
-	noShard = -3
+	noShard = -2
 )
 
 // defaultBuffer is the per-shard request queue capacity.
@@ -88,17 +91,6 @@ const defaultBuffer = 256
 
 // maxBatch bounds how many queued requests a worker drains per wakeup.
 const maxBatch = 64
-
-// migrateSettleStep / migrateSettleMax bound how long a delete waits for
-// an in-flight resize migration of its job to land. Resize migrations
-// settle in milliseconds; if one somehow exceeds the cap, the delete
-// fails with a "timed out waiting for its resize migration" error while
-// the job stays scheduled on its new shard — the delete can simply be
-// retried.
-const (
-	migrateSettleStep = 100 * time.Microsecond
-	migrateSettleMax  = 2 * time.Second
-)
 
 // Factory builds the inner scheduler of one shard, given the number of
 // machines the shard owns. For the pool to be resizable the returned
@@ -144,7 +136,7 @@ type Scheduler struct {
 
 	// names interns every tracked job name; routing is the ID-indexed
 	// shard table, holding a shard index or a negative marker
-	// (reservedShard, migratingShard, noShard). Invariant, under mu: a
+	// (reservedShard, noShard). Invariant, under mu: a
 	// name is interned if and only if its routing slot is not noShard —
 	// whoever transitions a slot to noShard releases the ID in the same
 	// critical section, so captured IDs stay valid exactly as long as
@@ -161,22 +153,18 @@ type Scheduler struct {
 	inflight []int // in-flight insert reservations per shard
 	resizes  []metrics.ResizeCost
 
-	// rangeMu guards the machine-range view (worker.base/machines):
-	// resizes renumber under the write lock, snapshots and load
-	// estimates read under the read lock.
-	rangeMu sync.RWMutex
-
-	// resizeMu serializes resize operations.
-	resizeMu sync.Mutex
-
-	// sendMu serializes request sends against Close: senders hold the
-	// read side, Close holds the write side while closing channels.
-	// closed is atomic so fast-path pre-checks (dispatch, ApplyBatch)
-	// read it without touching sendMu; it is only ever set under the
-	// sendMu write lock, so a sender holding the read lock that
-	// observes it false is guaranteed the channels are still open.
-	sendMu sync.RWMutex
-	closed atomic.Bool
+	// gate is the admission gate. Apply, ApplyDeadline, ApplyBatch and
+	// the read paths (Snapshot, Report, SelfCheck, Machines,
+	// ShardMachines) hold its shared side from routing until their ack
+	// returns; Resize, ResizeShard, Checkpoint, Close and a logged
+	// ApplyBatch hold it exclusively. closed and every worker's
+	// base/machines change only under the exclusive side, so a holder
+	// of either side reads them plainly and finds the queues open.
+	// Internal paths (send, the overflow hop, each, ctrlOn, snapshot)
+	// run under the gate their entry point holds and never take it
+	// again: a recursive RLock deadlocks once a writer waits.
+	gate   sync.RWMutex
+	closed bool
 
 	// log is the attached write-ahead log (nil = durability off). It is
 	// set at construction (Config.WAL) or once by AttachWAL before the
@@ -188,17 +176,14 @@ var _ sched.Scheduler = (*Scheduler)(nil)
 
 // worker owns one shard: its inner scheduler, machine range, request
 // queue, and statistics. Only the worker goroutine touches inner and
-// stats after startup. base is guarded by rangeMu; machines is atomic
-// because worker-side code (the overflow load heuristic) reads it and
-// must never block on rangeMu — a resize holds that lock while waiting
-// for the worker. lat is the shard's admission-latency histogram
-// (enqueue to served), recorded on the worker and snapshotted into the
-// shard report; hdr.Record is atomic and allocation-free, so it rides
-// the hot path.
+// stats after startup. base and machines are guarded by the gate. lat
+// is the shard's admission-latency histogram (enqueue to served),
+// recorded on the worker and snapshotted into the shard report;
+// hdr.Record is atomic and allocation-free, so it rides the hot path.
 type worker struct {
 	idx      int
-	base     int          // global index of the shard's first machine
-	machines atomic.Int64 // current machine count
+	base     int // global index of the shard's first machine
+	machines int // current machine count
 	inner    sched.Scheduler
 	q        chan task // capacity Config.Buffer: how far producers run ahead of the worker
 	done     chan struct{}
@@ -219,10 +204,6 @@ type task struct {
 	// a fallback shard if this shard rejects it as infeasible; such a
 	// rejection counts as Rerouted, not as a terminal Failure.
 	retryable bool
-	// resizeMove marks the re-insert of a job another shard evicted
-	// during a pool shrink; it is counted as resize work, not as a
-	// client request.
-	resizeMove bool
 	// deadline is the request's absolute expiry in monotonicNS (0 =
 	// none). It bounds both the full-queue park (send fails with
 	// ErrDeadlineExceeded instead of blocking past it) and queue time
@@ -282,14 +263,14 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	base := 0
 	for i, m := range perShard {
 		w := &worker{
-			idx:   i,
-			base:  base,
-			inner: cfg.Factory(m),
-			q:     make(chan task, cfg.Buffer),
-			done:  make(chan struct{}),
-			lat:   hdr.New(),
+			idx:      i,
+			base:     base,
+			machines: m,
+			inner:    cfg.Factory(m),
+			q:        make(chan task, cfg.Buffer),
+			done:     make(chan struct{}),
+			lat:      hdr.New(),
 		}
-		w.machines.Store(int64(m))
 		w.stats.Shard = i
 		w.stats.Machines = m
 		base += m
@@ -340,15 +321,6 @@ func (w *worker) exec(t task) {
 		return
 	}
 	c, err := sched.Apply(w.inner, t.req)
-	if t.resizeMove {
-		// Resize work is accounted separately from client requests.
-		if err == nil {
-			w.stats.ResizeAbsorbed++
-			w.stats.Cost.Add(c)
-		}
-		t.finish(c, err)
-		return
-	}
 	w.stats.Requests++
 	switch {
 	case err != nil && t.retryable && errors.Is(err, sched.ErrInfeasible):
@@ -405,19 +377,13 @@ func (s *Scheduler) trackedID(name string) (ident.ID, int, bool) {
 	return id, v, ok
 }
 
-// send enqueues a task on shard i, blocking when the shard's queue is
-// full (backpressure). It fails with ErrClosed after Close, and with
-// ErrDeadlineExceeded when the task's deadline expires while parked on
-// the full queue. The read lock is held across the park: that is what
-// lets Close close the channels with no sender left inside one.
+// send enqueues a request task on shard i, blocking when the shard's
+// queue is full (backpressure). It fails only with ErrDeadlineExceeded,
+// when the task's deadline expires while parked on the full queue. The
+// caller holds the gate, so the queue is open.
 //
 //reallocvet:hotpath
 func (s *Scheduler) send(i int, t task) error {
-	s.sendMu.RLock()
-	defer s.sendMu.RUnlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	t.enq = monotonicNS()
 	q := s.workers[i].q
 	if t.deadline == 0 {
@@ -455,24 +421,24 @@ func monotonicNS() int64 { return int64(time.Since(epoch)) }
 // only the machine pool is elastic).
 func (s *Scheduler) Shards() int { return len(s.workers) }
 
-// isClosed samples the closed flag without touching the send lock.
-func (s *Scheduler) isClosed() bool { return s.closed.Load() }
-
 // Machines returns the total machine pool size.
 func (s *Scheduler) Machines() int {
-	s.rangeMu.RLock()
-	defer s.rangeMu.RUnlock()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	return s.machinesLocked()
 }
 
+// machinesLocked is Machines under a gate the caller holds.
 func (s *Scheduler) machinesLocked() int {
 	last := s.workers[len(s.workers)-1]
-	return last.base + int(last.machines.Load())
+	return last.base + last.machines
 }
 
 // ShardMachines returns shard i's current machine count.
 func (s *Scheduler) ShardMachines(i int) int {
-	return int(s.workers[i].machines.Load())
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return s.workers[i].machines
 }
 
 // Active returns the number of committed active jobs.
@@ -514,9 +480,13 @@ func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
 // ErrDeadlineExceeded, having mutated nothing. Execution itself is
 // never interrupted: once a worker starts the request it runs to
 // completion, so a nil error always means the job state changed.
-// timeout <= 0 means no deadline.
+// timeout <= 0 means no deadline; the clock starts before the request
+// waits out a barrier (a resize, a checkpoint), so a request held up by
+// one still expires un-executed.
 func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metrics.Cost, error) {
 	deadline := deadlineFrom(timeout)
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	return roundTrip(func(finish func(metrics.Cost, error)) error {
 		return s.dispatchTimed(r, deadline, finish)
 	})
@@ -550,17 +520,15 @@ func deadlineFrom(timeout time.Duration) int64 {
 // outcome — on a worker goroutine, so it must not block on scheduler
 // operations. deadline is an absolute monotonicNS expiry (0 = none)
 // carried into the task so both the full-queue park and the worker's
-// pre-execution check can honor it.
+// pre-execution check can honor it. The caller holds the gate.
 func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if s.isClosed() {
-		// Fail fast with the sentinel so every post-Close request —
-		// insert or delete, known name or not — reports ErrClosed
-		// instead of whatever routing would conclude first.
-		// (Closing between this check and the enqueue is still safe: the
-		// send itself re-checks under the lock.)
+	if s.closed {
+		// Every post-Close request — insert or delete, known name or
+		// not — reports ErrClosed instead of whatever routing would
+		// conclude first.
 		return ErrClosed
 	}
 	if s.log != nil {
@@ -635,7 +603,8 @@ func (s *Scheduler) dispatchInsert(r jobs.Request, deadline int64, finish func(m
 		if err != nil && errors.Is(err, sched.ErrInfeasible) && len(s.workers) > 1 {
 			// Primary shard is locally overallocated: overflow to the
 			// least-loaded shard. The hop runs on a fresh goroutine so
-			// shard workers never block sending to each other.
+			// shard workers never block sending to each other; it runs
+			// under the caller's gate, which is held until finish.
 			if fb := s.leastLoaded(primary); fb != primary {
 				s.mu.Lock()
 				s.inflight[primary]--
@@ -698,68 +667,24 @@ func (s *Scheduler) unreserve(id ident.ID, shardIdx int) {
 	s.mu.Unlock()
 }
 
-// resolveDeleteShard looks up the shard holding name, waiting out an
-// in-flight resize migration of the job.
-func (s *Scheduler) resolveDeleteShard(name string) (int, error) {
-	for waited := time.Duration(0); ; waited += migrateSettleStep {
-		s.mu.RLock()
-		_, idx, ok := s.trackedID(name)
-		s.mu.RUnlock()
-		switch {
-		case !ok || idx == reservedShard:
-			return 0, fmt.Errorf("%w: %q", sched.ErrUnknownJob, name)
-		case idx >= 0:
-			return idx, nil
-		case waited >= migrateSettleMax:
-			return 0, fmt.Errorf("shard: delete of %q timed out waiting for its resize migration", name)
-		}
-		time.Sleep(migrateSettleStep)
-	}
-}
-
 func (s *Scheduler) dispatchDelete(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
-	idx, err := s.resolveDeleteShard(r.Name)
-	if err != nil {
-		return err
+	s.mu.RLock()
+	_, idx, ok := s.trackedID(r.Name)
+	s.mu.RUnlock()
+	if !ok || idx == reservedShard {
+		return fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
 	}
-	return s.sendDelete(idx, r, deadline, finish, 2)
-}
-
-// sendDelete enqueues a delete on shard idx. If the shard no longer
-// holds the job because a resize migrated it away between routing and
-// execution, the delete chases the job to its new shard (bounded hops).
-func (s *Scheduler) sendDelete(idx int, r jobs.Request, deadline int64, finish func(metrics.Cost, error), hops int) error {
 	return s.send(idx, task{req: r, deadline: deadline, finish: func(c metrics.Cost, err error) {
 		if err == nil {
 			s.mu.Lock()
-			// Re-resolve the name before dropping: if the job was shed
-			// and re-inserted while this delete sat in the queue, the
-			// captured ID may have been recycled to another name, and
-			// dropping it blindly would corrupt that entry. The name's
-			// CURRENT entry on this shard is the one the inner delete
-			// just removed.
+			// Re-resolve the name before dropping rather than trusting an
+			// ID captured at routing: the name's CURRENT entry on this
+			// shard is the one the inner delete just removed.
 			if curID, v, ok := s.trackedID(r.Name); ok && v == idx && s.dropRoute(curID) {
 				s.loads[idx]--
 				s.active--
 			}
 			s.mu.Unlock()
-			finish(c, nil)
-			return
-		}
-		if errors.Is(err, sched.ErrUnknownJob) && hops > 0 {
-			// The job may be mid-migration: re-resolve off the worker
-			// goroutine and chase it.
-			go func() {
-				cur, rerr := s.resolveDeleteShard(r.Name)
-				if rerr != nil || cur == idx {
-					finish(c, err)
-					return
-				}
-				if serr := s.sendDelete(cur, r, deadline, finish, hops-1); serr != nil {
-					finish(c, serr)
-				}
-			}()
-			return
 		}
 		finish(c, err)
 	}})
@@ -780,15 +705,10 @@ func (s *Scheduler) leastLoaded(not int) int {
 // loadOrder returns every shard except `exclude`, sorted by ascending
 // (committed + in-flight) jobs per machine, ties to the lowest index.
 func (s *Scheduler) loadOrder(exclude int) []int {
-	mach := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		mach[i] = int(w.machines.Load())
-	}
-
 	s.mu.RLock()
 	load := make([]float64, len(s.workers))
-	for i := range s.workers {
-		load[i] = float64(s.loads[i]+s.inflight[i]) / float64(mach[i])
+	for i, w := range s.workers {
+		load[i] = float64(s.loads[i]+s.inflight[i]) / float64(w.machines)
 	}
 	s.mu.RUnlock()
 
@@ -808,39 +728,26 @@ func (s *Scheduler) loadOrder(exclude int) []int {
 }
 
 // each runs fn on every shard worker goroutine and waits for all of
-// them; fn must not call back into the Scheduler's request paths. Even
-// when a send fails (scheduler closed mid-call), each waits for the
-// control tasks already queued — workers drain their buffers before
-// exiting — so fn never runs after each returns.
-func (s *Scheduler) each(fn func(shardIdx int, inner sched.Scheduler, st *metrics.ShardCost)) error {
+// them; fn must not call back into the Scheduler's request paths. The
+// caller holds the gate on an open scheduler.
+func (s *Scheduler) each(fn func(shardIdx int, inner sched.Scheduler, st *metrics.ShardCost)) {
 	var wg sync.WaitGroup
-	var firstErr error
-	for i := range s.workers {
-		i := i
-		wg.Add(1)
-		err := s.send(i, task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
+	wg.Add(len(s.workers))
+	for i, w := range s.workers {
+		w.q <- task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
 			fn(i, inner, st)
-		}})
-		if err != nil {
-			wg.Done()
-			firstErr = err
-			break
-		}
+		}}
 	}
 	wg.Wait()
-	return firstErr
 }
 
-// ctrlOn runs fn on shard i's worker goroutine and waits for it.
-func (s *Scheduler) ctrlOn(i int, fn func(inner sched.Scheduler, st *metrics.ShardCost)) error {
+// ctrlOn runs fn on shard i's worker goroutine and waits for it. The
+// caller holds the gate on an open scheduler.
+func (s *Scheduler) ctrlOn(i int, fn func(inner sched.Scheduler, st *metrics.ShardCost)) {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	if err := s.send(i, task{ctrlDone: &wg, ctrl: fn}); err != nil {
-		wg.Done()
-		return err
-	}
+	s.workers[i].q <- task{ctrlDone: &wg, ctrl: fn}
 	wg.Wait()
-	return nil
 }
 
 // Snapshot is a consistent view of the scheduler's schedule: the active
@@ -855,9 +762,9 @@ func (s *Scheduler) ctrlOn(i int, fn func(inner sched.Scheduler, st *metrics.Sha
 // are sampled at slightly different times, so two requests racing the
 // snapshot on different shards may land on either side of it. That
 // cannot produce a job/placement mismatch (a job lives on exactly one
-// shard), but ordering across shards is not preserved. Snapshots also
-// serialize against pool resizes, so the machine ranges are stable
-// within one snapshot.
+// shard), but ordering across shards is not preserved. A snapshot holds
+// the gate's shared side, so no resize runs during it and the machine
+// ranges are stable within one snapshot.
 type Snapshot struct {
 	Jobs       []jobs.Job
 	Assignment jobs.Assignment
@@ -868,17 +775,25 @@ type Snapshot struct {
 }
 
 // Snapshot captures jobs + assignment + pool size in one control pass.
+// After Close it holds no jobs.
 func (s *Scheduler) Snapshot() Snapshot {
-	s.rangeMu.RLock()
-	defer s.rangeMu.RUnlock()
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	return s.snapshot()
+}
+
+// snapshot is Snapshot under a gate the caller holds.
+func (s *Scheduler) snapshot() Snapshot {
 	type part struct {
 		js  []jobs.Job
 		asn jobs.Assignment
 	}
 	parts := make([]part, len(s.workers))
-	_ = s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
-		parts[i] = part{js: inner.Jobs(), asn: inner.Assignment()}
-	})
+	if !s.closed {
+		s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
+			parts[i] = part{js: inner.Jobs(), asn: inner.Assignment()}
+		})
+	}
 	snap := Snapshot{
 		Machines:      s.machinesLocked(),
 		Assignment:    make(jobs.Assignment),
@@ -886,7 +801,7 @@ func (s *Scheduler) Snapshot() Snapshot {
 	}
 	for i, p := range parts {
 		base := s.workers[i].base
-		snap.ShardMachines[i] = int(s.workers[i].machines.Load())
+		snap.ShardMachines[i] = s.workers[i].machines
 		snap.Jobs = append(snap.Jobs, p.js...)
 		for name, pl := range p.asn { //reallocvet:orderinsensitive (merge into the snapshot map; job names are unique across shards)
 			snap.Assignment[name] = jobs.Placement{Machine: base + pl.Machine, Slot: pl.Slot}
@@ -910,15 +825,20 @@ func (s *Scheduler) Jobs() []jobs.Job {
 
 // Report returns the shard-aware cost report: per-shard totals of
 // requests, failures, overflow hops, batches, resizes, costs, and the
-// admission-latency histogram (enqueue to served, per request).
+// admission-latency histogram (enqueue to served, per request). After
+// Close only the resize history is left.
 func (s *Scheduler) Report() metrics.ShardReport {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
 	rep := metrics.ShardReport{Shards: make([]metrics.ShardCost, len(s.workers))}
-	_ = s.each(func(i int, inner sched.Scheduler, st *metrics.ShardCost) {
-		snap := *st
-		snap.Active = inner.Active()
-		snap.Latency = s.workers[i].lat.Snapshot()
-		rep.Shards[i] = snap
-	})
+	if !s.closed {
+		s.each(func(i int, inner sched.Scheduler, st *metrics.ShardCost) {
+			snap := *st
+			snap.Active = inner.Active()
+			snap.Latency = s.workers[i].lat.Snapshot()
+			rep.Shards[i] = snap
+		})
+	}
 	s.mu.RLock()
 	rep.Resizes = append([]metrics.ResizeCost(nil), s.resizes...)
 	s.mu.RUnlock()
@@ -932,33 +852,33 @@ func (s *Scheduler) Report() metrics.ShardReport {
 // Grows apply before shrinks so evicted jobs can land on the freshly
 // grown shards. The aggregate resize cost is returned; per-shard
 // entries land in the report's resize history.
+//
+// A resize is a barrier: it holds the gate exclusively, so it starts
+// with every earlier request executed and logged, and every later
+// request waits for it. Its record therefore sits in the log exactly
+// where it ran.
 func (s *Scheduler) Resize(machines int) (metrics.ResizeCost, error) {
 	total := metrics.ResizeCost{Shard: -1}
 	if machines < len(s.workers) {
 		return total, fmt.Errorf("shard: cannot resize %d shards to %d machines (every shard needs one)",
 			len(s.workers), machines)
 	}
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
-
-	s.rangeMu.RLock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if s.closed {
+		return total, ErrClosed
+	}
 	deltas := make([]int, len(s.workers))
 	for i, w := range s.workers {
 		m := machines / len(s.workers)
 		if i < machines%len(s.workers) {
 			m++
 		}
-		deltas[i] = m - int(w.machines.Load())
+		deltas[i] = m - w.machines
 	}
-	s.rangeMu.RUnlock()
 
 	// WRITE-AHEAD: the record is durable before any shard changes size.
-	// Requests that are admitted thanks to the new capacity ack (and
-	// log) only after they execute, i.e. after this append, so a
-	// recovered log always replays the resize before them. (The reverse
-	// order would let an acked insert replay against the old pool and
-	// vanish.) If the record cannot be made durable the resize does not
-	// run at all.
+	// If it cannot be made durable the resize does not run at all.
 	if err := s.logResize(wal.ResizeRecord(-1, 0, machines)); err != nil {
 		return total, err
 	}
@@ -979,8 +899,8 @@ func (s *Scheduler) Resize(machines int) (metrics.ResizeCost, error) {
 }
 
 // logResize appends a resize record write-ahead and waits for its group
-// commit (a no-op without an attached WAL). Requires resizeMu held, so
-// the log order of resize records matches their execution order.
+// commit (a no-op without an attached WAL). Requires the gate held
+// exclusively, so the record's log position matches its execution.
 func (s *Scheduler) logResize(rec wal.Record) error {
 	if s.log == nil {
 		return nil
@@ -997,10 +917,13 @@ func (s *Scheduler) logResize(rec wal.Record) error {
 // shard where possible, and the remainder is evicted and re-inserted on
 // the least-loaded other shards (one migration per moved job). The
 // returned ResizeCost records the migration bill; it is also appended
-// to the report's resize history.
+// to the report's resize history. Like Resize it is a barrier.
 func (s *Scheduler) ResizeShard(i, delta int) (metrics.ResizeCost, error) {
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if s.closed {
+		return metrics.ResizeCost{Shard: i, Delta: delta}, ErrClosed
+	}
 	// Write-ahead, like Resize: durable before any machine moves.
 	if err := s.logResize(wal.ResizeRecord(i, delta, 0)); err != nil {
 		return metrics.ResizeCost{Shard: i, Delta: delta}, err
@@ -1016,7 +939,7 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 	if delta == 0 {
 		return rc, nil
 	}
-	cur := int(s.workers[i].machines.Load())
+	cur := s.workers[i].machines
 	if cur+delta < 1 {
 		return rc, fmt.Errorf("shard: resize leaves shard %d with %d machines", i, cur+delta)
 	}
@@ -1049,15 +972,7 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 		st.ResizeEvicted += len(ev)
 		rc.Cost.Add(cost)
 		evicted = ev
-		// Mark the evictions as migrating before the worker serves
-		// anything else, so deletes queued behind this control task
-		// chase the jobs instead of failing.
 		s.mu.Lock()
-		for _, j := range ev {
-			if id, _, ok := s.trackedID(j.Name); ok {
-				s.setRoute(id, migratingShard)
-			}
-		}
 		s.loads[i] -= len(ev)
 		s.active -= len(ev)
 		s.mu.Unlock()
@@ -1092,21 +1007,26 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 	return rc, nil
 }
 
-// placeEvicted synchronously re-inserts a resize-evicted job on another
-// shard, least-loaded first, with the evicting shard itself as the last
-// resort. On total failure the job leaves the routing table and the
-// caller reports it dropped by name.
+// placeEvicted re-inserts a resize-evicted job on another shard,
+// least-loaded first, with the evicting shard itself as the last
+// resort. Each attempt runs as a control task that counts itself as
+// resize work, not as a client request. The job keeps its routing
+// entry on the evictor until it lands; on total failure it leaves the
+// routing table and the caller reports it dropped by name.
 func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) {
 	r := jobs.Request{Kind: jobs.Insert, Name: j.Name, Window: j.Window}
 	lastErr := fmt.Errorf("%w: no fallback shard", sched.ErrInfeasible)
 	for _, fb := range append(s.loadOrder(evictor), evictor) {
-		s.mu.Lock()
-		s.inflight[fb]++
-		s.mu.Unlock()
-		c, err := s.applyOn(fb, r)
+		var c metrics.Cost
+		var err error
+		s.ctrlOn(fb, func(inner sched.Scheduler, st *metrics.ShardCost) {
+			if c, err = sched.Apply(inner, r); err == nil {
+				st.ResizeAbsorbed++
+				st.Cost.Add(c)
+			}
+		})
 		if err == nil {
 			s.mu.Lock()
-			s.inflight[fb]--
 			if id, _, ok := s.trackedID(j.Name); ok {
 				s.setRoute(id, fb)
 				s.loads[fb]++
@@ -1115,12 +1035,9 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 			s.mu.Unlock()
 			return c, nil
 		}
-		s.mu.Lock()
-		s.inflight[fb]--
-		s.mu.Unlock()
 		lastErr = err
 		if !errors.Is(err, sched.ErrInfeasible) {
-			break // closed or structural failure: stop probing
+			break // structural failure: stop probing
 		}
 	}
 	s.mu.Lock()
@@ -1131,47 +1048,29 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 	return metrics.Cost{}, lastErr
 }
 
-// applyOn serves one request synchronously on a specific shard,
-// bypassing routing (resize re-placements only).
-func (s *Scheduler) applyOn(i int, r jobs.Request) (metrics.Cost, error) {
-	return roundTrip(func(finish func(metrics.Cost, error)) error {
-		return s.send(i, task{req: r, resizeMove: true, finish: finish})
-	})
-}
-
 // resizeInner runs the elastic operation on shard i's worker and, on
 // success, applies the machine-count delta to the shard and shifts the
 // bases of the shards after it, keeping the global range contiguous.
-//
-// Both steps happen under the rangeMu write lock: snapshots and load
-// estimates (readers of base/machines) are locked out from the moment
-// the inner pool changes until the global numbering is consistent
-// again. Otherwise a freshly grown shard could place jobs on machines
-// whose global indices still overlap the next shard's range in a
-// concurrent snapshot.
+// The caller holds the gate exclusively, so no reader sees the inner
+// pool and the global numbering disagree.
 //
 // Global machine indices are a dense *view* over the per-shard pools:
 // renumbering does not move any job between physical machines, it only
 // relabels where later shards' machines appear in snapshots.
 func (s *Scheduler) resizeInner(i, delta int, op func(el sched.Elastic, st *metrics.ShardCost) error) error {
-	s.rangeMu.Lock()
-	defer s.rangeMu.Unlock()
-	var ctrlErr error
-	err := s.ctrlOn(i, func(inner sched.Scheduler, st *metrics.ShardCost) {
+	var err error
+	s.ctrlOn(i, func(inner sched.Scheduler, st *metrics.ShardCost) {
 		el, ok := inner.(sched.Elastic)
 		if !ok {
-			ctrlErr = fmt.Errorf("%w (shard %d: %T)", ErrNotElastic, i, inner)
+			err = fmt.Errorf("%w (shard %d: %T)", ErrNotElastic, i, inner)
 			return
 		}
-		ctrlErr = op(el, st)
+		err = op(el, st)
 	})
-	if err == nil {
-		err = ctrlErr
-	}
 	if err != nil {
 		return err
 	}
-	s.workers[i].machines.Add(int64(delta))
+	s.workers[i].machines += delta
 	for k := i + 1; k < len(s.workers); k++ {
 		s.workers[k].base += delta
 	}
@@ -1187,9 +1086,14 @@ func (s *Scheduler) recordResize(rc metrics.ResizeCost) {
 // SelfCheck validates every shard's internal invariants plus the
 // front-end's routing table. Implements sched.Scheduler.
 func (s *Scheduler) SelfCheck() error {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
 	errs := make([]error, len(s.workers))
 	routed := make([]map[string]bool, len(s.workers))
-	if err := s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
+	s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
 		if err := inner.SelfCheck(); err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
@@ -1199,9 +1103,7 @@ func (s *Scheduler) SelfCheck() error {
 			names[j.Name] = true
 		}
 		routed[i] = names
-	}); err != nil {
-		return err
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -1219,7 +1121,7 @@ func (s *Scheduler) SelfCheck() error {
 			return false
 		}
 		if idx < 0 {
-			return true // reserved or migrating: settled by in-flight work
+			return true // reserved: settled by an in-flight insert
 		}
 		committed++
 		perShard[idx]++
@@ -1256,10 +1158,10 @@ func (s *Scheduler) SelfCheck() error {
 // and of a warm follower. failed counts the requests (or the resize)
 // the scheduler rejected; rejections do not stop a replay, because a
 // request that failed in the original run mutated state the same way
-// its failed replay does, and the duplicate-insert/unknown-delete
-// rejections of a checkpoint overlap are benign. Replay refuses, with
-// an error and without applying, on a scheduler that has a WAL
-// attached: replaying a record must not re-append it.
+// its failed replay does. Resizes, checkpoints and logged batches ran
+// as barriers, so replaying the log in order reproduces the live run.
+// Replay refuses, with an error and without applying, on a scheduler
+// that has a WAL attached: replaying a record must not re-append it.
 func (s *Scheduler) Replay(rec wal.Record) (failed int, err error) {
 	if s.log != nil {
 		return 0, errors.New("shard: Replay with a WAL attached would re-append the record")
@@ -1302,28 +1204,25 @@ func (s *Scheduler) AttachWAL(l *wal.Log) {
 // Checkpoint atomically captures a point-in-time image of the scheduler
 // (jobs, placements, machine-range partition) and installs it as the
 // WAL directory's checkpoint, bounding recovery to "restore the image,
-// replay the tail". The sequence is rotate-then-snapshot: the log first
-// rotates to a fresh segment, then the snapshot is taken, so the image
-// covers every record of the pruned segments. Requests racing the
-// snapshot may land in both the image and the new segment; recovery
-// replay tolerates the resulting duplicate-insert/unknown-delete
-// rejections, which is why the overlap is harmless. Checkpoint
-// serializes against resizes (a half-resized partition never reaches a
-// checkpoint) and requires an attached WAL.
+// replay the tail". It is a barrier like Resize: with the gate held
+// exclusively no request is in flight, so rotating the log to a fresh
+// segment and then taking the snapshot cuts the log exactly — the image
+// covers every record of the pruned segments and none of the new one.
+// Checkpoint requires an attached WAL.
 func (s *Scheduler) Checkpoint() error {
 	if s.log == nil {
 		return errors.New("shard: Checkpoint requires a WAL (realloc.WithWAL)")
 	}
-	if s.isClosed() {
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if s.closed {
 		return ErrClosed
 	}
-	s.resizeMu.Lock()
-	defer s.resizeMu.Unlock()
 	seg, err := s.log.Rotate()
 	if err != nil {
 		return fmt.Errorf("shard: checkpoint rotation: %w", err)
 	}
-	snap := s.Snapshot()
+	snap := s.snapshot()
 	if err := s.log.WriteCheckpoint(wal.Checkpoint{
 		StartSeg:      seg,
 		ShardMachines: snap.ShardMachines,
@@ -1335,26 +1234,24 @@ func (s *Scheduler) Checkpoint() error {
 	return nil
 }
 
-// Close serves every request already queued, stops every shard worker,
-// closes the attached WAL (if any), and releases the request channels.
-// Requests after Close fail with ErrClosed. Close is idempotent.
+// Close waits for every request in flight to be acked, stops every
+// shard worker, closes the attached WAL (if any), and releases the
+// request channels. Requests after Close fail with ErrClosed. Close is
+// idempotent.
 func (s *Scheduler) Close() {
-	s.sendMu.Lock()
-	if s.closed.Load() {
-		s.sendMu.Unlock()
+	s.gate.Lock()
+	defer s.gate.Unlock()
+	if s.closed {
 		return
 	}
-	s.closed.Store(true)
+	s.closed = true
 	for _, w := range s.workers {
 		close(w.q)
 	}
-	s.sendMu.Unlock()
 	for _, w := range s.workers {
 		<-w.done
 	}
 	if s.log != nil {
-		// Workers are drained: every record they enqueued is in the
-		// flusher's queue, and closing the log flushes it.
 		_ = s.log.Close()
 	}
 }

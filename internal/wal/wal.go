@@ -111,9 +111,8 @@ type Log struct {
 	dir  string
 	opts Options
 
-	// mu guards closed and the channel send, exactly like the shard
-	// front-end's sendMu: enqueuers hold the read side, Close holds the
-	// write side while closing the channel.
+	// mu guards closed and the channel send: enqueuers hold the read
+	// side, Close holds the write side while closing the channel.
 	mu     sync.RWMutex
 	closed bool
 	ch     chan pend

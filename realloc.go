@@ -306,10 +306,10 @@ type Recovery struct {
 	RequestsReplayed int
 	// ResizesReplayed counts replayed pool-resize records.
 	ResizesReplayed int
-	// ReplayFailures counts requests that failed during replay. On a
-	// log written by a sequential caller this is zero; after a
-	// checkpoint raced in-flight requests, the benign duplicate-insert
-	// and unknown-delete rejections of the overlap are counted here.
+	// ReplayFailures counts requests that failed during replay: the
+	// logged requests the original run also rejected (an infeasible
+	// insert, a failing member of a batch). A checkpoint cuts the log
+	// exactly, so it adds none.
 	ReplayFailures int
 	// TruncatedBytes is the size of the torn tail (an interrupted group
 	// commit) cleanly truncated from the log.
