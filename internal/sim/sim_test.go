@@ -2,11 +2,70 @@ package sim
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/sim_quick.golden")
+
+// quickGolden is every quick-mode table exactly as `reallocsim -quick`
+// prints it. Any change that moves a paper number shows up as a diff of
+// this file.
+var quickGolden = filepath.Join("..", "..", "testdata", "sim_quick.golden")
+
+// TestQuickTablesGolden pins all seventeen quick tables byte for byte.
+// Regenerate with -update only for a change meant to move a number, and
+// say which claims moved and why.
+func TestQuickTablesGolden(t *testing.T) {
+	tables, err := RunAll(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, tab := range tables {
+		if err := tab.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(quickGolden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	// A table of an experiment that is no longer registered is a deleted
+	// experiment's leftover: it goes with the experiment.
+	for _, m := range regexp.MustCompile(`(?m)^(E\d+) — `).FindAllSubmatch(want, -1) {
+		if _, ok := ByID(string(m[1])); !ok {
+			t.Errorf("%s holds a table for unregistered experiment %s", quickGolden, m[1])
+		}
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("quick tables differ from %s at line %d:\n got: %q\nwant: %q", quickGolden, i+1, g, w)
+			}
+		}
+	}
+}
 
 func TestAllExperimentsRegistered(t *testing.T) {
 	all := All()
