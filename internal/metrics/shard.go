@@ -31,9 +31,9 @@ type ShardCost struct {
 	// Overflow is the number of requests this shard served after
 	// another shard rejected them as infeasible.
 	Overflow int
-	// Batches is the number of queue drains (worker wakeups) the shard
-	// worker performed; Requests/Batches is the mean pipeline batch
-	// size.
+	// Batches is the number of times a request path took the shard's
+	// lock: once per Apply attempt, once per ApplyBatch sub-batch.
+	// Requests/Batches is the mean number of requests per acquisition.
 	Batches int
 	// ResizeEvicted is the number of jobs pool resizes drained off this
 	// shard that its surviving machines could not absorb.
@@ -45,10 +45,10 @@ type ShardCost struct {
 	Active int
 	// Cost is the shard's total reallocation/migration cost.
 	Cost Cost
-	// Latency is the shard's admission-latency histogram (nanoseconds,
-	// enqueue to served): every client request the worker executed,
-	// per-request and batched alike. Empty when the front-end predates
-	// the report or served nothing.
+	// Latency is the shard's request-latency histogram (nanoseconds,
+	// lock wait plus execution): every client request the shard
+	// executed, per-request and batched alike (a sub-batch's requests
+	// share its span). Empty when the shard served nothing.
 	Latency hdr.Snapshot
 }
 

@@ -33,8 +33,7 @@
 // request whose deadline has passed when its batch is served is
 // rejected with CodeDeadline, having mutated nothing. A request served
 // alone also propagates its deadline into the scheduler
-// (ApplyDeadline), where the shard queue enforces it while parked or
-// queued.
+// (ApplyDeadline), where it bounds the wait for the shard's lock.
 //
 // # Shutdown
 //
@@ -331,8 +330,8 @@ func (t *tenant) serve(batch []item) {
 	case 0:
 	case 1:
 		// A lone request keeps full deadline coverage: ApplyDeadline
-		// enforces expiry inside the scheduler too (parked on a full
-		// shard queue, or waiting in it).
+		// enforces expiry inside the scheduler too, while the request
+		// waits for its shard's lock.
 		it := &batch[idx[0]]
 		var err error
 		if it.exp.IsZero() {

@@ -277,8 +277,8 @@ func TestServerOverloadBurst(t *testing.T) {
 	verifySnapshot(t, snap)
 }
 
-// TestServerDeadlineExpiry: a microsecond deadline expires in the
-// shard queue and is rejected un-executed with the deadline verdict;
+// TestServerDeadlineExpiry: a microsecond deadline expires before the
+// request executes and is rejected un-executed with the deadline verdict;
 // the schedule never contains the expired job.
 func TestServerDeadlineExpiry(t *testing.T) {
 	s := startServer(t, server.Config{})

@@ -1,23 +1,24 @@
 // Batched admission for the sharded front-end. ApplyBatch groups a
 // request batch by target shard in one routing pass (inserts by the
 // routing policy, deletes by the routing table — a delete of a name the
-// batch itself inserts rides in the same group, after its insert), fans
-// the per-shard sub-batches out to the shard workers concurrently as
-// single control tasks, and reconciles the failures that need a second
-// placement — inserts a shard rejected as locally infeasible (the
+// batch itself inserts rides in the same group, after its insert), runs
+// the per-shard sub-batches one after another on the caller, each under
+// one hold of its shard's lock, and reconciles the failures that need a
+// second placement — inserts a shard rejected as locally infeasible (the
 // overflow path) and the deletes that trail them — in ONE second pass
 // instead of one hop per request.
 //
 // Compared to per-request Apply, a batch pays one routing-table lock
-// acquisition per request but only one channel round trip per involved
-// shard, and each shard serves its sub-batch through the inner stack's
-// own bulk path (alignment -> balanced delegation -> trimming), so the
-// trim layer's rebuild coalescing applies per shard sub-batch.
+// acquisition per request but only one shard-lock acquisition per
+// involved shard, and each shard serves its sub-batch through the inner
+// stack's own bulk path (alignment -> balanced delegation -> trimming),
+// so the trim layer's rebuild coalescing applies per shard sub-batch.
 //
-// Ordering: requests on the same shard execute in batch order; requests
-// on different shards execute concurrently, exactly like independent
-// Apply calls from different goroutines. Per-name ordering is preserved
-// because a name's insert and delete always land in the same group.
+// Ordering: requests on the same shard execute in batch order; other
+// requests on other shards run concurrently with the batch, exactly as
+// with independent Apply calls from different goroutines. Per-name
+// ordering is preserved because a name's insert and delete always land
+// in the same group.
 package shard
 
 import (
@@ -33,27 +34,19 @@ import (
 
 var _ sched.BatchScheduler = (*Scheduler)(nil)
 
-// subScratch is the reusable per-shard sub-batch buffer of execBatchOn.
-// Pooled so a steady stream of batches fans out without reallocating
-// the request slices. Pooling invariant: reqs is cleared (request
-// structs zeroed, dropping their name strings) before return-to-pool.
-type subScratch struct {
-	reqs  []jobs.Request
-	flags []bool
-}
-
-var subPool = sync.Pool{New: func() any { return new(subScratch) }}
-
 // routeScratch is ApplyBatch's reusable routing state: the per-shard
-// groups, the per-request shard/primary tables, and the per-name
-// overlay maps of the routing and reconcile passes. Pooled so a steady
-// stream of batches reuses the buffers. Pooling invariant: the maps are
-// cleared (dropping their name-string keys) and the slices resliced to
-// zero length before return-to-pool.
+// groups, the per-request shard/primary tables, the sub-batch buffer
+// every group is copied into in turn, and the per-name overlay maps of
+// the routing and reconcile passes. Pooled so a steady stream of
+// batches reuses the buffers. Pooling invariant: the maps and the
+// sub-batch buffer are cleared (dropping their name strings) and the
+// slices resliced to zero length before return-to-pool.
 type routeScratch struct {
 	groups       [][]int
 	shardOf      []int
 	primaries    []int
+	sub          []jobs.Request
+	rerouting    []bool
 	live         map[string]int
 	deletedAt    map[string]int
 	deferredName map[string]bool
@@ -80,6 +73,10 @@ func takeRoute(shards, reqs int) *routeScratch {
 	}
 	sc.shardOf = sc.shardOf[:reqs]
 	sc.primaries = sc.primaries[:reqs]
+	if cap(sc.sub) < reqs {
+		sc.sub = make([]jobs.Request, reqs)
+		sc.rerouting = make([]bool, reqs)
+	}
 	return sc
 }
 
@@ -96,6 +93,7 @@ func (sc *routeScratch) resetGroups(shards int) {
 }
 
 func putRoute(sc *routeScratch) {
+	clear(sc.sub[:cap(sc.sub)])
 	clear(sc.live)
 	clear(sc.deletedAt)
 	clear(sc.deferredName)
@@ -104,25 +102,9 @@ func putRoute(sc *routeScratch) {
 	routePool.Put(sc)
 }
 
-func takeSub(n int) *subScratch {
-	b := subPool.Get().(*subScratch)
-	if cap(b.reqs) < n {
-		b.reqs = make([]jobs.Request, n)
-		b.flags = make([]bool, n)
-	}
-	b.reqs = b.reqs[:n]
-	b.flags = b.flags[:n]
-	clear(b.flags)
-	return b
-}
-
-func putSub(b *subScratch) {
-	clear(b.reqs) // zero the name strings before pooling
-	subPool.Put(b)
-}
-
-// ApplyBatch serves the batch with shard-parallel sub-batches. It is
-// synchronous (like Apply) and safe for concurrent use. See
+// ApplyBatch serves the batch as one sub-batch per shard, on the
+// caller's goroutine. It is synchronous (like Apply) and safe for
+// concurrent use. See
 // sched.BatchScheduler for the shared bulk semantics; after Close every
 // request fails with ErrClosed.
 //
@@ -151,10 +133,10 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 		return costs, sched.NewBatchError(errs)
 	}
 
-	sc := takeRoute(len(s.workers), len(reqs))
+	sc := takeRoute(len(s.shards), len(reqs))
 	defer putRoute(sc)
 	deferred := s.routeBatch(sc, reqs, errs)
-	s.fanOut(sc.groups, reqs, costs, errs, nil)
+	s.runGroups(sc, reqs, costs, errs, nil)
 	s.reconcile(sc, reqs, deferred, costs, errs)
 	err := sched.NewBatchError(errs)
 	if s.log != nil {
@@ -203,7 +185,7 @@ func (s *Scheduler) routeBatch(sc *routeScratch, reqs []jobs.Request, errs []err
 		if err := r.Validate(); err != nil {
 			errs[i] = err
 		} else if r.Kind == jobs.Insert {
-			primaries[i] = s.policy.Route(r.Name, len(s.workers))
+			primaries[i] = s.policy.Route(r.Name, len(s.shards))
 		}
 	}
 
@@ -289,45 +271,42 @@ func (s *Scheduler) routeBatch(sc *routeScratch, reqs []jobs.Request, errs []err
 	return deferred
 }
 
-// fanOut sends every non-empty group to its shard worker as one control
-// task and waits for all of them. A non-nil overflow set marks the
-// reconcile round (failures are terminal there) and names the requests
-// that are genuine overflow retries (counted as Overflow on success).
-func (s *Scheduler) fanOut(groups [][]int, reqs []jobs.Request, costs []metrics.Cost, errs []error, overflow map[int]bool) {
-	var wg sync.WaitGroup
-	for si, idxs := range groups {
+// runGroups runs every non-empty group of sc.groups on its shard, one
+// after another, each under one hold of the shard's lock. A non-nil
+// overflow set marks the reconcile round (failures are terminal there)
+// and names the requests that are genuine overflow retries (counted as
+// Overflow on success).
+func (s *Scheduler) runGroups(sc *routeScratch, reqs []jobs.Request, costs []metrics.Cost, errs []error, overflow map[int]bool) {
+	for si, idxs := range sc.groups {
 		if len(idxs) == 0 {
 			continue
 		}
-		wg.Add(1)
-		enq := monotonicNS()
-		s.workers[si].q <- task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
-			s.execBatchOn(si, inner, st, reqs, idxs, costs, errs, overflow)
-			// Every request of the sub-batch shares the control task's
-			// enqueue-to-served latency — the same boundary the
-			// per-request path records in exec.
-			s.workers[si].lat.RecordN(monotonicNS()-enq, uint64(len(idxs)))
-		}}
+		sh := s.shards[si]
+		start := monotonicNS()
+		sh.lock(0)
+		s.execBatchOn(si, sh, sc, reqs, idxs, costs, errs, overflow)
+		// Every request of the sub-batch shares its lock wait plus
+		// execution — the same span the per-request path records.
+		sh.lat.RecordN(monotonicNS()-start, uint64(len(idxs)))
+		sh.unlock()
 	}
-	wg.Wait()
 }
 
-// execBatchOn runs one shard's sub-batch on the worker goroutine: it
+// execBatchOn runs one shard's sub-batch under the shard's lock: it
 // serves the requests through the inner scheduler's bulk path, folds
 // the per-request statistics, and commits the routing-table bookkeeping
-// before the control task finishes — so self-checks and snapshots
-// queued behind the batch observe a consistent shard.
-func (s *Scheduler) execBatchOn(si int, inner sched.Scheduler, st *metrics.ShardCost, reqs []jobs.Request, idxs []int, costs []metrics.Cost, errs []error, overflow map[int]bool) {
-	scratch := takeSub(len(idxs))
-	defer putSub(scratch)
-	sub := scratch.reqs
+// before the lock is released — so self-checks and snapshots that take
+// the lock next observe a consistent shard.
+func (s *Scheduler) execBatchOn(si int, sh *shard, sc *routeScratch, reqs []jobs.Request, idxs []int, costs []metrics.Cost, errs []error, overflow map[int]bool) {
+	st := &sh.stats
+	sub := sc.sub[:len(idxs)]
 	for k, i := range idxs {
 		sub[k] = reqs[i]
 	}
-	cs, err := sched.ApplyBatch(inner, sub)
+	cs, err := sched.ApplyBatch(sh.inner, sub)
 	st.Batches++
-	retryable := overflow == nil && len(s.workers) > 1
-	rerouting := scratch.flags
+	retryable := overflow == nil && len(s.shards) > 1
+	rerouting := sc.rerouting[:len(idxs)]
 	for k, i := range idxs {
 		e := sched.ErrAt(err, k)
 		st.Requests++
@@ -395,7 +374,7 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 	// reconcile groups. The overlay maps are reused likewise (the
 	// overflow map must be non-nil even when empty — execBatchOn reads
 	// nil as "this is pass 1").
-	sc.resetGroups(len(s.workers))
+	sc.resetGroups(len(s.shards))
 	groups := sc.groups
 	shardOf := sc.shardOf
 	overflow := sc.overflow
@@ -409,7 +388,7 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 		r := reqs[i]
 		switch r.Kind {
 		case jobs.Insert:
-			primary := s.policy.Route(r.Name, len(s.workers))
+			primary := s.policy.Route(r.Name, len(s.shards))
 			s.mu.Lock()
 			if _, isLive := live[r.Name]; isLive {
 				s.mu.Unlock()
@@ -449,17 +428,8 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 			continue
 		}
 		switch {
-		case r.Kind == jobs.Insert && len(s.workers) > 1 && errors.Is(errs[i], sched.ErrInfeasible):
+		case r.Kind == jobs.Insert && len(s.shards) > 1 && errors.Is(errs[i], sched.ErrInfeasible):
 			fb := s.leastLoaded(shardOf[i])
-			if fb == shardOf[i] {
-				s.mu.Lock()
-				s.inflight[shardOf[i]]--
-				if id, v, ok := s.trackedID(r.Name); ok && v == reservedShard {
-					s.dropRoute(id)
-				}
-				s.mu.Unlock()
-				continue
-			}
 			s.mu.Lock()
 			s.inflight[shardOf[i]]--
 			s.inflight[fb]++
@@ -478,6 +448,6 @@ func (s *Scheduler) reconcile(sc *routeScratch, reqs []jobs.Request, deferred []
 		}
 	}
 	if any {
-		s.fanOut(groups, reqs, costs, errs, overflow)
+		s.runGroups(sc, reqs, costs, errs, overflow)
 	}
 }

@@ -1,5 +1,5 @@
 // Per-request deadline semantics: a request whose deadline passes
-// before a worker executes it fails with ErrDeadlineExceeded, mutates
+// before it starts executing fails with ErrDeadlineExceeded, mutates
 // nothing, releases its reservation, and — under a WAL — is never
 // logged (recovery has no deadlines; a logged expiry would replay as a
 // phantom mutation).
@@ -12,41 +12,43 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/wal"
 )
 
-// blockWorker parks shard i's worker on a ctrl task until gate closes.
-// It returns a WaitGroup that settles when the worker resumes.
-func blockWorker(t *testing.T, s *Scheduler, i int, gate chan struct{}) *sync.WaitGroup {
+// holdLock takes shard i's lock, as a request executing there would,
+// and returns the function that releases it. The release is safe to
+// call twice and also runs at cleanup, before an earlier-registered
+// Close, which waits for every request blocked behind the lock.
+func holdLock(t *testing.T, s *Scheduler, i int) (release func()) {
 	t.Helper()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	err := s.send(i, task{ctrlDone: &wg, ctrl: func(sched.Scheduler, *metrics.ShardCost) { <-gate }})
-	if err != nil {
-		t.Fatalf("blocking ctrl send: %v", err)
-	}
-	return &wg
+	sh := s.shards[i]
+	sh.lock(0)
+	var once sync.Once
+	release = func() { once.Do(sh.unlock) }
+	t.Cleanup(release)
+	return release
 }
 
-// TestApplyDeadlineExpiresInQueue: a request stuck behind slow work
-// past its deadline is rejected un-executed, and the name is free for
-// an immediate retry (the insert reservation is released).
-func TestApplyDeadlineExpiresInQueue(t *testing.T) {
+// TestApplyDeadlineExpiresBehindLock: a request stuck behind slow work
+// on its shard past its deadline is rejected un-executed, and the name
+// is free for an immediate retry (the insert reservation is released).
+func TestApplyDeadlineExpiresBehindLock(t *testing.T) {
 	s := newTestSharded(t, 1, 2)
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	go func() {
-		time.Sleep(60 * time.Millisecond)
-		close(gate)
-	}()
+	release := holdLock(t, s, 0)
 
 	_, err := s.ApplyDeadline(jobs.InsertReq("late", 0, 64), 10*time.Millisecond)
 	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("ApplyDeadline behind a stalled worker = %v, want ErrDeadlineExceeded", err)
+		t.Fatalf("ApplyDeadline behind a held shard lock = %v, want ErrDeadlineExceeded", err)
 	}
-	wg.Wait()
+	release()
+	// A deadline that passes by the time a free lock is taken rejects
+	// the request too, under the lock, and counts it as a failure.
+	if _, err := s.ApplyDeadline(jobs.InsertReq("late", 0, 64), time.Nanosecond); !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("ApplyDeadline expired on a free shard lock = %v, want ErrDeadlineExceeded", err)
+	}
+	if st := s.Report().Shards[0]; st.Requests != 1 || st.Failures != 1 {
+		t.Fatalf("shard report %+v, want the one expired request counted as a failure", st)
+	}
 	if n := s.Active(); n != 0 {
 		t.Fatalf("Active() = %d after a deadline rejection, want 0", n)
 	}
@@ -91,16 +93,11 @@ func TestDeadlineExpiryNotLogged(t *testing.T) {
 	if _, err := s.Apply(jobs.InsertReq("kept", 0, 64)); err != nil {
 		t.Fatalf("insert kept: %v", err)
 	}
-	gate := make(chan struct{})
-	wg := blockWorker(t, s, 0, gate)
-	go func() {
-		time.Sleep(40 * time.Millisecond)
-		close(gate)
-	}()
+	release := holdLock(t, s, 0)
 	if _, err := s.ApplyDeadline(jobs.InsertReq("expired", 0, 64), 5*time.Millisecond); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("ApplyDeadline = %v, want ErrDeadlineExceeded", err)
 	}
-	wg.Wait()
+	release()
 	s.Close()
 
 	got, err := wal.Read(dir)

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"repro/internal/jobs"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/wal"
 )
@@ -24,7 +23,7 @@ import (
 // checkpoint is authoritative for the shard count and the machine
 // partition: cfg.Shards and cfg.Machines must be zero or match it
 // (a mismatch is an error, not a silent re-partition). The remaining
-// config (Factory, Policy, Buffer) applies as in New; leave
+// config (Factory, Policy) applies as in New; leave
 // cfg.WAL nil and attach the log with AttachWAL once the tail replay is
 // done, so replaying a record cannot re-append it.
 //
@@ -72,14 +71,14 @@ func Restore(cfg Config, ck *wal.Checkpoint) (*Scheduler, error) {
 
 	s := newScheduler(cfg, append([]int(nil), ck.ShardMachines...))
 	var leftover []jobs.Job
-	for i := range s.workers {
+	for i := range s.shards {
 		if len(perShard[i]) == 0 {
 			continue
 		}
 		var failed []jobs.Job
 		var err error
-		s.ctrlOn(i, func(inner sched.Scheduler, _ *metrics.ShardCost) {
-			failed, err = sched.RestoreJobs(inner, perShard[i])
+		s.locked(i, func(sh *shard) {
+			failed, err = sched.RestoreJobs(sh.inner, perShard[i])
 		})
 		if err != nil {
 			s.Close()

@@ -5,22 +5,20 @@
 // a contiguous machine range and one inner sched.Scheduler (typically a
 // full Theorem 1 stack). Requests route to a primary shard by consistent
 // hashing of the job name; an insert the primary rejects as infeasible
-// overflows to the least-loaded shard. Each shard runs one worker
-// goroutine fed by a buffered channel of Config.Buffer tasks (a send to
-// a full queue blocks: backpressure), so independent shards serve
-// requests in parallel and a burst against one shard pipelines into
-// batches instead of blocking the caller per request. Every request's
-// dispatch latency (enqueue to served) lands in a per-shard HDR
-// histogram surfaced through Report.
+// overflows to the least-loaded shard. A shard is its inner scheduler,
+// its statistics and a one-slot lock: every request runs on its caller's
+// goroutine while it holds its shard's lock, so independent shards serve
+// requests in parallel and requests on one shard wait their turn, in
+// arrival order. Every request's lock wait plus execution lands in a
+// per-shard HDR histogram surfaced through Report.
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
-// sched.Scheduler) serves one request and returns its cost after the
-// owning worker has served it, and ApplyBatch (batch.go) serves a
-// request slice in one routing pass. Both are synchronous and safe for
-// any number of concurrent callers, with one contract: requests that
-// touch the same job name must not be in flight concurrently (issue a
-// delete after its insert returned); requests for different names are
-// unordered across shards by design.
+// sched.Scheduler) serves one request and returns its cost, and
+// ApplyBatch (batch.go) serves a request slice in one routing pass. Both
+// are synchronous and safe for any number of concurrent callers, with
+// one contract: requests that touch the same job name must not be in
+// flight concurrently (issue a delete after its insert returned);
+// requests for different names are unordered across shards by design.
 //
 // The machine pool is elastic: Resize and ResizeShard grow or shrink
 // shards' machine ranges at runtime with bounded migrations — growing
@@ -35,6 +33,13 @@
 // ApplyBatch hold it exclusively: they are barriers that run with no
 // request in flight, so each executes, and logs, at an exact cut of
 // the request stream.
+//
+// Under a WAL a request enqueues its record while it still holds its
+// shard's lock, so the records of one shard reach the log in execution
+// order. The one exception is an insert that overflows: its failed
+// attempt on the primary can still change the primary's state (trim's
+// recovery rebuild), but its one record is enqueued under the fallback's
+// lock, so a later request on the primary can reach the log before it.
 //
 // Sharding trades the paper's global cost bounds for throughput: each
 // shard preserves Theorem 1's guarantees on its own machine range, but
@@ -64,11 +69,11 @@ import (
 // fault.ErrClosed, the repo-wide sentinel for the failure class.
 var ErrClosed = fault.ErrClosed
 
-// ErrDeadlineExceeded reports a request whose deadline passed before
-// its shard worker executed it — while parked on a full queue, or while
-// queued behind earlier work. Such a request never reaches the inner
-// scheduler, mutates nothing, and (under a WAL) is never logged, so a
-// deadline rejection needs no compensation on either side. It aliases
+// ErrDeadlineExceeded reports a request whose deadline passed before it
+// started executing: while it waited for its shard's lock, or before it
+// got past a barrier. Such a request never reaches the inner scheduler,
+// mutates nothing, and (under a WAL) is never logged, so a deadline
+// rejection needs no compensation on either side. It aliases
 // fault.ErrDeadlineExceeded.
 var ErrDeadlineExceeded = fault.ErrDeadlineExceeded
 
@@ -85,12 +90,6 @@ const (
 	// ID is not currently issued, or its insert never committed).
 	noShard = -2
 )
-
-// defaultBuffer is the per-shard request queue capacity.
-const defaultBuffer = 256
-
-// maxBatch bounds how many queued requests a worker drains per wakeup.
-const maxBatch = 64
 
 // Factory builds the inner scheduler of one shard, given the number of
 // machines the shard owns. For the pool to be resizable the returned
@@ -115,8 +114,6 @@ type Config struct {
 	// Policy routes job names to primary shards (default: consistent
 	// hash ring with DefaultReplicas virtual nodes).
 	Policy Policy
-	// Buffer is the per-shard request queue capacity (default 256).
-	Buffer int
 	// WAL, when non-nil, makes the scheduler durable: every admission
 	// path (per-request Apply, bulk ApplyBatch) and every resize
 	// appends a record to the log BEFORE the request is acknowledged —
@@ -131,8 +128,8 @@ type Config struct {
 // Scheduler is the sharded front-end. It implements sched.Scheduler and
 // is safe for concurrent use by any number of goroutines.
 type Scheduler struct {
-	workers []*worker
-	policy  Policy
+	shards []*shard
+	policy Policy
 
 	// names interns every tracked job name; routing is the ID-indexed
 	// shard table, holding a shard index or a negative marker
@@ -157,12 +154,13 @@ type Scheduler struct {
 	// the read paths (Snapshot, Report, SelfCheck, Machines,
 	// ShardMachines) hold its shared side from routing until their ack
 	// returns; Resize, ResizeShard, Checkpoint, Close and a logged
-	// ApplyBatch hold it exclusively. closed and every worker's
+	// ApplyBatch hold it exclusively. closed and every shard's
 	// base/machines change only under the exclusive side, so a holder
-	// of either side reads them plainly and finds the queues open.
-	// Internal paths (send, the overflow hop, each, ctrlOn, snapshot)
-	// run under the gate their entry point holds and never take it
-	// again: a recursive RLock deadlocks once a writer waits.
+	// of either side reads them plainly. Internal paths (the overflow
+	// hop, each, locked, snapshot) run under the gate their entry point
+	// holds and never take it again: a recursive RLock deadlocks once a
+	// writer waits. Lock order: gate, then a shard's lock, then mu; no
+	// goroutine holds two shards' locks at once.
 	gate   sync.RWMutex
 	closed bool
 
@@ -174,47 +172,21 @@ type Scheduler struct {
 
 var _ sched.Scheduler = (*Scheduler)(nil)
 
-// worker owns one shard: its inner scheduler, machine range, request
-// queue, and statistics. Only the worker goroutine touches inner and
-// stats after startup. base and machines are guarded by the gate. lat
-// is the shard's admission-latency histogram (enqueue to served),
-// recorded on the worker and snapshotted into the shard report;
-// hdr.Record is atomic and allocation-free, so it rides the hot path.
-type worker struct {
-	idx      int
+// shard is one shard: its inner scheduler, machine range, statistics
+// and lock. slot is the lock, a channel of capacity one, so that a
+// request with a deadline can select on it against a timer. inner and
+// stats are touched only by the slot's holder; base and machines are
+// guarded by the gate. lat is the shard's request-latency histogram
+// (lock wait plus execution), recorded by the slot's holder and
+// snapshotted into the shard report; hdr.Record is atomic and
+// allocation-free, so it rides the hot path.
+type shard struct {
 	base     int // global index of the shard's first machine
 	machines int // current machine count
 	inner    sched.Scheduler
-	q        chan task // capacity Config.Buffer: how far producers run ahead of the worker
-	done     chan struct{}
+	slot     chan struct{}
 	lat      *hdr.Histogram
 	stats    metrics.ShardCost
-}
-
-type task struct {
-	req      jobs.Request
-	overflow bool
-	// enq is when the task entered the dispatch boundary (just before
-	// its queue send, so a send blocked on a full queue counts as queue
-	// delay); the worker records served-enq into the shard's latency
-	// histogram. It is monotonic nanoseconds since the package epoch —
-	// one clock read, no wall-time component.
-	enq int64
-	// retryable marks a primary insert that the front-end will retry on
-	// a fallback shard if this shard rejects it as infeasible; such a
-	// rejection counts as Rerouted, not as a terminal Failure.
-	retryable bool
-	// deadline is the request's absolute expiry in monotonicNS (0 =
-	// none). It bounds both the full-queue park (send fails with
-	// ErrDeadlineExceeded instead of blocking past it) and queue time
-	// (the worker rejects an expired task instead of executing it).
-	deadline int64
-	finish   func(metrics.Cost, error)
-	// ctrl, when non-nil, runs on the worker goroutine instead of req
-	// (snapshots, self-checks, reports, resizes); ctrlDone signals
-	// completion.
-	ctrl     func(inner sched.Scheduler, st *metrics.ShardCost)
-	ctrlDone *sync.WaitGroup
 }
 
 // New builds a sharded scheduler. It panics on invalid configuration,
@@ -249,11 +221,8 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	if cfg.Policy == nil {
 		cfg.Policy = NewRing(len(perShard), DefaultReplicas)
 	}
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = defaultBuffer
-	}
 	s := &Scheduler{
-		workers:  make([]*worker, len(perShard)),
+		shards:   make([]*shard, len(perShard)),
 		policy:   cfg.Policy,
 		names:    ident.New(),
 		loads:    make([]int, len(perShard)),
@@ -262,77 +231,95 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	}
 	base := 0
 	for i, m := range perShard {
-		w := &worker{
-			idx:      i,
+		sh := &shard{
 			base:     base,
 			machines: m,
 			inner:    cfg.Factory(m),
-			q:        make(chan task, cfg.Buffer),
-			done:     make(chan struct{}),
+			slot:     make(chan struct{}, 1),
 			lat:      hdr.New(),
 		}
-		w.stats.Shard = i
-		w.stats.Machines = m
+		sh.stats.Shard = i
+		sh.stats.Machines = m
 		base += m
-		s.workers[i] = w
-		go w.run()
+		s.shards[i] = sh
 	}
 	return s
 }
 
-// run is the shard worker loop: park until the queue has work, then
-// serve up to maxBatch queued tasks back to back per wakeup. It exits
-// once Close has closed the queue and every accepted task is served.
-func (w *worker) run() {
-	defer close(w.done)
-	for t := range w.q {
-		w.stats.Batches++
-		w.exec(t)
-	drain:
-		for n := 1; n < maxBatch; n++ {
-			select {
-			case t, ok := <-w.q:
-				if !ok {
-					return
-				}
-				w.exec(t)
-			default:
-				break drain
-			}
-		}
+// lock takes the shard's lock, waiting until deadline (monotonicNS; 0 =
+// no limit). It reports false, the lock not taken, if the deadline
+// passes first.
+//
+//reallocvet:hotpath
+func (sh *shard) lock(deadline int64) bool {
+	if deadline == 0 {
+		sh.slot <- struct{}{}
+		return true
+	}
+	select {
+	case sh.slot <- struct{}{}: // free: no timer needed
+		return true
+	default:
+	}
+	remain := deadline - monotonicNS()
+	if remain <= 0 {
+		return false
+	}
+	timer := time.NewTimer(time.Duration(remain))
+	defer timer.Stop()
+	select {
+	case sh.slot <- struct{}{}:
+		return true
+	case <-timer.C:
+		return false
 	}
 }
 
+func (sh *shard) unlock() { <-sh.slot }
+
+// begin takes the shard's lock for a request that arrived at start. It
+// fails with ErrDeadlineExceeded, the lock not held and nothing
+// executed, if the deadline passes before the lock is taken or by the
+// time it is.
+//
 //reallocvet:hotpath
-func (w *worker) exec(t task) {
-	if t.ctrl != nil {
-		t.ctrl(w.inner, &w.stats)
-		t.ctrlDone.Done()
-		return
+func (sh *shard) begin(start, deadline int64) error {
+	if !sh.lock(deadline) {
+		return ErrDeadlineExceeded
 	}
-	if t.deadline != 0 && monotonicNS() > t.deadline {
-		// Expired while queued: reject without touching the inner
-		// scheduler, so the request provably mutated nothing and its
-		// reservation is released by the ordinary failure path.
-		w.stats.Requests++
-		w.stats.Failures++
-		w.lat.Record(monotonicNS() - t.enq)
-		t.finish(metrics.Cost{}, ErrDeadlineExceeded)
-		return
+	sh.stats.Batches++
+	if deadline != 0 && monotonicNS() > deadline {
+		sh.stats.Requests++
+		sh.stats.Failures++
+		sh.lat.Record(monotonicNS() - start)
+		sh.unlock()
+		return ErrDeadlineExceeded
 	}
-	c, err := sched.Apply(w.inner, t.req)
-	w.stats.Requests++
+	return nil
+}
+
+// serve executes r on the shard's inner scheduler and folds the outcome
+// into the shard's statistics. The caller holds the lock and began
+// waiting for it at start. retryable marks a primary insert the front-end
+// retries on a fallback shard if this one rejects it as infeasible (such
+// a rejection counts as Rerouted, not as a Failure); overflow marks that
+// retry.
+//
+//reallocvet:hotpath
+func (sh *shard) serve(r jobs.Request, start int64, retryable, overflow bool) (metrics.Cost, error) {
+	c, err := sched.Apply(sh.inner, r)
+	sh.stats.Requests++
 	switch {
-	case err != nil && t.retryable && errors.Is(err, sched.ErrInfeasible):
-		w.stats.Rerouted++
+	case err != nil && retryable && errors.Is(err, sched.ErrInfeasible):
+		sh.stats.Rerouted++
 	case err != nil:
-		w.stats.Failures++
-	case t.overflow:
-		w.stats.Overflow++
+		sh.stats.Failures++
+	case overflow:
+		sh.stats.Overflow++
 	}
-	w.stats.Cost.Add(c)
-	w.lat.Record(monotonicNS() - t.enq)
-	t.finish(c, err)
+	sh.stats.Cost.Add(c)
+	sh.lat.Record(monotonicNS() - start)
+	return c, err
 }
 
 // routeOf returns the routing value of id and whether it is tracked.
@@ -377,39 +364,7 @@ func (s *Scheduler) trackedID(name string) (ident.ID, int, bool) {
 	return id, v, ok
 }
 
-// send enqueues a request task on shard i, blocking when the shard's
-// queue is full (backpressure). It fails only with ErrDeadlineExceeded,
-// when the task's deadline expires while parked on the full queue. The
-// caller holds the gate, so the queue is open.
-//
-//reallocvet:hotpath
-func (s *Scheduler) send(i int, t task) error {
-	t.enq = monotonicNS()
-	q := s.workers[i].q
-	if t.deadline == 0 {
-		q <- t
-		return nil
-	}
-	select {
-	case q <- t: // room: no timer needed
-		return nil
-	default:
-	}
-	remain := t.deadline - t.enq
-	if remain <= 0 {
-		return ErrDeadlineExceeded
-	}
-	timer := time.NewTimer(time.Duration(remain))
-	defer timer.Stop()
-	select {
-	case q <- t:
-		return nil
-	case <-timer.C:
-		return ErrDeadlineExceeded
-	}
-}
-
-// epoch anchors the monotonic clock used for dispatch-latency stamps.
+// epoch anchors the monotonic clock used for request-latency stamps.
 var epoch = time.Now()
 
 // monotonicNS returns nanoseconds since the package epoch — a single
@@ -419,7 +374,7 @@ func monotonicNS() int64 { return int64(time.Since(epoch)) }
 
 // Shards returns the shard count (fixed for the scheduler's lifetime;
 // only the machine pool is elastic).
-func (s *Scheduler) Shards() int { return len(s.workers) }
+func (s *Scheduler) Shards() int { return len(s.shards) }
 
 // Machines returns the total machine pool size.
 func (s *Scheduler) Machines() int {
@@ -430,7 +385,7 @@ func (s *Scheduler) Machines() int {
 
 // machinesLocked is Machines under a gate the caller holds.
 func (s *Scheduler) machinesLocked() int {
-	last := s.workers[len(s.workers)-1]
+	last := s.shards[len(s.shards)-1]
 	return last.base + last.machines
 }
 
@@ -438,7 +393,7 @@ func (s *Scheduler) machinesLocked() int {
 func (s *Scheduler) ShardMachines(i int) int {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	return s.workers[i].machines
+	return s.shards[i].machines
 }
 
 // Active returns the number of committed active jobs.
@@ -458,52 +413,41 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 	return s.Apply(jobs.DeleteReq(name))
 }
 
-// response carries a synchronous request's outcome from the worker back
-// to the caller. The channels are pooled: a served request leaves its
-// channel empty, so it can immediately carry the next request.
-type response struct {
-	cost metrics.Cost
-	err  error
-}
-
-var respPool = sync.Pool{New: func() any { return make(chan response, 1) }}
-
-// Apply serves one request synchronously: it returns after the owning
-// shard worker has executed the request (including any overflow hop).
+// Apply serves one request synchronously, on the caller's goroutine: it
+// returns once the request has executed on its shard (including any
+// overflow hop) and, under a WAL, once its record is durable.
 func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
 	return s.ApplyDeadline(r, 0)
 }
 
 // ApplyDeadline is Apply with a request deadline: if timeout elapses
-// before a shard worker picks the request up — parked on a full queue,
-// or queued behind earlier work — the request fails with
-// ErrDeadlineExceeded, having mutated nothing. Execution itself is
-// never interrupted: once a worker starts the request it runs to
-// completion, so a nil error always means the job state changed.
-// timeout <= 0 means no deadline; the clock starts before the request
-// waits out a barrier (a resize, a checkpoint), so a request held up by
-// one still expires un-executed.
+// before the request starts executing — while it waits for its shard's
+// lock — the request fails with ErrDeadlineExceeded, having mutated
+// nothing. Execution itself is never interrupted: once the request
+// starts it runs to completion, overflow hop included, so a nil error
+// always means the job state changed. timeout <= 0 means no deadline;
+// the clock starts before the request waits out a barrier (a resize, a
+// checkpoint), so a request held up by one still expires un-executed.
 func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metrics.Cost, error) {
 	deadline := deadlineFrom(timeout)
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	return roundTrip(func(finish func(metrics.Cost, error)) error {
-		return s.dispatchTimed(r, deadline, finish)
-	})
-}
-
-// roundTrip makes an asynchronous admission synchronous: enqueue is
-// handed a finish callback that delivers the outcome on a pooled reply
-// channel, and roundTrip waits for it — unless enqueue itself fails, in
-// which case finish never runs and the error is returned as is.
-func roundTrip(enqueue func(finish func(metrics.Cost, error)) error) (metrics.Cost, error) {
-	ch := respPool.Get().(chan response)
-	resp := response{err: enqueue(func(c metrics.Cost, err error) { ch <- response{c, err} })}
-	if resp.err == nil {
-		resp = <-ch
+	if err := r.Validate(); err != nil {
+		return metrics.Cost{}, err
 	}
-	respPool.Put(ch)
-	return resp.cost, resp.err
+	if s.closed {
+		// Every post-Close request — insert or delete, known name or
+		// not — reports ErrClosed instead of whatever routing would
+		// conclude first.
+		return metrics.Cost{}, ErrClosed
+	}
+	switch r.Kind {
+	case jobs.Insert:
+		return s.insert(r, deadline)
+	case jobs.Delete:
+		return s.delete(r, deadline)
+	}
+	return metrics.Cost{}, fmt.Errorf("shard: unknown request kind %d", r.Kind)
 }
 
 // deadlineFrom converts a relative timeout to an absolute monotonicNS
@@ -515,128 +459,101 @@ func deadlineFrom(timeout time.Duration) int64 {
 	return monotonicNS() + int64(timeout)
 }
 
-// dispatchTimed validates, reserves (for inserts), routes, and enqueues
-// one request. finish runs exactly once with the request's final
-// outcome — on a worker goroutine, so it must not block on scheduler
-// operations. deadline is an absolute monotonicNS expiry (0 = none)
-// carried into the task so both the full-queue park and the worker's
-// pre-execution check can honor it. The caller holds the gate.
-func (s *Scheduler) dispatchTimed(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	if s.closed {
-		// Every post-Close request — insert or delete, known name or
-		// not — reports ErrClosed instead of whatever routing would
-		// conclude first.
-		return ErrClosed
-	}
-	if s.log != nil {
-		finish = s.durableFinish(r, finish)
-	}
-	switch r.Kind {
-	case jobs.Insert:
-		return s.dispatchInsert(r, deadline, finish)
-	case jobs.Delete:
-		return s.dispatchDelete(r, deadline, finish)
-	default:
-		return fmt.Errorf("shard: unknown request kind %d", r.Kind)
-	}
-}
-
-// durableFinish interposes the WAL between a request's execution and
-// its acknowledgement: once the worker settles the outcome, the record
-// is handed to the group-commit flusher and the original finish runs
-// only after the group is written — so a caller that sees its ack can
-// always recover the request. The request is logged whatever its
-// outcome: a failed insert can still mutate inner state (trim recovery
-// rebuilds), and replaying the failure reproduces that state exactly.
-// Requests rejected before reaching a worker (validation, duplicate or
-// unknown name at routing) never execute, mutate nothing, and are not
-// logged — dispatch returns before the wrapper is involved.
-//
-// Log order vs execution order: a record is enqueued on the worker
-// goroutine that settled its request, after the routing-table commit,
-// so two requests on the SAME shard always log in execution order.
-// Requests for the same name on DIFFERENT shards (a delete on the
-// job's overflow shard racing a re-insert on its primary) could log
-// out of execution order — but only if the caller issues same-name
-// requests concurrently, which the front-end's request contract
-// already forbids (see the package comment): issue the re-insert after
-// the delete's ack and the delete's record is durable first, because
-// acks happen after the append.
-func (s *Scheduler) durableFinish(r jobs.Request, finish func(metrics.Cost, error)) func(metrics.Cost, error) {
-	return func(c metrics.Cost, err error) {
-		if errors.Is(err, ErrDeadlineExceeded) {
-			// The request expired before reaching the inner scheduler:
-			// it mutated nothing, so logging it would create a phantom
-			// mutation on replay (recovery has no deadlines and would
-			// apply it). Ack without an append, like every other
-			// rejected-before-execution request.
-			finish(c, err)
-			return
-		}
-		s.log.Enqueue(wal.RequestRecord(r), func(werr error) {
-			if werr != nil && err == nil {
-				// The request is applied but not durable: surface the
-				// broken promise instead of acking cleanly.
-				err = fmt.Errorf("shard: request applied but WAL append failed: %w", werr)
-			}
-			finish(c, err)
-		})
-	}
-}
-
-func (s *Scheduler) dispatchInsert(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
-	primary := s.policy.Route(r.Name, len(s.workers))
+// insert reserves r's name, executes r on its primary shard and, if the
+// primary rejects it as locally infeasible, on the least-loaded other
+// shard. The caller holds the gate.
+func (s *Scheduler) insert(r jobs.Request, deadline int64) (metrics.Cost, error) {
+	i := s.policy.Route(r.Name, len(s.shards))
 	s.mu.Lock()
 	id := s.names.Intern(r.Name)
 	if _, dup := s.routeOf(id); dup {
 		s.mu.Unlock()
-		return duplicateErr(r.Name)
+		return metrics.Cost{}, duplicateErr(r.Name)
 	}
 	s.setRoute(id, reservedShard)
-	s.inflight[primary]++
+	s.inflight[i]++
 	s.mu.Unlock()
 
-	err := s.send(primary, task{req: r, deadline: deadline, retryable: len(s.workers) > 1, finish: func(c metrics.Cost, err error) {
-		if err != nil && errors.Is(err, sched.ErrInfeasible) && len(s.workers) > 1 {
-			// Primary shard is locally overallocated: overflow to the
-			// least-loaded shard. The hop runs on a fresh goroutine so
-			// shard workers never block sending to each other; it runs
-			// under the caller's gate, which is held until finish.
-			if fb := s.leastLoaded(primary); fb != primary {
-				s.mu.Lock()
-				s.inflight[primary]--
-				s.inflight[fb]++
-				s.mu.Unlock()
-				go s.overflow(r, id, fb, deadline, finish)
-				return
-			}
-		}
-		s.commitInsert(id, primary, err)
-		finish(c, err)
-	}})
-	if err != nil {
-		s.unreserve(id, primary)
-		return err
+	start := monotonicNS()
+	sh := s.shards[i]
+	if err := sh.begin(start, deadline); err != nil {
+		s.unreserve(id, i)
+		return metrics.Cost{}, err
 	}
-	return nil
+	retryable := len(s.shards) > 1
+	c, err := sh.serve(r, start, retryable, false)
+	if retryable && errors.Is(err, sched.ErrInfeasible) {
+		// The primary is locally overallocated: hop to the least-loaded
+		// shard. The request has started executing, so the hop waits for
+		// the fallback's lock without a deadline.
+		fb := s.leastLoaded(i)
+		s.mu.Lock()
+		s.inflight[i]--
+		s.inflight[fb]++
+		s.mu.Unlock()
+		sh.unlock()
+		i, sh, start = fb, s.shards[fb], monotonicNS()
+		sh.lock(0)
+		sh.stats.Batches++
+		c, err = sh.serve(r, start, false, true)
+	}
+	s.commitInsert(id, i, err)
+	return s.ack(sh, r, c, err)
 }
 
-// overflow retries a rejected insert on shard fb. id is the insert's
-// reserved routing entry, owned by this in-flight request. The hop
-// keeps the original request's deadline: the clock covers the whole
-// request, not each attempt.
-func (s *Scheduler) overflow(r jobs.Request, id ident.ID, fb int, deadline int64, finish func(metrics.Cost, error)) {
-	err := s.send(fb, task{req: r, overflow: true, deadline: deadline, finish: func(c metrics.Cost, err error) {
-		s.commitInsert(id, fb, err)
-		finish(c, err)
-	}})
-	if err != nil {
-		s.unreserve(id, fb)
-		finish(metrics.Cost{}, err)
+// delete executes r on the shard its job is routed to. The caller holds
+// the gate.
+func (s *Scheduler) delete(r jobs.Request, deadline int64) (metrics.Cost, error) {
+	s.mu.RLock()
+	_, i, ok := s.trackedID(r.Name)
+	s.mu.RUnlock()
+	if !ok || i == reservedShard {
+		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
 	}
+	start := monotonicNS()
+	sh := s.shards[i]
+	if err := sh.begin(start, deadline); err != nil {
+		return metrics.Cost{}, err
+	}
+	c, err := sh.serve(r, start, false, false)
+	if err == nil {
+		s.mu.Lock()
+		// Re-resolve the name before dropping rather than trusting an
+		// ID captured at routing: the name's CURRENT entry on this
+		// shard is the one the inner delete just removed.
+		if id, v, ok := s.trackedID(r.Name); ok && v == i && s.dropRoute(id) {
+			s.loads[i]--
+			s.active--
+		}
+		s.mu.Unlock()
+	}
+	return s.ack(sh, r, c, err)
+}
+
+// ack finishes a request that executed on sh, whose lock the caller
+// holds. Under a WAL it enqueues the request's record before releasing
+// the lock, so one shard's records reach the log in execution order,
+// and then waits for the record's group commit, so a caller that sees
+// its ack can always recover the request. The request is logged
+// whatever its outcome: a failed insert can still mutate inner state
+// (trim's recovery rebuild), and replaying the failure reproduces that
+// state exactly. Requests rejected before they execute (validation, a
+// duplicate or unknown name at routing, an expired deadline) mutate
+// nothing and are not logged.
+func (s *Scheduler) ack(sh *shard, r jobs.Request, c metrics.Cost, err error) (metrics.Cost, error) {
+	if s.log == nil {
+		sh.unlock()
+		return c, err
+	}
+	durable := make(chan error, 1)
+	s.log.Enqueue(wal.RequestRecord(r), func(werr error) { durable <- werr })
+	sh.unlock()
+	if werr := <-durable; werr != nil && err == nil {
+		// The request is applied but not durable: surface the broken
+		// promise instead of acking cleanly.
+		err = fmt.Errorf("shard: request applied but WAL append failed: %w", werr)
+	}
+	return c, err
 }
 
 // commitInsert settles an in-flight insert reservation on shard
@@ -667,53 +584,27 @@ func (s *Scheduler) unreserve(id ident.ID, shardIdx int) {
 	s.mu.Unlock()
 }
 
-func (s *Scheduler) dispatchDelete(r jobs.Request, deadline int64, finish func(metrics.Cost, error)) error {
-	s.mu.RLock()
-	_, idx, ok := s.trackedID(r.Name)
-	s.mu.RUnlock()
-	if !ok || idx == reservedShard {
-		return fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
-	}
-	return s.send(idx, task{req: r, deadline: deadline, finish: func(c metrics.Cost, err error) {
-		if err == nil {
-			s.mu.Lock()
-			// Re-resolve the name before dropping rather than trusting an
-			// ID captured at routing: the name's CURRENT entry on this
-			// shard is the one the inner delete just removed.
-			if curID, v, ok := s.trackedID(r.Name); ok && v == idx && s.dropRoute(curID) {
-				s.loads[idx]--
-				s.active--
-			}
-			s.mu.Unlock()
-		}
-		finish(c, err)
-	}})
-}
-
 // leastLoaded returns the shard with the fewest jobs per machine —
 // counting both committed jobs and in-flight insert reservations, so a
 // burst of concurrent overflows spreads out instead of stampeding onto
-// one fallback — excluding shard `not` (ties to the lowest index).
+// one fallback — excluding shard `not` (ties to the lowest index). It
+// needs at least two shards.
 func (s *Scheduler) leastLoaded(not int) int {
-	order := s.loadOrder(not)
-	if len(order) == 0 {
-		return not
-	}
-	return order[0]
+	return s.loadOrder(not)[0]
 }
 
 // loadOrder returns every shard except `exclude`, sorted by ascending
 // (committed + in-flight) jobs per machine, ties to the lowest index.
 func (s *Scheduler) loadOrder(exclude int) []int {
 	s.mu.RLock()
-	load := make([]float64, len(s.workers))
-	for i, w := range s.workers {
-		load[i] = float64(s.loads[i]+s.inflight[i]) / float64(w.machines)
+	load := make([]float64, len(s.shards))
+	for i, sh := range s.shards {
+		load[i] = float64(s.loads[i]+s.inflight[i]) / float64(sh.machines)
 	}
 	s.mu.RUnlock()
 
-	out := make([]int, 0, len(s.workers)-1)
-	for i := range s.workers {
+	out := make([]int, 0, len(s.shards)-1)
+	for i := range s.shards {
 		if i != exclude {
 			out = append(out, i)
 		}
@@ -727,33 +618,28 @@ func (s *Scheduler) loadOrder(exclude int) []int {
 	return out
 }
 
-// each runs fn on every shard worker goroutine and waits for all of
-// them; fn must not call back into the Scheduler's request paths. The
-// caller holds the gate on an open scheduler.
-func (s *Scheduler) each(fn func(shardIdx int, inner sched.Scheduler, st *metrics.ShardCost)) {
-	var wg sync.WaitGroup
-	wg.Add(len(s.workers))
-	for i, w := range s.workers {
-		w.q <- task{ctrlDone: &wg, ctrl: func(inner sched.Scheduler, st *metrics.ShardCost) {
-			fn(i, inner, st)
-		}}
+// each runs fn on every shard in turn, holding that shard's lock; fn
+// must not call back into the Scheduler's request paths. The caller
+// holds the gate.
+func (s *Scheduler) each(fn func(i int, sh *shard)) {
+	for i := range s.shards {
+		s.locked(i, func(sh *shard) { fn(i, sh) })
 	}
-	wg.Wait()
 }
 
-// ctrlOn runs fn on shard i's worker goroutine and waits for it. The
-// caller holds the gate on an open scheduler.
-func (s *Scheduler) ctrlOn(i int, fn func(inner sched.Scheduler, st *metrics.ShardCost)) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	s.workers[i].q <- task{ctrlDone: &wg, ctrl: fn}
-	wg.Wait()
+// locked runs fn holding shard i's lock. The caller holds the gate.
+func (s *Scheduler) locked(i int, fn func(sh *shard)) {
+	sh := s.shards[i]
+	sh.lock(0)
+	defer sh.unlock()
+	fn(sh)
 }
 
 // Snapshot is a consistent view of the scheduler's schedule: the active
 // jobs, their placements (machine indices in the global range), and the
-// machine pool size, all captured in ONE control pass. Each shard
-// contributes its jobs and its placements at the same instant, so a job
+// machine pool size, all captured in ONE pass over the shards. Each
+// shard contributes its jobs and its placements under one hold of its
+// lock, so a job
 // present in Jobs always has its placement in Assignment and vice versa
 // — unlike calling Jobs() and Assignment() back to back, which lets
 // concurrent requests slip between the two passes.
@@ -774,7 +660,7 @@ type Snapshot struct {
 	ShardMachines []int
 }
 
-// Snapshot captures jobs + assignment + pool size in one control pass.
+// Snapshot captures jobs + assignment + pool size in one pass.
 // After Close it holds no jobs.
 func (s *Scheduler) Snapshot() Snapshot {
 	s.gate.RLock()
@@ -788,20 +674,20 @@ func (s *Scheduler) snapshot() Snapshot {
 		js  []jobs.Job
 		asn jobs.Assignment
 	}
-	parts := make([]part, len(s.workers))
+	parts := make([]part, len(s.shards))
 	if !s.closed {
-		s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
-			parts[i] = part{js: inner.Jobs(), asn: inner.Assignment()}
+		s.each(func(i int, sh *shard) {
+			parts[i] = part{js: sh.inner.Jobs(), asn: sh.inner.Assignment()}
 		})
 	}
 	snap := Snapshot{
 		Machines:      s.machinesLocked(),
 		Assignment:    make(jobs.Assignment),
-		ShardMachines: make([]int, len(s.workers)),
+		ShardMachines: make([]int, len(s.shards)),
 	}
 	for i, p := range parts {
-		base := s.workers[i].base
-		snap.ShardMachines[i] = s.workers[i].machines
+		base := s.shards[i].base
+		snap.ShardMachines[i] = s.shards[i].machines
 		snap.Jobs = append(snap.Jobs, p.js...)
 		for name, pl := range p.asn { //reallocvet:orderinsensitive (merge into the snapshot map; job names are unique across shards)
 			snap.Assignment[name] = jobs.Placement{Machine: base + pl.Machine, Slot: pl.Slot}
@@ -824,18 +710,19 @@ func (s *Scheduler) Jobs() []jobs.Job {
 }
 
 // Report returns the shard-aware cost report: per-shard totals of
-// requests, failures, overflow hops, batches, resizes, costs, and the
-// admission-latency histogram (enqueue to served, per request). After
+// requests, failures, overflow hops, lock acquisitions, resizes, costs,
+// and the request-latency histogram (lock wait plus execution, per
+// request). After
 // Close only the resize history is left.
 func (s *Scheduler) Report() metrics.ShardReport {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	rep := metrics.ShardReport{Shards: make([]metrics.ShardCost, len(s.workers))}
+	rep := metrics.ShardReport{Shards: make([]metrics.ShardCost, len(s.shards))}
 	if !s.closed {
-		s.each(func(i int, inner sched.Scheduler, st *metrics.ShardCost) {
-			snap := *st
-			snap.Active = inner.Active()
-			snap.Latency = s.workers[i].lat.Snapshot()
+		s.each(func(i int, sh *shard) {
+			snap := sh.stats
+			snap.Active = sh.inner.Active()
+			snap.Latency = sh.lat.Snapshot()
 			rep.Shards[i] = snap
 		})
 	}
@@ -859,22 +746,22 @@ func (s *Scheduler) Report() metrics.ShardReport {
 // where it ran.
 func (s *Scheduler) Resize(machines int) (metrics.ResizeCost, error) {
 	total := metrics.ResizeCost{Shard: -1}
-	if machines < len(s.workers) {
+	if machines < len(s.shards) {
 		return total, fmt.Errorf("shard: cannot resize %d shards to %d machines (every shard needs one)",
-			len(s.workers), machines)
+			len(s.shards), machines)
 	}
 	s.gate.Lock()
 	defer s.gate.Unlock()
 	if s.closed {
 		return total, ErrClosed
 	}
-	deltas := make([]int, len(s.workers))
-	for i, w := range s.workers {
-		m := machines / len(s.workers)
-		if i < machines%len(s.workers) {
+	deltas := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		m := machines / len(s.shards)
+		if i < machines%len(s.shards) {
 			m++
 		}
-		deltas[i] = m - w.machines
+		deltas[i] = m - sh.machines
 	}
 
 	// WRITE-AHEAD: the record is durable before any shard changes size.
@@ -933,13 +820,13 @@ func (s *Scheduler) ResizeShard(i, delta int) (metrics.ResizeCost, error) {
 
 func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) {
 	rc := metrics.ResizeCost{Shard: i, Delta: delta}
-	if i < 0 || i >= len(s.workers) {
-		return rc, fmt.Errorf("shard: resize of shard %d of %d", i, len(s.workers))
+	if i < 0 || i >= len(s.shards) {
+		return rc, fmt.Errorf("shard: resize of shard %d of %d", i, len(s.shards))
 	}
 	if delta == 0 {
 		return rc, nil
 	}
-	cur := s.workers[i].machines
+	cur := s.shards[i].machines
 	if cur+delta < 1 {
 		return rc, fmt.Errorf("shard: resize leaves shard %d with %d machines", i, cur+delta)
 	}
@@ -959,7 +846,7 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 		return rc, nil
 	}
 
-	// Shrink: drain on the worker, then re-home the evictions.
+	// Shrink: drain the shard, then re-home the evictions.
 	drop := -delta
 	var evicted []jobs.Job
 	err := s.resizeInner(i, delta, func(el sched.Elastic, st *metrics.ShardCost) error {
@@ -1009,8 +896,8 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 
 // placeEvicted re-inserts a resize-evicted job on another shard,
 // least-loaded first, with the evicting shard itself as the last
-// resort. Each attempt runs as a control task that counts itself as
-// resize work, not as a client request. The job keeps its routing
+// resort. Each attempt holds the target shard's lock and counts itself
+// as resize work, not as a client request. The job keeps its routing
 // entry on the evictor until it lands; on total failure it leaves the
 // routing table and the caller reports it dropped by name.
 func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) {
@@ -1019,10 +906,10 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 	for _, fb := range append(s.loadOrder(evictor), evictor) {
 		var c metrics.Cost
 		var err error
-		s.ctrlOn(fb, func(inner sched.Scheduler, st *metrics.ShardCost) {
-			if c, err = sched.Apply(inner, r); err == nil {
-				st.ResizeAbsorbed++
-				st.Cost.Add(c)
+		s.locked(fb, func(sh *shard) {
+			if c, err = sched.Apply(sh.inner, r); err == nil {
+				sh.stats.ResizeAbsorbed++
+				sh.stats.Cost.Add(c)
 			}
 		})
 		if err == nil {
@@ -1048,8 +935,8 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 	return metrics.Cost{}, lastErr
 }
 
-// resizeInner runs the elastic operation on shard i's worker and, on
-// success, applies the machine-count delta to the shard and shifts the
+// resizeInner runs the elastic operation on shard i under its lock
+// and, on success, applies the machine-count delta to the shard and shifts the
 // bases of the shards after it, keeping the global range contiguous.
 // The caller holds the gate exclusively, so no reader sees the inner
 // pool and the global numbering disagree.
@@ -1059,20 +946,20 @@ func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) 
 // relabels where later shards' machines appear in snapshots.
 func (s *Scheduler) resizeInner(i, delta int, op func(el sched.Elastic, st *metrics.ShardCost) error) error {
 	var err error
-	s.ctrlOn(i, func(inner sched.Scheduler, st *metrics.ShardCost) {
-		el, ok := inner.(sched.Elastic)
+	s.locked(i, func(sh *shard) {
+		el, ok := sh.inner.(sched.Elastic)
 		if !ok {
-			err = fmt.Errorf("%w (shard %d: %T)", ErrNotElastic, i, inner)
+			err = fmt.Errorf("%w (shard %d: %T)", ErrNotElastic, i, sh.inner)
 			return
 		}
-		err = op(el, st)
+		err = op(el, &sh.stats)
 	})
 	if err != nil {
 		return err
 	}
-	s.workers[i].machines += delta
-	for k := i + 1; k < len(s.workers); k++ {
-		s.workers[k].base += delta
+	s.shards[i].machines += delta
+	for k := i + 1; k < len(s.shards); k++ {
+		s.shards[k].base += delta
 	}
 	return nil
 }
@@ -1091,15 +978,15 @@ func (s *Scheduler) SelfCheck() error {
 	if s.closed {
 		return ErrClosed
 	}
-	errs := make([]error, len(s.workers))
-	routed := make([]map[string]bool, len(s.workers))
-	s.each(func(i int, inner sched.Scheduler, _ *metrics.ShardCost) {
-		if err := inner.SelfCheck(); err != nil {
+	errs := make([]error, len(s.shards))
+	routed := make([]map[string]bool, len(s.shards))
+	s.each(func(i int, sh *shard) {
+		if err := sh.inner.SelfCheck(); err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
 		}
 		names := make(map[string]bool)
-		for _, j := range inner.Jobs() {
+		for _, j := range sh.inner.Jobs() {
 			names[j.Name] = true
 		}
 		routed[i] = names
@@ -1112,7 +999,7 @@ func (s *Scheduler) SelfCheck() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	committed := 0
-	perShard := make([]int, len(s.workers))
+	perShard := make([]int, len(s.shards))
 	var fail error
 	s.names.Range(func(id ident.ID, name string) bool {
 		idx, ok := s.routeOf(id)
@@ -1234,10 +1121,9 @@ func (s *Scheduler) Checkpoint() error {
 	return nil
 }
 
-// Close waits for every request in flight to be acked, stops every
-// shard worker, closes the attached WAL (if any), and releases the
-// request channels. Requests after Close fail with ErrClosed. Close is
-// idempotent.
+// Close waits for every request in flight to be acked and closes the
+// attached WAL (if any). Requests after Close fail with ErrClosed. Close
+// is idempotent.
 func (s *Scheduler) Close() {
 	s.gate.Lock()
 	defer s.gate.Unlock()
@@ -1245,12 +1131,6 @@ func (s *Scheduler) Close() {
 		return
 	}
 	s.closed = true
-	for _, w := range s.workers {
-		close(w.q)
-	}
-	for _, w := range s.workers {
-		<-w.done
-	}
 	if s.log != nil {
 		_ = s.log.Close()
 	}

@@ -39,7 +39,7 @@ type Options struct {
 	// (default 256).
 	GroupLimit int
 	// Buffer is the append queue capacity (default 1024). Appends past
-	// it block — backpressure, matching the shard workers.
+	// it block: backpressure on the requests that enqueue them.
 	Buffer int
 	// Observer, when set, receives every byte range the log writes to a
 	// segment file: p was written to segment seg starting at byte

@@ -28,9 +28,10 @@
 //
 // Schedulers built by New are single-threaded. For concurrent callers,
 // NewSharded builds a thread-safe front-end that partitions the machine
-// pool into shards — each one an independent Theorem 1 stack behind a
-// worker goroutine — and routes requests by consistent hashing of the
-// job name, overflowing infeasible inserts to the least-loaded shard:
+// pool into shards — each one an independent Theorem 1 stack behind its
+// own lock, with every request run on its caller's goroutine — and
+// routes requests by consistent hashing of the job name, overflowing
+// infeasible inserts to the least-loaded shard:
 //
 //	s := realloc.NewSharded(realloc.WithMachines(8), realloc.WithShards(4))
 //	defer s.Close()
@@ -213,12 +214,12 @@ func New(opts ...Option) Scheduler {
 
 // NewSharded builds the concurrent sharded front-end: the machine pool
 // is partitioned across WithShards(n) shards (default 4), each running
-// one Theorem 1 stack (as built by New) behind a worker goroutine and a
-// buffered request channel. Requests route to shards by consistent
-// hashing of the job name, with inserts a shard rejects as infeasible
-// overflowing to the least-loaded shard. The result is safe for
-// concurrent use; callers that are done with it should Close it to stop
-// the shard workers.
+// one Theorem 1 stack (as built by New) behind its own lock; every
+// request runs on its caller's goroutine. Requests route to shards by
+// consistent hashing of the job name, with inserts a shard rejects as
+// infeasible overflowing to the least-loaded shard. The result is safe
+// for concurrent use; callers that are done with it should Close it,
+// which waits for the requests in flight and closes its WAL.
 //
 // Sharding preserves Theorem 1's per-request cost bounds within each
 // shard but enforces underallocation only shard-locally, so heavily
