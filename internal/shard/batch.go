@@ -70,13 +70,11 @@ func takeRoute(shards, reqs int) *routeScratch {
 	if cap(sc.shardOf) < reqs {
 		sc.shardOf = make([]int, reqs)
 		sc.primaries = make([]int, reqs)
-	}
-	sc.shardOf = sc.shardOf[:reqs]
-	sc.primaries = sc.primaries[:reqs]
-	if cap(sc.sub) < reqs {
 		sc.sub = make([]jobs.Request, reqs)
 		sc.rerouting = make([]bool, reqs)
 	}
+	sc.shardOf = sc.shardOf[:reqs]
+	sc.primaries = sc.primaries[:reqs]
 	return sc
 }
 
@@ -93,7 +91,6 @@ func (sc *routeScratch) resetGroups(shards int) {
 }
 
 func putRoute(sc *routeScratch) {
-	clear(sc.sub[:cap(sc.sub)])
 	clear(sc.live)
 	clear(sc.deletedAt)
 	clear(sc.deferredName)
@@ -104,9 +101,8 @@ func putRoute(sc *routeScratch) {
 
 // ApplyBatch serves the batch as one sub-batch per shard, on the
 // caller's goroutine. It is synchronous (like Apply) and safe for
-// concurrent use. See
-// sched.BatchScheduler for the shared bulk semantics; after Close every
-// request fails with ErrClosed.
+// concurrent use. See sched.BatchScheduler for the shared bulk
+// semantics; after Close every request fails with ErrClosed.
 //
 // A batch holds the admission gate from routing until its record is
 // logged, so no resize or checkpoint runs inside it. With a WAL attached
@@ -304,6 +300,7 @@ func (s *Scheduler) execBatchOn(si int, sh *shard, sc *routeScratch, reqs []jobs
 		sub[k] = reqs[i]
 	}
 	cs, err := sched.ApplyBatch(sh.inner, sub)
+	clear(sub) // drop the name strings before the scratch is pooled
 	st.Batches++
 	retryable := overflow == nil && len(s.shards) > 1
 	rerouting := sc.rerouting[:len(idxs)]

@@ -12,13 +12,13 @@ import (
 )
 
 // TestCloseRacesOverflowHop closes the scheduler while overflow hops
-// are in flight on their own goroutines: the hop's send must fail
-// cleanly with ErrClosed instead of panicking on a closed channel or
-// leaking the reservation. Run with -race (CI does).
+// are in flight: Close waits for every hop that started and later
+// inserts fail with ErrClosed, with no panic and no race. Run with
+// -race (CI does).
 func TestCloseRacesOverflowHop(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		// Shard 0 rejects everything, so every insert overflows to
-		// shard 1 via the hop goroutine.
+		// shard 1.
 		s := New(Config{
 			Shards: 2, Machines: 2,
 			Factory: func(m int) sched.Scheduler {

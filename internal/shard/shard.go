@@ -539,7 +539,10 @@ func (s *Scheduler) delete(r jobs.Request, deadline int64) (metrics.Cost, error)
 // (trim's recovery rebuild), and replaying the failure reproduces that
 // state exactly. Requests rejected before they execute (validation, a
 // duplicate or unknown name at routing, an expired deadline) mutate
-// nothing and are not logged.
+// nothing and are not logged. Requests on different shards log in no
+// set order, which is safe under the request contract: a request for a
+// name is issued after the previous one's ack, and an ack waits for
+// the append.
 func (s *Scheduler) ack(sh *shard, r jobs.Request, c metrics.Cost, err error) (metrics.Cost, error) {
 	if s.log == nil {
 		sh.unlock()
