@@ -192,9 +192,10 @@ func sameSentinel(a, b error) bool {
 }
 
 // TestBatchDifferentialSharded replays one stream through the sharded
-// front-end's Apply and ApplyBatch from a single goroutine. Routing is
-// deterministic and the stream is underallocated (no overflow), so the
-// final snapshots must agree exactly.
+// front-end's Apply and ApplyBatch from a single goroutine. A chunk
+// that contains a delete runs request by request, and an insert-only
+// chunk of this underallocated stream never overflows, so the final
+// snapshots must agree exactly.
 func TestBatchDifferentialSharded(t *testing.T) {
 	g, err := workload.NewGenerator(workload.Config{
 		Seed: 47, Machines: 8, Gamma: 8, Horizon: 4096, Steps: 1200,
@@ -271,9 +272,8 @@ func TestBatchDifferentialShardedDirty(t *testing.T) {
 		case i%13 == 5:
 			seq = append(seq, jobs.DeleteReq(fmt.Sprintf("ghost-%d", i)))
 		case i%7 == 2 && r.Kind == jobs.Insert:
-			// delete straight after its insert, then re-insert — the
-			// chain that exercises same-shard ride-behind and the
-			// cross-shard deferred path.
+			// delete straight after its insert, then re-insert: a
+			// chain on one name inside one batch.
 			seq = append(seq, jobs.DeleteReq(r.Name),
 				jobs.InsertReq(r.Name, r.Window.Start, r.Window.End))
 		}

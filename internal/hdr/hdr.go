@@ -95,9 +95,9 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordN adds n observations of the same value (a batch of requests
-// served in one sub-batch shares one enqueue-to-served latency). Like
-// Record it is concurrent-safe and allocation-free.
+// RecordN adds n observations of the same value (the requests a shard
+// serves under one lock hold share one latency). Like Record it is
+// concurrent-safe and allocation-free.
 //
 //reallocvet:hotpath
 func (h *Histogram) RecordN(v int64, n uint64) {

@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -611,8 +612,11 @@ func isWireError(err error) bool {
 	return !errors.As(err, &oe)
 }
 
+// expiry turns a wire deadline into an absolute expiry (zero = none).
+// A deadline too large for a time.Duration saturates to none rather
+// than wrapping into the past.
 func expiry(deadlineUS uint64) time.Time {
-	if deadlineUS == 0 {
+	if deadlineUS == 0 || deadlineUS > math.MaxInt64/uint64(time.Microsecond) {
 		return time.Time{}
 	}
 	return time.Now().Add(time.Duration(deadlineUS) * time.Microsecond)

@@ -10,6 +10,7 @@ package server_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 func newScheduler(string) (*shard.Scheduler, error) {
@@ -313,6 +315,42 @@ func TestServerDeadlineExpiry(t *testing.T) {
 	for _, pj := range snap.Jobs {
 		if pj.Job.Name != "kept" {
 			t.Fatalf("expired or stray job %q in schedule", pj.Job.Name)
+		}
+	}
+}
+
+// TestServerDeadlineBeyondClockRange: a wire deadline too large for
+// the clock means no deadline. Before, it wrapped into an expiry in
+// the past and the request was rejected un-executed.
+func TestServerDeadlineBeyondClockRange(t *testing.T) {
+	s := startServer(t, server.Config{})
+	nc := dialRaw(t, s.Addr().String())
+	for i, us := range []uint64{math.MaxInt64, 1 << 63, math.MaxUint64} {
+		f := wire.Frame{Kind: wire.KindSubmit, ID: uint64(i + 1), DeadlineUS: us,
+			Req: jobs.InsertReq(fmt.Sprintf("far-%d", i), 0, 64)}
+		if _, err := wire.WriteFrame(nc, nil, &f); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		ack, _, err := wire.ReadFrame(nc, nil)
+		if err != nil {
+			t.Fatalf("ack: %v", err)
+		}
+		if ack.Kind != wire.KindAck || ack.Code != wire.CodeOK {
+			t.Fatalf("deadline %dµs: got %s code %s, want an OK ack", us, ack.Kind, ack.Code)
+		}
+	}
+	f := wire.Frame{Kind: wire.KindBatch, ID: 9, DeadlineUS: 1 << 63, Batch: []jobs.Request{
+		jobs.InsertReq("far-b0", 0, 64), jobs.InsertReq("far-b1", 0, 64)}}
+	if _, err := wire.WriteFrame(nc, nil, &f); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	ack, _, err := wire.ReadFrame(nc, nil)
+	if err != nil {
+		t.Fatalf("batch ack: %v", err)
+	}
+	for k, code := range ack.Codes {
+		if code != wire.CodeOK {
+			t.Fatalf("batch member %d: code %s, want OK", k, code)
 		}
 	}
 }

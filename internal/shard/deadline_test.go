@@ -7,6 +7,7 @@ package shard
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -73,6 +74,18 @@ func TestApplyDeadlineUncontended(t *testing.T) {
 	}
 	if n := s.Active(); n != 32 {
 		t.Fatalf("Active() = %d, want 32", n)
+	}
+}
+
+// TestApplyDeadlineBeyondClockRange: a timeout too large to add to the
+// clock means no deadline, not one already in the past.
+func TestApplyDeadlineBeyondClockRange(t *testing.T) {
+	s := newTestSharded(t, 2, 4)
+	if _, err := s.ApplyDeadline(jobs.InsertReq("far", 0, 64), time.Duration(math.MaxInt64)); err != nil {
+		t.Fatalf("ApplyDeadline with the largest timeout = %v, want success", err)
+	}
+	if n := s.Active(); n != 1 {
+		t.Fatalf("Active() = %d, want 1", n)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/feasible"
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -101,9 +102,10 @@ func TestOverflowStormSequential(t *testing.T) {
 // TestOverflowStormNoThunderingHerd inserts exactly cluster capacity
 // from concurrent callers. The 12 overflow hops are chosen while their
 // predecessors are still in flight, so only the inflight reservations
-// in leastLoaded keep them from stampeding onto one victim shard and
-// bouncing off its full book: with the reservations every job lands,
-// without them some of the herd fails while other shards sit empty.
+// in the hop's fallback pick keep them from stampeding onto one victim
+// shard and bouncing off its full book: with the reservations every
+// job lands, without them some of the herd fails while other shards
+// sit empty.
 func TestOverflowStormNoThunderingHerd(t *testing.T) {
 	s := hotStormScheduler(t)
 	var wg sync.WaitGroup
@@ -136,9 +138,9 @@ func TestOverflowStormNoThunderingHerd(t *testing.T) {
 }
 
 // TestOverflowStormBatch pushes the same 24-insert storm through
-// ApplyBatch: the reconcile pass must spread the 20 rerouted inserts
-// with the same inflight-aware balance and the same exact counters as
-// the per-request path.
+// ApplyBatch: the overflow hops that follow the insert-only bulk pass
+// must spread the 20 rerouted inserts with the same inflight-aware
+// balance and the same exact counters as the per-request path.
 func TestOverflowStormBatch(t *testing.T) {
 	s := hotStormScheduler(t)
 	reqs := make([]jobs.Request, 24)
@@ -182,4 +184,73 @@ func TestOverflowStormBatch(t *testing.T) {
 	if err := s.SelfCheck(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOverflowMixedBatchEqualsPerRequest: a batch that contains a delete
+// returns exactly what applying its requests one at a time returns,
+// also when an insert overflows. hot-04 overflows from the full hot
+// shard to shard 1, and n-5, routed to shard 1 by the ring, must queue
+// behind it there, as it does per request.
+func TestOverflowMixedBatchEqualsPerRequest(t *testing.T) {
+	if got := hotPolicy().Route("n-5", 4); got != 1 {
+		t.Fatalf("ring routes n-5 to shard %d, the test needs shard 1", got)
+	}
+	var reqs []jobs.Request
+	for i := 0; i < 5; i++ {
+		reqs = append(reqs, hotInsert(i))
+	}
+	reqs = append(reqs, jobs.InsertReq("n-5", 0, 4), jobs.DeleteReq("hot-00"))
+
+	ref := hotStormScheduler(t)
+	refCosts := make([]metrics.Cost, len(reqs))
+	refErrs := make([]error, len(reqs))
+	for i, r := range reqs {
+		refCosts[i], refErrs[i] = ref.Apply(r)
+	}
+	s := hotStormScheduler(t)
+	costs, err := s.ApplyBatch(reqs)
+	var be *sched.BatchError
+	if err != nil && !errors.As(err, &be) {
+		t.Fatalf("non-batch error: %v", err)
+	}
+	for i := range reqs {
+		var e error
+		if be != nil {
+			e = be.At(i)
+		}
+		if (e == nil) != (refErrs[i] == nil) || !sameSentinel(e, refErrs[i]) {
+			t.Errorf("request %d: batch verdict %v, per-request %v", i, e, refErrs[i])
+		}
+		if costs[i] != refCosts[i] {
+			t.Errorf("request %d: batch cost %+v, per-request %+v", i, costs[i], refCosts[i])
+		}
+	}
+	want, got := ref.Snapshot().Assignment, s.Snapshot().Assignment
+	if len(got) != len(want) {
+		t.Fatalf("batch holds %d jobs, per-request %d", len(got), len(want))
+	}
+	for name, p := range want {
+		if got[name] != p {
+			t.Errorf("job %q at %+v batched, %+v per request", name, got[name], p)
+		}
+	}
+	rt, bt := ref.Report().Total(), s.Report().Total()
+	if rt.Overflow != bt.Overflow || rt.Rerouted != bt.Rerouted || rt.Failures != bt.Failures {
+		t.Errorf("batch overflow/rerouted/failures %d/%d/%d, per-request %d/%d/%d",
+			bt.Overflow, bt.Rerouted, bt.Failures, rt.Overflow, rt.Rerouted, rt.Failures)
+	}
+	if err := s.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameSentinel reports whether two failures carry the same scheduler
+// sentinel (both nil counts as the same).
+func sameSentinel(a, b error) bool {
+	for _, sentinel := range []error{sched.ErrDuplicateJob, sched.ErrUnknownJob, sched.ErrInfeasible} {
+		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
+			return false
+		}
+	}
+	return true
 }

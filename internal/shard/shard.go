@@ -14,11 +14,13 @@
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
 // sched.Scheduler) serves one request and returns its cost, and
-// ApplyBatch (batch.go) serves a request slice in one routing pass. Both
-// are synchronous and safe for any number of concurrent callers, with
-// one contract: requests that touch the same job name must not be in
-// flight concurrently (issue a delete after its insert returned);
-// requests for different names are unordered across shards by design.
+// ApplyBatch (batch.go) serves a request slice: request by request when
+// it contains a delete, with one lock hold per shard when it is
+// insert-only. Both are synchronous and safe for any number of
+// concurrent callers, with one contract: requests that touch the same
+// job name must not be in flight concurrently (issue a delete after its
+// insert returned); requests for different names are unordered across
+// shards by design.
 //
 // The machine pool is elastic: Resize and ResizeShard grow or shrink
 // shards' machine ranges at runtime with bounded migrations — growing
@@ -53,6 +55,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -298,28 +301,38 @@ func (sh *shard) begin(start, deadline int64) error {
 	return nil
 }
 
-// serve executes r on the shard's inner scheduler and folds the outcome
-// into the shard's statistics. The caller holds the lock and began
-// waiting for it at start. retryable marks a primary insert the front-end
-// retries on a fallback shard if this one rejects it as infeasible (such
-// a rejection counts as Rerouted, not as a Failure); overflow marks that
-// retry.
+// serve executes r on the shard's inner scheduler and tallies the
+// outcome. The caller holds the lock and began waiting for it at start.
+// See tally for retryable, overflow and reroute.
 //
 //reallocvet:hotpath
-func (sh *shard) serve(r jobs.Request, start int64, retryable, overflow bool) (metrics.Cost, error) {
-	c, err := sched.Apply(sh.inner, r)
+func (sh *shard) serve(r jobs.Request, start int64, retryable, overflow bool) (c metrics.Cost, reroute bool, err error) {
+	c, err = sched.Apply(sh.inner, r)
+	reroute = sh.tally(c, err, retryable, overflow)
+	sh.lat.Record(monotonicNS() - start)
+	return c, reroute, err
+}
+
+// tally folds one executed request's outcome into the shard's
+// statistics. The caller holds the lock. retryable marks a primary
+// insert the front-end retries on a fallback shard if this one rejects
+// it as infeasible; reroute reports that rejection, which counts as
+// Rerouted, not as a Failure. overflow marks that retry.
+//
+//reallocvet:hotpath
+func (sh *shard) tally(c metrics.Cost, err error, retryable, overflow bool) (reroute bool) {
 	sh.stats.Requests++
+	sh.stats.Cost.Add(c)
 	switch {
 	case err != nil && retryable && errors.Is(err, sched.ErrInfeasible):
 		sh.stats.Rerouted++
+		return true
 	case err != nil:
 		sh.stats.Failures++
 	case overflow:
 		sh.stats.Overflow++
 	}
-	sh.stats.Cost.Add(c)
-	sh.lat.Record(monotonicNS() - start)
-	return c, err
+	return false
 }
 
 // routeOf returns the routing value of id and whether it is tracked.
@@ -425,8 +438,9 @@ func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
 // lock — the request fails with ErrDeadlineExceeded, having mutated
 // nothing. Execution itself is never interrupted: once the request
 // starts it runs to completion, overflow hop included, so a nil error
-// always means the job state changed. timeout <= 0 means no deadline;
-// the clock starts before the request waits out a barrier (a resize, a
+// always means the job state changed. timeout <= 0 means no deadline,
+// and so does a timeout that runs past the clock's range; the clock
+// starts before the request waits out a barrier (a resize, a
 // checkpoint), so a request held up by one still expires un-executed.
 func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metrics.Cost, error) {
 	deadline := deadlineFrom(timeout)
@@ -441,34 +455,49 @@ func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metric
 		// conclude first.
 		return metrics.Cost{}, ErrClosed
 	}
-	switch r.Kind {
-	case jobs.Insert:
-		return s.insert(r, deadline)
-	case jobs.Delete:
-		return s.delete(r, deadline)
+	sh, c, err := s.exec(r, deadline)
+	if sh == nil {
+		return c, err
 	}
-	return metrics.Cost{}, fmt.Errorf("shard: unknown request kind %d", r.Kind)
+	return s.ack(sh, r, c, err)
 }
 
 // deadlineFrom converts a relative timeout to an absolute monotonicNS
-// deadline (0 = none).
+// deadline (0 = none). A timeout past the clock's range saturates to
+// none rather than wrapping into the past.
 func deadlineFrom(timeout time.Duration) int64 {
 	if timeout <= 0 {
 		return 0
 	}
-	return monotonicNS() + int64(timeout)
+	now := monotonicNS()
+	if int64(timeout) > math.MaxInt64-now {
+		return 0
+	}
+	return now + int64(timeout)
+}
+
+// exec executes a validated request under a gate the caller holds. It
+// returns the shard the request ran on, with that shard's lock still
+// held, or nil if the request was rejected before it executed (a
+// duplicate or unknown name, an expired deadline), having mutated
+// nothing.
+func (s *Scheduler) exec(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
+	if r.Kind == jobs.Insert {
+		return s.insert(r, deadline)
+	}
+	return s.delete(r, deadline)
 }
 
 // insert reserves r's name, executes r on its primary shard and, if the
-// primary rejects it as locally infeasible, on the least-loaded other
-// shard. The caller holds the gate.
-func (s *Scheduler) insert(r jobs.Request, deadline int64) (metrics.Cost, error) {
+// primary rejects it as locally infeasible, hops to the least-loaded
+// other shard. It returns like exec.
+func (s *Scheduler) insert(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
 	i := s.policy.Route(r.Name, len(s.shards))
 	s.mu.Lock()
 	id := s.names.Intern(r.Name)
 	if _, dup := s.routeOf(id); dup {
 		s.mu.Unlock()
-		return metrics.Cost{}, duplicateErr(r.Name)
+		return nil, metrics.Cost{}, duplicateErr(r.Name)
 	}
 	s.setRoute(id, reservedShard)
 	s.inflight[i]++
@@ -477,45 +506,53 @@ func (s *Scheduler) insert(r jobs.Request, deadline int64) (metrics.Cost, error)
 	start := monotonicNS()
 	sh := s.shards[i]
 	if err := sh.begin(start, deadline); err != nil {
-		s.unreserve(id, i)
-		return metrics.Cost{}, err
+		s.commitInsert(id, i, err)
+		return nil, metrics.Cost{}, err
 	}
-	retryable := len(s.shards) > 1
-	c, err := sh.serve(r, start, retryable, false)
-	if retryable && errors.Is(err, sched.ErrInfeasible) {
-		// The primary is locally overallocated: hop to the least-loaded
-		// shard. The request has started executing, so the hop waits for
-		// the fallback's lock without a deadline.
-		fb := s.leastLoaded(i)
-		s.mu.Lock()
-		s.inflight[i]--
-		s.inflight[fb]++
-		s.mu.Unlock()
+	c, reroute, err := sh.serve(r, start, len(s.shards) > 1, false)
+	if reroute {
 		sh.unlock()
-		i, sh, start = fb, s.shards[fb], monotonicNS()
-		sh.lock(0)
-		sh.stats.Batches++
-		c, err = sh.serve(r, start, false, true)
+		i, sh, c, err = s.hop(r, i)
 	}
 	s.commitInsert(id, i, err)
-	return s.ack(sh, r, c, err)
+	return sh, c, err
 }
 
-// delete executes r on the shard its job is routed to. The caller holds
-// the gate.
-func (s *Scheduler) delete(r jobs.Request, deadline int64) (metrics.Cost, error) {
+// hop retries an insert that shard `from` rejected as locally
+// infeasible on the least-loaded other shard, moving its in-flight
+// reservation along in the same routing-table lock hold as the pick, so
+// concurrent hops see each other. The request has started executing, so
+// it waits for the fallback's lock without a deadline. It returns the
+// fallback's index and the shard, whose lock it leaves held. The caller
+// holds the gate and no shard's lock.
+func (s *Scheduler) hop(r jobs.Request, from int) (int, *shard, metrics.Cost, error) {
+	s.mu.Lock()
+	fb := s.loadOrder(from)[0]
+	s.inflight[from]--
+	s.inflight[fb]++
+	s.mu.Unlock()
+	sh, start := s.shards[fb], monotonicNS()
+	sh.lock(0)
+	sh.stats.Batches++
+	c, _, err := sh.serve(r, start, false, true)
+	return fb, sh, c, err
+}
+
+// delete executes r on the shard its job is routed to. It returns like
+// exec.
+func (s *Scheduler) delete(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
 	s.mu.RLock()
 	_, i, ok := s.trackedID(r.Name)
 	s.mu.RUnlock()
 	if !ok || i == reservedShard {
-		return metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
+		return nil, metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
 	}
 	start := monotonicNS()
 	sh := s.shards[i]
 	if err := sh.begin(start, deadline); err != nil {
-		return metrics.Cost{}, err
+		return nil, metrics.Cost{}, err
 	}
-	c, err := sh.serve(r, start, false, false)
+	c, _, err := sh.serve(r, start, false, false)
 	if err == nil {
 		s.mu.Lock()
 		// Re-resolve the name before dropping rather than trusting an
@@ -527,7 +564,7 @@ func (s *Scheduler) delete(r jobs.Request, deadline int64) (metrics.Cost, error)
 		}
 		s.mu.Unlock()
 	}
-	return s.ack(sh, r, c, err)
+	return sh, c, err
 }
 
 // ack finishes a request that executed on sh, whose lock the caller
@@ -563,7 +600,12 @@ func (s *Scheduler) ack(sh *shard, r jobs.Request, c metrics.Cost, err error) (m
 // shardIdx: into the routing table on success, dropped on failure.
 func (s *Scheduler) commitInsert(id ident.ID, shardIdx int, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.settle(id, shardIdx, err)
+	s.mu.Unlock()
+}
+
+// settle is commitInsert with mu (write) held by the caller.
+func (s *Scheduler) settle(id ident.ID, shardIdx int, err error) {
 	s.inflight[shardIdx]--
 	if err != nil {
 		s.dropRoute(id)
@@ -580,32 +622,16 @@ func duplicateErr(name string) error {
 	return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, name)
 }
 
-func (s *Scheduler) unreserve(id ident.ID, shardIdx int) {
-	s.mu.Lock()
-	s.inflight[shardIdx]--
-	s.dropRoute(id)
-	s.mu.Unlock()
-}
-
-// leastLoaded returns the shard with the fewest jobs per machine —
-// counting both committed jobs and in-flight insert reservations, so a
-// burst of concurrent overflows spreads out instead of stampeding onto
-// one fallback — excluding shard `not` (ties to the lowest index). It
-// needs at least two shards.
-func (s *Scheduler) leastLoaded(not int) int {
-	return s.loadOrder(not)[0]
-}
-
 // loadOrder returns every shard except `exclude`, sorted by ascending
-// (committed + in-flight) jobs per machine, ties to the lowest index.
+// jobs per machine, ties to the lowest index. The load counts both
+// committed jobs and in-flight insert reservations, so a burst of
+// concurrent overflows spreads out instead of stampeding onto one
+// fallback. Requires mu held.
 func (s *Scheduler) loadOrder(exclude int) []int {
-	s.mu.RLock()
 	load := make([]float64, len(s.shards))
 	for i, sh := range s.shards {
 		load[i] = float64(s.loads[i]+s.inflight[i]) / float64(sh.machines)
 	}
-	s.mu.RUnlock()
-
 	out := make([]int, 0, len(s.shards)-1)
 	for i := range s.shards {
 		if i != exclude {
@@ -906,7 +932,10 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) {
 	r := jobs.Request{Kind: jobs.Insert, Name: j.Name, Window: j.Window}
 	lastErr := fmt.Errorf("%w: no fallback shard", sched.ErrInfeasible)
-	for _, fb := range append(s.loadOrder(evictor), evictor) {
+	s.mu.RLock()
+	order := append(s.loadOrder(evictor), evictor)
+	s.mu.RUnlock()
+	for _, fb := range order {
 		var c metrics.Cost
 		var err error
 		s.locked(fb, func(sh *shard) {
