@@ -9,7 +9,7 @@
 // from then on every group commit the moment it is durable
 // (KindTail), interleaved with KindPing heartbeats so an idle primary
 // is distinguishable from a wedged one. Because the WAL observer runs
-// after the write and before the acknowledgement callbacks, a write
+// after the write and before any Wait of the group returns, a write
 // acked to a client has always been handed to the shipper first: for a
 // follower that has finished installing, acked ⇒ shipped.
 //

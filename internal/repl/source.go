@@ -23,7 +23,7 @@ type SourceConfig struct {
 	Epoch uint64
 	// WriteTimeout bounds every frame write to a follower (default 5s).
 	// A follower too slow to keep up is dropped rather than allowed to
-	// stall the primary's WAL flusher.
+	// stall the primary's WAL group commits.
 	WriteTimeout time.Duration
 	// PromoteTimeout bounds each of Handoff's two waits: for a fully
 	// warm follower to hand off to, and then for that follower's
@@ -144,9 +144,9 @@ func (s *Source) Export(tenant, dir string) func(seg uint64, off int64, p []byte
 }
 
 // observe is the wal.Options.Observer hook: fan the span out to every
-// connection. It runs on the tenant's WAL flusher goroutine, before
-// the group's acks — a slow follower is bounded by WriteTimeout, not
-// allowed to wedge the flusher forever.
+// connection. It runs on the goroutine committing the tenant's WAL
+// group, before the group's acks — a slow follower is bounded by
+// WriteTimeout, not allowed to wedge the log's commits forever.
 func (f *feed) observe(seg uint64, off int64, p []byte) {
 	s := f.src
 	s.mu.Lock()
@@ -512,9 +512,9 @@ func (c *srcConn) writeLocked(f *wire.Frame) bool {
 }
 
 // tail ships one observed WAL span. Live tenants get it written
-// through immediately (on the WAL flusher goroutine, before the acks —
-// the zero-lost-acks shipping point); tenants still installing get it
-// buffered, bounded by maxPending.
+// through immediately (on the goroutine committing the WAL group,
+// before the acks — the zero-lost-acks shipping point); tenants still
+// installing get it buffered, bounded by maxPending.
 func (c *srcConn) tail(tenant string, seg uint64, off int64, p []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -7,6 +7,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -130,5 +131,34 @@ func TestDeadlineExpiryNotLogged(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "kept" {
 		t.Fatalf("WAL holds %v, want exactly [kept]: the expired request must not be logged", names)
+	}
+}
+
+// TestDeadlineShorterThanPollBudget: behind a held shard lock, a
+// deadline that passes while the request still polls the lock (before
+// it would park) fails with ErrDeadlineExceeded just like one that
+// passes while it is parked: nothing executes, the reservation is
+// released and no record is logged. Run with -cpu 1,2 to cover both
+// the polling path and the one-P path, which parks at once.
+func TestDeadlineShorterThanPollBudget(t *testing.T) {
+	dir, log := openLog(t)
+	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, WAL: log})
+	t.Cleanup(s.Close)
+	release := holdLock(t, s, 0)
+	for _, timeout := range []time.Duration{pollBudget / 5, pollBudget / 2, pollBudget - time.Microsecond} {
+		if _, err := s.ApplyDeadline(jobs.InsertReq("brief", 0, 64), timeout); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("ApplyDeadline(%v) behind a held shard lock = %v, want ErrDeadlineExceeded", timeout, err)
+		}
+	}
+	release()
+	if st := s.Report().Shards[0]; st.Requests != 0 || st.Batches != 0 {
+		t.Fatalf("shard report %+v, want no request executed", st)
+	}
+	if _, err := s.Apply(jobs.InsertReq("brief", 0, 64)); err != nil {
+		t.Fatalf("re-insert after the expiries (reservation not released?): %v", err)
+	}
+	s.Close()
+	if got := loggedNames(t, dir); fmt.Sprint(got) != "[brief]" {
+		t.Fatalf("WAL holds %v, want only the served insert: an expired attempt must not be logged", got)
 	}
 }

@@ -28,25 +28,37 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// waiters counts the goroutines waiting for a shard lock. The admission
+// waiters counts the goroutines parked on a shard lock. The admission
 // gate cannot tell: a request holds its shared side until its ack,
 // whether it waits or executes. The goroutine dump can, because it names
-// every goroutine whose stack runs through the lock. No test here runs
-// in parallel, so every such goroutine belongs to the test.
+// every goroutine whose stack runs through the lock, and its state: a
+// request still polling the lock is runnable, one parked on it sits in
+// a channel send (no deadline) or a select (with one). Only parked
+// waiters hold a place in the arrival order, so only they count. No
+// test here runs in parallel, so every such goroutine belongs to the
+// test.
 func waiters() int {
 	buf := make([]byte, 64<<10)
 	for {
 		n := runtime.Stack(buf, true)
 		if n < len(buf) {
-			return bytes.Count(buf[:n], []byte("repro/internal/shard.(*shard).lock("))
+			parked := 0
+			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
+				head, _, _ := bytes.Cut(g, []byte("\n"))
+				if bytes.Contains(g, []byte("repro/internal/shard.(*shard).lock(")) &&
+					(bytes.Contains(head, []byte("[chan send")) || bytes.Contains(head, []byte("[select"))) {
+					parked++
+				}
+			}
+			return parked
 		}
 		buf = make([]byte, 2*len(buf))
 	}
 }
 
 // applyWaiting starts one Apply per request on its own goroutine, each
-// only once the one before it waits for the held lock, so the waiters
-// queue in slice order. Each outcome lands on the returned channel.
+// only once the one before it is parked on the held lock, so the
+// waiters queue in slice order. Each outcome lands on the returned channel.
 func applyWaiting(t *testing.T, s *Scheduler, reqs []jobs.Request, timeout time.Duration) <-chan error {
 	t.Helper()
 	acks := make(chan error, len(reqs))
@@ -209,9 +221,9 @@ func TestCloseWaitsForParkedProducer(t *testing.T) {
 	}
 }
 
-// TestShardsRunOnTheirCallers: a scheduler without a WAL starts no
-// goroutine, and with shard 0's lock held a request routed to shard 1
-// still completes while one routed to shard 0 waits.
+// TestShardsRunOnTheirCallers: a scheduler starts no goroutine, with a
+// WAL or without one, and with shard 0's lock held a request routed to
+// shard 1 still completes while one routed to shard 0 waits.
 func TestShardsRunOnTheirCallers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Shards: 2, Machines: 4, Factory: stackFactory,
@@ -240,5 +252,37 @@ func TestShardsRunOnTheirCallers(t *testing.T) {
 	s.Close()
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("%d goroutine(s) left after Close", got-before)
+	}
+
+	// A logged scheduler commits on its callers too: opening the log,
+	// New, Apply (which writes a group commit), Checkpoint and Close
+	// start no goroutine.
+	dir := t.TempDir()
+	log, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := New(Config{Shards: 2, Machines: 4, Factory: stackFactory, WAL: log})
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("wal.Open and New of a logged scheduler started %d goroutine(s)", got-before)
+	}
+	if _, err := ls.Apply(jobs.InsertReq("logged", 0, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ls.Apply(jobs.DeleteReq("logged")); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("a logged Apply left %d goroutine(s) running", got-before)
+	}
+	ls.Close()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutine(s) left after a logged scheduler's Close", got-before)
+	}
+	if got := loggedNames(t, dir); fmt.Sprint(got) != "[logged]" {
+		t.Fatalf("WAL tail holds %v, want the delete after the checkpoint", got)
 	}
 }

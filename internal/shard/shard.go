@@ -8,9 +8,10 @@
 // overflows to the least-loaded shard. A shard is its inner scheduler,
 // its statistics and a one-slot lock: every request runs on its caller's
 // goroutine while it holds its shard's lock, so independent shards serve
-// requests in parallel and requests on one shard wait their turn, in
-// arrival order. Every request's lock wait plus execution lands in a
-// per-shard HDR histogram surfaced through Report.
+// requests in parallel and requests on one shard wait their turn. A
+// waiter polls the held lock briefly before it parks, and parked
+// waiters take it in arrival order. Every request's lock wait plus
+// execution lands in a per-shard HDR histogram surfaced through Report.
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
 // sched.Scheduler) serves one request and returns its cost, and
@@ -38,10 +39,11 @@
 //
 // Under a WAL a request enqueues its record while it still holds its
 // shard's lock, so the records of one shard reach the log in execution
-// order. The one exception is an insert that overflows: its failed
-// attempt on the primary can still change the primary's state (trim's
-// recovery rebuild), but its one record is enqueued under the fallback's
-// lock, so a later request on the primary can reach the log before it.
+// order, and waits for its group commit after it releases the lock.
+// The one exception is an insert that overflows: its failed attempt on
+// the primary can still change the primary's state (trim's recovery
+// rebuild), but its one record is enqueued under the fallback's lock,
+// so a later request on the primary can reach the log before it.
 //
 // Sharding trades the paper's global cost bounds for throughput: each
 // shard preserves Theorem 1's guarantees on its own machine range, but
@@ -56,6 +58,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -144,8 +147,10 @@ type Scheduler struct {
 	// runs UNDER mu: interning outside the lock would race ID
 	// release/reuse — a freed ID could be reissued to a different name
 	// between a dispatcher's intern and its routing-table write, and two
-	// names would then claim one routing slot.
-	mu       sync.RWMutex
+	// names would then claim one routing slot. mu is a plain Mutex: its
+	// holds last a few hundred nanoseconds, which sync.Mutex's own spin
+	// waits out, whereas a blocked RWMutex reader parks at once.
+	mu       sync.Mutex
 	names    *ident.Table
 	routing  []int32
 	active   int   // committed entries in the routing table
@@ -249,20 +254,44 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 	return s
 }
 
+// pollBudget bounds how long lock polls a held shard lock before it
+// parks on the channel: about what a park and a wake-up cost, so a
+// wait of a few microseconds is waited out without a futex wake-up
+// (competitive spinning: Karlin, Li, Manasse and Owicki, SOSP 1991).
+const pollBudget = 50 * time.Microsecond
+
 // lock takes the shard's lock, waiting until deadline (monotonicNS; 0 =
 // no limit). It reports false, the lock not taken, if the deadline
-// passes first.
+// passes first. A held lock is polled, yielding the P between tries,
+// for up to pollBudget when more than one P can run its holder; then
+// the request parks on the channel. Parked waiters take the lock in
+// arrival order: an unlock hands the slot straight to the first parked
+// sender, so a poller cannot take it ahead of them.
 //
 //reallocvet:hotpath
 func (sh *shard) lock(deadline int64) bool {
-	if deadline == 0 {
-		sh.slot <- struct{}{}
-		return true
-	}
 	select {
 	case sh.slot <- struct{}{}: // free: no timer needed
 		return true
 	default:
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		now := monotonicNS()
+		for end := now + int64(pollBudget); now < end; now = monotonicNS() {
+			if deadline != 0 && now >= deadline {
+				return false
+			}
+			runtime.Gosched()
+			select {
+			case sh.slot <- struct{}{}:
+				return true
+			default:
+			}
+		}
+	}
+	if deadline == 0 {
+		sh.slot <- struct{}{}
+		return true
 	}
 	remain := deadline - monotonicNS()
 	if remain <= 0 {
@@ -336,7 +365,7 @@ func (sh *shard) tally(c metrics.Cost, err error, retryable, overflow bool) (rer
 }
 
 // routeOf returns the routing value of id and whether it is tracked.
-// Requires mu (read) held.
+// Requires mu held.
 func (s *Scheduler) routeOf(id ident.ID) (int, bool) {
 	if int(id) < len(s.routing) && s.routing[id] != noShard {
 		return int(s.routing[id]), true
@@ -345,7 +374,7 @@ func (s *Scheduler) routeOf(id ident.ID) (int, bool) {
 }
 
 // setRoute writes id's routing value, growing the table on demand.
-// Requires mu (write) held.
+// Requires mu held.
 func (s *Scheduler) setRoute(id ident.ID, v int) {
 	for int(id) >= len(s.routing) {
 		s.routing = append(s.routing, noShard)
@@ -354,7 +383,7 @@ func (s *Scheduler) setRoute(id ident.ID, v int) {
 }
 
 // dropRoute removes id from the routing table and releases the ID,
-// reporting whether it was tracked. Requires mu (write) held; this is
+// reporting whether it was tracked. Requires mu held; this is
 // the ONLY place a tracked ID is released, which is what keeps the
 // interned⇔tracked invariant.
 func (s *Scheduler) dropRoute(id ident.ID) bool {
@@ -367,7 +396,7 @@ func (s *Scheduler) dropRoute(id ident.ID) bool {
 }
 
 // trackedID resolves a name to its ID if the name is currently tracked.
-// Requires mu (read) held.
+// Requires mu held.
 func (s *Scheduler) trackedID(name string) (ident.ID, int, bool) {
 	id, ok := s.names.Get(name)
 	if !ok {
@@ -411,8 +440,8 @@ func (s *Scheduler) ShardMachines(i int) int {
 
 // Active returns the number of committed active jobs.
 func (s *Scheduler) Active() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.active
 }
 
@@ -541,9 +570,9 @@ func (s *Scheduler) hop(r jobs.Request, from int) (int, *shard, metrics.Cost, er
 // delete executes r on the shard its job is routed to. It returns like
 // exec.
 func (s *Scheduler) delete(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
-	s.mu.RLock()
+	s.mu.Lock()
 	_, i, ok := s.trackedID(r.Name)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if !ok || i == reservedShard {
 		return nil, metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
 	}
@@ -570,8 +599,9 @@ func (s *Scheduler) delete(r jobs.Request, deadline int64) (*shard, metrics.Cost
 // ack finishes a request that executed on sh, whose lock the caller
 // holds. Under a WAL it enqueues the request's record before releasing
 // the lock, so one shard's records reach the log in execution order,
-// and then waits for the record's group commit, so a caller that sees
-// its ack can always recover the request. The request is logged
+// and then waits for the record's ticket (committing the group itself
+// if no write is in progress), so a caller that sees its ack can
+// always recover the request. The request is logged
 // whatever its outcome: a failed insert can still mutate inner state
 // (trim's recovery rebuild), and replaying the failure reproduces that
 // state exactly. Requests rejected before they execute (validation, a
@@ -585,10 +615,12 @@ func (s *Scheduler) ack(sh *shard, r jobs.Request, c metrics.Cost, err error) (m
 		sh.unlock()
 		return c, err
 	}
-	durable := make(chan error, 1)
-	s.log.Enqueue(wal.RequestRecord(r), func(werr error) { durable <- werr })
+	t, werr := s.log.Enqueue(wal.RequestRecord(r))
 	sh.unlock()
-	if werr := <-durable; werr != nil && err == nil {
+	if werr == nil {
+		werr = s.log.Wait(t)
+	}
+	if werr != nil && err == nil {
 		// The request is applied but not durable: surface the broken
 		// promise instead of acking cleanly.
 		err = fmt.Errorf("shard: request applied but WAL append failed: %w", werr)
@@ -604,7 +636,7 @@ func (s *Scheduler) commitInsert(id ident.ID, shardIdx int, err error) {
 	s.mu.Unlock()
 }
 
-// settle is commitInsert with mu (write) held by the caller.
+// settle is commitInsert with mu held by the caller.
 func (s *Scheduler) settle(id ident.ID, shardIdx int, err error) {
 	s.inflight[shardIdx]--
 	if err != nil {
@@ -755,9 +787,9 @@ func (s *Scheduler) Report() metrics.ShardReport {
 			rep.Shards[i] = snap
 		})
 	}
-	s.mu.RLock()
+	s.mu.Lock()
 	rep.Resizes = append([]metrics.ResizeCost(nil), s.resizes...)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	return rep
 }
 
@@ -932,9 +964,9 @@ func (s *Scheduler) resizeShardLocked(i, delta int) (metrics.ResizeCost, error) 
 func (s *Scheduler) placeEvicted(j jobs.Job, evictor int) (metrics.Cost, error) {
 	r := jobs.Request{Kind: jobs.Insert, Name: j.Name, Window: j.Window}
 	lastErr := fmt.Errorf("%w: no fallback shard", sched.ErrInfeasible)
-	s.mu.RLock()
+	s.mu.Lock()
 	order := append(s.loadOrder(evictor), evictor)
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	for _, fb := range order {
 		var c metrics.Cost
 		var err error
@@ -1028,8 +1060,8 @@ func (s *Scheduler) SelfCheck() error {
 			return err
 		}
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	committed := 0
 	perShard := make([]int, len(s.shards))
 	var fail error

@@ -234,6 +234,82 @@ func TestE10AmortizedShape(t *testing.T) {
 	}
 }
 
+// quickTable runs experiment id in quick mode and parses every cell of
+// the named columns as an integer, one []int per row (in column order).
+func quickTable(t *testing.T, id string, cols ...int) [][]int {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	tab, err := e.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatalf("%s: no rows", id)
+	}
+	out := make([][]int, len(tab.Rows))
+	for i, row := range tab.Rows {
+		for _, c := range cols {
+			v, err := strconv.Atoi(row[c])
+			if err != nil {
+				t.Fatalf("%s: unparsable cell %d of row %v", id, c, row)
+			}
+			out[i] = append(out[i], v)
+		}
+	}
+	return out
+}
+
+// TestE4MigrationLowerBoundShape pins Lemma 11 against Theorem 1 on the
+// quick table: over s adversarial requests the measured migrations sit
+// between the lower bound s/12 and one per request.
+func TestE4MigrationLowerBoundShape(t *testing.T) {
+	for _, row := range quickTable(t, "E4", 0, 1, 2) {
+		m, s, migr := row[0], row[1], row[2]
+		if 12*migr < s || migr > s {
+			t.Errorf("m=%d: %d migrations over s=%d requests, want s/12 <= migrations <= s", m, migr, s)
+		}
+	}
+}
+
+// TestE8HistoryIndependentShape pins Observation 7 on the quick table:
+// every trial, whatever the insert/delete history that reached its
+// active set, produces a byte-identical reservation state.
+func TestE8HistoryIndependentShape(t *testing.T) {
+	e, _ := ByID("E8")
+	tab, err := e.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) == 0 {
+		t.Fatal("no trials")
+	}
+	for _, row := range tab.Rows {
+		if row[len(row)-1] != "true" {
+			t.Errorf("trial %s: reservation state not identical (%v)", row[0], row)
+		}
+	}
+}
+
+// TestE12SizeBoundsMeetShape pins Section 7's open question as answered
+// for power-of-two sizes on the quick table: the greedy block
+// scheduler's worst slide costs at most k+1 (its O(k)) and the
+// adversary's cheapest sweep still costs at least k (Observation 13's
+// Ω(k)).
+func TestE12SizeBoundsMeetShape(t *testing.T) {
+	for _, row := range quickTable(t, "E12", 0, 2, 4) {
+		k, slide, sweep := row[0], row[1], row[2]
+		if slide > k+1 {
+			t.Errorf("k=%d: max slide cost %d > k+1", k, slide)
+		}
+		if sweep < k {
+			t.Errorf("k=%d: min sweep cost %d < k", k, sweep)
+		}
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tab := &Table{ID: "T", Title: "demo", Claim: "c", Header: []string{"a", "bb"}}
 	tab.AddRow(1, 2.5)

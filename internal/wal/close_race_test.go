@@ -12,11 +12,14 @@ import (
 
 // TestEnqueueCloseNeverDropsCallback pins the close-boundary ack
 // guarantee: with many goroutines enqueueing while another calls
-// Close, every Enqueue results in exactly one done invocation — nil
-// (the record was written before the log closed) or ErrClosed (the
-// append lost the race and the write never happened). A dropped or
-// doubled callback is a lost or phantom ack at the server's
-// ack-after-durability boundary. Run with -race.
+// Close, every Enqueue has exactly one outcome — a ticket whose record
+// is written exactly once and whose Wait returns nil, or ErrClosed (the
+// append lost the race and the write never happened). A lost record
+// behind a nil Wait, or a record on disk twice, is a lost or phantom
+// ack at the server's ack-after-durability boundary. Half the
+// producers wait for each ticket at once; the other half wait only
+// after enqueueing all of theirs, so Close finds tickets pending and
+// must write them. Run with -race.
 func TestEnqueueCloseNeverDropsCallback(t *testing.T) {
 	const (
 		producers = 8
@@ -25,18 +28,15 @@ func TestEnqueueCloseNeverDropsCallback(t *testing.T) {
 	)
 	for round := 0; round < rounds; round++ {
 		dir := t.TempDir()
-		// A tiny buffer forces enqueuers to block on a full channel at
-		// the close boundary, the riskiest interleaving.
-		l, _, err := Open(dir, Options{Buffer: 4, GroupLimit: 8})
+		l, _, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		var (
-			fired    atomic.Int64 // total callback invocations
-			accepted atomic.Int64 // callbacks that reported nil
-			rejected atomic.Int64 // callbacks that reported ErrClosed
-			calls    [producers * perProd]atomic.Int32
+			outcomes [producers * perProd]atomic.Int32 // 1 = acked, 2 = ErrClosed
+			accepted atomic.Int64
+			tickets  sync.Map // Ticket -> request id
 			wg       sync.WaitGroup
 		)
 		start := make(chan struct{})
@@ -45,21 +45,38 @@ func TestEnqueueCloseNeverDropsCallback(t *testing.T) {
 			go func(p int) {
 				defer wg.Done()
 				<-start
+				held := make(map[Ticket]int)
+				wait := func(tk Ticket, id int) {
+					if err := l.Wait(tk); err != nil {
+						t.Errorf("req %d: Wait = %v, want nil for a ticketed record", id, err)
+						return
+					}
+					outcomes[id].Add(1)
+					accepted.Add(1)
+				}
 				for i := 0; i < perProd; i++ {
 					id := p*perProd + i
 					rec := RequestRecord(jobs.InsertReq(fmt.Sprintf("j%d", id), 0, 64))
-					l.Enqueue(rec, func(err error) {
-						calls[id].Add(1)
-						fired.Add(1)
-						switch {
-						case err == nil:
-							accepted.Add(1)
-						case errors.Is(err, ErrClosed):
-							rejected.Add(1)
-						default:
-							t.Errorf("req %d: unexpected callback error: %v", id, err)
-						}
-					})
+					tk, err := l.Enqueue(rec)
+					switch {
+					case errors.Is(err, ErrClosed):
+						outcomes[id].Add(2)
+						continue
+					case err != nil:
+						t.Errorf("req %d: unexpected Enqueue error: %v", id, err)
+						continue
+					}
+					if prev, dup := tickets.LoadOrStore(tk, id); dup {
+						t.Errorf("req %d got ticket %d, already issued to req %d", id, tk, prev)
+					}
+					if p%2 == 0 {
+						wait(tk, id)
+					} else {
+						held[tk] = id
+					}
+				}
+				for tk, id := range held {
+					wait(tk, id)
 				}
 			}(p)
 		}
@@ -75,19 +92,14 @@ func TestEnqueueCloseNeverDropsCallback(t *testing.T) {
 		wg.Wait()
 		<-closed
 
-		total := int64(producers * perProd)
-		if got := fired.Load(); got != total {
-			t.Fatalf("round %d: %d callbacks fired, want %d (accepted=%d rejected=%d)",
-				round, got, total, accepted.Load(), rejected.Load())
-		}
-		for id := range calls {
-			if n := calls[id].Load(); n != 1 {
-				t.Fatalf("round %d: req %d: done fired %d times, want exactly 1", round, id, n)
+		for id := range outcomes {
+			if n := outcomes[id].Load(); n != 1 && n != 2 {
+				t.Fatalf("round %d: req %d: outcome code %d, want exactly one ack or one ErrClosed", round, id, n)
 			}
 		}
 
-		// Every nil-acked record must actually be on disk: the ack is
-		// the durability promise.
+		// Every acked record must be on disk exactly once: the ack is
+		// the durability promise, and a rejected append never happened.
 		got, err := Read(dir)
 		if err != nil {
 			t.Fatalf("round %d: re-reading log: %v", round, err)
@@ -95,6 +107,17 @@ func TestEnqueueCloseNeverDropsCallback(t *testing.T) {
 		if n := int64(got.Requests()); n != accepted.Load() {
 			t.Fatalf("round %d: %d records on disk, but %d acks reported success",
 				round, n, accepted.Load())
+		}
+		seen := make(map[string]bool)
+		for _, r := range got.Records {
+			var id int
+			if _, err := fmt.Sscanf(r.Req.Name, "j%d", &id); err != nil || outcomes[id].Load() != 1 {
+				t.Fatalf("round %d: record %q on disk without a successful ack", round, r.Req.Name)
+			}
+			if seen[r.Req.Name] {
+				t.Fatalf("round %d: record %q written twice", round, r.Req.Name)
+			}
+			seen[r.Req.Name] = true
 		}
 	}
 }
@@ -108,7 +131,7 @@ func TestCloseIdempotentReportsWriteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the segment file so the flusher's write fails.
+	// Sabotage the segment file so the group commit's write fails.
 	l.f.Close()
 	werr := l.Append(RequestRecord(jobs.InsertReq("x", 0, 8)))
 	if werr == nil {

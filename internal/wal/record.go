@@ -35,12 +35,15 @@
 //
 // # Group commit
 //
-// Appends are funneled through one flusher goroutine: records enqueued
-// while a write is in flight coalesce into the next write, so N
-// concurrent appenders cost one write (and, with Options.Fsync, one
-// fsync) per group rather than one per record. Completion callbacks run
-// only after the group is written, which is how the sharded front-end
-// defers request acknowledgements until durability.
+// The log is a lock, not a goroutine. Enqueue encodes a record into the
+// pending group and returns a ticket; Wait(ticket) returns once the
+// record is written. The first waiter that finds no write in progress
+// becomes the leader and writes every pending record in one write (and,
+// with Options.Fsync, one fsync), so records enqueued while a write is
+// in flight coalesce into the next one and N concurrent appenders cost
+// one write per group rather than one per record. A Wait returns only
+// after its group is written, which is how the sharded front-end defers
+// request acknowledgements until durability.
 //
 // # Codec
 //

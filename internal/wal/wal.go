@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -35,35 +38,21 @@ type Options struct {
 	// survives a process crash — and reach disk on the OS's schedule,
 	// plus explicit syncs at rotation, checkpoint, and Close.
 	Fsync bool
-	// GroupLimit caps how many queued records one group commit drains
-	// (default 256).
-	GroupLimit int
-	// Buffer is the append queue capacity (default 1024). Appends past
-	// it block: backpressure on the requests that enqueue them.
-	Buffer int
 	// Observer, when set, receives every byte range the log writes to a
 	// segment file: p was written to segment seg starting at byte
 	// offset off. Segment creation is observed as the 16-byte header at
 	// offset 0; each group commit is observed as one contiguous span.
 	//
-	// The callback runs on the flusher goroutine after the write (and
-	// fsync, under Fsync) succeeds and BEFORE the group's
-	// acknowledgement callbacks — this is the replication shipping
-	// point: an acknowledged record has always been observed first, so
-	// a shipper that forwards synchronously can guarantee acked ⇒
-	// shipped. The callback must not retain p (the buffer is reused)
-	// and must not call back into the Log. Checkpoint files are NOT
-	// observed; replication transfers them at follower connect instead.
+	// The callback runs on the goroutine that commits the group (the
+	// leader: a waiter, Rotate or Close) after the write (and fsync,
+	// under Fsync) succeeds and BEFORE any Wait of the group returns —
+	// this is the replication shipping point: an acknowledged record
+	// has always been observed first, so a shipper that forwards
+	// synchronously can guarantee acked ⇒ shipped. Calls never overlap.
+	// The callback must not retain p (the buffer is reused) and must
+	// not call back into the Log. Checkpoint files are NOT observed;
+	// replication transfers them at follower connect instead.
 	Observer func(seg uint64, off int64, p []byte)
-}
-
-func (o *Options) fill() {
-	if o.GroupLimit <= 0 {
-		o.GroupLimit = 256
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = 1024
-	}
 }
 
 // Recovered is what Open (or Read) found in a log directory.
@@ -90,41 +79,47 @@ func (r *Recovered) Requests() int {
 	return n
 }
 
-// pend is one queued flusher work item: an append (rec + done) or a
-// rotation barrier (rotate non-nil).
-type pend struct {
-	rec    Record
-	done   func(error)
-	rotate chan rotateReply
-}
+// Ticket names an enqueued record: Wait(t) returns once the record is
+// written. Tickets count up from 1 in enqueue order.
+type Ticket uint64
 
-type rotateReply struct {
-	seg uint64
-	err error
-}
+// pollBudget bounds how long Wait polls for a group commit in progress
+// before it parks: about what a park and a wake-up cost, so a write of a
+// few microseconds is waited out without a futex wake-up (competitive
+// spinning: Karlin, Li, Manasse and Owicki, SOSP 1991).
+const pollBudget = 50 * time.Microsecond
 
 // Log is an append-only write-ahead log over a directory of segment
-// files. Appends are safe for concurrent use; rotation and checkpoint
-// writes serialize through the same flusher so the segment ordering of
-// records matches their acknowledgement order.
+// files. It is a lock, not a goroutine: Enqueue encodes a record into
+// the pending group, and the first Wait that finds no write in progress
+// becomes the leader and writes every pending record as one group
+// commit. Rotate and Close take the leader role too, so the segment
+// order of records matches their enqueue order. All methods are safe
+// for concurrent use.
 type Log struct {
 	dir  string
 	opts Options
 
-	// mu guards closed and the channel send: enqueuers hold the read
-	// side, Close holds the write side while closing the channel.
-	mu     sync.RWMutex
-	closed bool
-	ch     chan pend
-	done   chan struct{}
+	// mu guards closed, werr, pending and enq, and the hand-over of the
+	// leader role; cond (on mu) wakes parked waiters when a leader ends.
+	// writing (set while a leader holds the role) and written (the last
+	// ticket written, advanced by the leader) are atomic, so a polling
+	// waiter reads them without mu.
+	mu      sync.Mutex
+	cond    sync.Cond
+	closed  bool
+	werr    error  // sticky write failure: every later append fails fast
+	pending []byte // encoded frames no leader has claimed yet
+	enq     uint64 // last ticket issued
+	written atomic.Uint64
+	writing atomic.Bool
 
-	// Flusher-owned state (no locking: only the flusher goroutine
-	// touches it after Open returns).
-	f    *os.File
-	seg  uint64
-	off  int64 // current write offset within seg (for Observer)
-	buf  []byte
-	werr error // sticky write failure: every later append fails fast
+	// Leader-owned state: touched only by the holder of the leader role
+	// (writing set), or by Open before the Log is shared.
+	f   *os.File
+	seg uint64
+	off int64  // current write offset within seg (for Observer)
+	buf []byte // the group being written; swapped with pending
 }
 
 // segPath returns the path of segment n.
@@ -300,7 +295,6 @@ func Read(dir string) (*Recovered, error) {
 // after the last valid record. The caller owns both results; the
 // Recovered state describes what a recovery must replay.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
-	opts.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
@@ -309,12 +303,8 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		return nil, nil, err
 	}
 
-	l := &Log{
-		dir:  dir,
-		opts: opts,
-		ch:   make(chan pend, opts.Buffer),
-		done: make(chan struct{}),
-	}
+	l := &Log{dir: dir, opts: opts}
+	l.cond.L = &l.mu
 	start := uint64(1)
 	if st.Checkpoint != nil && st.Checkpoint.StartSeg > 1 {
 		start = st.Checkpoint.StartSeg
@@ -359,7 +349,6 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		l.f = f
 		l.off = st.lastValid
 	}
-	go l.run()
 	return l, &st.Recovered, nil
 }
 
@@ -425,45 +414,157 @@ func WriteFileSync(path string, data []byte) error {
 	return nil
 }
 
-// Enqueue hands a record to the group-commit flusher. done runs exactly
-// once — after the record's group is written (and synced, under
-// Options.Fsync) — with nil on success or the write error. done is
-// invoked on the flusher goroutine and must not block on it.
-func (l *Log) Enqueue(rec Record, done func(error)) {
-	l.mu.RLock()
-	if l.closed {
-		l.mu.RUnlock()
-		if done != nil {
-			done(ErrClosed)
-		}
-		return
+// Enqueue encodes rec into the pending group and returns its ticket;
+// Wait(ticket) returns once the record is written. A record that cannot
+// be encoded, or an Enqueue after Close or after a write failure, gets
+// the error and no ticket.
+func (l *Log) Enqueue(rec Record) (Ticket, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.closed:
+		return 0, ErrClosed
+	case l.werr != nil:
+		return 0, l.werr
 	}
-	l.ch <- pend{rec: rec, done: done}
-	l.mu.RUnlock()
+	var err error
+	if l.pending, err = AppendFrame(l.pending, rec); err != nil {
+		return 0, err
+	}
+	l.enq++
+	return Ticket(l.enq), nil
 }
 
-// Append writes one record and blocks until its group commit completes.
+// Wait returns once ticket t's record is written (and synced, under
+// Options.Fsync): nil, or the write error of its group. A waiter that
+// finds no write in progress becomes the leader and writes every
+// pending record itself. One that finds a write in progress polls for
+// up to pollBudget (when more than one P can run the writer) and then
+// parks until the writer ends.
+func (l *Log) Wait(t Ticket) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	polled := false
+	for {
+		switch {
+		case uint64(t) <= l.written.Load():
+			return nil
+		case l.werr != nil:
+			return l.werr
+		case !l.writing.Load():
+			l.end(l.begin())
+		case !polled && runtime.GOMAXPROCS(0) > 1:
+			polled = true
+			l.mu.Unlock()
+			l.poll(t)
+			l.mu.Lock()
+		default:
+			l.cond.Wait()
+		}
+	}
+}
+
+// poll spins, yielding its P, until t is written, the write in progress
+// ends, or pollBudget passes.
+func (l *Log) poll(t Ticket) {
+	for start := time.Now(); time.Since(start) < pollBudget; runtime.Gosched() {
+		if uint64(t) <= l.written.Load() || !l.writing.Load() {
+			return
+		}
+	}
+}
+
+// begin takes the leader role, which the caller found free with mu
+// held. It claims every pending record, releases mu and writes them as
+// one group commit: one write (plus one fsync under Options.Fsync), then
+// the Observer, then the written mark, so a waiter that sees its ticket
+// written knows its record was shipped. After a write failure the group
+// is dropped unwritten. begin returns holding the role but not mu; end
+// gives the role back.
+func (l *Log) begin() error {
+	l.writing.Store(true)
+	l.buf, l.pending = l.pending, l.buf[:0]
+	last, failed := l.enq, l.werr != nil
+	l.mu.Unlock()
+	if failed || len(l.buf) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(l.buf); err != nil {
+		return fmt.Errorf("wal: append: %w", err)
+	}
+	if l.opts.Fsync {
+		if err := l.f.Sync(); err != nil {
+			return fmt.Errorf("wal: fsync: %w", err)
+		}
+	}
+	l.observe(l.seg, l.off, l.buf)
+	l.off += int64(len(l.buf))
+	l.written.Store(last)
+	return nil
+}
+
+// end retakes mu, records err as the sticky write error (the first one
+// wins), gives the leader role back and wakes the parked waiters.
+func (l *Log) end(err error) {
+	l.mu.Lock()
+	if err != nil && l.werr == nil {
+		l.werr = err
+	}
+	l.writing.Store(false)
+	l.cond.Broadcast()
+}
+
+// Append writes one record and returns once its group commit completes.
 func (l *Log) Append(rec Record) error {
-	ch := make(chan error, 1)
-	l.Enqueue(rec, func(err error) { ch <- err })
-	return <-ch
+	t, err := l.Enqueue(rec)
+	if err != nil {
+		return err
+	}
+	return l.Wait(t)
 }
 
-// Rotate flushes every queued record into the current segment, syncs
+// Rotate writes every pending record into the current segment, syncs
 // and closes it, and opens the next segment. It returns the new segment
 // number: records enqueued before Rotate land in earlier segments,
 // records enqueued after land in the returned one (or later).
 func (l *Log) Rotate() (uint64, error) {
-	l.mu.RLock()
-	if l.closed {
-		l.mu.RUnlock()
-		return 0, ErrClosed
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.writing.Load() {
+		l.cond.Wait()
 	}
-	reply := make(chan rotateReply, 1)
-	l.ch <- pend{rotate: reply}
-	l.mu.RUnlock()
-	r := <-reply
-	return r.seg, r.err
+	switch {
+	case l.closed:
+		return 0, ErrClosed
+	case l.werr != nil:
+		return 0, l.werr
+	}
+	err := l.begin()
+	if err == nil {
+		err = l.rotate()
+	}
+	seg := l.seg
+	l.end(err)
+	return seg, err
+}
+
+// rotate syncs and closes the current segment and opens the next. The
+// caller holds the leader role.
+func (l *Log) rotate() error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
+	}
+	_ = l.f.Close()
+	next := l.seg + 1
+	f, err := createSegment(l.dir, next)
+	if err != nil {
+		return err
+	}
+	l.f = f
+	l.seg = next
+	l.off = segHeaderLen
+	l.observe(next, 0, segmentHeader(next))
+	return nil
 }
 
 // WriteCheckpoint atomically installs ck as the directory's checkpoint
@@ -504,159 +605,27 @@ func ReadCheckpoint(dir string) (*Checkpoint, error) {
 	return DecodeCheckpoint(data)
 }
 
-// Close flushes every queued record, syncs, and closes the segment
-// file. Appends after Close fail with ErrClosed. Close is idempotent,
+// Close writes every pending record, syncs, and closes the segment
+// file. Enqueues after Close fail with ErrClosed. Close is idempotent,
 // and every call — including concurrent and repeated ones — waits for
-// the flusher to finish and reports the sticky write error, so no
-// caller can observe "closed cleanly" while another sees the failure.
+// the final write and reports the sticky write error, so no caller can
+// observe "closed cleanly" while another sees the failure.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if !l.closed {
-		l.closed = true
-		close(l.ch)
+	defer l.mu.Unlock()
+	l.closed = true
+	for l.writing.Load() {
+		l.cond.Wait()
 	}
-	l.mu.Unlock()
-	<-l.done
-	// Reading werr is safe here: the flusher's close(l.done) happens
-	// after its last write to werr.
-	return l.werr
-}
-
-// run is the flusher loop: drain a group, encode it, one write (plus
-// one fsync under Options.Fsync), then acknowledge each record.
-//
-// Ack guarantee: every pend that made it into l.ch gets its callback
-// (or rotate reply) exactly once before l.done closes. The main loop
-// upholds it by flushing everything it dequeues; the drain loop after
-// it upholds it structurally — Close closes l.ch only after every
-// in-flight Enqueue has completed its send, so ranging the closed
-// channel visits any item a future refactor of the fill loop might
-// leave behind, instead of silently dropping its ack.
-func (l *Log) run() {
-	defer close(l.done)
-	batch := make([]pend, 0, l.opts.GroupLimit)
-	open := true
-	for open {
-		p, ok := <-l.ch
-		if !ok {
-			break
-		}
-		if p.rotate != nil {
-			l.doRotate(p.rotate)
-			continue
-		}
-		batch = append(batch[:0], p)
-		var rot chan rotateReply
-	fill:
-		for len(batch) < l.opts.GroupLimit {
-			select {
-			case p2, ok2 := <-l.ch:
-				if !ok2 {
-					open = false
-					break fill
-				}
-				if p2.rotate != nil {
-					rot = p2.rotate
-					break fill
-				}
-				batch = append(batch, p2)
-			default:
-				break fill
-			}
-		}
-		l.flush(batch)
-		if rot != nil {
-			l.doRotate(rot)
-		}
+	if l.f == nil {
+		return l.werr // an earlier Close finished
 	}
-	// Backstop drain: the channel is closed, so this terminates. Any
-	// remaining record is still written and acknowledged — the segment
-	// file is open until finalize — never dropped.
-	for p := range l.ch {
-		if p.rotate != nil {
-			l.doRotate(p.rotate)
-			continue
-		}
-		l.flush(append(batch[:0], p))
-	}
-	l.finalize()
-}
-
-// flush writes one group commit and runs its callbacks.
-func (l *Log) flush(batch []pend) {
-	l.buf = l.buf[:0]
-	encErr := make([]error, len(batch))
-	for i, p := range batch {
-		if l.werr != nil {
-			encErr[i] = l.werr
-			continue
-		}
-		next, err := AppendFrame(l.buf, p.rec)
-		if err != nil {
-			encErr[i] = err
-			continue
-		}
-		l.buf = next
-	}
-	if l.werr == nil && len(l.buf) > 0 {
-		if _, err := l.f.Write(l.buf); err != nil {
-			l.werr = fmt.Errorf("wal: append: %w", err)
-		} else if l.opts.Fsync {
-			if err := l.f.Sync(); err != nil {
-				l.werr = fmt.Errorf("wal: fsync: %w", err)
-			}
-		}
-		if l.werr == nil {
-			// Ship before acknowledging: the Observer (replication) sees
-			// every group before any of its done callbacks can run.
-			l.observe(l.seg, l.off, l.buf)
-			l.off += int64(len(l.buf))
-		}
-	}
-	for i, p := range batch {
-		if p.done == nil {
-			continue
-		}
-		err := encErr[i]
-		if err == nil {
-			err = l.werr
-		}
-		p.done(err)
-	}
-}
-
-// doRotate syncs and closes the current segment and opens the next.
-func (l *Log) doRotate(reply chan rotateReply) {
-	if l.werr != nil {
-		reply <- rotateReply{seg: l.seg, err: l.werr}
-		return
-	}
-	if err := l.f.Sync(); err != nil {
-		l.werr = fmt.Errorf("wal: fsync: %w", err)
-		reply <- rotateReply{seg: l.seg, err: l.werr}
-		return
+	err := l.begin()
+	if serr := l.f.Sync(); serr != nil && err == nil {
+		err = fmt.Errorf("wal: fsync: %w", serr)
 	}
 	_ = l.f.Close()
-	next := l.seg + 1
-	f, err := createSegment(l.dir, next)
-	if err != nil {
-		l.werr = err
-		reply <- rotateReply{seg: l.seg, err: err}
-		return
-	}
-	l.f = f
-	l.seg = next
-	l.off = segHeaderLen
-	l.observe(next, 0, segmentHeader(next))
-	reply <- rotateReply{seg: next}
-}
-
-// finalize flushes nothing (the queue is drained), syncs, and closes.
-func (l *Log) finalize() {
-	if l.f != nil {
-		if err := l.f.Sync(); err != nil && l.werr == nil {
-			l.werr = fmt.Errorf("wal: fsync: %w", err)
-		}
-		_ = l.f.Close()
-	}
+	l.f = nil
+	l.end(err)
+	return l.werr
 }

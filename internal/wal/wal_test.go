@@ -278,7 +278,7 @@ func TestCheckpointCodecCanonical(t *testing.T) {
 
 // TestGroupCommitConcurrentAppends: many goroutines appending
 // concurrently all get durable acknowledgements, and every record is
-// recovered; the flusher must have coalesced them into fewer writes
+// recovered; their leaders may have coalesced them into fewer writes
 // than records (not directly observable, so we just assert integrity).
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
@@ -316,6 +316,144 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 			t.Fatalf("record %q recovered twice", r.Req.Name)
 		}
 		seen[r.Req.Name] = true
+	}
+}
+
+// TestObserverSeesGroupBeforeWaitReturns: with concurrent appenders,
+// every record a Wait acknowledges was already handed to the Observer
+// (acked ⇒ shipped), and records enqueued before one Wait are observed
+// as one group: one contiguous span.
+func TestObserverSeesGroupBeforeWaitReturns(t *testing.T) {
+	var (
+		mu       sync.Mutex
+		observed = make(map[string]int) // name -> observed span count
+		spans    int
+	)
+	observe := func(seg uint64, off int64, p []byte) {
+		if off == 0 {
+			return // a segment header
+		}
+		recs, valid := ScanRecords(p)
+		mu.Lock()
+		defer mu.Unlock()
+		if valid != len(p) {
+			t.Errorf("observed span of %d bytes holds %d valid bytes", len(p), valid)
+		}
+		spans++
+		for _, r := range recs {
+			observed[r.Req.Name]++
+		}
+	}
+	l, _, err := Open(t.TempDir(), Options{Observer: observe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	shipped := func(name string) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return observed[name] == 1
+	}
+
+	const goroutines, per = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				name := fmt.Sprintf("g%d-%03d", g, i)
+				if err := l.Append(RequestRecord(jobs.InsertReq(name, 0, 64))); err != nil {
+					t.Errorf("append %s: %v", name, err)
+					return
+				}
+				if !shipped(name) {
+					t.Errorf("Append(%s) returned before the Observer saw its group exactly once", name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// Three records enqueued before any Wait form one group.
+	mu.Lock()
+	before := spans
+	mu.Unlock()
+	var tickets []Ticket
+	for _, name := range []string{"x", "y", "z"} {
+		tk, err := l.Enqueue(RequestRecord(jobs.InsertReq(name, 0, 64)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for i := len(tickets) - 1; i >= 0; i-- {
+		if err := l.Wait(tickets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := spans - before; got != 1 {
+		t.Fatalf("three records enqueued before one Wait were observed as %d spans, want 1", got)
+	}
+	for _, name := range []string{"x", "y", "z"} {
+		if observed[name] != 1 {
+			t.Fatalf("record %s observed %d times, want 1", name, observed[name])
+		}
+	}
+}
+
+// TestFailedWriteReachesEveryWaiter: when a group's write fails, every
+// waiter of that group gets the write error (none sees nil), the
+// Observer never sees the group, and the failure is sticky: a later
+// Enqueue fails at once.
+func TestFailedWriteReachesEveryWaiter(t *testing.T) {
+	var observedSpans int
+	l, _, err := Open(t.TempDir(), Options{Observer: func(_ uint64, off int64, _ []byte) {
+		if off != 0 {
+			observedSpans++
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	tickets := make([]Ticket, n)
+	for i := range tickets {
+		if tickets[i], err = l.Enqueue(RequestRecord(jobs.InsertReq(fmt.Sprintf("r%d", i), 0, 64))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sabotage the segment file so the group's one write fails.
+	l.f.Close()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, tk := range tickets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l.Wait(tk)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("waiter %d of a failed group got nil", i)
+		}
+		if err != errs[0] {
+			t.Fatalf("waiter %d got %v, waiter 0 got %v: want the group's one write error", i, err, errs[0])
+		}
+	}
+	if observedSpans != 0 {
+		t.Fatalf("the Observer saw %d span(s) of a failed group", observedSpans)
+	}
+	if _, err := l.Enqueue(RequestRecord(jobs.InsertReq("later", 0, 64))); err != errs[0] {
+		t.Fatalf("Enqueue after a failed write = %v, want the sticky %v", err, errs[0])
+	}
+	if err := l.Close(); err != errs[0] {
+		t.Fatalf("Close after a failed write = %v, want the sticky %v", err, errs[0])
 	}
 }
 

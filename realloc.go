@@ -199,7 +199,9 @@ func WithWALFsync() Option { return func(o *Options) { o.walFsync = true } }
 // group's acknowledgements run. This is the replication shipping hook:
 // internal/repl's Source.Export returns exactly such a function, and
 // wiring it here is what makes "acked ⇒ shipped to the follower" hold.
-// fn runs on the WAL flusher goroutine and must not retain group. It
+// fn runs on the goroutine that commits the group (a request waiting
+// for its ack, a checkpoint or Close), one call at a time, and must not
+// retain group. It
 // has no effect without WithWAL (or outside OpenRecovered).
 func WithWALObserver(fn func(seg uint64, off int64, group []byte)) Option {
 	return func(o *Options) { o.walObserve = fn }
