@@ -56,7 +56,6 @@ var deadKeep = map[string]string{
 	"repro/internal/jobs.Window.ContainsWindow": "align's property tests of ALIGNED(W) and laminarity",
 	"repro/internal/jobs.Window.Overlaps":       "align's laminarity and Lemma 2 tests",
 	"repro/internal/sched.RunChecked":           "the invariant-checked replay loop of the schedulers' tests",
-	"repro/internal/wal.ReadCheckpoint":         "shard's checkpoint tests",
 	"repro/internal/workload.Burst":             "the burst stream of the replay goldens and crash tests",
 	"repro/internal/repl.Follower.PromoteNow":   "the promotion drills in the external repl_test package",
 	"repro/internal/repl.Source.Fenced":         "the fencing drill in the external repl_test package",

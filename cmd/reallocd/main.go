@@ -117,32 +117,11 @@ func main() {
 
 	cfg := server.Config{
 		NewScheduler: func(tenant string) (*shard.Scheduler, error) {
-			opts := baseOpts()
 			if *walRoot == "" {
 				logger.Printf("tenant %q: created (in-memory)", tenant)
-				return realloc.NewSharded(opts...), nil
+				return realloc.NewSharded(baseOpts()...), nil
 			}
-			dir := filepath.Join(*walRoot, repl.TenantDir(tenant))
-			if reason, ok := repl.Discarded(dir); ok {
-				return nil, fmt.Errorf("tenant %q: mirror at %s was discarded at promotion (%s); refusing to recover an incomplete WAL — restore it from a live replica or remove the directory to start empty", tenant, dir, reason)
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			if *fsync {
-				opts = append(opts, realloc.WithWALFsync())
-			}
-			if src != nil {
-				opts = append(opts, realloc.WithWALObserver(src.Export(tenant, dir)))
-			}
-			// OpenRecovered handles both a fresh directory and an
-			// existing log: recover, replay, and continue appending.
-			s, rec, err := realloc.OpenRecovered(dir, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("recovering tenant %q from %s: %w", tenant, dir, err)
-			}
-			logRecovery(logger, tenant, dir, rec)
-			return s, nil
+			return openTenant(logger, *walRoot, tenant, *fsync, src, baseOpts())
 		},
 		MaxInflight: *inflight,
 		BatchLimit:  *batch,
@@ -197,6 +176,36 @@ func main() {
 		src.Close()
 	}
 	logger.Printf("drained; bye")
+}
+
+// openTenant recovers tenant's durable scheduler from its directory
+// under walRoot, or creates it there: OpenRecovered handles both a
+// fresh directory and an existing log (recover, replay, and continue
+// appending). A promotion tombstone means the directory is an
+// incomplete prefix of the old primary's WAL: recovering it would
+// silently serve stale state, so it is refused loudly instead. With a
+// replication source (the primary's -repl), the WAL is exported to it
+// BEFORE it is opened, so the very first observed byte ships too.
+func openTenant(logger *log.Logger, walRoot, tenant string, fsync bool, src *repl.Source, opts []realloc.Option) (*shard.Scheduler, error) {
+	dir := filepath.Join(walRoot, repl.TenantDir(tenant))
+	if reason, ok := repl.Discarded(dir); ok {
+		return nil, fmt.Errorf("tenant %q: mirror at %s was discarded at promotion (%s); refusing to recover an incomplete WAL — restore it from a live replica or remove the directory to start empty", tenant, dir, reason)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	if fsync {
+		opts = append(opts, realloc.WithWALFsync())
+	}
+	if src != nil {
+		opts = append(opts, realloc.WithWALObserver(src.Export(tenant, dir)))
+	}
+	s, rec, err := realloc.OpenRecovered(dir, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("recovering tenant %q from %s: %w", tenant, dir, err)
+	}
+	logRecovery(logger, tenant, dir, rec)
+	return s, nil
 }
 
 // logRecovery reports every Recovery field: what seeded the scheduler,
@@ -271,26 +280,7 @@ func runFollower(logger *log.Logger, primary, addr, walRoot string, promoteAfter
 			}
 			// Not replicated (or created after promotion): recover
 			// from (or create under) the mirror root like a primary.
-			// A promotion tombstone means the mirror is an incomplete
-			// prefix of the old primary's WAL: recovering it would
-			// silently serve stale state, so refuse loudly instead.
-			dir := filepath.Join(walRoot, repl.TenantDir(tenant))
-			if reason, ok := repl.Discarded(dir); ok {
-				return nil, fmt.Errorf("tenant %q: mirror at %s was discarded at promotion (%s); refusing to recover an incomplete WAL — restore it from a live replica or remove the directory to start empty", tenant, dir, reason)
-			}
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return nil, err
-			}
-			opts := baseOpts()
-			if fsync {
-				opts = append(opts, realloc.WithWALFsync())
-			}
-			s, rec, err := realloc.OpenRecovered(dir, opts...)
-			if err != nil {
-				return nil, fmt.Errorf("recovering tenant %q from %s: %w", tenant, dir, err)
-			}
-			logRecovery(logger, tenant, dir, rec)
-			return s, nil
+			return openTenant(logger, walRoot, tenant, fsync, nil, baseOpts())
 		},
 		MaxInflight: inflight,
 		BatchLimit:  batch,

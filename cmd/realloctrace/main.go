@@ -139,14 +139,14 @@ func dumpWAL(dir string, w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	if ck := rec.Checkpoint; ck != nil {
-		fmt.Fprintf(w, "# checkpoint: %d job(s) on %d machine(s) across %d shard(s) %v; log replays from segment %d\n",
-			len(ck.Jobs), ck.Machines(), len(ck.ShardMachines), ck.ShardMachines, ck.StartSeg)
+		fmt.Fprintf(w, "# checkpoint record: %d job(s) on %d machine(s) across %d shard(s) %v\n",
+			len(ck.Jobs), ck.Machines(), len(ck.ShardMachines), ck.ShardMachines)
 		for _, j := range ck.Jobs {
 			if err := enc.Encode(fromRequest(realloc.InsertReq(j.Name, j.Window.Start, j.Window.End))); err != nil {
 				return err
 			}
 		}
-		fmt.Fprintln(w, "# end of checkpoint image; log tail follows")
+		fmt.Fprintln(w, "# end of checkpoint image; the records after it follow")
 	}
 	for _, r := range rec.Records {
 		switch r.Kind {

@@ -24,9 +24,9 @@ type FollowerConfig struct {
 	// lives directly under it and each tenant's mirrored WAL in
 	// Dir/TenantDir(tenant).
 	Dir string
-	// NewScheduler builds the warm scheduler a tenant's shipped
-	// checkpoint is installed into (ck is nil when the primary had no
-	// checkpoint yet). Normally a realloc.NewShardedFromCheckpoint
+	// NewScheduler builds a tenant's warm scheduler from the checkpoint
+	// record that opens its shipped log (ck is nil when the log opens
+	// with no checkpoint). Normally a realloc.NewShardedFromCheckpoint
 	// closure; it must use the same options the primary runs with so
 	// tail replay reproduces the primary's decisions.
 	NewScheduler func(tenant string, ck *wal.Checkpoint) (*shard.Scheduler, error)
@@ -67,14 +67,15 @@ func (c *FollowerConfig) fill() error {
 }
 
 // replica is one tenant's warm state: the scheduler records replay
-// into, the mirror of the primary's segment files, and the ingest
-// cursor that keeps the byte stream contiguous.
+// into (built at the first complete record), the mirror of the
+// primary's segment files, and the ingest cursor that keeps the byte
+// stream contiguous.
 type replica struct {
 	tenant string
 	dir    string
 	sched  *shard.Scheduler
 
-	minSeg  uint64           // first segment not covered by the checkpoint
+	minSeg  uint64           // the segment the install began at
 	seg     uint64           // segment currently being ingested (0 = none yet)
 	written int64            // contiguous bytes ingested into seg
 	done    map[uint64]int64 // finished segments -> their final size
@@ -375,7 +376,7 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 		case wire.KindSegmentChunk, wire.KindTail:
 			err = f.ingest(fr.Tenant, fr.Seg, fr.Off, fr.Data)
 		case wire.KindInstalled:
-			f.markInstalled(fr.Tenant)
+			err = f.markInstalled(fr.Tenant)
 		case wire.KindPromote:
 			f.cfg.Logf("repl: primary handed off: %s", fr.Detail)
 			if perr := f.promote(fr.Epoch, "primary handoff"); perr != nil {
@@ -394,18 +395,15 @@ func (f *Follower) session(nc net.Conn, lastContact *time.Time) (bool, error) {
 }
 
 // install begins (or restarts) tenant's snapshot: wipe the local
-// mirror, persist the checkpoint image, and build a warm scheduler
-// from it. A reconnect replays the whole install, so any partial state
-// from a broken session is discarded wholesale.
-func (f *Follower) install(tenant string, ckData []byte) error {
-	dir := filepath.Join(f.cfg.Dir, TenantDir(tenant))
-	var ck *wal.Checkpoint
-	if len(ckData) > 0 {
-		var err error
-		if ck, err = wal.DecodeCheckpoint(ckData); err != nil {
-			return fmt.Errorf("repl: shipped checkpoint for %q: %w", tenant, err)
-		}
+// mirror and drop the replica. The scheduler is built later, from the
+// first complete record the install ships (apply), or at Installed for
+// an empty log. A reconnect replays the whole install, so any partial
+// state from a broken session is discarded wholesale.
+func (f *Follower) install(tenant string, data []byte) error {
+	if len(data) > 0 {
+		return fmt.Errorf("repl: the primary shipped a %d-byte checkpoint file for %q: it writes an older log format", len(data), tenant)
 	}
+	dir := filepath.Join(f.cfg.Dir, TenantDir(tenant))
 	f.mu.Lock()
 	if old := f.tenants[tenant]; old != nil {
 		old.close()
@@ -418,45 +416,39 @@ func (f *Follower) install(tenant string, ckData []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return &fatalError{fmt.Errorf("repl: create mirror for %q: %w", tenant, err)}
 	}
-	if len(ckData) > 0 {
-		if err := wal.WriteFileSync(wal.CheckpointPath(dir), ckData); err != nil {
-			return &fatalError{fmt.Errorf("repl: persist checkpoint for %q: %w", tenant, err)}
-		}
-	}
-	s, err := f.cfg.NewScheduler(tenant, ck)
-	if err != nil {
-		return &fatalError{fmt.Errorf("repl: build scheduler for %q: %w", tenant, err)}
-	}
-	r := &replica{tenant: tenant, dir: dir, sched: s, minSeg: 1, done: make(map[uint64]int64)}
-	if ck != nil {
-		r.minSeg = ck.StartSeg
-	}
 	f.mu.Lock()
-	f.tenants[tenant] = r
+	f.tenants[tenant] = &replica{tenant: tenant, dir: dir, done: make(map[uint64]int64)}
 	f.mu.Unlock()
-	f.cfg.Logf("repl: installing %q (checkpoint: %d jobs, replay from segment %d)",
-		tenant, ckJobs(ck), r.minSeg)
+	f.cfg.Logf("repl: installing %q", tenant)
 	return nil
 }
 
-func ckJobs(ck *wal.Checkpoint) int {
-	if ck == nil {
-		return 0
+// build gives r its warm scheduler, restored from ck (nil: empty).
+func (f *Follower) build(r *replica, ck *wal.Checkpoint) error {
+	s, err := f.cfg.NewScheduler(r.tenant, ck)
+	if err != nil {
+		return &fatalError{fmt.Errorf("repl: build scheduler for %q: %w", r.tenant, err)}
 	}
-	return len(ck.Jobs)
+	r.sched = s
+	return nil
 }
 
-func (f *Follower) markInstalled(tenant string) {
+func (f *Follower) markInstalled(tenant string) error {
 	f.mu.Lock()
-	n := -1
-	if r := f.tenants[tenant]; r != nil {
-		r.installed = true
-		n = r.records
+	defer f.mu.Unlock()
+	r := f.tenants[tenant]
+	if r == nil {
+		return nil
 	}
-	f.mu.Unlock()
-	if n >= 0 {
-		f.cfg.Logf("repl: %q installed (%d records replayed so far)", tenant, n)
+	if r.sched == nil {
+		// The shipped log holds no record yet.
+		if err := f.build(r, nil); err != nil {
+			return err
+		}
 	}
+	r.installed = true
+	f.cfg.Logf("repl: %q installed (%d records replayed so far)", tenant, r.records)
+	return nil
 }
 
 // ingest feeds one shipped byte span into tenant's replica: mirror it
@@ -474,7 +466,7 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 		return fmt.Errorf("repl: span for %q before its CheckpointInstall", tenant)
 	}
 	if seg < r.minSeg {
-		return nil // covered by the installed checkpoint image
+		return nil // older than the segment the install began at
 	}
 	if r.seg != 0 && seg < r.seg {
 		// A replayed overlap from the install/live handover: it must be
@@ -492,6 +484,9 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 		}
 		if off != 0 {
 			return fmt.Errorf("repl: %q segment %d starts at offset %d, want 0", tenant, seg, off)
+		}
+		if r.seg == 0 {
+			r.minSeg = seg
 		}
 		if r.file != nil {
 			r.done[r.seg] = r.written
@@ -525,7 +520,7 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 	r.buf = append(r.buf, fresh...)
 	recs, valid := wal.ScanRecords(r.buf)
 	for _, rec := range recs {
-		if err := r.apply(rec); err != nil {
+		if err := f.apply(r, rec); err != nil {
 			return &fatalError{fmt.Errorf("repl: replay for %q: %w", tenant, err)}
 		}
 	}
@@ -535,8 +530,24 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 
 // apply replays one record through the scheduler's one replay path
 // (logging off — the same call realloc.OpenRecovered makes) and counts
-// it. An error means the record was refused, not that a request failed.
-func (r *replica) apply(rec wal.Record) error {
+// it. The replica's first record builds its scheduler: from the image
+// when it is a checkpoint, empty before replaying it otherwise. A later
+// checkpoint (the primary checkpointed while this replica was live)
+// images the state the scheduler already holds, so it is mirrored but
+// not replayed. An error means the record was refused, not that a
+// request failed.
+func (f *Follower) apply(r *replica, rec wal.Record) error {
+	if rec.Kind == wal.KindCheckpoint {
+		if r.sched == nil {
+			return f.build(r, rec.Checkpoint)
+		}
+		return nil
+	}
+	if r.sched == nil {
+		if err := f.build(r, nil); err != nil {
+			return err
+		}
+	}
 	failed, err := r.sched.Replay(rec)
 	if err != nil {
 		return err

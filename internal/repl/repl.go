@@ -3,26 +3,31 @@
 //
 // The primary side is a Source: each tenant's WAL registers a shipping
 // feed (Export returns the wal.Options.Observer callback), and every
-// connected follower receives, per tenant, the latest checkpoint image
-// (KindCheckpointInstall), the retained segment files
-// (KindSegmentChunk), an end-of-snapshot marker (KindInstalled), and
-// from then on every group commit the moment it is durable
-// (KindTail), interleaved with KindPing heartbeats so an idle primary
+// connected follower receives, per tenant, an install marker
+// (KindCheckpointInstall, its data empty), the segment files from the
+// newest checkpoint record on (KindSegmentChunk; wal.ReplaySegments
+// picks them, so the image travels as segment bytes), an
+// end-of-snapshot marker (KindInstalled), and from then on every group
+// commit the moment it is durable (KindTail, a later checkpoint
+// included), interleaved with KindPing heartbeats so an idle primary
 // is distinguishable from a wedged one. Because the WAL observer runs
 // after the write and before any Wait of the group returns, a write
 // acked to a client has always been handed to the shipper first: for a
 // follower that has finished installing, acked ⇒ shipped.
 //
-// The follower side is a Follower: it dials the primary, installs each
-// tenant's checkpoint into a warm shard.Scheduler (built by the
-// caller, normally via realloc.NewShardedFromCheckpoint), mirrors the
-// shipped segment bytes to its own WAL directory, and replays each
-// complete record through the normal admission paths with logging off
-// — the same replay discipline as realloc.OpenRecovered. Promotion
-// (explicit KindPromote from a sealing primary, PromoteNow, or a
-// primary-loss timeout keyed off the last frame received) persists the
-// new fencing epoch, opens the mirrored WALs, and attaches them,
-// leaving fully warm schedulers ready to serve. A tenant still
+// The follower side is a Follower: it dials the primary, mirrors the
+// shipped segment bytes to its own WAL directory, builds each tenant's
+// warm shard.Scheduler at the first complete record (from its image
+// when that record is a checkpoint; built by the caller, normally via
+// realloc.NewShardedFromCheckpoint), and replays every later record
+// through the normal admission paths with logging off — the same
+// replay discipline as realloc.OpenRecovered. A checkpoint reaching a
+// built scheduler is mirrored, not replayed: it images state the
+// scheduler already holds. Promotion (explicit KindPromote from a
+// sealing primary, PromoteNow, or a primary-loss timeout keyed off the
+// last frame received) persists the new fencing epoch, opens the
+// mirrored WALs, and attaches them, leaving fully warm schedulers ready
+// to serve. A tenant still
 // installing at promotion is discarded and its mirror directory
 // tombstoned (MarkDiscarded), so no recovery path can later mistake
 // the incomplete mirror for a real WAL.
@@ -43,8 +48,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	"repro/internal/wal"
 )
 
 // TenantDir maps a tenant name to a filesystem-safe directory name:
@@ -87,7 +90,7 @@ func MarkDiscarded(dir, reason string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return wal.WriteFileSync(filepath.Join(dir, discardedFile), []byte(reason+"\n"))
+	return writeFileSync(filepath.Join(dir, discardedFile), []byte(reason+"\n"))
 }
 
 // Discarded reports whether dir carries a promotion tombstone, and the
@@ -125,5 +128,35 @@ func WriteEpoch(root string, epoch uint64) error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return err
 	}
-	return wal.WriteFileSync(filepath.Join(root, epochFile), []byte(strconv.FormatUint(epoch, 10)+"\n"))
+	return writeFileSync(filepath.Join(root, epochFile), []byte(strconv.FormatUint(epoch, 10)+"\n"))
+}
+
+// writeFileSync replaces path with data durably: it writes a temp file
+// beside path, fsyncs and closes it, renames it over path, and syncs
+// the directory (best-effort: not every platform can sync one). On
+// failure the temp file is removed and path is left as it was.
+func writeFileSync(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = d.Sync()
+		_ = d.Close()
+	}
+	return nil
 }

@@ -283,6 +283,93 @@ func TestLateJoinSelfPromote(t *testing.T) {
 	}
 }
 
+// TestCheckpointPastChunkCapReplicates: a checkpoint image larger than
+// one replication frame's data (wire.MaxChunk) still reaches a late
+// follower, chunked like any other segment bytes. The follower warms,
+// promotes, and holds every job the primary held.
+func TestCheckpointPastChunkCapReplicates(t *testing.T) {
+	primaryDir := t.TempDir()
+	src := repl.NewSource(repl.SourceConfig{Epoch: 0, Logf: t.Logf})
+	addr, err := src.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer src.Close()
+	obs := src.Export("acme", primaryDir)
+	prim, _, err := realloc.OpenRecovered(primaryDir,
+		append(stackOptions(), realloc.WithWALObserver(obs))...)
+	if err != nil {
+		t.Fatalf("open primary: %v", err)
+	}
+	defer prim.Close()
+
+	// About 212 encoded bytes a job: 21,000 jobs cross 4 MiB.
+	const jobsN, batchN = 21000, 1000
+	pad := strings.Repeat("x", 194)
+	for b := 0; b < jobsN; b += batchN {
+		batch := make([]jobs.Request, 0, batchN)
+		for i := b; i < b+batchN; i++ {
+			batch = append(batch, jobs.InsertReq(fmt.Sprintf("%s-%05d", pad, i), jobs.Time(i*16), jobs.Time(i*16+16)))
+		}
+		if _, err := realloc.ApplyBatch(prim, batch); err != nil {
+			t.Fatalf("batch at %d: %v", b, err)
+		}
+	}
+	snap := prim.Snapshot()
+	image, err := wal.AppendFrame(nil, wal.Record{Kind: wal.KindCheckpoint, Checkpoint: &wal.Checkpoint{
+		ShardMachines: snap.ShardMachines, Jobs: snap.Jobs, Assignment: snap.Assignment,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(image) <= wire.MaxChunk {
+		t.Fatalf("the image is %d bytes, not past the %d-byte chunk cap", len(image), wire.MaxChunk)
+	}
+	if err := prim.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if _, err := prim.Apply(jobs.InsertReq("after", 1<<30, 1<<30+16)); err != nil {
+		t.Fatal(err)
+	}
+	want := prim.Snapshot()
+
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Primary:      addr.String(),
+		Dir:          t.TempDir(),
+		NewScheduler: newFollowerSched,
+		RedialEvery:  20 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("new follower: %v", err)
+	}
+	defer fol.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- fol.Run() }()
+	waitUntil(t, "follower warm from the large image", func() bool {
+		st := fol.Stats()
+		return st.Warm == 1 && st.Records >= 1
+	})
+	fol.PromoteNow()
+	if err := <-runErr; err != nil {
+		t.Fatalf("follower run: %v", err)
+	}
+	adopted := fol.Adopt("acme")
+	if adopted == nil {
+		t.Fatal("Adopt returned nil after promotion")
+	}
+	defer adopted.Close()
+	got := adopted.Snapshot()
+	if len(got.Jobs) != len(want.Jobs) || len(want.Jobs) != jobsN+1 {
+		t.Fatalf("promoted follower holds %d jobs, want %d", len(got.Jobs), jobsN+1)
+	}
+	for _, j := range want.Jobs {
+		if _, ok := got.Assignment[j.Name]; !ok {
+			t.Fatalf("promoted follower lost job %q", j.Name)
+		}
+	}
+}
+
 // TestFencedPrimaryRefused: a follower that promoted past the primary
 // proves the primary deposed — the handshake must be refused with
 // CodeFenced and the Source must surface Fenced().

@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
 	"os"
 	"sync"
@@ -67,8 +68,8 @@ type feed struct {
 }
 
 // Source is the primary-side replication endpoint: it accepts follower
-// connections, streams each registered tenant's checkpoint + segments
-// + live tail, and can hand the primary role to a follower.
+// connections, streams each registered tenant's segments from its
+// newest checkpoint record on, then its live tail, and can hand the primary role to a follower.
 type Source struct {
 	cfg SourceConfig
 
@@ -561,40 +562,24 @@ func (c *srcConn) beginInstall(f *feed) {
 	go c.install(f)
 }
 
-// install transfers tenant f's snapshot: checkpoint image, then every
-// retained segment in chunks, then (atomically with going live) the
-// tails buffered while the transfer ran, then Installed. File reads
-// happen without holding c.mu, so live tails keep buffering in
-// parallel. A file that vanishes mid-transfer (a checkpoint pruned it)
-// fails the connection; the follower reconnects and reinstalls against
+// install transfers tenant f's snapshot: the CheckpointInstall marker,
+// then every segment from the replay start (wal.ReplaySegments: the
+// newest checkpoint record on) in chunks, then (atomically with going
+// live) the tails buffered while the transfer ran, then Installed. File
+// reads happen without holding c.mu, so live tails keep buffering in
+// parallel. A segment that vanishes mid-transfer (a checkpoint pruned
+// it) fails the connection; the follower reconnects and reinstalls from
 // the newer checkpoint.
 func (c *srcConn) install(f *feed) {
-	ckData, err := os.ReadFile(wal.CheckpointPath(f.dir))
-	if err != nil && !os.IsNotExist(err) {
-		c.fail(fmt.Errorf("read checkpoint for %q: %w", f.tenant, err))
-		return
-	}
-	startSeg := uint64(1)
-	if len(ckData) > 0 {
-		ck, err := wal.DecodeCheckpoint(ckData)
-		if err != nil {
-			c.fail(fmt.Errorf("decode checkpoint for %q: %w", f.tenant, err))
-			return
-		}
-		startSeg = ck.StartSeg
-	}
-	segs, err := wal.ListSegments(f.dir)
-	if err != nil && !os.IsNotExist(err) {
+	segs, err := wal.ReplaySegments(f.dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		c.fail(fmt.Errorf("list segments for %q: %w", f.tenant, err))
 		return
 	}
-	if !c.write(&wire.Frame{Kind: wire.KindCheckpointInstall, Tenant: f.tenant, Data: ckData}) {
+	if !c.write(&wire.Frame{Kind: wire.KindCheckpointInstall, Tenant: f.tenant}) {
 		return
 	}
 	for _, n := range segs {
-		if n < startSeg {
-			continue // covered by the checkpoint image
-		}
 		data, err := os.ReadFile(wal.SegmentPath(f.dir, n))
 		if err != nil {
 			c.fail(fmt.Errorf("read segment %d for %q: %w", n, f.tenant, err))

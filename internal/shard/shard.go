@@ -1152,13 +1152,12 @@ func (s *Scheduler) AttachWAL(l *wal.Log) {
 	s.log = l
 }
 
-// Checkpoint atomically captures a point-in-time image of the scheduler
-// (jobs, placements, machine-range partition) and installs it as the
-// WAL directory's checkpoint, bounding recovery to "restore the image,
-// replay the tail". It is a barrier like Resize: with the gate held
-// exclusively no request is in flight, so rotating the log to a fresh
-// segment and then taking the snapshot cuts the log exactly — the image
-// covers every record of the pruned segments and none of the new one.
+// Checkpoint captures a point-in-time image of the scheduler (jobs,
+// placements, machine-range partition) and writes it into the WAL as a
+// checkpoint record at the head of a fresh segment, bounding recovery
+// to "restore the image, replay the records after it". It is a barrier
+// like Resize: with the gate held exclusively no request is in flight,
+// so the image covers every record before it and none after.
 // Checkpoint requires an attached WAL.
 func (s *Scheduler) Checkpoint() error {
 	if s.log == nil {
@@ -1169,18 +1168,13 @@ func (s *Scheduler) Checkpoint() error {
 	if s.closed {
 		return ErrClosed
 	}
-	seg, err := s.log.Rotate()
-	if err != nil {
-		return fmt.Errorf("shard: checkpoint rotation: %w", err)
-	}
 	snap := s.snapshot()
-	if err := s.log.WriteCheckpoint(wal.Checkpoint{
-		StartSeg:      seg,
+	if err := s.log.Checkpoint(&wal.Checkpoint{
 		ShardMachines: snap.ShardMachines,
 		Jobs:          snap.Jobs,
 		Assignment:    snap.Assignment,
 	}); err != nil {
-		return fmt.Errorf("shard: checkpoint write: %w", err)
+		return fmt.Errorf("shard: checkpoint: %w", err)
 	}
 	return nil
 }

@@ -56,7 +56,6 @@ func TestRestoreFromCheckpoint(t *testing.T) {
 	}
 	snap := s.Snapshot()
 	ck := &wal.Checkpoint{
-		StartSeg:      1,
 		ShardMachines: snap.ShardMachines,
 		Jobs:          snap.Jobs,
 		Assignment:    snap.Assignment,
@@ -124,7 +123,7 @@ func TestRestoreIsDeterministic(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	ck := &wal.Checkpoint{StartSeg: 1, ShardMachines: snap.ShardMachines, Jobs: snap.Jobs, Assignment: snap.Assignment}
+	ck := &wal.Checkpoint{ShardMachines: snap.ShardMachines, Jobs: snap.Jobs, Assignment: snap.Assignment}
 	a, err := Restore(Config{Factory: elasticStackFactory}, ck)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +149,6 @@ func TestRestoreIsDeterministic(t *testing.T) {
 // partition is an error, not a silent re-partition.
 func TestRestoreConfigMismatch(t *testing.T) {
 	ck := &wal.Checkpoint{
-		StartSeg:      1,
 		ShardMachines: []int{2, 2},
 		Assignment:    jobs.Assignment{},
 	}
@@ -243,12 +241,13 @@ func TestCheckpointRacesSubmitAndResize(t *testing.T) {
 				t.Fatalf("checkpoint under load: %v", err)
 			}
 			checkpoints++
-			ck, err := wal.ReadCheckpoint(dir)
+			rec, err := wal.Read(dir)
 			if err != nil {
 				t.Fatalf("reading checkpoint %d: %v", checkpoints, err)
 			}
+			ck := rec.Checkpoint
 			if ck == nil {
-				t.Fatal("checkpoint file missing after Checkpoint()")
+				t.Fatal("checkpoint record missing after Checkpoint()")
 			}
 			if len(ck.Jobs) != len(ck.Assignment) {
 				t.Fatalf("checkpoint tore: %d jobs, %d placements", len(ck.Jobs), len(ck.Assignment))
@@ -265,11 +264,11 @@ settled:
 	finalSnap := s.Snapshot()
 	s.Close()
 
-	ck, err := wal.ReadCheckpoint(dir)
+	rec, err := wal.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(Config{Factory: elasticStackFactory}, ck)
+	r, err := Restore(Config{Factory: elasticStackFactory}, rec.Checkpoint)
 	if err != nil {
 		t.Fatalf("restoring final checkpoint: %v", err)
 	}

@@ -21,7 +21,6 @@ package trim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/ident"
 	"repro/internal/jobs"
@@ -32,22 +31,6 @@ import (
 
 // Factory builds a fresh inner single-machine scheduler for each rebuild.
 type Factory func() sched.Scheduler
-
-// scratchPool recycles the name slices the rebuild paths sort jobs
-// into. Rebuilds happen on every n* crossing across every trim instance
-// (one per machine per shard in the full stack), so pooling the scratch
-// keeps rebuild-heavy workloads from hammering the allocator.
-// Pooling invariant: the slice is cleared (string references zeroed)
-// before it goes back, so the pool never pins job names in memory.
-var scratchPool = sync.Pool{New: func() any { s := make([]string, 0, 64); return &s }}
-
-func takeScratch() *[]string { return scratchPool.Get().(*[]string) }
-
-func putScratch(buf *[]string) {
-	clear(*buf) // zero the string refs before pooling
-	*buf = (*buf)[:0]
-	scratchPool.Put(buf)
-}
 
 // Scheduler wraps an aligned single-machine scheduler with window
 // trimming and n* maintenance.
@@ -65,6 +48,10 @@ type Scheduler struct {
 
 	// rebuilds counts schedule rebuilds, exposed for experiments.
 	rebuilds int
+	// scratch is the slice a rebuild sorts the job names into, kept so
+	// the next rebuild reuses its array. It is cleared after each
+	// rebuild, so it pins no job names between rebuilds.
+	scratch []string
 }
 
 // setWin records the original window of an interned job.
@@ -226,11 +213,9 @@ func (s *Scheduler) rebuild() (metrics.Cost, error) {
 	fresh := s.factory()
 	cap := s.Cap()
 
-	scratch := takeScratch()
-	defer putScratch(scratch)
-	names := s.names.AppendNames((*scratch)[:0])
+	names := s.names.AppendNames(s.scratch[:0])
 	sort.Strings(names)
-	*scratch = names
+	defer s.keepScratch(names)
 	for _, name := range names {
 		w, _, _ := s.winOf(name)
 		j := jobs.Job{Name: name, Window: trimWindow(w, cap)}
@@ -244,6 +229,13 @@ func (s *Scheduler) rebuild() (metrics.Cost, error) {
 	moved, migrated := before.Diff(after)
 	sched.Recycle(old) // the discarded schedule donates its structures
 	return metrics.Cost{Reallocations: moved, Migrations: migrated}, nil
+}
+
+// keepScratch clears a rebuild's sorted names and keeps their array for
+// the next rebuild.
+func (s *Scheduler) keepScratch(names []string) {
+	clear(names)
+	s.scratch = names[:0]
 }
 
 // Recycle implements sched.Recycler: the wrapper recycles its inner

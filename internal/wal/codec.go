@@ -9,9 +9,9 @@ import (
 	"repro/internal/jobs"
 )
 
-// The codec shared by the log, the checkpoint and the wire protocol
-// (internal/wire): one frame envelope, one bounded payload Reader, and
-// the request and placed-job encodings both formats carry.
+// The codec shared by the log and the wire protocol (internal/wire):
+// one frame envelope, one bounded payload Reader, and the request and
+// placed-job encodings both formats carry.
 
 // FrameHeaderLen is the size of the frame envelope's header: the u32
 // payload length and the u32 CRC-32C of the payload.
@@ -178,7 +178,7 @@ func (r *Reader) Request() jobs.Request {
 }
 
 // AppendPlaced encodes one scheduled job: name, window bounds, machine
-// and slot. Checkpoints and wire snapshots share it.
+// and slot. Checkpoint records and wire snapshots share it.
 func AppendPlaced(b []byte, j jobs.Job, pl jobs.Placement) []byte {
 	b = binary.AppendUvarint(b, uint64(len(j.Name)))
 	b = append(b, j.Name...)

@@ -1,8 +1,8 @@
-// Fuzz targets for the durability codecs: arbitrary bytes must never
+// Fuzz target for the durability codec: arbitrary bytes must never
 // panic, corrupt input must be rejected (CRC or structural checks), and
 // whatever decodes must re-encode to something that decodes back to the
 // same value. The seed corpus under testdata/fuzz is committed; CI runs
-// these in the fuzz smoke alongside FuzzApplyBatch.
+// it in the fuzz smoke alongside FuzzApplyBatch.
 package wal
 
 import (
@@ -14,9 +14,24 @@ import (
 )
 
 // fuzzSeedFrames renders a few valid logs (frame sequences, no segment
-// header) to seed the corpus alongside the committed testdata files.
+// header) to seed the corpus alongside the committed testdata files:
+// every record kind, and checkpoint records both empty and placing jobs
+// across several shards, each heading its log as Log.Checkpoint writes
+// them.
 func fuzzSeedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
+	empty := &Checkpoint{ShardMachines: []int{4}, Assignment: jobs.Assignment{}}
+	twoJobs := &Checkpoint{
+		ShardMachines: []int{2, 2, 4},
+		Jobs: []jobs.Job{
+			{Name: "a", Window: jobs.Window{Start: 0, End: 64}},
+			{Name: "b", Window: jobs.Window{Start: -128, End: 128}},
+		},
+		Assignment: jobs.Assignment{
+			"a": {Machine: 0, Slot: 5},
+			"b": {Machine: 7, Slot: -3},
+		},
+	}
 	var out [][]byte
 	var buf []byte
 	var err error
@@ -24,6 +39,8 @@ func fuzzSeedFrames(tb testing.TB) [][]byte {
 		{RequestRecord(jobs.InsertReq("a", 0, 64))},
 		{RequestRecord(jobs.DeleteReq("a")), ResizeRecord(-1, 0, 8)},
 		sampleRecords(),
+		{{Kind: KindCheckpoint, Checkpoint: empty}},
+		append([]Record{{Kind: KindCheckpoint, Checkpoint: twoJobs}}, sampleRecords()...),
 	} {
 		buf = nil
 		for _, r := range recs {
@@ -70,60 +87,6 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		if len(recs) != len(recs2) || (len(recs) > 0 && !reflect.DeepEqual(recs, recs2)) {
 			t.Fatalf("roundtrip diverged:\nfirst  %+v\nsecond %+v", recs, recs2)
-		}
-	})
-}
-
-// FuzzCheckpointDecode drives DecodeCheckpoint over arbitrary bytes: no
-// panics, corrupt CRCs rejected, and any image that decodes re-encodes
-// byte-identically (the codec is canonical).
-func FuzzCheckpointDecode(f *testing.F) {
-	seeds := []Checkpoint{
-		{StartSeg: 1, ShardMachines: []int{1}, Jobs: nil, Assignment: jobs.Assignment{}},
-		{
-			StartSeg:      3,
-			ShardMachines: []int{2, 2, 4},
-			Jobs: []jobs.Job{
-				{Name: "a", Window: jobs.Window{Start: 0, End: 64}},
-				{Name: "b", Window: jobs.Window{Start: -128, End: 128}},
-			},
-			Assignment: jobs.Assignment{
-				"a": {Machine: 0, Slot: 5},
-				"b": {Machine: 7, Slot: -3},
-			},
-		},
-	}
-	for i := range seeds {
-		data, err := EncodeCheckpoint(&seeds[i])
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		bad := append([]byte(nil), data...)
-		bad[len(bad)-2] ^= 1 // CRC corruption
-		f.Add(bad)
-	}
-	f.Add([]byte("RCKP"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		enc, err := EncodeCheckpoint(ck)
-		if err != nil {
-			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
-		}
-		// Byte-identity is not asserted here (varint decoding accepts
-		// non-minimal encodings a mutator could forge a CRC for); the
-		// golden format test pins byte-identity for encoder output.
-		ck2, err := DecodeCheckpoint(enc)
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
-		}
-		if ck.StartSeg != ck2.StartSeg || !reflect.DeepEqual(ck.ShardMachines, ck2.ShardMachines) ||
-			!reflect.DeepEqual(ck.Jobs, ck2.Jobs) || !reflect.DeepEqual(ck.Assignment, ck2.Assignment) {
-			t.Fatal("checkpoint roundtrip diverged")
 		}
 	})
 }

@@ -1,20 +1,21 @@
 // Package wal implements the durability subsystem of the sharded
 // front-end: a length-prefixed, CRC-framed binary write-ahead log of
-// admitted requests plus a versioned checkpoint codec for the
-// front-end's point-in-time snapshots.
+// admitted requests and of the front-end's point-in-time snapshots
+// (checkpoint records).
 //
 // # Log format
 //
 // A log directory holds numbered segment files ("00000001.wal",
-// "00000002.wal", ...) and at most one "checkpoint" file. Every segment
-// starts with a 16-byte header (magic, format version, segment number)
-// followed by a sequence of framed records:
+// "00000002.wal", ...) and nothing else. Every segment starts with a
+// 16-byte header (magic, format version, segment number) followed by a
+// sequence of framed records:
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload]
 //
 // The payload's first byte is the record kind — a single request, a
-// request batch (one ApplyBatch call, group-committed as one frame), or
-// a machine-pool resize — followed by the kind-specific body. All
+// request batch (one ApplyBatch call, group-committed as one frame), a
+// machine-pool resize, or a checkpoint — followed by the kind-specific
+// body. All
 // integers are little-endian; variable-length fields use Go's varint
 // encodings.
 //
@@ -28,10 +29,18 @@
 //
 // # Checkpoints
 //
-// A checkpoint is written atomically (temp file + rename) and names the
-// segment at which replay resumes: recovery loads the checkpoint's job
-// set and placements, then replays only segments >= Checkpoint.StartSeg.
-// Segments below the start are pruned once the checkpoint is durable.
+// A checkpoint is a record: Log.Checkpoint closes the current segment
+// and writes the image (the shard partition and every job with its
+// placement, in name order) as the first record of the next one, synced,
+// before it prunes the older segments. Recovery starts at the newest
+// segment whose first record is an intact checkpoint (ReplaySegments):
+// it restores that image and replays the records after it. Segments
+// before it are neither replayed nor required to be intact; with no
+// checkpoint, replay starts at segment 1. A crash inside the checkpoint
+// write leaves the older segment in place, so recovery replays it as if
+// no checkpoint had begun. The image is bounded by the record cap
+// (64 MiB). Format version 2 introduced checkpoint records; a segment
+// of any other version is refused, never taken for a torn header.
 //
 // # Group commit
 //
@@ -47,8 +56,8 @@
 //
 // # Codec
 //
-// codec.go holds the one codec the log, the checkpoint and the wire
-// protocol (internal/wire) share: the frame envelope (OpenFrame,
+// codec.go holds the one codec the log and the wire protocol
+// (internal/wire) share: the frame envelope (OpenFrame,
 // SealFrame, FrameLen, FrameIntact), the bounded sticky-error payload
 // Reader, and the request and placed-job encodings (AppendRequest,
 // AppendPlaced and their Reader methods).
@@ -71,15 +80,20 @@ const (
 	KindBatch Kind = 2
 	// KindResize is a machine-pool resize (whole pool or one shard).
 	KindResize Kind = 3
+	// KindCheckpoint is a point-in-time image of the front-end. It only
+	// ever opens a segment (Log.Checkpoint), and recovery starts at the
+	// newest one.
+	KindCheckpoint Kind = 4
 )
 
 // Record is one log entry. Exactly one of the kind-specific fields is
 // meaningful, selected by Kind.
 type Record struct {
-	Kind   Kind
-	Req    jobs.Request   // KindRequest
-	Batch  []jobs.Request // KindBatch
-	Resize ResizeSpec     // KindResize
+	Kind       Kind
+	Req        jobs.Request   // KindRequest
+	Batch      []jobs.Request // KindBatch
+	Resize     ResizeSpec     // KindResize
+	Checkpoint *Checkpoint    // KindCheckpoint
 }
 
 // ResizeSpec mirrors the front-end's resize request: Shard >= 0 resizes
@@ -139,6 +153,8 @@ func appendPayload(b []byte, rec Record) ([]byte, error) {
 		b = binary.AppendVarint(b, int64(rec.Resize.Shard))
 		b = binary.AppendVarint(b, int64(rec.Resize.Delta))
 		b = binary.AppendVarint(b, int64(rec.Resize.Machines))
+	case KindCheckpoint:
+		return appendCheckpoint(append(b, byte(KindCheckpoint)), rec.Checkpoint)
 	default:
 		return b, fmt.Errorf("wal: unknown record kind %d", rec.Kind)
 	}
@@ -164,6 +180,8 @@ func DecodePayload(p []byte) (Record, error) {
 		}
 	case KindResize:
 		rec.Resize = ResizeSpec{Shard: int(r.Varint()), Delta: int(r.Varint()), Machines: int(r.Varint())}
+	case KindCheckpoint:
+		rec.Checkpoint = r.checkpoint()
 	default:
 		r.Fail(fmt.Errorf("unknown record kind %d", rec.Kind))
 	}

@@ -3,7 +3,9 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,14 +23,19 @@ import (
 // fault.ErrClosed, the repo-wide sentinel for the failure class.
 var ErrClosed = fault.ErrClosed
 
-// Segment header: magic + format version + segment number.
+// Segment header: magic + format version + segment number. Version 2
+// carries checkpoints as records; a version 1 log kept its image in a
+// separate file this code does not read, so it is refused.
 const (
 	segmentMagic   = "RWAL"
-	segmentVersion = 1
+	segmentVersion = 2
 	segHeaderLen   = 16 // magic + u32 version + u64 segment number
 	segSuffix      = ".wal"
-	checkpointName = "checkpoint"
 )
+
+// errSegmentVersion refuses a segment of another format version. It is
+// never mistaken for a torn header, which would drop the segment.
+var errSegmentVersion = errors.New("unsupported segment version")
 
 // Options configure a Log.
 type Options struct {
@@ -36,31 +43,33 @@ type Options struct {
 	// durability against power loss. The default (false) is group-commit
 	// write-back: records are written to the file before the ack — which
 	// survives a process crash — and reach disk on the OS's schedule,
-	// plus explicit syncs at rotation, checkpoint, and Close.
+	// plus explicit syncs at checkpoint and Close.
 	Fsync bool
 	// Observer, when set, receives every byte range the log writes to a
 	// segment file: p was written to segment seg starting at byte
 	// offset off. Segment creation is observed as the 16-byte header at
-	// offset 0; each group commit is observed as one contiguous span.
+	// offset 0; each group commit is observed as one contiguous span, and
+	// a checkpoint as the next segment's header and then its image.
 	//
 	// The callback runs on the goroutine that commits the group (the
-	// leader: a waiter, Rotate or Close) after the write (and fsync,
+	// leader: a waiter, Checkpoint or Close) after the write (and fsync,
 	// under Fsync) succeeds and BEFORE any Wait of the group returns —
 	// this is the replication shipping point: an acknowledged record
 	// has always been observed first, so a shipper that forwards
 	// synchronously can guarantee acked ⇒ shipped. Calls never overlap.
 	// The callback must not retain p (the buffer is reused) and must
-	// not call back into the Log. Checkpoint files are NOT observed;
-	// replication transfers them at follower connect instead.
+	// not call back into the Log.
 	Observer func(seg uint64, off int64, p []byte)
 }
 
 // Recovered is what Open (or Read) found in a log directory.
 type Recovered struct {
-	// Checkpoint is the restored checkpoint image, nil if none exists.
+	// Checkpoint is the image of the newest checkpoint record, nil if
+	// the log has none.
 	Checkpoint *Checkpoint
-	// Records are the decoded log records to replay on top of the
-	// checkpoint, in append order.
+	// Records are the decoded log records after the checkpoint (or from
+	// the start of the log), in append order: what to replay on top of
+	// the image.
 	Records []Record
 	// TruncatedBytes counts torn-tail bytes dropped from the final
 	// segment (Open also physically truncates them).
@@ -93,7 +102,7 @@ const pollBudget = 50 * time.Microsecond
 // files. It is a lock, not a goroutine: Enqueue encodes a record into
 // the pending group, and the first Wait that finds no write in progress
 // becomes the leader and writes every pending record as one group
-// commit. Rotate and Close take the leader role too, so the segment
+// commit. Checkpoint and Close take the leader role too, so the segment
 // order of records matches their enqueue order. All methods are safe
 // for concurrent use.
 type Log struct {
@@ -136,11 +145,8 @@ const SegmentHeaderLen = segHeaderLen
 // byte.
 func SegmentPath(dir string, n uint64) string { return segPath(dir, n) }
 
-// CheckpointPath returns the path of dir's checkpoint file.
-func CheckpointPath(dir string) string { return filepath.Join(dir, checkpointName) }
-
-// ListSegments returns the segment numbers present in dir, ascending.
-func ListSegments(dir string) ([]uint64, error) {
+// listSegments returns the segment numbers present in dir, ascending.
+func listSegments(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -178,72 +184,108 @@ type recoveredState struct {
 	lastValid int64  // valid byte length of the last segment, incl. header
 }
 
-// readState scans dir: checkpoint, segment list, and every record from
-// the checkpoint's start segment on. It performs no writes.
-func readState(dir string) (*recoveredState, error) {
-	st := &recoveredState{}
-	ckData, err := os.ReadFile(filepath.Join(dir, checkpointName))
-	switch {
-	case err == nil:
-		ck, derr := DecodeCheckpoint(ckData)
-		if derr != nil {
-			return nil, fmt.Errorf("wal: reading checkpoint in %s: %w", dir, derr)
-		}
-		st.Checkpoint = ck
-	case !os.IsNotExist(err):
-		return nil, fmt.Errorf("wal: reading checkpoint: %w", err)
-	}
-
-	entries, err := os.ReadDir(dir)
+// ReplaySegments returns the segments recovery reads, ascending: from
+// the newest one whose first record is an intact checkpoint through the
+// last, or every segment from 1 when none opens with one. Segments
+// before a checkpoint are neither listed nor required to be intact;
+// without one, a missing segment 1 is data loss, not a fresh log. A gap
+// in the run, or a segment of another format version, is an error.
+func ReplaySegments(dir string) ([]uint64, error) {
+	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
-	var segs []uint64
-	for _, e := range entries {
-		if n, ok := segNumber(e.Name()); ok && !e.IsDir() {
-			segs = append(segs, n)
+	prev := uint64(0)
+	for i := len(segs) - 1; i >= 0; i-- {
+		ok, err := checkpointHead(dir, segs[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			segs, prev = segs[i:], segs[i]-1
+			break
 		}
 	}
-	sort.Slice(segs, func(i, k int) bool { return segs[i] < segs[k] })
-
-	start := uint64(1)
-	if st.Checkpoint != nil && st.Checkpoint.StartSeg > 1 {
-		start = st.Checkpoint.StartSeg
-	}
-	// Replayed segments must be contiguous FROM THE START segment: a
-	// missing first segment (e.g. the checkpoint's StartSeg was deleted
-	// while a later segment survived) is data loss, not a fresh log.
-	prev := start - 1
-	for i, n := range segs {
-		st.lastSeg = n
-		if n < start {
-			continue // covered by the checkpoint; prune-eligible
-		}
+	for _, n := range segs {
 		if n != prev+1 {
 			return nil, fmt.Errorf("wal: segment %d follows %d — the log has a gap", n, prev)
 		}
 		prev = n
+	}
+	return segs, nil
+}
+
+// checkpointHead reports whether segment n's first frame is an intact
+// checkpoint record. It reads the header and that one frame only.
+func checkpointHead(dir string, n uint64) (bool, error) {
+	f, err := os.Open(segPath(dir, n))
+	if err != nil {
+		return false, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	head := make([]byte, segHeaderLen+FrameHeaderLen)
+	size, err := io.ReadFull(f, head)
+	if err := checkHeader(head[:size], n); err != nil || size < len(head) {
+		if errors.Is(err, errSegmentVersion) {
+			return false, fmt.Errorf("wal: segment %d: %w", n, err)
+		}
+		return false, nil
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("wal: %w", err)
+	}
+	plen, ok := FrameLen(head[segHeaderLen:], int(min(maxRecordLen, fi.Size()-int64(len(head)))))
+	if !ok {
+		return false, nil
+	}
+	payload := make([]byte, plen)
+	if _, err := io.ReadFull(f, payload); err != nil {
+		return false, nil
+	}
+	return payload[0] == byte(KindCheckpoint) && FrameIntact(head[segHeaderLen:], payload), nil
+}
+
+// readState scans dir from the replay start (ReplaySegments): the
+// newest checkpoint record and every record after it. It performs no
+// writes.
+func readState(dir string) (*recoveredState, error) {
+	segs, err := ReplaySegments(dir)
+	if err != nil {
+		return nil, err
+	}
+	st := &recoveredState{}
+	for i, n := range segs {
 		data, err := os.ReadFile(segPath(dir, n))
 		if err != nil {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		last := i == len(segs)-1
 		valid, recs, err := scanSegment(data, n)
-		if err != nil && !last {
-			return nil, fmt.Errorf("wal: segment %d: %v (only the final segment may have a torn tail)", n, err)
+		if err != nil && (!last || errors.Is(err, errSegmentVersion)) {
+			return nil, fmt.Errorf("wal: segment %d: %w (only the final segment may have a torn tail)", n, err)
 		}
 		if !last && valid != int64(len(data)) {
 			return nil, fmt.Errorf("wal: segment %d has %d invalid byte(s) mid-log (only the final segment may have a torn tail)",
 				n, int64(len(data))-valid)
 		}
 		if last {
-			st.lastValid = valid
+			st.lastSeg, st.lastValid = n, valid
 			st.TruncatedBytes = int64(len(data)) - valid
 		}
-		st.Records = append(st.Records, recs...)
-	}
-	if st.lastSeg == 0 {
-		st.lastValid = 0
+		for k, rec := range recs {
+			if rec.Kind != KindCheckpoint {
+				st.Records = append(st.Records, rec)
+				continue
+			}
+			if i > 0 || k > 0 {
+				return nil, fmt.Errorf("wal: segment %d holds a checkpoint record at position %d — only a segment's first record may be one", n, k)
+			}
+			st.Checkpoint = rec.Checkpoint
+		}
+		if i == 0 && n > 1 && st.Checkpoint == nil {
+			return nil, fmt.Errorf("wal: segment %d: its checkpoint record does not decode", n)
+		}
 	}
 	st.Empty = st.Checkpoint == nil && len(st.Records) == 0
 	return st, nil
@@ -254,20 +296,28 @@ func readState(dir string) (*recoveredState, error) {
 // checks out). A bad or short header yields valid 0 and an error; bad
 // frames after a good header yield the truncation point without error.
 func scanSegment(data []byte, wantSeg uint64) (int64, []Record, error) {
-	if len(data) < segHeaderLen {
-		return 0, nil, fmt.Errorf("short segment header (%d bytes)", len(data))
-	}
-	if string(data[:4]) != segmentMagic {
-		return 0, nil, fmt.Errorf("bad segment magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != segmentVersion {
-		return 0, nil, fmt.Errorf("unsupported segment version %d", v)
-	}
-	if n := binary.LittleEndian.Uint64(data[8:]); n != wantSeg {
-		return 0, nil, fmt.Errorf("segment header claims number %d", n)
+	if err := checkHeader(data, wantSeg); err != nil {
+		return 0, nil, err
 	}
 	recs, valid := ScanRecords(data[segHeaderLen:])
 	return segHeaderLen + int64(valid), recs, nil
+}
+
+// checkHeader validates the header at the start of segment wantSeg's
+// data. A header naming another format version fails with
+// errSegmentVersion.
+func checkHeader(data []byte, wantSeg uint64) error {
+	switch {
+	case len(data) < segHeaderLen:
+		return fmt.Errorf("short segment header (%d bytes)", len(data))
+	case string(data[:4]) != segmentMagic:
+		return errors.New("bad segment magic")
+	case binary.LittleEndian.Uint32(data[4:]) != segmentVersion:
+		return fmt.Errorf("%w %d (this build reads version %d)", errSegmentVersion, binary.LittleEndian.Uint32(data[4:]), segmentVersion)
+	case binary.LittleEndian.Uint64(data[8:]) != wantSeg:
+		return fmt.Errorf("segment header claims number %d", binary.LittleEndian.Uint64(data[8:]))
+	}
+	return nil
 }
 
 // segmentHeader renders the 16-byte header of segment n.
@@ -290,7 +340,7 @@ func Read(dir string) (*Recovered, error) {
 }
 
 // Open prepares dir for logging: it creates the directory if needed,
-// loads the checkpoint and every replayable record, truncates a torn
+// loads the newest checkpoint and every record after it, truncates a torn
 // tail in the final segment, and returns a Log positioned to append
 // after the last valid record. The caller owns both results; the
 // Recovered state describes what a recovery must replay.
@@ -305,36 +355,18 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 
 	l := &Log{dir: dir, opts: opts}
 	l.cond.L = &l.mu
-	start := uint64(1)
-	if st.Checkpoint != nil && st.Checkpoint.StartSeg > 1 {
-		start = st.Checkpoint.StartSeg
-	}
-	switch {
-	case st.lastSeg < start:
-		// Fresh directory, or a checkpoint whose covered segments were
-		// all pruned: create the segment replay starts from. (Appending
-		// below the checkpoint's start would write records recovery
-		// never reads.)
-		l.seg = start
-		f, err := createSegment(dir, l.seg)
+	if st.lastValid < segHeaderLen {
+		// A fresh directory, or a final segment whose header itself is
+		// torn: write the segment from scratch under its own number.
+		l.seg = max(st.lastSeg, 1)
+		f, err := createSegment(dir, l.seg, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		l.f = f
 		l.off = segHeaderLen
 		l.observe(l.seg, 0, segmentHeader(l.seg))
-	case st.lastValid < segHeaderLen:
-		// The final segment's header itself is torn: rewrite the file
-		// from scratch under its own number.
-		l.seg = st.lastSeg
-		f, err := createSegment(dir, l.seg)
-		if err != nil {
-			return nil, nil, err
-		}
-		l.f = f
-		l.off = segHeaderLen
-		l.observe(l.seg, 0, segmentHeader(l.seg))
-	default:
+	} else {
 		l.seg = st.lastSeg
 		path := segPath(dir, l.seg)
 		if st.TruncatedBytes > 0 {
@@ -360,13 +392,14 @@ func (l *Log) observe(seg uint64, off int64, p []byte) {
 }
 
 // createSegment creates (truncating if present) segment n with its
-// header written and synced, and the directory entry synced.
-func createSegment(dir string, n uint64) (*os.File, error) {
+// header and the first frame head written in one write and synced, and
+// the directory entry synced.
+func createSegment(dir string, n uint64, head []byte) (*os.File, error) {
 	f, err := os.OpenFile(segPath(dir, n), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(segmentHeader(n)); err != nil {
+	if _, err := f.Write(append(segmentHeader(n), head...)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -378,40 +411,13 @@ func createSegment(dir string, n uint64) (*os.File, error) {
 	return f, nil
 }
 
-// syncDir best-effort fsyncs a directory so renames and creations are
+// syncDir best-effort fsyncs a directory so a segment's creation is
 // durable (not supported on every platform; errors are ignored).
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-}
-
-// WriteFileSync replaces path with data durably: it writes a temp file
-// beside path, fsyncs and closes it, renames it over path, and syncs
-// the directory. On failure the temp file is removed and path is left
-// as it was.
-func WriteFileSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err = f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	syncDir(filepath.Dir(path))
-	return nil
 }
 
 // Enqueue encodes rec into the pending group and returns its ticket;
@@ -523,11 +529,21 @@ func (l *Log) Append(rec Record) error {
 	return l.Wait(t)
 }
 
-// Rotate writes every pending record into the current segment, syncs
-// and closes it, and opens the next segment. It returns the new segment
-// number: records enqueued before Rotate land in earlier segments,
-// records enqueued after land in the returned one (or later).
-func (l *Log) Rotate() (uint64, error) {
+// Checkpoint writes ck as the first record of a fresh segment and then
+// removes every older segment: recovery restores the newest image and
+// replays only the records after it. The image is encoded first, so one
+// that cannot be framed (over the record cap, or invalid) fails before
+// the log changes. As the leader, Checkpoint writes the pending group,
+// syncs and closes the segment, and writes the next segment's header
+// and the image in one synced write, whatever Options.Fsync says; the
+// Observer sees both before any older segment is removed. Records
+// enqueued before Checkpoint land before the image, records enqueued
+// after it land after.
+func (l *Log) Checkpoint(ck *Checkpoint) error {
+	frame, err := AppendFrame(nil, Record{Kind: KindCheckpoint, Checkpoint: ck})
+	if err != nil {
+		return err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.writing.Load() {
@@ -535,74 +551,46 @@ func (l *Log) Rotate() (uint64, error) {
 	}
 	switch {
 	case l.closed:
-		return 0, ErrClosed
+		return ErrClosed
 	case l.werr != nil:
-		return 0, l.werr
+		return l.werr
 	}
-	err := l.begin()
-	if err == nil {
-		err = l.rotate()
+	if err = l.begin(); err == nil {
+		err = l.rotate(frame)
 	}
-	seg := l.seg
 	l.end(err)
-	return seg, err
-}
-
-// rotate syncs and closes the current segment and opens the next. The
-// caller holds the leader role.
-func (l *Log) rotate() error {
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	_ = l.f.Close()
-	next := l.seg + 1
-	f, err := createSegment(l.dir, next)
 	if err != nil {
 		return err
 	}
-	l.f = f
-	l.seg = next
-	l.off = segHeaderLen
-	l.observe(next, 0, segmentHeader(next))
-	return nil
-}
-
-// WriteCheckpoint atomically installs ck as the directory's checkpoint
-// (temp file + rename) and prunes segments below ck.StartSeg. Callers
-// obtain StartSeg from Rotate so the checkpoint covers every record of
-// the pruned segments.
-func (l *Log) WriteCheckpoint(ck Checkpoint) error {
-	data, err := EncodeCheckpoint(&ck)
-	if err != nil {
-		return err
-	}
-	if err := WriteFileSync(filepath.Join(l.dir, checkpointName), data); err != nil {
-		return fmt.Errorf("wal: writing checkpoint: %w", err)
-	}
-	// The checkpoint is durable; segments it covers are dead weight.
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil // pruning is best-effort
-	}
-	for _, e := range entries {
-		if n, ok := segNumber(e.Name()); ok && n < ck.StartSeg {
-			_ = os.Remove(filepath.Join(l.dir, e.Name()))
+	// The image is durable; the segments before it are dead weight.
+	// Pruning is best-effort: recovery never reads them.
+	segs, _ := listSegments(l.dir)
+	for _, n := range segs {
+		if n < l.seg {
+			_ = os.Remove(segPath(l.dir, n))
 		}
 	}
 	return nil
 }
 
-// ReadCheckpoint loads and decodes dir's checkpoint, returning nil (no
-// error) when none exists.
-func ReadCheckpoint(dir string) (*Checkpoint, error) {
-	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
-	if os.IsNotExist(err) {
-		return nil, nil
+// rotate syncs and closes the current segment and opens the next with
+// head as its first frame. The caller holds the leader role.
+func (l *Log) rotate(head []byte) error {
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal: fsync: %w", err)
 	}
+	_ = l.f.Close()
+	next := l.seg + 1
+	f, err := createSegment(l.dir, next, head)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return err
 	}
-	return DecodeCheckpoint(data)
+	l.f = f
+	l.seg = next
+	l.observe(next, 0, segmentHeader(next))
+	l.observe(next, segHeaderLen, head)
+	l.off = segHeaderLen + int64(len(head))
+	return nil
 }
 
 // Close writes every pending record, syncs, and closes the segment

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,10 +170,11 @@ func TestCorruptMiddleBitFlip(t *testing.T) {
 	}
 }
 
-// TestRotateAndCheckpoint: rotation moves appends to the next segment;
-// a checkpoint at the rotation point prunes the old segment, and
-// recovery replays only the tail.
-func TestRotateAndCheckpoint(t *testing.T) {
+// TestCheckpointRecord: a checkpoint opens the next segment with its
+// image and prunes the old one, appends after it land behind the
+// image, and recovery restores the image and replays only the records
+// after it.
+func TestCheckpointRecord(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{})
 	if err != nil {
@@ -181,20 +183,12 @@ func TestRotateAndCheckpoint(t *testing.T) {
 	if err := l.Append(RequestRecord(jobs.InsertReq("old", 0, 64))); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := l.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg != 2 {
-		t.Fatalf("Rotate -> segment %d, want 2", seg)
-	}
-	ck := Checkpoint{
-		StartSeg:      seg,
+	ck := &Checkpoint{
 		ShardMachines: []int{2, 3},
 		Jobs:          []jobs.Job{{Name: "old", Window: jobs.Window{Start: 0, End: 64}}},
 		Assignment:    jobs.Assignment{"old": {Machine: 1, Slot: 7}},
 	}
-	if err := l.WriteCheckpoint(ck); err != nil {
+	if err := l.Checkpoint(ck); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(segPath(dir, 1)); !os.IsNotExist(err) {
@@ -204,6 +198,13 @@ func TestRotateAndCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "00000002.wal" {
+		t.Fatalf("log directory holds %v, want only segment 2", entries)
+	}
 
 	_, rec, err := Open(dir, Options{})
 	if err != nil {
@@ -223,8 +224,68 @@ func TestRotateAndCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointCodecCanonical: encode/decode roundtrips, and equal
-// images encode to identical bytes regardless of input job order.
+// TestCheckpointEncodeFailsFirst: an image that cannot be framed is
+// refused before the log rotates or prunes anything.
+func TestCheckpointEncodeFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(RequestRecord(jobs.InsertReq("a", 0, 64))); err != nil {
+		t.Fatal(err)
+	}
+	bad := &Checkpoint{ShardMachines: []int{1}, Jobs: []jobs.Job{{Name: "a"}}, Assignment: jobs.Assignment{}}
+	if err := l.Checkpoint(bad); err == nil {
+		t.Fatal("checkpoint with a placement-less job written")
+	}
+	if segs, _ := listSegments(dir); !reflect.DeepEqual(segs, []uint64{1}) {
+		t.Fatalf("segments after a refused checkpoint: %v, want [1]", segs)
+	}
+	if err := l.Append(RequestRecord(jobs.DeleteReq("a"))); err != nil {
+		t.Fatalf("append after a refused checkpoint: %v", err)
+	}
+}
+
+// TestOldSegmentVersionRefused: a log written by the format that kept
+// its image in a separate checkpoint file is refused with an error
+// naming the version, never truncated as a torn header.
+func TestOldSegmentVersionRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(RequestRecord(jobs.InsertReq("a", 0, 64))); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	path := segPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4] = 1 // the segment header's u32 version
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func() error{
+		"Read": func() error { _, err := Read(dir); return err },
+		"Open": func() error { _, _, err := Open(dir, Options{}); return err },
+	} {
+		err := read()
+		if err == nil || !strings.Contains(err.Error(), "unsupported segment version 1") {
+			t.Fatalf("%s of a version 1 segment: %v, want an error naming version 1", name, err)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+		t.Fatal("refusing a version 1 segment changed its bytes")
+	}
+}
+
+// TestCheckpointCodecCanonical: a checkpoint record roundtrips, and
+// equal images encode to identical bytes regardless of input job order.
 func TestCheckpointCodecCanonical(t *testing.T) {
 	asn := jobs.Assignment{
 		"a": {Machine: 0, Slot: 3},
@@ -236,17 +297,18 @@ func TestCheckpointCodecCanonical(t *testing.T) {
 		{Name: "a", Window: jobs.Window{Start: 0, End: 64}},
 		{Name: "c", Window: jobs.Window{Start: 1 << 30, End: 1<<30 + 4096}},
 	}
-	ck := Checkpoint{StartSeg: 7, ShardMachines: []int{1, 4}, Jobs: js, Assignment: asn}
-	data, err := EncodeCheckpoint(&ck)
+	ck := Checkpoint{ShardMachines: []int{1, 4}, Jobs: js, Assignment: asn}
+	data, err := AppendFrame(nil, Record{Kind: KindCheckpoint, Checkpoint: &ck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
+	recs, valid := ScanRecords(data)
+	if valid != len(data) || len(recs) != 1 || recs[0].Kind != KindCheckpoint {
+		t.Fatalf("checkpoint frame scans to %+v (%d of %d bytes valid)", recs, valid, len(data))
 	}
-	if back.StartSeg != 7 || !reflect.DeepEqual(back.ShardMachines, []int{1, 4}) {
-		t.Fatalf("header fields diverged: %+v", back)
+	back := recs[0].Checkpoint
+	if !reflect.DeepEqual(back.ShardMachines, []int{1, 4}) {
+		t.Fatalf("shard partition diverged: %+v", back)
 	}
 	if len(back.Jobs) != 3 || back.Jobs[0].Name != "a" || back.Jobs[2].Name != "c" {
 		t.Fatalf("jobs not canonical: %+v", back.Jobs)
@@ -254,7 +316,7 @@ func TestCheckpointCodecCanonical(t *testing.T) {
 	if !reflect.DeepEqual(back.Assignment, asn) {
 		t.Fatalf("assignment diverged: %+v", back.Assignment)
 	}
-	data2, err := EncodeCheckpoint(back)
+	data2, err := AppendFrame(nil, recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,14 +327,20 @@ func TestCheckpointCodecCanonical(t *testing.T) {
 	// Corruption must be detected.
 	bad := append([]byte(nil), data...)
 	bad[len(bad)/2] ^= 1
-	if _, err := DecodeCheckpoint(bad); err == nil {
+	if recs, valid := ScanRecords(bad); len(recs) != 0 || valid != 0 {
 		t.Fatal("bit-flipped checkpoint decoded without error")
 	}
-	// A job without a placement cannot encode.
-	ck2 := ck
-	ck2.Assignment = jobs.Assignment{"a": {}, "b": {}}
-	if _, err := EncodeCheckpoint(&ck2); err == nil {
-		t.Fatal("checkpoint with a placement-less job encoded")
+	// A job without a placement, a shard without machines and a
+	// duplicate name cannot encode.
+	for name, c := range map[string]Checkpoint{
+		"unplaced":    {ShardMachines: []int{1, 4}, Jobs: js, Assignment: jobs.Assignment{"a": {}, "b": {}}},
+		"no shards":   {Assignment: asn},
+		"empty shard": {ShardMachines: []int{1, 0}, Assignment: asn},
+		"duplicate":   {ShardMachines: []int{1}, Jobs: append(js, js[0]), Assignment: asn},
+	} {
+		if _, err := AppendFrame(nil, Record{Kind: KindCheckpoint, Checkpoint: &c}); err == nil {
+			t.Fatalf("%s checkpoint encoded", name)
+		}
 	}
 }
 
@@ -468,8 +536,8 @@ func TestAppendAfterClose(t *testing.T) {
 	if err := l.Append(RequestRecord(jobs.InsertReq("late", 0, 64))); err != ErrClosed {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
-	if _, err := l.Rotate(); err != ErrClosed {
-		t.Fatalf("rotate after close: %v, want ErrClosed", err)
+	if err := l.Checkpoint(&Checkpoint{ShardMachines: []int{1}}); err != ErrClosed {
+		t.Fatalf("checkpoint after close: %v, want ErrClosed", err)
 	}
 	l.Close() // idempotent
 }
@@ -493,8 +561,11 @@ func TestFsyncOptionSmoke(t *testing.T) {
 	}
 }
 
-// TestMidLogCorruptionInEarlierSegment: an invalid frame in a non-final
-// segment is corruption, not a torn tail.
+// TestMidLogCorruptionInEarlierSegment: an invalid frame in a
+// replayed segment other than the last is corruption, not a torn tail.
+// A segment before the newest checkpoint is not replayed, so damage
+// there is ignored until the checkpoint itself is torn and replay has
+// to start at the older segment again.
 func TestMidLogCorruptionInEarlierSegment(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{})
@@ -504,17 +575,34 @@ func TestMidLogCorruptionInEarlierSegment(t *testing.T) {
 	if err := l.Append(RequestRecord(jobs.InsertReq("seg1", 0, 64))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Rotate(); err != nil {
+	p1 := segPath(dir, 1)
+	seg1, err := os.ReadFile(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(&Checkpoint{ShardMachines: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(RequestRecord(jobs.InsertReq("seg2", 0, 64))); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	p1 := segPath(dir, 1)
-	data, _ := os.ReadFile(p1)
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(p1, data, 0o644); err != nil {
+	// Segment 1 survives the prune (a crash before it), damaged.
+	seg1[len(seg1)-1] ^= 0xff
+	if err := os.WriteFile(p1, seg1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Read(dir)
+	if err != nil {
+		t.Fatalf("a damaged segment before the checkpoint was read: %v", err)
+	}
+	if rec.Checkpoint == nil || len(rec.Records) != 1 || rec.Records[0].Req.Name != "seg2" {
+		t.Fatalf("recovered %+v, want the checkpoint and the seg2 insert", rec)
+	}
+	p2 := segPath(dir, 2)
+	seg2, _ := os.ReadFile(p2)
+	seg2[segHeaderLen+FrameHeaderLen+1] ^= 0xff // inside the checkpoint record
+	if err := os.WriteFile(p2, seg2, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir, Options{}); err == nil {

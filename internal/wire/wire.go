@@ -114,9 +114,11 @@ const (
 //     and not a suggestion.
 //
 // After FollowAck the primary streams, per tenant: one
-// CheckpointInstall (the tenant's checkpoint image, empty if none),
-// SegmentChunk frames covering the WAL segments from the checkpoint's
-// StartSeg, then Installed — after which only live Tail frames follow.
+// CheckpointInstall (the marker that an install begins, its data
+// empty), SegmentChunk frames covering the WAL segments from the newest
+// checkpoint record on (wal.ReplaySegments; the image travels inside
+// them as the first record), then Installed — after which only live
+// Tail frames follow.
 // SegmentChunk and Tail carry identical (seg, off, data) payloads; the
 // two kinds are kept distinct so a follower can tell snapshot transfer
 // from live shipping, and because the streams may interleave with
@@ -127,10 +129,11 @@ const (
 	KindFollow Kind = 13
 	// KindFollowAck accepts a Follow: the primary's epoch.
 	KindFollowAck Kind = 14
-	// KindCheckpointInstall begins a tenant's snapshot: tenant, data
-	// (the checkpoint file image; empty means no checkpoint exists).
-	// It resets any prior replica state the follower holds for the
-	// tenant.
+	// KindCheckpointInstall begins a tenant's snapshot: tenant, data.
+	// The data is empty: the checkpoint image is a WAL record, shipped
+	// in the SegmentChunk frames that follow (a primary that wrote its
+	// image to a separate file sent it here, and is refused). It resets
+	// any prior replica state the follower holds for the tenant.
 	KindCheckpointInstall Kind = 15
 	// KindSegmentChunk is one span of a WAL segment file during
 	// snapshot transfer: tenant, seg, off, data.
@@ -312,8 +315,8 @@ type Frame struct {
 	Seg uint64
 	Off int64
 
-	// Data: CheckpointInstall (checkpoint image, empty = none),
-	// SegmentChunk, Tail (verbatim segment-file bytes). Decode copies
+	// Data: CheckpointInstall (empty), SegmentChunk, Tail (verbatim
+	// segment-file bytes). Decode copies
 	// it out of the read buffer, so it stays valid across ReadFrame
 	// calls.
 	Data []byte

@@ -43,8 +43,8 @@
 //
 // Sharded schedulers can be made durable: WithWAL(dir) appends every
 // admission to a write-ahead log before acknowledging it, Checkpoint
-// writes an atomic point-in-time image that bounds recovery to "load
-// snapshot + replay tail", and OpenRecovered rebuilds a crashed
+// writes a point-in-time image into the log as a record that bounds
+// recovery to "load snapshot + replay tail", and OpenRecovered rebuilds a crashed
 // scheduler from the directory. See the README's "Durability &
 // recovery" section for the guarantees.
 package realloc
@@ -170,13 +170,14 @@ func WithMachines(m int) Option { return func(o *Options) { o.machines = m } }
 func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 
 // WithWAL makes NewSharded durable: dir receives a write-ahead log (a
-// CRC-framed binary log of every admitted request) and, on demand, the
-// point-in-time checkpoints written by Sharded.Checkpoint. Both
-// admission paths — per-request Apply and bulk ApplyBatch — and every
-// resize append their record BEFORE acknowledging, with group
-// commit coalescing concurrent appends into one write. A crashed
-// process recovers with OpenRecovered, which bounds recovery to "load
-// the latest checkpoint, replay the log tail".
+// CRC-framed binary log of every admitted request, and of the
+// point-in-time images Sharded.Checkpoint writes, each at the head of a
+// fresh segment). Both admission paths — per-request Apply and bulk
+// ApplyBatch — and every resize append their record BEFORE
+// acknowledging, with group commit coalescing concurrent appends into
+// one write. A crashed process recovers with OpenRecovered, which
+// bounds recovery to "load the newest checkpoint record, replay the
+// records after it".
 //
 // The directory must be fresh (or hold nothing but an empty log):
 // NewSharded refuses — by panic, like its other construction errors —
@@ -186,7 +187,7 @@ func WithShards(n int) Option { return func(o *Options) { o.shards = n } }
 // Durability level: by default acknowledgements wait for the group
 // commit's write into the log file, which survives a process crash;
 // the file reaches disk on the OS's schedule plus explicit syncs at
-// checkpoint, rotation, and Close. Add WithWALFsync to fsync every
+// checkpoint and Close. Add WithWALFsync to fsync every
 // group commit and survive power loss, at a large latency cost.
 func WithWAL(dir string) Option { return func(o *Options) { o.walDir = dir } }
 
@@ -260,10 +261,10 @@ func NewSharded(opts ...Option) *Sharded {
 	})
 }
 
-// Checkpoint is a point-in-time scheduler image: the WAL segment
-// replay resumes from, the machine partition, and every active job
-// with its placement. Sharded.Checkpoint writes one; OpenRecovered and
-// NewShardedFromCheckpoint restore from one.
+// Checkpoint is a point-in-time scheduler image: the machine partition
+// and every active job with its placement. Sharded.Checkpoint writes
+// one into the WAL as a record at the head of a fresh segment;
+// OpenRecovered and NewShardedFromCheckpoint restore from one.
 type Checkpoint = wal.Checkpoint
 
 // NewShardedFromCheckpoint builds a sharded scheduler warm from a
@@ -296,13 +297,15 @@ func NewShardedFromCheckpoint(ck *Checkpoint, opts ...Option) (*Sharded, error) 
 
 // Recovery reports what OpenRecovered found and replayed.
 type Recovery struct {
-	// CheckpointLoaded reports whether a checkpoint image seeded the
-	// scheduler (false: the whole log was replayed from genesis).
+	// CheckpointLoaded reports whether a checkpoint record's image
+	// seeded the scheduler (false: the whole log was replayed from
+	// genesis).
 	CheckpointLoaded bool
 	// CheckpointJobs is the number of jobs restored from the checkpoint.
 	CheckpointJobs int
 	// RecordsReplayed counts the WAL records replayed after the
-	// checkpoint (a batch is one record).
+	// checkpoint record (a batch is one record; the checkpoint itself
+	// is not counted).
 	RecordsReplayed int
 	// RequestsReplayed counts the individual requests those records
 	// carried (batch members counted one by one).
@@ -320,10 +323,10 @@ type Recovery struct {
 }
 
 // OpenRecovered rebuilds a durable sharded scheduler from dir: it loads
-// the checkpoint (when one exists), restores its image through the
-// shard.Restore path — every layer rebuilt from the snapshot in
-// O(jobs), no history replay — then replays the post-checkpoint log
-// tail through the normal admission paths (Sharded.Replay, logging
+// the newest checkpoint record (when one exists), restores its image
+// through the shard.Restore path — every layer rebuilt from the
+// snapshot in O(jobs), no history replay — then replays the records
+// after it through the normal admission paths (Sharded.Replay, logging
 // off), truncating any torn tail left by a crash mid-group-commit. The
 // returned scheduler has the WAL re-attached and continues appending
 // where the log left off.

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/feasible"
 	"repro/internal/jobs"
+	"repro/internal/wal"
 	"repro/internal/workload"
 )
 
@@ -166,6 +167,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 // placements are recomputed — the durable contract is the exact job
 // set, a feasible schedule, and determinism (two recoveries from the
 // same bytes agree placement-for-placement), all of which are asserted.
+// The cuts start after the checkpoint record: a cut inside it with
+// segment 1 already pruned is a state Log.Checkpoint never leaves,
+// since it prunes only once the image is synced.
+// TestCrashInsideCheckpoint covers the cuts inside it.
 func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 	reqs := crashBurst(t)
 	mid := len(reqs) / 2
@@ -200,10 +205,11 @@ func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 	if testing.Short() {
 		crashes = 6
 	}
+	ckEnd := checkpointEnd(t, tailBytes)
 	rng := rand.New(rand.NewSource(7))
-	offsets := []int{0, len(tailBytes) - 2, len(tailBytes)}
+	offsets := []int{ckEnd, len(tailBytes) - 2, len(tailBytes)}
 	for len(offsets) < crashes {
-		offsets = append(offsets, rng.Intn(len(tailBytes)+1))
+		offsets = append(offsets, ckEnd+rng.Intn(len(tailBytes)-ckEnd+1))
 	}
 
 	wantSet := jobNameSet(want.Jobs)
@@ -245,6 +251,97 @@ func TestCrashRecoveryWithCheckpoint(t *testing.T) {
 		asn1, _ := recoverOnce()
 		asn2, _ := recoverOnce()
 		assertAssignmentsEqual(t, fmt.Sprintf("determinism at tail byte %d", off), asn2, asn1)
+	}
+}
+
+// checkpointEnd returns the offset in a segment's bytes just past the
+// checkpoint record at its head.
+func checkpointEnd(t *testing.T, seg []byte) int {
+	t.Helper()
+	const segHeader = 16
+	recs, _ := wal.ScanRecords(seg[segHeader:])
+	if len(recs) == 0 || recs[0].Kind != wal.KindCheckpoint {
+		t.Fatal("segment does not open with a checkpoint record")
+	}
+	n, _ := wal.FrameLen(seg[segHeader:], len(seg))
+	return segHeader + wal.FrameHeaderLen + n
+}
+
+// TestCrashInsideCheckpoint crashes while a checkpoint is being written:
+// segment 2 is cut anywhere from its header to one byte short of the
+// complete checkpoint record, and segment 1 has not been pruned yet (it
+// is pruned only after the record is synced). Recovery must find no
+// checkpoint, replay segment 1 from the start and, once the test
+// re-applies the requests after it, be assignment-identical to the
+// uninterrupted run.
+func TestCrashInsideCheckpoint(t *testing.T) {
+	reqs := crashBurst(t)
+	mid := len(reqs) / 2
+	srcDir := filepath.Join(t.TempDir(), "wal")
+	s := NewSharded(walOptions(WithWAL(srcDir))...)
+	for i, r := range reqs[:mid] {
+		if _, err := Apply(s, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	// Every request has returned, so its record is in segment 1.
+	seg1, err := os.ReadFile(filepath.Join(srcDir, "00000001.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("mid-run checkpoint: %v", err)
+	}
+	for i, r := range reqs[mid:] {
+		if _, err := Apply(s, r); err != nil {
+			t.Fatalf("request %d: %v", mid+i, err)
+		}
+	}
+	want := s.Snapshot()
+	s.Close()
+	seg2, err := os.ReadFile(filepath.Join(srcDir, "00000002.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckEnd := checkpointEnd(t, seg2)
+
+	crashes := 16
+	if testing.Short() {
+		crashes = 6
+	}
+	rng := rand.New(rand.NewSource(11))
+	offsets := []int{0, 7, 16, 17, ckEnd - 1}
+	for len(offsets) < crashes {
+		offsets = append(offsets, rng.Intn(ckEnd))
+	}
+	for ci, off := range offsets {
+		dir := filepath.Join(t.TempDir(), fmt.Sprintf("ckpt-torn-%03d", ci))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), seg1, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "00000002.wal"), seg2[:off], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, rec, err := OpenRecovered(dir, walOptions()...)
+		if err != nil {
+			t.Fatalf("cut at byte %d of the checkpoint: recovery failed: %v", off, err)
+		}
+		if rec.CheckpointLoaded || rec.RequestsReplayed != mid || rec.ReplayFailures != 0 {
+			t.Fatalf("cut at byte %d of the checkpoint: %+v, want segment 1's %d requests and no checkpoint", off, rec, mid)
+		}
+		for i, r := range reqs[mid:] {
+			if _, err := Apply(rs, r); err != nil {
+				t.Fatalf("cut at byte %d of the checkpoint: tail request %d (%s): %v", off, mid+i, r, err)
+			}
+		}
+		assertAssignmentsEqual(t, fmt.Sprintf("cut at byte %d of the checkpoint", off), rs.Snapshot().Assignment, want.Assignment)
+		if err := rs.SelfCheck(); err != nil {
+			t.Fatalf("cut at byte %d of the checkpoint: self-check: %v", off, err)
+		}
+		rs.Close()
 	}
 }
 
