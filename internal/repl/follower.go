@@ -423,9 +423,15 @@ func (f *Follower) install(tenant string, data []byte) error {
 	return nil
 }
 
-// build gives r its warm scheduler, restored from ck (nil: empty).
+// build gives r its warm scheduler, restored from ck (nil: empty). The
+// caller holds f.mu; build releases it around NewScheduler, the
+// caller's code. Nothing else changes a replica meanwhile: only the
+// session goroutine, which is waiting here, installs, ingests and
+// promotes.
 func (f *Follower) build(r *replica, ck *wal.Checkpoint) error {
+	f.mu.Unlock()
 	s, err := f.cfg.NewScheduler(r.tenant, ck)
+	f.mu.Lock()
 	if err != nil {
 		return &fatalError{fmt.Errorf("repl: build scheduler for %q: %w", r.tenant, err)}
 	}
@@ -435,20 +441,19 @@ func (f *Follower) build(r *replica, ck *wal.Checkpoint) error {
 
 func (f *Follower) markInstalled(tenant string) error {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	r := f.tenants[tenant]
-	if r == nil {
-		return nil
+	var err error
+	if r != nil && r.sched == nil {
+		err = f.build(r, nil) // the shipped log holds no record yet
 	}
-	if r.sched == nil {
-		// The shipped log holds no record yet.
-		if err := f.build(r, nil); err != nil {
-			return err
-		}
+	if r != nil && err == nil {
+		r.installed = true
 	}
-	r.installed = true
-	f.cfg.Logf("repl: %q installed (%d records replayed so far)", tenant, r.records)
-	return nil
+	f.mu.Unlock()
+	if r != nil && err == nil {
+		f.cfg.Logf("repl: %q installed (%d records replayed so far)", tenant, r.records)
+	}
+	return err
 }
 
 // ingest feeds one shipped byte span into tenant's replica: mirror it

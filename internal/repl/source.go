@@ -3,9 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -567,31 +565,23 @@ func (c *srcConn) beginInstall(f *feed) {
 // newest checkpoint record on) in chunks, then (atomically with going
 // live) the tails buffered while the transfer ran, then Installed. File
 // reads happen without holding c.mu, so live tails keep buffering in
-// parallel. A segment that vanishes mid-transfer (a checkpoint pruned
-// it) fails the connection; the follower reconnects and reinstalls from
-// the newer checkpoint.
+// parallel. A segment that vanishes while it is read (a checkpoint
+// pruned it) fails the connection; the follower reconnects and
+// reinstalls from the newer checkpoint.
 func (c *srcConn) install(f *feed) {
-	segs, err := wal.ReplaySegments(f.dir)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		c.fail(fmt.Errorf("list segments for %q: %w", f.tenant, err))
+	segs, data, err := wal.ReplaySegments(f.dir)
+	if err != nil {
+		c.fail(fmt.Errorf("read segments for %q: %w", f.tenant, err))
 		return
 	}
 	if !c.write(&wire.Frame{Kind: wire.KindCheckpointInstall, Tenant: f.tenant}) {
 		return
 	}
-	for _, n := range segs {
-		data, err := os.ReadFile(wal.SegmentPath(f.dir, n))
-		if err != nil {
-			c.fail(fmt.Errorf("read segment %d for %q: %w", n, f.tenant, err))
-			return
-		}
-		for off := 0; off < len(data); off += chunkBytes {
-			end := off + chunkBytes
-			if end > len(data) {
-				end = len(data)
-			}
+	for i, n := range segs {
+		for off := 0; off < len(data[i]); off += chunkBytes {
+			end := min(off+chunkBytes, len(data[i]))
 			if !c.write(&wire.Frame{Kind: wire.KindSegmentChunk, Tenant: f.tenant,
-				Seg: n, Off: int64(off), Data: data[off:end]}) {
+				Seg: n, Off: int64(off), Data: data[i][off:end]}) {
 				return
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -184,94 +183,75 @@ type recoveredState struct {
 	lastValid int64  // valid byte length of the last segment, incl. header
 }
 
-// ReplaySegments returns the segments recovery reads, ascending: from
-// the newest one whose first record is an intact checkpoint through the
-// last, or every segment from 1 when none opens with one. Segments
-// before a checkpoint are neither listed nor required to be intact;
-// without one, a missing segment 1 is data loss, not a fresh log. A gap
-// in the run, or a segment of another format version, is an error.
-func ReplaySegments(dir string) ([]uint64, error) {
+// ReplaySegments returns the segments recovery reads, ascending, with
+// their bytes: from the newest one whose first record is an intact
+// checkpoint through the last, or every segment from 1 when none opens
+// with one. Segments before a checkpoint are neither returned nor
+// required to be intact; without one, a missing segment 1 is data loss,
+// not a fresh log. A gap in the run, or a segment of another format
+// version, is an error.
+func ReplaySegments(dir string) ([]uint64, [][]byte, error) {
 	segs, err := listSegments(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	prev := uint64(0)
+	data := make([][]byte, len(segs))
+	first, prev := 0, uint64(0)
 	for i := len(segs) - 1; i >= 0; i-- {
-		ok, err := checkpointHead(dir, segs[i])
-		if err != nil {
-			return nil, err
+		if data[i], err = os.ReadFile(segPath(dir, segs[i])); err != nil {
+			return nil, nil, fmt.Errorf("wal: %w", err)
 		}
-		if ok {
-			segs, prev = segs[i:], segs[i]-1
+		err := checkHeader(data[i], segs[i])
+		if errors.Is(err, errSegmentVersion) {
+			return nil, nil, fmt.Errorf("wal: segment %d: %w", segs[i], err)
+		}
+		if err == nil && opensWithCheckpoint(data[i][segHeaderLen:]) {
+			first, prev = i, segs[i]-1
 			break
 		}
 	}
-	for _, n := range segs {
+	for _, n := range segs[first:] {
 		if n != prev+1 {
-			return nil, fmt.Errorf("wal: segment %d follows %d — the log has a gap", n, prev)
+			return nil, nil, fmt.Errorf("wal: segment %d follows %d — the log has a gap", n, prev)
 		}
 		prev = n
 	}
-	return segs, nil
+	return segs[first:], data[first:], nil
 }
 
-// checkpointHead reports whether segment n's first frame is an intact
-// checkpoint record. It reads the header and that one frame only.
-func checkpointHead(dir string, n uint64) (bool, error) {
-	f, err := os.Open(segPath(dir, n))
-	if err != nil {
-		return false, fmt.Errorf("wal: %w", err)
+// opensWithCheckpoint reports whether a segment's frames begin with an
+// intact checkpoint record.
+func opensWithCheckpoint(frames []byte) bool {
+	if len(frames) < FrameHeaderLen {
+		return false
 	}
-	defer f.Close()
-	head := make([]byte, segHeaderLen+FrameHeaderLen)
-	size, err := io.ReadFull(f, head)
-	if err := checkHeader(head[:size], n); err != nil || size < len(head) {
-		if errors.Is(err, errSegmentVersion) {
-			return false, fmt.Errorf("wal: segment %d: %w", n, err)
-		}
-		return false, nil
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		return false, fmt.Errorf("wal: %w", err)
-	}
-	plen, ok := FrameLen(head[segHeaderLen:], int(min(maxRecordLen, fi.Size()-int64(len(head)))))
-	if !ok {
-		return false, nil
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return false, nil
-	}
-	return payload[0] == byte(KindCheckpoint) && FrameIntact(head[segHeaderLen:], payload), nil
+	n, ok := FrameLen(frames, min(maxRecordLen, len(frames)-FrameHeaderLen))
+	return ok && frames[FrameHeaderLen] == byte(KindCheckpoint) &&
+		FrameIntact(frames, frames[FrameHeaderLen:FrameHeaderLen+n])
 }
 
 // readState scans dir from the replay start (ReplaySegments): the
 // newest checkpoint record and every record after it. It performs no
 // writes.
 func readState(dir string) (*recoveredState, error) {
-	segs, err := ReplaySegments(dir)
+	segs, data, err := ReplaySegments(dir)
 	if err != nil {
 		return nil, err
 	}
 	st := &recoveredState{}
 	for i, n := range segs {
-		data, err := os.ReadFile(segPath(dir, n))
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
 		last := i == len(segs)-1
-		valid, recs, err := scanSegment(data, n)
-		if err != nil && (!last || errors.Is(err, errSegmentVersion)) {
-			return nil, fmt.Errorf("wal: segment %d: %w (only the final segment may have a torn tail)", n, err)
+		valid, recs, err := scanSegment(data[i], n)
+		if err != nil && !last {
+			return nil, fmt.Errorf("wal: segment %d: %v (only the final segment may have a torn tail)", n, err)
 		}
-		if !last && valid != int64(len(data)) {
+		if !last && valid != int64(len(data[i])) {
 			return nil, fmt.Errorf("wal: segment %d has %d invalid byte(s) mid-log (only the final segment may have a torn tail)",
-				n, int64(len(data))-valid)
+				n, int64(len(data[i]))-valid)
 		}
 		if last {
 			st.lastSeg, st.lastValid = n, valid
-			st.TruncatedBytes = int64(len(data)) - valid
+			st.TruncatedBytes = int64(len(data[i])) - valid
 		}
 		for k, rec := range recs {
 			if rec.Kind != KindCheckpoint {
