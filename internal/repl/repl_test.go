@@ -370,6 +370,64 @@ func TestCheckpointPastChunkCapReplicates(t *testing.T) {
 	}
 }
 
+// TestFollowerRefusesCheckpointFile: a primary that sends its image as
+// CheckpointInstall data keeps it outside its log, in the format before
+// checkpoint records. The follower refuses that install rather than
+// replay the segments without the image.
+func TestFollowerRefusesCheckpointFile(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, _, err := wire.ReadFrame(nc, nil); err != nil {
+			return
+		}
+		buf, _ := wire.WriteFrame(nc, nil, &wire.Frame{Kind: wire.KindFollowAck})
+		wire.WriteFrame(nc, buf, &wire.Frame{Kind: wire.KindCheckpointInstall, Tenant: "acme", Data: []byte("RCKP image")})
+		io.Copy(io.Discard, nc)
+	}()
+	refused := make(chan string, 1)
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Primary:      ln.Addr().String(),
+		Dir:          t.TempDir(),
+		NewScheduler: newFollowerSched,
+		RedialEvery:  20 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "older log format") {
+				select {
+				case refused <- line:
+				default:
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("new follower: %v", err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- fol.Run() }()
+	select {
+	case line := <-refused:
+		t.Log(line)
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower accepted a checkpoint file install")
+	}
+	if st := fol.Stats(); st.Tenants != 0 {
+		t.Fatalf("follower holds %d tenant(s) after a refused install", st.Tenants)
+	}
+	fol.Close()
+	if err := <-runErr; err != nil {
+		t.Fatalf("follower run: %v", err)
+	}
+}
+
 // TestFencedPrimaryRefused: a follower that promoted past the primary
 // proves the primary deposed — the handshake must be refused with
 // CodeFenced and the Source must surface Fenced().

@@ -67,7 +67,8 @@ type feed struct {
 
 // Source is the primary-side replication endpoint: it accepts follower
 // connections, streams each registered tenant's segments from its
-// newest checkpoint record on, then its live tail, and can hand the primary role to a follower.
+// newest checkpoint record on and then its live tail, and can hand the
+// primary role to a follower.
 type Source struct {
 	cfg SourceConfig
 

@@ -170,11 +170,11 @@ func TestCorruptMiddleBitFlip(t *testing.T) {
 	}
 }
 
-// TestCheckpointRecord: a checkpoint opens the next segment with its
-// image and prunes the old one, appends after it land behind the
-// image, and recovery restores the image and replays only the records
-// after it.
-func TestCheckpointRecord(t *testing.T) {
+// TestRotateAndCheckpoint: a checkpoint rotates to the next segment,
+// writes its image as that segment's first record and prunes the old
+// one; appends after it land behind the image, and recovery restores
+// the image and replays only the records after it.
+func TestRotateAndCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{})
 	if err != nil {
