@@ -15,9 +15,8 @@
 // The payload's first byte is the record kind — a single request, a
 // request batch (one ApplyBatch call, group-committed as one frame), a
 // machine-pool resize, or a checkpoint — followed by the kind-specific
-// body. All
-// integers are little-endian; variable-length fields use Go's varint
-// encodings.
+// body. All integers are little-endian; variable-length fields use Go's
+// varint encodings.
 //
 // Recovery scans each segment's frames in order. The first frame that
 // does not check out — short header, length past the end of the file,
@@ -57,10 +56,10 @@
 // # Codec
 //
 // codec.go holds the one codec the log and the wire protocol
-// (internal/wire) share: the frame envelope (OpenFrame,
-// SealFrame, FrameLen, FrameIntact), the bounded sticky-error payload
-// Reader, and the request and placed-job encodings (AppendRequest,
-// AppendPlaced and their Reader methods).
+// (internal/wire) share: the frame envelope (OpenFrame, SealFrame,
+// FrameLen, FrameIntact), the bounded sticky-error payload Reader, and
+// the request and placed-job encodings (AppendRequest, AppendPlaced and
+// their Reader methods).
 package wal
 
 import (

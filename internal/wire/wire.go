@@ -316,9 +316,8 @@ type Frame struct {
 	Off int64
 
 	// Data: CheckpointInstall (empty), SegmentChunk, Tail (verbatim
-	// segment-file bytes). Decode copies
-	// it out of the read buffer, so it stays valid across ReadFrame
-	// calls.
+	// segment-file bytes). Decode copies it out of the read buffer, so
+	// it stays valid across ReadFrame calls.
 	Data []byte
 }
 

@@ -44,9 +44,9 @@
 // Sharded schedulers can be made durable: WithWAL(dir) appends every
 // admission to a write-ahead log before acknowledging it, Checkpoint
 // writes a point-in-time image into the log as a record that bounds
-// recovery to "load snapshot + replay tail", and OpenRecovered rebuilds a crashed
-// scheduler from the directory. See the README's "Durability &
-// recovery" section for the guarantees.
+// recovery to "load snapshot + replay tail", and OpenRecovered rebuilds
+// a crashed scheduler from the directory. See the README's "Durability
+// & recovery" section for the guarantees.
 package realloc
 
 import (
