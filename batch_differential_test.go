@@ -192,10 +192,8 @@ func sameSentinel(a, b error) bool {
 }
 
 // TestBatchDifferentialSharded replays one stream through the sharded
-// front-end's Apply and ApplyBatch from a single goroutine. A chunk
-// that contains a delete runs request by request, and an insert-only
-// chunk of this underallocated stream never overflows, so the final
-// snapshots must agree exactly.
+// front-end's Apply and ApplyBatch from a single goroutine. Every chunk
+// runs request by request, so the final snapshots must agree exactly.
 func TestBatchDifferentialSharded(t *testing.T) {
 	g, err := workload.NewGenerator(workload.Config{
 		Seed: 47, Machines: 8, Gamma: 8, Horizon: 4096, Steps: 1200,

@@ -95,25 +95,6 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
-// RecordN adds n observations of the same value (the requests a shard
-// serves under one lock hold share one latency). Like Record it is
-// concurrent-safe and allocation-free.
-//
-//reallocvet:hotpath
-func (h *Histogram) RecordN(v int64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.counts[bucketOf(v)].Add(n)
-	h.count.Add(n)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Reset zeroes the histogram. It must not race Record: callers
 // quiesce writers first (benchmark harnesses between runs).
 func (h *Histogram) Reset() {

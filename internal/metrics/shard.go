@@ -32,9 +32,8 @@ type ShardCost struct {
 	// another shard rejected them as infeasible.
 	Overflow int
 	// Batches is the number of times a request path took the shard's
-	// lock: once per request attempt (Apply, or a member of a batch
-	// that contains a delete), once per shard share of an insert-only
-	// ApplyBatch.
+	// lock: once per request attempt, whether from Apply or a member of
+	// an ApplyBatch.
 	// Requests/Batches is the mean number of requests per acquisition.
 	Batches int
 	// ResizeEvicted is the number of jobs pool resizes drained off this
@@ -49,9 +48,8 @@ type ShardCost struct {
 	Cost Cost
 	// Latency is the shard's request-latency histogram (nanoseconds,
 	// lock wait plus execution): every client request the shard
-	// executed, per-request and batched alike (the requests one lock
-	// hold serves for an insert-only batch record its span). Empty when
-	// the shard served nothing.
+	// executed, per-request and batched alike. Empty when the shard
+	// served nothing.
 	Latency hdr.Snapshot
 }
 

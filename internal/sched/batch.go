@@ -2,12 +2,14 @@
 // own, and a batch that contains a delete is served exactly that way:
 // ApplyEach runs it request by request through each layer's Insert and
 // Delete. The one batch shape with a bulk path is the insert-only batch
-// (a checkpoint restore, a preload), where the trimming layer replaces
-// the n* doublings of the ramp with one rebuild; the layers choose
-// between the two by looking at the batch (InsertsOnly). BatchScheduler
-// is the optional interface of the layers with a bulk path; ApplyBatch
-// is the uniform entry point, which falls back to ApplyEach for
-// schedulers without one.
+// on a bare stack (a checkpoint restore through RestoreJobs, a preload
+// of an unsharded stack), where the trimming layer replaces the n*
+// doublings of the ramp with one rebuild; the layers choose between the
+// two by looking at the batch (InsertsOnly). The sharded front-end runs
+// every batch request by request, so through it an insert-only batch is
+// exact too. BatchScheduler is the optional interface of the layers
+// with a bulk path; ApplyBatch is the uniform entry point, which falls
+// back to ApplyEach for schedulers without one.
 //
 // Batch semantics, shared by every implementation in this repository:
 //

@@ -21,9 +21,8 @@ import (
 // all invariants: SelfCheck passes, the snapshot is a feasible schedule
 // for its job set (cross-checked against internal/feasible), and the
 // per-request outcomes account exactly for the active population.
-// A twin scheduler gets the same resizes, each insert-only batch
-// through ApplyBatch and each batch that contains a delete request by
-// request through Apply; both must give the same verdicts, costs and
+// A twin scheduler gets the same resizes and runs every batch request
+// by request through Apply; both must give the same verdicts, costs and
 // snapshots after every batch.
 // Run with: go test -fuzz=FuzzApplyBatch ./internal/shard (CI smokes it
 // under -race).
@@ -162,20 +161,13 @@ func FuzzApplyBatch(f *testing.F) {
 	})
 }
 
-// applyTwin serves batch on the twin scheduler: through ApplyBatch if
-// it is insert-only, otherwise request by request through Apply.
+// applyTwin serves batch on the twin scheduler request by request
+// through Apply.
 func applyTwin(twin *Scheduler, batch []jobs.Request) ([]metrics.Cost, []error) {
 	costs := make([]metrics.Cost, len(batch))
 	errs := make([]error, len(batch))
-	if !sched.InsertsOnly(batch) {
-		for k, r := range batch {
-			costs[k], errs[k] = twin.Apply(r)
-		}
-		return costs, errs
-	}
-	costs, err := twin.ApplyBatch(batch)
-	for k := range batch {
-		errs[k] = sched.ErrAt(err, k)
+	for k, r := range batch {
+		costs[k], errs[k] = twin.Apply(r)
 	}
 	return costs, errs
 }

@@ -138,9 +138,9 @@ func TestOverflowStormNoThunderingHerd(t *testing.T) {
 }
 
 // TestOverflowStormBatch pushes the same 24-insert storm through
-// ApplyBatch: the overflow hops that follow the insert-only bulk pass
-// must spread the 20 rerouted inserts with the same inflight-aware
-// balance and the same exact counters as the per-request path.
+// ApplyBatch: each insert runs and hops in batch order, so the 20
+// rerouted inserts spread with the same inflight-aware balance and the
+// same exact counters as the per-request path.
 func TestOverflowStormBatch(t *testing.T) {
 	s := hotStormScheduler(t)
 	reqs := make([]jobs.Request, 24)
@@ -186,21 +186,34 @@ func TestOverflowStormBatch(t *testing.T) {
 	}
 }
 
-// TestOverflowMixedBatchEqualsPerRequest: a batch that contains a delete
-// returns exactly what applying its requests one at a time returns,
-// also when an insert overflows. hot-04 overflows from the full hot
-// shard to shard 1, and n-5, routed to shard 1 by the ring, must queue
-// behind it there, as it does per request.
+// TestOverflowMixedBatchEqualsPerRequest: a batch returns exactly what
+// applying its requests one at a time returns, also when an insert
+// overflows, whether or not the batch contains a delete. hot-04
+// overflows from the full hot shard to shard 1, and n-5, routed to
+// shard 1 by the ring, must queue behind it there, as it does per
+// request.
 func TestOverflowMixedBatchEqualsPerRequest(t *testing.T) {
 	if got := hotPolicy().Route("n-5", 4); got != 1 {
 		t.Fatalf("ring routes n-5 to shard %d, the test needs shard 1", got)
 	}
-	var reqs []jobs.Request
+	var inserts []jobs.Request
 	for i := 0; i < 5; i++ {
-		reqs = append(reqs, hotInsert(i))
+		inserts = append(inserts, hotInsert(i))
 	}
-	reqs = append(reqs, jobs.InsertReq("n-5", 0, 4), jobs.DeleteReq("hot-00"))
+	inserts = append(inserts, jobs.InsertReq("n-5", 0, 4))
+	mixed := append(append([]jobs.Request(nil), inserts...), jobs.DeleteReq("hot-00"))
+	for _, tc := range []struct {
+		name string
+		reqs []jobs.Request
+	}{{"mixed", mixed}, {"inserts-only", inserts}} {
+		t.Run(tc.name, func(t *testing.T) { checkBatchEqualsPerRequest(t, tc.reqs) })
+	}
+}
 
+// checkBatchEqualsPerRequest applies reqs to one hot-storm scheduler
+// request by request and to another as one batch, and requires the
+// same verdicts, costs, schedule and overflow counters.
+func checkBatchEqualsPerRequest(t *testing.T, reqs []jobs.Request) {
 	ref := hotStormScheduler(t)
 	refCosts := make([]metrics.Cost, len(reqs))
 	refErrs := make([]error, len(reqs))

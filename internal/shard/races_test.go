@@ -48,7 +48,7 @@ func TestCloseRacesOverflowHop(t *testing.T) {
 // TestClosedSchedulerErrClosedConsistently pins the post-Close error
 // contract: EVERY entry point — sync Apply (insert, delete of a known
 // name, delete of an unknown name), the Insert/Delete methods,
-// ResizeShard, and the bulk ApplyBatch — reports the
+// ResizeShard, and ApplyBatch — reports the
 // ErrClosed sentinel, never a routing-derived error like ErrUnknownJob
 // and never a raw channel panic.
 func TestClosedSchedulerErrClosedConsistently(t *testing.T) {

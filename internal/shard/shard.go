@@ -15,13 +15,12 @@
 //
 // Two request paths are exposed: Apply (and the Insert/Delete methods of
 // sched.Scheduler) serves one request and returns its cost, and
-// ApplyBatch (batch.go) serves a request slice: request by request when
-// it contains a delete, with one lock hold per shard when it is
-// insert-only. Both are synchronous and safe for any number of
-// concurrent callers, with one contract: requests that touch the same
-// job name must not be in flight concurrently (issue a delete after its
-// insert returned); requests for different names are unordered across
-// shards by design.
+// ApplyBatch (batch.go) serves a request slice request by request,
+// through the same steps as Apply. Both are synchronous and safe for
+// any number of concurrent callers, with one contract: requests that
+// touch the same job name must not be in flight concurrently (issue a
+// delete after its insert returned); requests for different names are
+// unordered across shards by design.
 //
 // The machine pool is elastic: Resize and ResizeShard grow or shrink
 // shards' machine ranges at runtime with bounded migrations — growing
@@ -330,38 +329,29 @@ func (sh *shard) begin(start, deadline int64) error {
 	return nil
 }
 
-// serve executes r on the shard's inner scheduler and tallies the
-// outcome. The caller holds the lock and began waiting for it at start.
-// See tally for retryable, overflow and reroute.
+// serve executes r on the shard's inner scheduler and folds the
+// outcome into the shard's statistics. The caller holds the lock and
+// began waiting for it at start. retryable marks a primary insert the
+// front-end retries on a fallback shard if this one rejects it as
+// infeasible; reroute reports that rejection, which counts as Rerouted,
+// not as a Failure. overflow marks that retry.
 //
 //reallocvet:hotpath
 func (sh *shard) serve(r jobs.Request, start int64, retryable, overflow bool) (c metrics.Cost, reroute bool, err error) {
 	c, err = sched.Apply(sh.inner, r)
-	reroute = sh.tally(c, err, retryable, overflow)
-	sh.lat.Record(monotonicNS() - start)
-	return c, reroute, err
-}
-
-// tally folds one executed request's outcome into the shard's
-// statistics. The caller holds the lock. retryable marks a primary
-// insert the front-end retries on a fallback shard if this one rejects
-// it as infeasible; reroute reports that rejection, which counts as
-// Rerouted, not as a Failure. overflow marks that retry.
-//
-//reallocvet:hotpath
-func (sh *shard) tally(c metrics.Cost, err error, retryable, overflow bool) (reroute bool) {
 	sh.stats.Requests++
 	sh.stats.Cost.Add(c)
 	switch {
 	case err != nil && retryable && errors.Is(err, sched.ErrInfeasible):
 		sh.stats.Rerouted++
-		return true
+		reroute = true
 	case err != nil:
 		sh.stats.Failures++
 	case overflow:
 		sh.stats.Overflow++
 	}
-	return false
+	sh.lat.Record(monotonicNS() - start)
+	return c, reroute, err
 }
 
 // routeOf returns the routing value of id and whether it is tracked.
@@ -526,7 +516,7 @@ func (s *Scheduler) insert(r jobs.Request, deadline int64) (*shard, metrics.Cost
 	id := s.names.Intern(r.Name)
 	if _, dup := s.routeOf(id); dup {
 		s.mu.Unlock()
-		return nil, metrics.Cost{}, duplicateErr(r.Name)
+		return nil, metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrDuplicateJob, r.Name)
 	}
 	s.setRoute(id, reservedShard)
 	s.inflight[i]++
@@ -632,26 +622,15 @@ func (s *Scheduler) ack(sh *shard, r jobs.Request, c metrics.Cost, err error) (m
 // shardIdx: into the routing table on success, dropped on failure.
 func (s *Scheduler) commitInsert(id ident.ID, shardIdx int, err error) {
 	s.mu.Lock()
-	s.settle(id, shardIdx, err)
-	s.mu.Unlock()
-}
-
-// settle is commitInsert with mu held by the caller.
-func (s *Scheduler) settle(id ident.ID, shardIdx int, err error) {
 	s.inflight[shardIdx]--
 	if err != nil {
 		s.dropRoute(id)
-		return
+	} else {
+		s.setRoute(id, shardIdx)
+		s.loads[shardIdx]++
+		s.active++
 	}
-	s.setRoute(id, shardIdx)
-	s.loads[shardIdx]++
-	s.active++
-}
-
-// duplicateErr is the duplicate-insert rejection shared by the
-// per-request and batch routing passes.
-func duplicateErr(name string) error {
-	return fmt.Errorf("%w: %q", sched.ErrDuplicateJob, name)
+	s.mu.Unlock()
 }
 
 // loadOrder returns every shard except `exclude`, sorted by ascending

@@ -450,14 +450,14 @@ func Apply(s Scheduler, r Request) (Cost, error) { return sched.Apply(s, r) }
 // ApplyBatch serves a request slice in order; a failed request does not
 // abort the batch. The returned cost slice is parallel to the requests;
 // the error, when non-nil, is a *BatchError mapping failures back to
-// request indices. A batch that contains a delete is served request by
-// request and returns exactly what Apply would. An insert-only batch (a
-// restore, a preload) takes the stack's bulk path, which merges the
-// trim rebuilds of the ramp into one: when no insert fails, the final
-// schedule is identical to applying the requests one at a time. A
-// machine whose merged rebuild cannot place every job serves its share
-// of the batch request by request instead. No batch removes a job that
-// an earlier request admitted.
+// request indices. A batch that contains a delete, and every batch on
+// a Sharded, is served request by request and returns exactly what
+// Apply would. An insert-only batch on a bare stack takes the stack's
+// bulk path, which merges the trim rebuilds of the ramp into one: when
+// no insert fails, the final schedule is identical to applying the
+// requests one at a time. A machine whose merged rebuild cannot place
+// every job serves its share of the batch request by request instead.
+// No batch removes a job that an earlier request admitted.
 func ApplyBatch(s Scheduler, reqs []Request) ([]Cost, error) {
 	return sched.ApplyBatch(s, reqs)
 }
