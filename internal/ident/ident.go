@@ -12,13 +12,15 @@
 //
 // A table has one owner and no lock. Every table belongs to exactly one
 // scheduler and is touched only by the goroutine that drives it: a
-// realloc.New stack runs on its caller, a shard's stack on that shard's
-// worker (snapshots included), and the shard router's own table only
-// under the router's mutex. Concurrent readers are safe (the read
-// methods do not mutate), but a mutating call (Intern, Release, Reset)
-// must not overlap any other call; a caller that shares a table must
-// serialize it itself.
+// realloc.New stack runs on its caller, a shard's stack on whichever
+// goroutine holds its shard's lock (snapshots included), and the shard
+// router's own table only under the router's mutex. Concurrent readers
+// are safe (the read methods do not mutate), but a mutating call
+// (Intern, Release, Reset) must not overlap any other call; a caller
+// that shares a table must serialize it itself.
 package ident
+
+import "hash/maphash"
 
 // ID is a dense interned name identifier. The zero ID is None: it is
 // never issued, so ID-valued fields and map entries can use 0 for
@@ -30,22 +32,57 @@ const None ID = 0
 
 // Table is a two-way name⇄ID registry with free-list ID reuse. The ID
 // of a name is its slot plus one.
+//
+// The slot slice and its LIFO free list decide every ID; the name→slot
+// direction is an open-addressed, linearly probed index beside them.
+// Each bucket keeps the name's hash and its ID, so a probe compares a
+// string only on a full hash match, and growth re-places the buckets
+// from their stored hashes without hashing a name. The index stays at
+// most a quarter full and doubles when it would pass that. Each slot
+// remembers its bucket, so Release empties it by backward-shift
+// deletion, with no hash and no string compare. The hash is maphash
+// under a per-table seed: a client that picks job names cannot predict
+// which of them share a probe run.
 type Table struct {
-	byName map[string]uint32 // name -> slot
-	names  []string          // slot -> name; "" marks a free slot
-	free   []uint32          // recycled slots
+	seed    maphash.Seed
+	buckets []bucket // power-of-two length; a zero bucket is empty
+	names   []string // slot -> name; "" marks a free slot
+	home    []uint32 // slot -> its bucket, meaningful while bound
+	free    []uint32 // recycled slots
 }
 
+// bucket is one index entry: the low 32 bits of the name's hash and its
+// ID, None when the bucket is empty.
+type bucket struct {
+	hash uint32
+	id   ID
+}
+
+// minBuckets is the index size of a new table.
+const minBuckets = 16
+
 // New returns an empty table.
-func New() *Table { return &Table{byName: make(map[string]uint32)} }
+func New() *Table {
+	return &Table{seed: maphash.MakeSeed(), buckets: make([]bucket, minBuckets)}
+}
+
+// hash is the index's hash of name: the low 32 bits of its maphash.
+func (t *Table) hash(name string) uint32 {
+	return uint32(maphash.String(t.seed, name))
+}
 
 // Intern returns the ID bound to name, issuing one (free list first)
 // when the name is new.
 //
 //reallocvet:hotpath
 func (t *Table) Intern(name string) ID {
-	if slot, ok := t.byName[name]; ok {
-		return ID(slot + 1)
+	h := t.hash(name)
+	mask := uint32(len(t.buckets) - 1)
+	i := h & mask
+	for ; t.buckets[i].id != None; i = (i + 1) & mask {
+		if b := t.buckets[i]; b.hash == h && t.names[b.id-1] == name {
+			return b.id
+		}
 	}
 	var slot uint32
 	if n := len(t.free); n > 0 {
@@ -55,20 +92,59 @@ func (t *Table) Intern(name string) ID {
 	} else {
 		slot = uint32(len(t.names))
 		t.names = append(t.names, name) //reallocvet:allow hotpath (amortized growth: steady state reuses free-list slots)
+		t.home = append(t.home, 0)      //reallocvet:allow hotpath (amortized growth: grows with names)
 	}
-	t.byName[name] = slot
-	return ID(slot + 1)
+	b := bucket{hash: h, id: ID(slot + 1)}
+	// Only a fresh slot raises the high-water mark, so the live count
+	// never passes a quarter of the index without this growth.
+	if 4*len(t.names) > len(t.buckets) {
+		t.grow()
+		t.place(b)
+		return b.id
+	}
+	t.buckets[i] = b
+	t.home[slot] = i
+	return b.id
+}
+
+// grow doubles the index and re-places every entry from its stored
+// hash.
+func (t *Table) grow() {
+	old := t.buckets
+	t.buckets = make([]bucket, 2*len(old)) //reallocvet:allow hotpath (amortized growth: the index doubles at quarter load)
+	for _, b := range old {
+		if b.id != None {
+			t.place(b)
+		}
+	}
+}
+
+// place puts b in the first empty bucket of its probe run.
+func (t *Table) place(b bucket) {
+	mask := uint32(len(t.buckets) - 1)
+	i := b.hash & mask
+	for t.buckets[i].id != None {
+		i = (i + 1) & mask
+	}
+	t.buckets[i] = b
+	t.home[b.id-1] = i
 }
 
 // Get returns the ID bound to name without interning.
 //
 //reallocvet:hotpath
 func (t *Table) Get(name string) (ID, bool) {
-	slot, ok := t.byName[name]
-	if !ok {
-		return None, false
+	h := t.hash(name)
+	mask := uint32(len(t.buckets) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		b := t.buckets[i]
+		if b.id == None {
+			return None, false
+		}
+		if b.hash == h && t.names[b.id-1] == name {
+			return b.id, true
+		}
 	}
-	return ID(slot + 1), true
 }
 
 // Name returns the name bound to id, or "" when id is None or unbound.
@@ -94,18 +170,31 @@ func (t *Table) Release(id ID) {
 	if slot >= uint32(len(t.names)) || t.names[slot] == "" {
 		panic("ident: release of unbound ID")
 	}
-	delete(t.byName, t.names[slot])
+	// Backward-shift deletion: walk the probe run after the emptied
+	// bucket i and pull back every entry whose home bucket does not lie
+	// cyclically in (i, j], so no later probe meets a false gap.
+	mask := uint32(len(t.buckets) - 1)
+	i := t.home[slot]
+	for j := (i + 1) & mask; t.buckets[j].id != None; j = (j + 1) & mask {
+		b := t.buckets[j]
+		if (j-b.hash)&mask >= (j-i)&mask {
+			t.buckets[i] = b
+			t.home[b.id-1] = i
+			i = j
+		}
+	}
+	t.buckets[i] = bucket{}
 	t.names[slot] = ""            // drop the string reference
 	t.free = append(t.free, slot) //reallocvet:allow hotpath (amortized growth: the free list reaches its high-water mark and stops growing)
 }
 
 // Len returns the number of bound names.
 func (t *Table) Len() int {
-	return len(t.byName)
+	return len(t.names) - len(t.free)
 }
 
 // Range calls fn for every bound (ID, name) until fn returns false. fn
-// must not call mutating table methods; the order is unspecified.
+// must not call mutating table methods; the order is ascending ID.
 func (t *Table) Range(fn func(id ID, name string) bool) {
 	for slot, name := range t.names {
 		if name != "" && !fn(ID(slot+1), name) {
@@ -114,24 +203,13 @@ func (t *Table) Range(fn func(id ID, name string) bool) {
 	}
 }
 
-// AppendNames appends every bound name to buf and returns it — the
-// allocation-friendly way to snapshot the name set (callers typically
-// sort it for deterministic iteration).
-func (t *Table) AppendNames(buf []string) []string {
-	for _, name := range t.names {
-		if name != "" {
-			buf = append(buf, name)
-		}
-	}
-	return buf
-}
-
 // Reset drops every binding but keeps the table's capacity, returning
 // it to its initial state (IDs are reissued from the bottom). For
 // recycling a scheduler's ID space; callers must hold no live IDs.
 func (t *Table) Reset() {
-	clear(t.byName)
+	clear(t.buckets)
 	clear(t.names) // zero the string refs
 	t.names = t.names[:0]
+	t.home = t.home[:0]
 	t.free = t.free[:0]
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -289,6 +290,25 @@ func TestE8HistoryIndependentShape(t *testing.T) {
 	for _, row := range tab.Rows {
 		if row[len(row)-1] != "true" {
 			t.Errorf("trial %s: reservation state not identical (%v)", row[0], row)
+		}
+	}
+}
+
+// TestE2LogDeltaShape pins Lemma 4 on the quick table: on the nested
+// cascade the naive pecking order's worst probe reallocates exactly one
+// job per span, log2(Δ) of them (6 at Δ = 64, 10 at Δ = 1024).
+func TestE2LogDeltaShape(t *testing.T) {
+	rows := quickTable(t, "E2", 0, 1, 2)
+	if len(rows) != 2 {
+		t.Fatalf("quick E2 has %d rows, want Δ = 64 and Δ = 1024", len(rows))
+	}
+	for _, row := range rows {
+		delta, logDelta, maxProbe := row[0], row[1], row[2]
+		if want := bits.Len(uint(delta)) - 1; logDelta != want {
+			t.Errorf("Δ=%d: log2 column %d, want %d", delta, logDelta, want)
+		}
+		if maxProbe != logDelta {
+			t.Errorf("Δ=%d: max probe cost %d, want log2(Δ) = %d", delta, maxProbe, logDelta)
 		}
 	}
 }

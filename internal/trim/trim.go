@@ -20,7 +20,8 @@ package trim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/ident"
 	"repro/internal/jobs"
@@ -48,10 +49,16 @@ type Scheduler struct {
 
 	// rebuilds counts schedule rebuilds, exposed for experiments.
 	rebuilds int
-	// scratch is the slice a rebuild sorts the job names into, kept so
-	// the next rebuild reuses its array. It is cleared after each
+	// scratch is the slice a rebuild sorts the active jobs into, kept
+	// so the next rebuild reuses its array. It is cleared after each
 	// rebuild, so it pins no job names between rebuilds.
-	scratch []string
+	scratch []named
+}
+
+// named is an active job's name and ID, the unit a rebuild sorts.
+type named struct {
+	name string
+	id   ident.ID
 }
 
 // setWin records the original window of an interned job.
@@ -60,16 +67,6 @@ func (s *Scheduler) setWin(id ident.ID, w jobs.Window) {
 		s.wins = append(s.wins, jobs.Window{})
 	}
 	s.wins[id] = w
-}
-
-// winOf returns the original window of an active job by name. The
-// second result is false for inactive names.
-func (s *Scheduler) winOf(name string) (jobs.Window, ident.ID, bool) {
-	id, ok := s.names.Get(name)
-	if !ok {
-		return jobs.Window{}, ident.None, false
-	}
-	return s.wins[id], id, true
 }
 
 // TakeBatchEvictions implements sched.BatchEvictor. No batch sheds a
@@ -213,15 +210,21 @@ func (s *Scheduler) rebuild() (metrics.Cost, error) {
 	fresh := s.factory()
 	cap := s.Cap()
 
-	names := s.names.AppendNames(s.scratch[:0])
-	sort.Strings(names)
-	defer s.keepScratch(names)
-	for _, name := range names {
-		w, _, _ := s.winOf(name)
-		j := jobs.Job{Name: name, Window: trimWindow(w, cap)}
+	// One pass over the table collects every (name, ID): sorting the
+	// pairs by name fixes the rebuild order, and each window is then an
+	// index by ID, so no name is hashed.
+	active := s.scratch[:0]
+	s.names.Range(func(id ident.ID, name string) bool {
+		active = append(active, named{name: name, id: id})
+		return true
+	})
+	slices.SortFunc(active, func(a, b named) int { return strings.Compare(a.name, b.name) })
+	defer s.keepScratch(active)
+	for _, a := range active {
+		j := jobs.Job{Name: a.name, Window: trimWindow(s.wins[a.id], cap)}
 		if _, err := fresh.Insert(j); err != nil {
 			sched.Recycle(fresh) // the half-built schedule donates its structures too
-			return metrics.Cost{}, fmt.Errorf("trim: rebuild failed inserting %q: %w", name, err)
+			return metrics.Cost{}, fmt.Errorf("trim: rebuild failed inserting %q: %w", a.name, err)
 		}
 	}
 	s.inner = fresh
@@ -231,11 +234,11 @@ func (s *Scheduler) rebuild() (metrics.Cost, error) {
 	return metrics.Cost{Reallocations: moved, Migrations: migrated}, nil
 }
 
-// keepScratch clears a rebuild's sorted names and keeps their array for
+// keepScratch clears a rebuild's sorted jobs and keeps their array for
 // the next rebuild.
-func (s *Scheduler) keepScratch(names []string) {
-	clear(names)
-	s.scratch = names[:0]
+func (s *Scheduler) keepScratch(active []named) {
+	clear(active)
+	s.scratch = active[:0]
 }
 
 // Recycle implements sched.Recycler: the wrapper recycles its inner
