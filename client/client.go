@@ -107,7 +107,6 @@ type dialConfig struct {
 	timeout  time.Duration
 	attempts int
 	backoff  time.Duration
-	deadline time.Duration
 	fallback []string
 }
 
@@ -131,12 +130,6 @@ func WithRedial(attempts int, backoff time.Duration) DialOption {
 	}
 }
 
-// WithDeadline sets the client's default per-request deadline, applied
-// whenever a submit passes a zero timeout (default: none).
-func WithDeadline(d time.Duration) DialOption {
-	return func(c *dialConfig) { c.deadline = d }
-}
-
 // WithFallback appends failover addresses tried, in order, after the
 // primary address within every dial round.
 func WithFallback(addrs ...string) DialOption {
@@ -148,7 +141,6 @@ type Client struct {
 	nc               net.Conn
 	tenant           string
 	shards, machines int
-	deadline         time.Duration // default per-request deadline (WithDeadline)
 
 	// wmu serializes the write side (frame encode + bufio flush) and
 	// ID allocation. The frames calls queue in bw are flushed by
@@ -202,13 +194,12 @@ func dialOne(addr, tenant string, cfg *dialConfig) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		nc:       nc,
-		tenant:   tenant,
-		deadline: cfg.deadline,
-		bw:       bufio.NewWriter(nc),
-		kick:     make(chan struct{}, 1),
-		pending:  make(map[uint64]chan wire.Frame),
-		rdone:    make(chan struct{}),
+		nc:      nc,
+		tenant:  tenant,
+		bw:      bufio.NewWriter(nc),
+		kick:    make(chan struct{}, 1),
+		pending: make(map[uint64]chan wire.Frame),
+		rdone:   make(chan struct{}),
 	}
 	hello := wire.Frame{Kind: wire.KindHello, Version: wire.Version, Tenant: tenant}
 	c.wmu.Lock()
@@ -392,14 +383,11 @@ func (p *Pending) Wait() error {
 }
 
 // SubmitAsync sends one request without waiting for its ack. A zero
-// timeout means the WithDeadline default, or no deadline without one.
-// It returns once the frame is queued for the connection's flusher; a
-// transport failure after that surfaces through Wait and later calls.
-// Acks may settle in any order; each Pending resolves independently.
+// timeout means no deadline. It returns once the frame is queued for
+// the connection's flusher; a transport failure after that surfaces
+// through Wait and later calls. Acks may settle in any order; each
+// Pending resolves independently.
 func (c *Client) SubmitAsync(r jobs.Request, timeout time.Duration) (*Pending, error) {
-	if timeout <= 0 {
-		timeout = c.deadline
-	}
 	f := wire.Frame{Kind: wire.KindSubmit, Req: r, DeadlineUS: deadlineUS(timeout)}
 	ch, err := c.call(&f)
 	if err != nil {
@@ -422,14 +410,11 @@ func (c *Client) SubmitDeadline(r jobs.Request, timeout time.Duration) error {
 }
 
 // Batch sends a request batch and returns per-request verdicts
-// (nil for success), index-aligned with reqs. The returned error
-// covers transport failure only.
+// (nil for success), index-aligned with reqs. A zero timeout means no
+// deadline. The returned error covers transport failure only.
 func (c *Client) Batch(reqs []jobs.Request, timeout time.Duration) ([]error, error) {
 	if len(reqs) == 0 {
 		return nil, nil
-	}
-	if timeout <= 0 {
-		timeout = c.deadline
 	}
 	f := wire.Frame{Kind: wire.KindBatch, Batch: reqs, DeadlineUS: deadlineUS(timeout)}
 	ch, err := c.call(&f)

@@ -127,9 +127,9 @@ func TestConnDropMidPipeline(t *testing.T) {
 	}
 }
 
-// TestDialOptionsDeadlineAndVerdicts: WithDeadline supplies the
-// default submit deadline on the wire, and server verdict codes decode
-// to the unified sentinels.
+// TestDialOptionsDeadlineAndVerdicts: SubmitDeadline puts its timeout
+// on the wire, and server verdict codes decode to the unified
+// sentinels.
 func TestDialOptionsDeadlineAndVerdicts(t *testing.T) {
 	gotDeadline := make(chan uint64, 1)
 	addr := script(t, func(nc net.Conn, buf []byte) {
@@ -147,19 +147,17 @@ func TestDialOptionsDeadlineAndVerdicts(t *testing.T) {
 		wire.WriteFrame(nc, buf, &wire.Frame{Kind: wire.KindAck, ID: f.ID, Code: wire.CodeOverload, Detail: "busy"})
 	})
 
-	c, err := client.Dial(addr, "acme",
-		client.WithDialTimeout(5*time.Second),
-		client.WithDeadline(250*time.Millisecond))
+	c, err := client.Dial(addr, "acme", client.WithDialTimeout(5*time.Second))
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 
-	if err := c.Submit(jobs.InsertReq("a", 0, 8)); err != nil {
+	if err := c.SubmitDeadline(jobs.InsertReq("a", 0, 8), 250*time.Millisecond); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	if us := <-gotDeadline; us != 250_000 {
-		t.Fatalf("wire deadline = %dus, want 250000 (the WithDeadline default)", us)
+		t.Fatalf("wire deadline = %dus, want 250000", us)
 	}
 	err = c.Submit(jobs.InsertReq("b", 16, 24))
 	if !errors.Is(err, client.ErrOverload) || !errors.Is(err, realloc.ErrOverload) {

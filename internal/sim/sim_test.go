@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/align"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/sim_quick.golden")
@@ -236,7 +238,8 @@ func TestE10AmortizedShape(t *testing.T) {
 }
 
 // quickTable runs experiment id in quick mode and parses every cell of
-// the named columns as an integer, one []int per row (in column order).
+// the named columns as an integer (true and false read as 1 and 0), one
+// []int per row (in column order).
 func quickTable(t *testing.T, id string, cols ...int) [][]int {
 	t.Helper()
 	e, ok := ByID(id)
@@ -254,6 +257,12 @@ func quickTable(t *testing.T, id string, cols ...int) [][]int {
 	for i, row := range tab.Rows {
 		for _, c := range cols {
 			v, err := strconv.Atoi(row[c])
+			switch row[c] {
+			case "false":
+				v, err = 0, nil
+			case "true":
+				v, err = 1, nil
+			}
 			if err != nil {
 				t.Fatalf("%s: unparsable cell %d of row %v", id, c, row)
 			}
@@ -330,6 +339,58 @@ func TestE12SizeBoundsMeetShape(t *testing.T) {
 	}
 }
 
+// TestE11ComposedShape pins Lemmas 10, 3 and 9 composed on the quick
+// table: the full stack serves unaligned windows feasibly and migrates
+// at most one job per request.
+func TestE11ComposedShape(t *testing.T) {
+	for _, row := range quickTable(t, "E11", 0, 4, 5) {
+		m, migr, feas := row[0], row[1], row[2]
+		if feas != 1 {
+			t.Errorf("m=%d: schedule not feasible", m)
+		}
+		if migr > 1 {
+			t.Errorf("m=%d: %d migrations in one request, want <= 1", m, migr)
+		}
+	}
+}
+
+// TestE13PerLevelShape pins Lemma 9's proof on the quick table: one MOVE
+// per level, each causing at most two reallocations, so no level pays
+// more than two in one request.
+func TestE13PerLevelShape(t *testing.T) {
+	rows := quickTable(t, "E13", 0, 4)
+	if len(rows) != align.NumLevels {
+		t.Fatalf("%d levels, want align.NumLevels = %d", len(rows), align.NumLevels)
+	}
+	for _, row := range rows {
+		if level, maxOne := row[0], row[1]; maxOne > 2 {
+			t.Errorf("level %d: %d reallocations in one request, want <= 2", level, maxOne)
+		}
+	}
+}
+
+// TestE14Lemma8Shape pins Lemma 8 on the quick table: at gamma = 8 no
+// operation fails, the invariant never breaks, and every window keeps
+// at least x+1 fulfilled reservations on random and exact-fit runs.
+func TestE14Lemma8Shape(t *testing.T) {
+	seen := false
+	for _, row := range quickTable(t, "E14", 0, 2, 3, 4, 5) {
+		if row[0] != 8 {
+			continue
+		}
+		seen = true
+		if fails, viol := row[1], row[2]; fails != 0 || viol != 0 {
+			t.Errorf("gamma=8: %d op failures, %d invariant violations, want 0 and 0", fails, viol)
+		}
+		if random, exact := row[3], row[4]; random < 1 || exact < 1 {
+			t.Errorf("gamma=8: min slack %d (random), %d (exact-fit), want both >= 1", random, exact)
+		}
+	}
+	if !seen {
+		t.Fatal("no gamma=8 row")
+	}
+}
+
 func TestTableRender(t *testing.T) {
 	tab := &Table{ID: "T", Title: "demo", Claim: "c", Header: []string{"a", "bb"}}
 	tab.AddRow(1, 2.5)
@@ -360,25 +421,26 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// TestE16ShardedParity pins the sharded front-end against the
+// sequential stack on the quick table's mixed workload: every
+// configuration fails nothing, serves exactly what the sequential row
+// serves, and pays at most twice its reallocations.
 func TestE16ShardedParity(t *testing.T) {
-	e, _ := ByID("E16")
-	tab, err := e.Run(true)
-	if err != nil {
-		t.Fatal(err)
+	rows := quickTable(t, "E16", 1, 2, 3)
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want sequential + sharded-{1,4,8}", len(rows))
 	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("%d rows, want sequential + sharded-{1,4,8}", len(tab.Rows))
-	}
-	// No configuration may fail requests on the underallocated mixed
-	// workload... except shard-local overflow exhaustion, which the
-	// experiment itself bounds; here just require most requests served.
-	for _, row := range tab.Rows {
-		served, err := strconv.Atoi(row[1])
-		if err != nil {
-			t.Fatal(err)
+	seq := rows[0]
+	for i, row := range rows {
+		served, failed, realloc := row[0], row[1], row[2]
+		if failed != 0 {
+			t.Errorf("row %d: %d failed requests, want 0", i, failed)
 		}
-		if served == 0 {
-			t.Errorf("%s served no requests", row[0])
+		if served != seq[0] {
+			t.Errorf("row %d: served %d, the sequential stack served %d", i, served, seq[0])
+		}
+		if realloc > 2*seq[2] {
+			t.Errorf("row %d: %d reallocations, more than twice the sequential %d", i, realloc, seq[2])
 		}
 	}
 }

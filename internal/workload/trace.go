@@ -81,6 +81,9 @@ func (c *TraceConfig) fill() error {
 	if !mathx.IsPow2(c.Horizon) {
 		return fmt.Errorf("workload: trace horizon %d must be a power of two", c.Horizon)
 	}
+	if c.Horizon > maxHorizon {
+		return fmt.Errorf("workload: trace horizon %d exceeds %d", c.Horizon, maxHorizon)
+	}
 	if !mathx.IsPow2(c.MinSpan) || c.MinSpan > c.Horizon {
 		return fmt.Errorf("workload: trace min span %d must be a power of two <= horizon %d", c.MinSpan, c.Horizon)
 	}

@@ -36,6 +36,10 @@ func subSeed(seed int64, stream uint64) int64 {
 	return int64(x)
 }
 
+// maxHorizon bounds Config.Horizon and TraceConfig.Horizon: the budget
+// tree keeps 2*Horizon counters, 16 MiB at this bound.
+const maxHorizon = 1 << 20
+
 // Config parameterizes the random aligned churn generator.
 type Config struct {
 	Seed     int64
@@ -79,6 +83,9 @@ func (c *Config) fill() error {
 	if !mathx.IsPow2(c.Horizon) || !mathx.IsPow2(c.MaxSpan) || !mathx.IsPow2(c.MinSpan) {
 		return fmt.Errorf("workload: horizon, max span, and min span must be powers of two (got %d, %d, %d)",
 			c.Horizon, c.MaxSpan, c.MinSpan)
+	}
+	if c.Horizon > maxHorizon {
+		return fmt.Errorf("workload: horizon %d exceeds %d", c.Horizon, maxHorizon)
 	}
 	if c.MinSpan > c.MaxSpan || c.MaxSpan > c.Horizon {
 		return fmt.Errorf("workload: need MinSpan <= MaxSpan <= Horizon (got %d, %d, %d)",
@@ -181,57 +188,41 @@ func (g *Generator) tryInsert() (jobs.Request, bool) {
 
 // budgetTree tracks, for every dyadic window over [0, horizon), how many
 // active jobs nest inside it, and admits a new job only if every
-// ancestor keeps count*gamma <= m*span.
+// ancestor keeps count*gamma <= m*span. The windows form an implicit
+// binary heap: [start, start+span) is node (horizon+start)/span, the
+// parent of node i is i/2, and the root [0, horizon) is node 1.
 type budgetTree struct {
 	horizon int64
 	m       int64
 	gamma   int64
-	counts  map[dyadicKey]int64
-}
-
-type dyadicKey struct {
-	start int64
-	span  int64
+	counts  []int64
 }
 
 func newBudgetTree(horizon, m, gamma int64) *budgetTree {
-	return &budgetTree{horizon: horizon, m: m, gamma: gamma, counts: make(map[dyadicKey]int64)}
-}
-
-// ancestors yields the dyadic chain from w itself up to [0, horizon).
-func (b *budgetTree) ancestors(w jobs.Window) []dyadicKey {
-	var out []dyadicKey
-	span := w.Span()
-	start := w.Start
-	for span <= b.horizon {
-		out = append(out, dyadicKey{start: start, span: span})
-		span *= 2
-		start = mathx.AlignDown(start, span)
-	}
-	return out
+	return &budgetTree{horizon: horizon, m: m, gamma: gamma, counts: make([]int64, 2*horizon)}
 }
 
 // tryAdd admits w if the budget allows, updating counts.
 func (b *budgetTree) tryAdd(w jobs.Window) bool {
-	chain := b.ancestors(w)
-	for _, k := range chain {
-		if (b.counts[k]+1)*b.gamma > b.m*k.span {
+	node := (b.horizon + w.Start) / w.Span()
+	for i, span := node, w.Span(); i >= 1; i, span = i/2, span*2 {
+		if (b.counts[i]+1)*b.gamma > b.m*span {
 			return false
 		}
 	}
-	for _, k := range chain {
-		b.counts[k]++
+	for i := node; i >= 1; i /= 2 {
+		b.counts[i]++
 	}
 	return true
 }
 
 // remove releases w's budget.
 func (b *budgetTree) remove(w jobs.Window) {
-	for _, k := range b.ancestors(w) {
-		if b.counts[k] == 0 {
-			panic(fmt.Sprintf("workload: budget underflow at %+v", k))
+	for i := (b.horizon + w.Start) / w.Span(); i >= 1; i /= 2 {
+		if b.counts[i] == 0 {
+			panic(fmt.Sprintf("workload: budget underflow at node %d", i))
 		}
-		b.counts[k]--
+		b.counts[i]--
 	}
 }
 

@@ -31,6 +31,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewGenerator(Config{Horizon: 64, MinSpan: 32, MaxSpan: 16}); err == nil {
 		t.Error("MinSpan > MaxSpan accepted")
 	}
+	if _, err := NewGenerator(Config{Horizon: 2 * maxHorizon}); err == nil {
+		t.Error("horizon beyond the budget tree's bound accepted")
+	}
+	if _, err := TraceReplay(TraceConfig{Horizon: 2 * maxHorizon}); err == nil {
+		t.Error("trace horizon beyond the budget tree's bound accepted")
+	}
 }
 
 // The central property: after every prefix of the generated sequence the
