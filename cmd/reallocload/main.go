@@ -288,9 +288,9 @@ func buildTenantLoad(scenario string, seed int64, total, machines int, skew floa
 		cfg := workload.TraceConfig{Seed: seed, Machines: machines, Horizon: 1 << 12, Steps: total}
 		if skew > 0 && shards > 1 {
 			// reallocd builds each tenant's scheduler with the default
-			// routing policy — NewRing(shards, DefaultReplicas) — so an
-			// identical client-side ring aims the hot keys at shard 0.
-			ring := shard.NewRing(shards, shard.DefaultReplicas)
+			// routing policy — NewRing(shards) — so an identical
+			// client-side ring aims the hot keys at shard 0.
+			ring := shard.NewRing(shards)
 			cfg.HotFraction = skew
 			cfg.HotRoute = func(name string) bool { return ring.Route(name, shards) == 0 }
 		}

@@ -539,10 +539,14 @@ func (f *Follower) ingest(tenant string, seg uint64, off int64, data []byte) err
 // when it is a checkpoint, empty before replaying it otherwise. A later
 // checkpoint (the primary checkpointed while this replica was live)
 // images the state the scheduler already holds, so it is mirrored but
-// not replayed. An error means the record was refused, not that a
-// request failed.
+// not replayed, and it prunes the mirror as it pruned the primary's
+// log. An error means the record was refused, not that a request
+// failed.
 func (f *Follower) apply(r *replica, rec wal.Record) error {
 	if rec.Kind == wal.KindCheckpoint {
+		if err := r.prune(); err != nil {
+			return err
+		}
 		if r.sched == nil {
 			return f.build(r, rec.Checkpoint)
 		}
@@ -560,6 +564,25 @@ func (f *Follower) apply(r *replica, rec wal.Record) error {
 	r.records++
 	r.requests += rec.Requests()
 	r.failures += failed
+	return nil
+}
+
+// prune removes the mirror segments below r.seg, which a checkpoint
+// record opens, as Log.Checkpoint does on the primary, and as there the
+// removal is best-effort: recovery never reads them. The checkpoint's
+// segment is synced first, as rotate syncs it, so the image is durable
+// before the records it replaces go.
+func (r *replica) prune() error {
+	if err := r.file.Sync(); err != nil {
+		return err
+	}
+	for seg := range r.done {
+		if seg < r.seg {
+			_ = os.Remove(wal.SegmentPath(r.dir, seg))
+			delete(r.done, seg)
+		}
+	}
+	r.minSeg = r.seg // a late overlap of a pruned segment is ignored
 	return nil
 }
 
@@ -586,9 +609,13 @@ func (f *Follower) discard() {
 
 // promote turns the follower into a primary: persist the fencing epoch
 // (max(seen, wire)+1 for self-promotion, the wire epoch for an
-// explicit handoff), then for every installed tenant sync the mirror,
-// open its WAL, and attach it to the warm scheduler. After promote the
-// schedulers append to their own logs and Adopt hands them out.
+// explicit handoff), then for every installed tenant sync the mirror
+// and its directory, open its WAL, and attach it to the warm
+// scheduler. Mirror segments are created and reset without a directory
+// sync while following; the epoch's write syncs the replication root,
+// which names every tenant directory, before the first attach. After
+// promote the schedulers append to their own logs and Adopt hands them
+// out.
 // Partially installed tenants are discarded loudly AND durably: their
 // mirrors are an incomplete prefix of the primary's WAL, so a
 // tombstone (MarkDiscarded) blocks any later recovery path from
@@ -629,6 +656,7 @@ func (f *Follower) promote(wireEpoch uint64, reason string) error {
 			r.file.Close()
 			r.file = nil
 		}
+		syncDir(r.dir)
 		// wal.Open re-reads the mirror (validating headers and CRCs)
 		// and truncates any trailing partial record — bytes the replica
 		// ingested but never replayed, so the on-disk log and the warm

@@ -154,9 +154,15 @@ func writeFileSync(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
+	syncDir(filepath.Dir(path))
+	return nil
+}
+
+// syncDir best-effort fsyncs a directory, so the entries created or
+// removed in it are durable (not every platform can sync one).
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	return nil
 }

@@ -283,6 +283,117 @@ func TestLateJoinSelfPromote(t *testing.T) {
 	}
 }
 
+// segmentNames lists dir's entries, sorted: a WAL directory holds only
+// its segment files.
+func segmentNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(ents))
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestLiveFollowerPrunesMirror: a follower that stays connected while
+// the primary checkpoints twice, with traffic before, between and
+// after, prunes its mirror as the primary prunes its log. Once it has
+// caught up its mirror directory lists exactly the primary's segments,
+// those from the newest checkpoint on, so its disk use is bounded by
+// the live log, not by its uptime. It still self-promotes and survives
+// a cold restart from the pruned mirror.
+func TestLiveFollowerPrunesMirror(t *testing.T) {
+	primaryDir := t.TempDir()
+	src := repl.NewSource(repl.SourceConfig{Epoch: 0, Logf: t.Logf})
+	addr, err := src.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	obs := src.Export("acme", primaryDir)
+	prim, _, err := realloc.OpenRecovered(primaryDir,
+		append(stackOptions(), realloc.WithWALObserver(obs))...)
+	if err != nil {
+		t.Fatalf("open primary: %v", err)
+	}
+
+	folDir := t.TempDir()
+	fol, err := repl.NewFollower(repl.FollowerConfig{
+		Primary:      addr.String(),
+		Dir:          folDir,
+		NewScheduler: newFollowerSched,
+		PromoteAfter: 300 * time.Millisecond,
+		RedialEvery:  20 * time.Millisecond,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("new follower: %v", err)
+	}
+	defer fol.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- fol.Run() }()
+	waitUntil(t, "follower warm", func() bool { return fol.Stats().Warm == 1 })
+
+	records := 0
+	for phase := 0; phase < 3; phase++ {
+		if phase > 0 {
+			if err := prim.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint %d: %v", phase, err)
+			}
+		}
+		for i := 0; i < 40; i++ {
+			at := jobs.Time((phase*40 + i) * 16)
+			if _, err := prim.Apply(jobs.InsertReq(fmt.Sprintf("job-%d-%02d", phase, i), at, at+8)); err != nil {
+				t.Fatalf("insert %d/%d: %v", phase, i, err)
+			}
+			records++
+		}
+	}
+	want := prim.Snapshot()
+	waitUntil(t, "tail replay", func() bool { return fol.Stats().Records >= records })
+
+	mirror := filepath.Join(folDir, repl.TenantDir("acme"))
+	primSegs, folSegs := segmentNames(t, primaryDir), segmentNames(t, mirror)
+	if len(primSegs) != 1 {
+		t.Fatalf("primary holds segments %v after two checkpoints, want the newest one only", primSegs)
+	}
+	if fmt.Sprint(folSegs) != fmt.Sprint(primSegs) {
+		t.Fatalf("follower mirror holds %v, want the primary's %v", folSegs, primSegs)
+	}
+
+	// Primary dies; the follower self-promotes once the loss outlasts
+	// PromoteAfter.
+	prim.Close()
+	src.Close()
+	if err := <-runErr; err != nil {
+		t.Fatalf("follower run: %v", err)
+	}
+	adopted := fol.Adopt("acme")
+	if adopted == nil {
+		t.Fatal("Adopt returned nil after self-promotion")
+	}
+	sameSnapshot(t, "self-promoted follower", want, adopted.Snapshot())
+	if _, err := adopted.Apply(jobs.InsertReq("fresh", 1000000, 1000008)); err != nil {
+		t.Fatalf("write after promotion: %v", err)
+	}
+	adopted.Close()
+
+	// Cold restart: the pruned mirror is a real WAL directory.
+	reopened, rec, err := realloc.OpenRecovered(mirror, stackOptions()...)
+	if err != nil {
+		t.Fatalf("reopen mirrored WAL: %v", err)
+	}
+	defer reopened.Close()
+	if !rec.CheckpointLoaded {
+		t.Error("pruned mirror lost the checkpoint image")
+	}
+	if got := len(reopened.Snapshot().Jobs); got != len(want.Jobs)+1 { // +1 for "fresh"
+		t.Fatalf("cold restart holds %d jobs, want %d", got, len(want.Jobs)+1)
+	}
+}
+
 // TestCheckpointPastChunkCapReplicates: a checkpoint image larger than
 // one replication frame's data (wire.MaxChunk) still reaches a late
 // follower, chunked like any other segment bytes. The follower warms,

@@ -16,9 +16,11 @@
 // the connection's request work. It admits the requests of every whole
 // frame already in its read buffer, up to Config.BatchLimit, serves
 // them as one shard.Scheduler.ApplyBatch (a lone request goes through
-// Apply or ApplyDeadline), and writes all of their acks in one write.
-// It serves and writes before any read that could block, so a request
-// never waits for bytes that have not arrived.
+// Apply), and writes all of their acks in one write. It serves and
+// writes before any read that could block, so a request never waits
+// for bytes that have not arrived. It answers a Snapshot or Resize
+// request itself, in frame order, once the requests admitted ahead of
+// it are served, so it is the only writer of its socket.
 //
 // Each tenant has a bounded inflight budget (Config.MaxInflight)
 // shared by its connections. A submit that would exceed it is rejected
@@ -31,9 +33,10 @@
 //
 // Submit/Batch frames carry an optional relative deadline. An admitted
 // request whose deadline has passed when its batch is served is
-// rejected with CodeDeadline, having mutated nothing. A request served
-// alone also propagates its deadline into the scheduler
-// (ApplyDeadline), where it bounds the wait for the shard's lock.
+// rejected with CodeDeadline, having mutated nothing and never logged.
+// This one check covers every request, lone or batched: it runs under
+// the tenant lock, after the request waited for the tenant's earlier
+// batches, and the scheduler itself takes no deadline.
 //
 // # Shutdown
 //
@@ -330,20 +333,8 @@ func (t *tenant) serve(batch []item) {
 	switch len(reqs) {
 	case 0:
 	case 1:
-		// A lone request keeps full deadline coverage: ApplyDeadline
-		// enforces expiry inside the scheduler too, while the request
-		// waits for its shard's lock.
 		it := &batch[idx[0]]
-		var err error
-		if it.exp.IsZero() {
-			_, err = t.sched.Apply(it.req)
-		} else if remain := time.Until(it.exp); remain <= 0 {
-			// Expired since the check above: a non-positive timeout
-			// would read as "no deadline" downstream.
-			err = shard.ErrDeadlineExceeded
-		} else {
-			_, err = t.sched.ApplyDeadline(it.req, remain)
-		}
+		_, err := t.sched.Apply(it.req)
 		it.code, it.detail = codeOf(err)
 	default:
 		_, err := t.sched.ApplyBatch(reqs)
@@ -368,8 +359,6 @@ func codeOf(err error) (wire.Code, string) {
 	switch {
 	case err == nil:
 		return wire.CodeOK, ""
-	case errors.Is(err, shard.ErrDeadlineExceeded):
-		return wire.CodeDeadline, ""
 	case errors.Is(err, sched.ErrInfeasible):
 		return wire.CodeInfeasible, err.Error()
 	case errors.Is(err, sched.ErrDuplicateJob):
@@ -399,21 +388,12 @@ type conn struct {
 	nc net.Conn
 	t  *tenant
 
-	// Reader-owned: the requests admitted since the last flush, and the
-	// encoded replies waiting for it.
+	// Reader-owned: the requests admitted since the last flush, the
+	// encoded replies waiting for it, and the first write error, which
+	// ends the connection.
 	items []item
 	out   []byte
-
-	// wmu serializes socket writes between the reader and the one-shot
-	// snapshot and resize repliers. werr is the first write error; it
-	// ends the connection.
-	wmu  sync.Mutex
-	werr error
-
-	// repliers counts the running snapshot and resize repliers:
-	// teardown waits for them, so their replies are never dropped by a
-	// racing shutdown.
-	repliers sync.WaitGroup
+	werr  error
 
 	// kicked marks a shutdown kick; the handshake-deadline reset
 	// re-checks it so a kick can never be erased.
@@ -430,8 +410,6 @@ func (c *conn) kick() {
 // the first failure it drops everything and kicks the reader: nobody
 // is left to receive.
 func (c *conn) write(b []byte) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if c.werr != nil || len(b) == 0 {
 		return
 	}
@@ -543,10 +521,6 @@ func (s *Server) handle(nc net.Conn) {
 	}
 
 	s.readLoop(c, buf)
-	// Every admitted request was served and acked by readLoop; the
-	// socket closes (via the deferred nc.Close) once the repliers have
-	// written too.
-	c.repliers.Wait()
 }
 
 // readLoop dispatches frames until the connection ends (client close,
@@ -587,8 +561,15 @@ func (s *Server) readLoop(c *conn, buf []byte) {
 			c.t.serve(nil)
 			c.reply(&wire.Frame{Kind: wire.KindDrainAck, ID: f.ID, Code: wire.CodeOK})
 		case wire.KindSnapshotReq:
-			c.snapshot(f.ID)
+			c.serve(s.cfg.BatchLimit)
+			if err := c.snapshot(f.ID); err != nil {
+				// Unencodable (a snapshot past the frame cap): end the
+				// connection rather than leave the caller waiting.
+				s.cfg.Logf("server: %s tenant %q: snapshot: %v", c.nc.RemoteAddr(), c.t.name, err)
+				return
+			}
 		case wire.KindResize:
+			c.serve(s.cfg.BatchLimit)
 			c.resize(f.ID, f.Machines)
 		default:
 			c.reply(&wire.Frame{Kind: wire.KindErr, Code: wire.CodeBadRequest,
@@ -668,42 +649,22 @@ func (s *Server) submitBatch(c *conn, f *wire.Frame) {
 	c.items[len(c.items)-1].last = true
 }
 
-// replier runs fn off the reader, so a big snapshot or a resize never
-// stalls request intake, and writes its reply on its own.
-func (c *conn) replier(id uint64, fn func() wire.Frame) {
-	c.repliers.Add(1)
-	go func() {
-		defer c.repliers.Done()
-		f := fn()
-		f.ID = id
-		b, err := wire.AppendFrame(nil, &f)
-		if err != nil {
-			// Unencodable (a snapshot past the frame cap): end the
-			// connection rather than leave the caller waiting.
-			c.kick()
-			return
-		}
-		c.write(b)
-	}()
+// snapshot queues a consistent schedule snapshot. It fails, queueing
+// nothing, only for a snapshot past the frame cap.
+func (c *conn) snapshot(id uint64) error {
+	snap := c.t.sched.Snapshot()
+	placed := make([]wire.PlacedJob, 0, len(snap.Jobs))
+	for _, j := range snap.Jobs {
+		placed = append(placed, wire.PlacedJob{Job: j, Placement: snap.Assignment[j.Name]})
+	}
+	var err error
+	c.out, err = wire.AppendFrame(c.out, &wire.Frame{Kind: wire.KindSnapshot, ID: id, Machines: snap.Machines, Jobs: placed})
+	return err
 }
 
-// snapshot answers with a consistent schedule snapshot.
-func (c *conn) snapshot(id uint64) {
-	c.replier(id, func() wire.Frame {
-		snap := c.t.sched.Snapshot()
-		placed := make([]wire.PlacedJob, 0, len(snap.Jobs))
-		for _, j := range snap.Jobs {
-			placed = append(placed, wire.PlacedJob{Job: j, Placement: snap.Assignment[j.Name]})
-		}
-		return wire.Frame{Kind: wire.KindSnapshot, Machines: snap.Machines, Jobs: placed}
-	})
-}
-
-// resize re-partitions the tenant's machine pool.
+// resize re-partitions the tenant's machine pool and queues the ack.
 func (c *conn) resize(id uint64, machines int) {
-	c.replier(id, func() wire.Frame {
-		_, err := c.t.sched.Resize(machines)
-		code, detail := codeOf(err)
-		return wire.Frame{Kind: wire.KindAck, Code: code, Detail: detail}
-	})
+	_, err := c.t.sched.Resize(machines)
+	code, detail := codeOf(err)
+	c.reply(&wire.Frame{Kind: wire.KindAck, ID: id, Code: code, Detail: detail})
 }

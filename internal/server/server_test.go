@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -156,6 +158,38 @@ func TestServerDrainBarrier(t *testing.T) {
 	}
 }
 
+// TestServerSnapshotAfterPipelinedSubmits: the reader answers a
+// Snapshot itself, once every request admitted ahead of it on the
+// connection is served, so a Snapshot pipelined right behind N
+// SubmitAsync calls reflects all N.
+func TestServerSnapshotAfterPipelinedSubmits(t *testing.T) {
+	s := startServer(t, server.Config{})
+	c := dial(t, s, "acme")
+
+	const n = 64
+	pend := make([]*client.Pending, 0, n)
+	for i := 0; i < n; i++ {
+		p, err := c.SubmitAsync(jobs.InsertReq(fmt.Sprintf("job-%03d", i), 0, 4096), 0)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		pend = append(pend, p)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	if len(snap.Jobs) != n {
+		t.Fatalf("snapshot pipelined behind %d submits holds %d jobs, want all %d", n, len(snap.Jobs), n)
+	}
+	for i, p := range pend {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("request %d = %v, want OK", i, err)
+		}
+	}
+	verifySnapshot(t, snap)
+}
+
 // TestServerBatchAndResize: the batch frame reports per-request
 // verdicts index-aligned, and a resize reshapes the pool visibly.
 func TestServerBatchAndResize(t *testing.T) {
@@ -279,30 +313,92 @@ func TestServerOverloadBurst(t *testing.T) {
 	verifySnapshot(t, snap)
 }
 
-// TestServerDeadlineExpiry: a microsecond deadline expires before the
-// request executes and is rejected un-executed with the deadline verdict;
-// the schedule never contains the expired job.
+// TestServerDeadlineExpiry: a request that waits out its deadline
+// queued behind the tenant's other work is rejected un-executed with the
+// deadline verdict. Other connections of the same tenant keep the
+// tenant's serve lock busy with Batch frames while the first submits
+// with a short deadline, so the expiry comes from real queueing, not
+// from the clock's resolution. The tenant is logged: an expired request
+// is absent from the schedule and no WAL record names it.
 func TestServerDeadlineExpiry(t *testing.T) {
-	s := startServer(t, server.Config{})
+	dir := t.TempDir()
+	const (
+		busyConns = 3
+		half      = 2048 // busy jobs per batch frame
+	)
+	s := startServer(t, server.Config{
+		NewScheduler: func(tenant string) (*shard.Scheduler, error) {
+			return realloc.NewSharded(realloc.WithShards(2), realloc.WithMachines(8),
+				realloc.WithWAL(filepath.Join(dir, tenant))), nil
+		},
+		// A whole busy frame runs as one ApplyBatch under the tenant
+		// lock, and the probe is still admitted beside them all.
+		BatchLimit:  2 * half,
+		MaxInflight: 2*half*busyConns + 1,
+	})
 	c := dial(t, s, "acme")
 
-	expired := false
-	for try := 0; try < 50 && !expired; try++ {
-		err := c.SubmitDeadline(jobs.InsertReq(fmt.Sprintf("dl-%d", try), 0, 64), time.Microsecond)
+	// Each busy frame inserts half jobs and deletes them again, so it
+	// holds the tenant lock for milliseconds and leaves no job behind.
+	// With several busy connections one of them nearly always holds or
+	// waits for the lock while the others decode their next frame, on
+	// one P too, where only preemption runs the probe's reader beside
+	// a batch.
+	stop := make(chan struct{})
+	busyErr := make(chan error, busyConns)
+	for b := 0; b < busyConns; b++ {
+		busy := dial(t, s, "acme")
+		batch := make([]jobs.Request, 0, 2*half)
+		for i := 0; i < half; i++ {
+			batch = append(batch, jobs.InsertReq(fmt.Sprintf("busy-%d-%d", b, i), 0, 1<<16))
+		}
+		for i := 0; i < half; i++ {
+			batch = append(batch, jobs.DeleteReq(fmt.Sprintf("busy-%d-%d", b, i)))
+		}
+		go func() {
+			for {
+				select {
+				case <-stop:
+					busyErr <- nil
+					return
+				default:
+				}
+				errs, err := busy.Batch(batch, 0)
+				if err == nil {
+					err = errors.Join(errs...)
+				}
+				if err != nil {
+					busyErr <- err
+					return
+				}
+			}
+		}()
+	}
+
+	var expired []string
+	for try, end := 0, time.Now().Add(10*time.Second); len(expired) == 0 && time.Now().Before(end); try++ {
+		name := fmt.Sprintf("dl-%d", try)
+		err := c.SubmitDeadline(jobs.InsertReq(name, 0, 64), 100*time.Microsecond)
 		switch {
 		case errors.Is(err, client.ErrDeadline):
-			expired = true
+			expired = append(expired, name)
 		case err == nil:
-			// Won the race this round; clean up and try again.
-			if err := c.Submit(jobs.DeleteReq(fmt.Sprintf("dl-%d", try))); err != nil {
+			// Served in time this round; clean up and try again.
+			if err := c.Submit(jobs.DeleteReq(name)); err != nil {
 				t.Fatalf("cleanup delete: %v", err)
 			}
 		default:
-			t.Fatalf("submit with 1µs deadline: unexpected %v", err)
+			t.Fatalf("submit with a 100µs deadline: unexpected %v", err)
 		}
 	}
-	if !expired {
-		t.Fatal("no 1µs-deadline submit expired in 50 tries")
+	close(stop)
+	for b := 0; b < busyConns; b++ {
+		if err := <-busyErr; err != nil {
+			t.Fatalf("busy batch: %v", err)
+		}
+	}
+	if len(expired) == 0 {
+		t.Fatal("no 100µs-deadline submit expired in 10s behind a busy tenant")
 	}
 	// A comfortable deadline sails through.
 	if err := c.SubmitDeadline(jobs.InsertReq("kept", 0, 64), time.Second); err != nil {
@@ -312,9 +408,28 @@ func TestServerDeadlineExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pj := range snap.Jobs {
-		if pj.Job.Name != "kept" {
-			t.Fatalf("expired or stray job %q in schedule", pj.Job.Name)
+	if len(snap.Jobs) != 1 || snap.Jobs[0].Job.Name != "kept" {
+		t.Fatalf("schedule holds %v, want only kept: an expired job must not execute", snap.Jobs)
+	}
+
+	s.Close() // closes the tenant's WAL
+	got, err := wal.Read(filepath.Join(dir, "acme"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := make(map[string]bool)
+	for _, r := range got.Records {
+		logged[r.Req.Name] = true
+		for _, q := range r.Batch {
+			logged[q.Name] = true
+		}
+	}
+	if !logged["kept"] {
+		t.Fatal("WAL does not name kept: the log under test is not the tenant's")
+	}
+	for _, name := range expired {
+		if logged[name] {
+			t.Fatalf("WAL names the expired request %q: an expiry must not be logged", name)
 		}
 	}
 }

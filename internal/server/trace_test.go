@@ -21,10 +21,10 @@ import (
 // exactly the set of OK-acked inserts minus OK-acked deletes.
 func TestServerHotKeyTraceReplay(t *testing.T) {
 	// The per-tenant scheduler (newScheduler) runs 2 shards with the
-	// default routing policy, which is exactly NewRing(2,
-	// DefaultReplicas) — so an identical client-side ring predicts the
-	// server's routing and lets the trace aim at shard 0.
-	ring := shard.NewRing(2, shard.DefaultReplicas)
+	// default routing policy, which is exactly NewRing(2) — so an
+	// identical client-side ring predicts the server's routing and lets
+	// the trace aim at shard 0.
+	ring := shard.NewRing(2)
 	reqs, err := workload.TraceReplay(workload.TraceConfig{
 		Seed: 11, Machines: 8, Steps: 600,
 		HotFraction: 0.8,
@@ -117,7 +117,7 @@ func TestServerHotKeyTraceOverflowCounters(t *testing.T) {
 		}
 		return s, err
 	}}
-	ring := shard.NewRing(2, shard.DefaultReplicas)
+	ring := shard.NewRing(2)
 	hotShard := ring.Route("probe", 2) // either shard works as the hot target
 	// Gamma 1 over a short horizon: the global budget then admits up to
 	// 8 jobs per slot while the hot shard's 4 machines hold only 4, so

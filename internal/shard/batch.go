@@ -58,7 +58,7 @@ func (s *Scheduler) ApplyBatch(reqs []jobs.Request) ([]metrics.Cost, error) {
 			continue
 		}
 		var sh *shard
-		if sh, costs[i], errs[i] = s.exec(r, 0); sh != nil {
+		if sh, costs[i], errs[i] = s.exec(r); sh != nil {
 			sh.unlock()
 		}
 	}

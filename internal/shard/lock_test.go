@@ -1,9 +1,9 @@
 // The shard lock's contract as a Scheduler sees it: a request on a
 // shard whose lock is held waits (backpressure) and the waiters run in
-// arrival order, a deadline interrupts the wait, Close waits for a
-// waiter instead of failing it, and a held lock on one shard does not
-// stop another. Every test holds a shard's lock itself (holdLock), so
-// "waiting" is a state the test can hold.
+// arrival order, Close waits for a waiter instead of failing it, and a
+// held lock on one shard does not stop another. Every test holds a
+// shard's lock itself (holdLock), so "waiting" is a state the test can
+// hold.
 package shard
 
 import (
@@ -12,12 +12,27 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/wal"
 )
+
+// holdLock takes shard i's lock, as a request executing there would,
+// and returns the function that releases it. The release is safe to
+// call twice and also runs at cleanup, before an earlier-registered
+// Close, which waits for every request blocked behind the lock.
+func holdLock(t *testing.T, s *Scheduler, i int) (release func()) {
+	t.Helper()
+	sh := s.shards[i]
+	sh.lock()
+	var once sync.Once
+	release = func() { once.Do(sh.unlock) }
+	t.Cleanup(release)
+	return release
+}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -33,10 +48,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // whether it waits or executes. The goroutine dump can, because it names
 // every goroutine whose stack runs through the lock, and its state: a
 // request still polling the lock is runnable, one parked on it sits in
-// a channel send (no deadline) or a select (with one). Only parked
-// waiters hold a place in the arrival order, so only they count. No
-// test here runs in parallel, so every such goroutine belongs to the
-// test.
+// a channel send. Only parked waiters hold a place in the arrival
+// order, so only they count. No test here runs in parallel, so every
+// such goroutine belongs to the test.
 func waiters() int {
 	buf := make([]byte, 64<<10)
 	for {
@@ -46,7 +60,7 @@ func waiters() int {
 			for _, g := range bytes.Split(buf[:n], []byte("\n\n")) {
 				head, _, _ := bytes.Cut(g, []byte("\n"))
 				if bytes.Contains(g, []byte("repro/internal/shard.(*shard).lock(")) &&
-					(bytes.Contains(head, []byte("[chan send")) || bytes.Contains(head, []byte("[select"))) {
+					bytes.Contains(head, []byte("[chan send")) {
 					parked++
 				}
 			}
@@ -59,12 +73,12 @@ func waiters() int {
 // applyWaiting starts one Apply per request on its own goroutine, each
 // only once the one before it is parked on the held lock, so the
 // waiters queue in slice order. Each outcome lands on the returned channel.
-func applyWaiting(t *testing.T, s *Scheduler, reqs []jobs.Request, timeout time.Duration) <-chan error {
+func applyWaiting(t *testing.T, s *Scheduler, reqs []jobs.Request) <-chan error {
 	t.Helper()
 	acks := make(chan error, len(reqs))
 	for i, r := range reqs {
 		go func() {
-			_, err := s.ApplyDeadline(r, timeout)
+			_, err := s.Apply(r)
 			acks <- err
 		}()
 		waitFor(t, "the request to wait for the shard lock", func() bool { return waiters() == i+1 })
@@ -106,17 +120,14 @@ func openLog(t *testing.T) (string, *wal.Log) {
 
 // TestLockBackpressure: with a shard's lock held, a request on that
 // shard waits; once the lock is released every waiting request is
-// served, in arrival order, and logged in that order. The requests carry
-// a deadline far in the future, so each waits in lock's timed select and
-// is woken by the release, not by the timer (TestCloseWaitsForParkedProducer
-// waits in the untimed one).
+// served, in arrival order, and logged in that order.
 func TestLockBackpressure(t *testing.T) {
 	dir, log := openLog(t)
 	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, WAL: log})
 	t.Cleanup(s.Close)
 	release := holdLock(t, s, 0)
 	const n = 5
-	acks := applyWaiting(t, s, insertReqs(n), time.Minute)
+	acks := applyWaiting(t, s, insertReqs(n))
 	select {
 	case err := <-acks:
 		t.Fatalf("a request returned (%v) while its shard's lock was held", err)
@@ -142,47 +153,6 @@ func TestLockBackpressure(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiresWhileParked: a request whose deadline passes while
-// it waits for its shard's lock fails with ErrDeadlineExceeded without
-// executing (the lock stays held throughout), releases its insert
-// reservation, and under a WAL leaves no record.
-func TestDeadlineExpiresWhileParked(t *testing.T) {
-	dir, log := openLog(t)
-	s := New(Config{Shards: 1, Machines: 2, Factory: stackFactory, WAL: log})
-	t.Cleanup(s.Close)
-	release := holdLock(t, s, 0)
-	const n = 2
-	acks := applyWaiting(t, s, insertReqs(n), 0)
-	late := jobs.InsertReq("late", 0, 4096)
-	if _, err := s.ApplyDeadline(late, 20*time.Millisecond); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("ApplyDeadline behind a held shard lock = %v, want ErrDeadlineExceeded", err)
-	}
-	// A deadline already past on arrival fails without waiting at all.
-	if _, err := s.ApplyDeadline(late, time.Nanosecond); !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("ApplyDeadline already expired behind a held shard lock = %v, want ErrDeadlineExceeded", err)
-	}
-	if got := waiters(); got != n {
-		t.Fatalf("%d requests wait for the lock after the expiries, want the %d that waited before them", got, n)
-	}
-
-	release()
-	for i := 0; i < n; i++ {
-		if err := <-acks; err != nil {
-			t.Fatalf("request waiting before the expiry = %v, want served", err)
-		}
-	}
-	if _, err := s.Apply(late); err != nil {
-		t.Fatalf("re-insert after the expiry (reservation not released?): %v", err)
-	}
-	if got := s.Active(); got != n+1 {
-		t.Fatalf("Active() = %d, want %d", got, n+1)
-	}
-	s.Close()
-	if got, want := loggedNames(t, dir), []string{"job-0", "job-1", "late"}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("WAL holds %v, want %v: the expired attempt must not be logged", got, want)
-	}
-}
-
 // TestCloseWaitsForParkedProducer: Close racing requests that wait for
 // a held shard lock does not fail them. Close waits, the waiters are
 // served and acked, and only requests that arrive after Close get
@@ -191,7 +161,7 @@ func TestCloseWaitsForParkedProducer(t *testing.T) {
 	s := newTestSharded(t, 1, 2)
 	release := holdLock(t, s, 0)
 	const n = 3
-	acks := applyWaiting(t, s, insertReqs(n), 0)
+	acks := applyWaiting(t, s, insertReqs(n))
 
 	closed := make(chan struct{})
 	go func() {
@@ -238,7 +208,7 @@ func TestShardsRunOnTheirCallers(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	release := holdLock(t, s, 0)
-	acks := applyWaiting(t, s, []jobs.Request{jobs.InsertReq("zero-a", 0, 4096)}, 0)
+	acks := applyWaiting(t, s, []jobs.Request{jobs.InsertReq("zero-a", 0, 4096)})
 	if _, err := s.Apply(jobs.InsertReq("one-a", 0, 4096)); err != nil {
 		t.Fatalf("insert on shard 1 with shard 0's lock held: %v", err)
 	}

@@ -17,7 +17,7 @@ import (
 // the directed version of the skew a pathological tenant's key
 // distribution produces on the consistent-hash ring.
 func hotPolicy() Policy {
-	ring := NewRing(4, 0)
+	ring := NewRing(4)
 	return PolicyFunc(func(name string, shards int) int {
 		if strings.HasPrefix(name, "hot-") {
 			return 0

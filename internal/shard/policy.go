@@ -15,7 +15,7 @@ type Policy interface {
 	Route(name string, shards int) int
 }
 
-// Ring is a consistent-hash ring: each shard owns `replicas` virtual
+// Ring is a consistent-hash ring: each shard owns ringReplicas virtual
 // points on a 64-bit circle, and a name routes to the shard owning the
 // first point at or after the name's hash. Adding or removing a shard
 // only remaps the names falling between the moved points, which keeps
@@ -31,22 +31,18 @@ type ringPoint struct {
 	shard int
 }
 
-// DefaultReplicas is the virtual-node count per shard used by NewRing
-// when replicas <= 0. 64 points per shard keeps the expected spread
-// within a few percent of even.
-const DefaultReplicas = 64
+// ringReplicas is the virtual-node count per shard. 64 points per
+// shard keeps the expected spread within a few percent of even.
+const ringReplicas = 64
 
 // NewRing builds a consistent-hash ring over the given shard count.
-func NewRing(shards, replicas int) *Ring {
+func NewRing(shards int) *Ring {
 	if shards < 1 {
 		panic(fmt.Sprintf("shard: ring over %d shards", shards))
 	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
-	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*replicas)}
+	r := &Ring{shards: shards, points: make([]ringPoint, 0, shards*ringReplicas)}
 	for s := 0; s < shards; s++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			h := hash64(fmt.Sprintf("shard-%d-vnode-%d", s, v))
 			r.points = append(r.points, ringPoint{hash: h, shard: s})
 		}

@@ -44,6 +44,14 @@
 // rebuild), but its one record is enqueued under the fallback's lock,
 // so a later request on the primary can reach the log before it.
 //
+// A request has no deadline here: it waits for its shard's lock for as
+// long as the lock is held. Request deadlines are the server's concern,
+// checked once when a tenant's admitted batch is served, and that
+// tenant's serve lock already runs its requests one at a time. Should
+// the tenant lock go, a tenant's requests would queue on shard locks
+// instead, and the deadline would belong in exec, for every request,
+// batch members included, not for a lone request only.
+//
 // Sharding trades the paper's global cost bounds for throughput: each
 // shard preserves Theorem 1's guarantees on its own machine range, but
 // underallocation is only enforced shard-locally, which is why overflow
@@ -56,7 +64,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -73,14 +80,6 @@ import (
 // ErrClosed reports a request sent to a closed scheduler. It aliases
 // fault.ErrClosed, the repo-wide sentinel for the failure class.
 var ErrClosed = fault.ErrClosed
-
-// ErrDeadlineExceeded reports a request whose deadline passed before it
-// started executing: while it waited for its shard's lock, or before it
-// got past a barrier. Such a request never reaches the inner scheduler,
-// mutates nothing, and (under a WAL) is never logged, so a deadline
-// rejection needs no compensation on either side. It aliases
-// fault.ErrDeadlineExceeded.
-var ErrDeadlineExceeded = fault.ErrDeadlineExceeded
 
 // ErrNotElastic reports a resize against a shard whose inner scheduler
 // does not implement sched.Elastic (or whose wrapper chain bottoms out
@@ -117,7 +116,7 @@ type Config struct {
 	// Factory builds each shard's inner scheduler (required).
 	Factory Factory
 	// Policy routes job names to primary shards (default: consistent
-	// hash ring with DefaultReplicas virtual nodes).
+	// hash ring).
 	Policy Policy
 	// WAL, when non-nil, makes the scheduler durable: every admission
 	// path (per-request Apply, bulk ApplyBatch) and every resize
@@ -157,17 +156,17 @@ type Scheduler struct {
 	inflight []int // in-flight insert reservations per shard
 	resizes  []metrics.ResizeCost
 
-	// gate is the admission gate. Apply, ApplyDeadline, ApplyBatch and
-	// the read paths (Snapshot, Report, SelfCheck, Machines,
-	// ShardMachines) hold its shared side from routing until their ack
-	// returns; Resize, ResizeShard, Checkpoint, Close and a logged
-	// ApplyBatch hold it exclusively. closed and every shard's
-	// base/machines change only under the exclusive side, so a holder
-	// of either side reads them plainly. Internal paths (the overflow
-	// hop, each, locked, snapshot) run under the gate their entry point
-	// holds and never take it again: a recursive RLock deadlocks once a
-	// writer waits. Lock order: gate, then a shard's lock, then mu; no
-	// goroutine holds two shards' locks at once.
+	// gate is the admission gate. Apply, ApplyBatch and the read paths
+	// (Snapshot, Report, SelfCheck, Machines, ShardMachines) hold its
+	// shared side from routing until their ack returns; Resize,
+	// ResizeShard, Checkpoint, Close and a logged ApplyBatch hold it
+	// exclusively. closed and every shard's base/machines change only
+	// under the exclusive side, so a holder of either side reads them
+	// plainly. Internal paths (the overflow hop, each, locked,
+	// snapshot) run under the gate their entry point holds and never
+	// take it again: a recursive RLock deadlocks once a writer waits.
+	// Lock order: gate, then a shard's lock, then mu; no goroutine
+	// holds two shards' locks at once.
 	gate   sync.RWMutex
 	closed bool
 
@@ -180,8 +179,9 @@ type Scheduler struct {
 var _ sched.Scheduler = (*Scheduler)(nil)
 
 // shard is one shard: its inner scheduler, machine range, statistics
-// and lock. slot is the lock, a channel of capacity one, so that a
-// request with a deadline can select on it against a timer. inner and
+// and lock. slot is the lock, a channel of capacity one: an unlock
+// hands it to the first parked sender, so parked waiters take it in
+// arrival order, which a sync.Mutex does not promise. inner and
 // stats are touched only by the slot's holder; base and machines are
 // guarded by the gate. lat is the shard's request-latency histogram
 // (lock wait plus execution), recorded by the slot's holder and
@@ -226,7 +226,7 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 		panic("shard: nil Factory")
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = NewRing(len(perShard), DefaultReplicas)
+		cfg.Policy = NewRing(len(perShard))
 	}
 	s := &Scheduler{
 		shards:   make([]*shard, len(perShard)),
@@ -259,75 +259,33 @@ func newScheduler(cfg Config, perShard []int) *Scheduler {
 // (competitive spinning: Karlin, Li, Manasse and Owicki, SOSP 1991).
 const pollBudget = 50 * time.Microsecond
 
-// lock takes the shard's lock, waiting until deadline (monotonicNS; 0 =
-// no limit). It reports false, the lock not taken, if the deadline
-// passes first. A held lock is polled, yielding the P between tries,
-// for up to pollBudget when more than one P can run its holder; then
-// the request parks on the channel. Parked waiters take the lock in
-// arrival order: an unlock hands the slot straight to the first parked
-// sender, so a poller cannot take it ahead of them.
+// lock takes the shard's lock. A held lock is polled, yielding the P
+// between tries, for up to pollBudget when more than one P can run its
+// holder; then the request parks on the channel. Parked waiters take
+// the lock in arrival order: an unlock hands the slot straight to the
+// first parked sender, so a poller cannot take it ahead of them.
 //
 //reallocvet:hotpath
-func (sh *shard) lock(deadline int64) bool {
+func (sh *shard) lock() {
 	select {
-	case sh.slot <- struct{}{}: // free: no timer needed
-		return true
+	case sh.slot <- struct{}{}:
+		return
 	default:
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
-		now := monotonicNS()
-		for end := now + int64(pollBudget); now < end; now = monotonicNS() {
-			if deadline != 0 && now >= deadline {
-				return false
-			}
+		for end := monotonicNS() + int64(pollBudget); monotonicNS() < end; {
 			runtime.Gosched()
 			select {
 			case sh.slot <- struct{}{}:
-				return true
+				return
 			default:
 			}
 		}
 	}
-	if deadline == 0 {
-		sh.slot <- struct{}{}
-		return true
-	}
-	remain := deadline - monotonicNS()
-	if remain <= 0 {
-		return false
-	}
-	timer := time.NewTimer(time.Duration(remain))
-	defer timer.Stop()
-	select {
-	case sh.slot <- struct{}{}:
-		return true
-	case <-timer.C:
-		return false
-	}
+	sh.slot <- struct{}{}
 }
 
 func (sh *shard) unlock() { <-sh.slot }
-
-// begin takes the shard's lock for a request that arrived at start. It
-// fails with ErrDeadlineExceeded, the lock not held and nothing
-// executed, if the deadline passes before the lock is taken or by the
-// time it is.
-//
-//reallocvet:hotpath
-func (sh *shard) begin(start, deadline int64) error {
-	if !sh.lock(deadline) {
-		return ErrDeadlineExceeded
-	}
-	sh.stats.Batches++
-	if deadline != 0 && monotonicNS() > deadline {
-		sh.stats.Requests++
-		sh.stats.Failures++
-		sh.lat.Record(monotonicNS() - start)
-		sh.unlock()
-		return ErrDeadlineExceeded
-	}
-	return nil
-}
 
 // serve executes r on the shard's inner scheduler and folds the
 // outcome into the shard's statistics. The caller holds the lock and
@@ -449,20 +407,6 @@ func (s *Scheduler) Delete(name string) (metrics.Cost, error) {
 // returns once the request has executed on its shard (including any
 // overflow hop) and, under a WAL, once its record is durable.
 func (s *Scheduler) Apply(r jobs.Request) (metrics.Cost, error) {
-	return s.ApplyDeadline(r, 0)
-}
-
-// ApplyDeadline is Apply with a request deadline: if timeout elapses
-// before the request starts executing — while it waits for its shard's
-// lock — the request fails with ErrDeadlineExceeded, having mutated
-// nothing. Execution itself is never interrupted: once the request
-// starts it runs to completion, overflow hop included, so a nil error
-// always means the job state changed. timeout <= 0 means no deadline,
-// and so does a timeout that runs past the clock's range; the clock
-// starts before the request waits out a barrier (a resize, a
-// checkpoint), so a request held up by one still expires un-executed.
-func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metrics.Cost, error) {
-	deadline := deadlineFrom(timeout)
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	if err := r.Validate(); err != nil {
@@ -474,43 +418,28 @@ func (s *Scheduler) ApplyDeadline(r jobs.Request, timeout time.Duration) (metric
 		// conclude first.
 		return metrics.Cost{}, ErrClosed
 	}
-	sh, c, err := s.exec(r, deadline)
+	sh, c, err := s.exec(r)
 	if sh == nil {
 		return c, err
 	}
 	return s.ack(sh, r, c, err)
 }
 
-// deadlineFrom converts a relative timeout to an absolute monotonicNS
-// deadline (0 = none). A timeout past the clock's range saturates to
-// none rather than wrapping into the past.
-func deadlineFrom(timeout time.Duration) int64 {
-	if timeout <= 0 {
-		return 0
-	}
-	now := monotonicNS()
-	if int64(timeout) > math.MaxInt64-now {
-		return 0
-	}
-	return now + int64(timeout)
-}
-
 // exec executes a validated request under a gate the caller holds. It
 // returns the shard the request ran on, with that shard's lock still
 // held, or nil if the request was rejected before it executed (a
-// duplicate or unknown name, an expired deadline), having mutated
-// nothing.
-func (s *Scheduler) exec(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
+// duplicate or unknown name), having mutated nothing.
+func (s *Scheduler) exec(r jobs.Request) (*shard, metrics.Cost, error) {
 	if r.Kind == jobs.Insert {
-		return s.insert(r, deadline)
+		return s.insert(r)
 	}
-	return s.delete(r, deadline)
+	return s.delete(r)
 }
 
 // insert reserves r's name, executes r on its primary shard and, if the
 // primary rejects it as locally infeasible, hops to the least-loaded
 // other shard. It returns like exec.
-func (s *Scheduler) insert(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
+func (s *Scheduler) insert(r jobs.Request) (*shard, metrics.Cost, error) {
 	i := s.policy.Route(r.Name, len(s.shards))
 	s.mu.Lock()
 	id := s.names.Intern(r.Name)
@@ -522,12 +451,9 @@ func (s *Scheduler) insert(r jobs.Request, deadline int64) (*shard, metrics.Cost
 	s.inflight[i]++
 	s.mu.Unlock()
 
-	start := monotonicNS()
-	sh := s.shards[i]
-	if err := sh.begin(start, deadline); err != nil {
-		s.commitInsert(id, i, err)
-		return nil, metrics.Cost{}, err
-	}
+	sh, start := s.shards[i], monotonicNS()
+	sh.lock()
+	sh.stats.Batches++
 	c, reroute, err := sh.serve(r, start, len(s.shards) > 1, false)
 	if reroute {
 		sh.unlock()
@@ -540,9 +466,7 @@ func (s *Scheduler) insert(r jobs.Request, deadline int64) (*shard, metrics.Cost
 // hop retries an insert that shard `from` rejected as locally
 // infeasible on the least-loaded other shard, moving its in-flight
 // reservation along in the same routing-table lock hold as the pick, so
-// concurrent hops see each other. The request has started executing, so
-// it waits for the fallback's lock without a deadline. It returns the
-// fallback's index and the shard, whose lock it leaves held. The caller
+// concurrent hops see each other. It returns the fallback's index and the shard, whose lock it leaves held. The caller
 // holds the gate and no shard's lock.
 func (s *Scheduler) hop(r jobs.Request, from int) (int, *shard, metrics.Cost, error) {
 	s.mu.Lock()
@@ -551,7 +475,7 @@ func (s *Scheduler) hop(r jobs.Request, from int) (int, *shard, metrics.Cost, er
 	s.inflight[fb]++
 	s.mu.Unlock()
 	sh, start := s.shards[fb], monotonicNS()
-	sh.lock(0)
+	sh.lock()
 	sh.stats.Batches++
 	c, _, err := sh.serve(r, start, false, true)
 	return fb, sh, c, err
@@ -559,18 +483,16 @@ func (s *Scheduler) hop(r jobs.Request, from int) (int, *shard, metrics.Cost, er
 
 // delete executes r on the shard its job is routed to. It returns like
 // exec.
-func (s *Scheduler) delete(r jobs.Request, deadline int64) (*shard, metrics.Cost, error) {
+func (s *Scheduler) delete(r jobs.Request) (*shard, metrics.Cost, error) {
 	s.mu.Lock()
 	_, i, ok := s.trackedID(r.Name)
 	s.mu.Unlock()
 	if !ok || i == reservedShard {
 		return nil, metrics.Cost{}, fmt.Errorf("%w: %q", sched.ErrUnknownJob, r.Name)
 	}
-	start := monotonicNS()
-	sh := s.shards[i]
-	if err := sh.begin(start, deadline); err != nil {
-		return nil, metrics.Cost{}, err
-	}
+	sh, start := s.shards[i], monotonicNS()
+	sh.lock()
+	sh.stats.Batches++
 	c, _, err := sh.serve(r, start, false, false)
 	if err == nil {
 		s.mu.Lock()
@@ -595,8 +517,7 @@ func (s *Scheduler) delete(r jobs.Request, deadline int64) (*shard, metrics.Cost
 // whatever its outcome: a failed insert can still mutate inner state
 // (trim's recovery rebuild), and replaying the failure reproduces that
 // state exactly. Requests rejected before they execute (validation, a
-// duplicate or unknown name at routing, an expired deadline) mutate
-// nothing and are not logged. Requests on different shards log in no
+// duplicate or unknown name at routing) mutate nothing and are not logged. Requests on different shards log in no
 // set order, which is safe under the request contract: a request for a
 // name is issued after the previous one's ack, and an ack waits for
 // the append.
@@ -670,7 +591,7 @@ func (s *Scheduler) each(fn func(i int, sh *shard)) {
 // locked runs fn holding shard i's lock. The caller holds the gate.
 func (s *Scheduler) locked(i int, fn func(sh *shard)) {
 	sh := s.shards[i]
-	sh.lock(0)
+	sh.lock()
 	defer sh.unlock()
 	fn(sh)
 }

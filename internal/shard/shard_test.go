@@ -45,7 +45,7 @@ func newTestSharded(t *testing.T, shards, machines int) *Scheduler {
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	const shards = 8
-	r := NewRing(shards, 0)
+	r := NewRing(shards)
 	counts := make([]int, shards)
 	for i := 0; i < 4000; i++ {
 		name := fmt.Sprintf("job-%05d", i)
@@ -70,7 +70,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 func TestRingConsistency(t *testing.T) {
 	// Growing the ring by one shard should remap well under half of the
 	// population (hash-mod would remap ~80%).
-	r4, r5 := NewRing(4, 0), NewRing(5, 0)
+	r4, r5 := NewRing(4), NewRing(5)
 	moved := 0
 	const n = 4000
 	for i := 0; i < n; i++ {

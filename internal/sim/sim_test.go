@@ -238,9 +238,10 @@ func TestE10AmortizedShape(t *testing.T) {
 }
 
 // quickTable runs experiment id in quick mode and parses every cell of
-// the named columns as an integer (true and false read as 1 and 0), one
-// []int per row (in column order).
-func quickTable(t *testing.T, id string, cols ...int) [][]int {
+// the named columns as a T (true and false read as 1 and 0), one []T per
+// row (in column order). A decimal cell read as an int fails the test
+// rather than truncate.
+func quickTable[T int | float64](t *testing.T, id string, cols ...int) [][]T {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
@@ -253,20 +254,20 @@ func quickTable(t *testing.T, id string, cols ...int) [][]int {
 	if len(tab.Rows) == 0 {
 		t.Fatalf("%s: no rows", id)
 	}
-	out := make([][]int, len(tab.Rows))
+	out := make([][]T, len(tab.Rows))
 	for i, row := range tab.Rows {
 		for _, c := range cols {
-			v, err := strconv.Atoi(row[c])
+			v, err := strconv.ParseFloat(row[c], 64)
 			switch row[c] {
 			case "false":
 				v, err = 0, nil
 			case "true":
 				v, err = 1, nil
 			}
-			if err != nil {
+			if err != nil || float64(T(v)) != v {
 				t.Fatalf("%s: unparsable cell %d of row %v", id, c, row)
 			}
-			out[i] = append(out[i], v)
+			out[i] = append(out[i], T(v))
 		}
 	}
 	return out
@@ -276,10 +277,77 @@ func quickTable(t *testing.T, id string, cols ...int) [][]int {
 // quick table: over s adversarial requests the measured migrations sit
 // between the lower bound s/12 and one per request.
 func TestE4MigrationLowerBoundShape(t *testing.T) {
-	for _, row := range quickTable(t, "E4", 0, 1, 2) {
+	for _, row := range quickTable[int](t, "E4", 0, 1, 2) {
 		m, s, migr := row[0], row[1], row[2]
 		if 12*migr < s || migr > s {
 			t.Errorf("m=%d: %d migrations over s=%d requests, want s/12 <= migrations <= s", m, migr, s)
+		}
+	}
+}
+
+// TestE5QuadraticShape pins Lemma 12 on the quick table: with no
+// underallocation the fully subscribed chains cost at least the s²/16
+// reference in total, so the cost per request grows with s instead of
+// amortizing to a constant.
+func TestE5QuadraticShape(t *testing.T) {
+	rows := quickTable[float64](t, "E5", 1, 2, 3, 4)
+	if len(rows) < 2 {
+		t.Fatalf("quick E5 has %d rows, want at least 2 to see growth", len(rows))
+	}
+	for i, row := range rows {
+		s, total, perReq, ref := row[0], row[1], row[2], row[3]
+		if total < ref {
+			t.Errorf("s=%g: %g total reallocations, want >= the s²/16 reference %g", s, total, ref)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := rows[i-1]; s <= prev[0] || perReq <= prev[2] {
+			t.Errorf("total/s %g at s=%g does not rise from %g at s=%g", perReq, s, prev[2], prev[0])
+		}
+	}
+}
+
+// TestE6MixedSizesShape pins Observation 13 on the quick table: every
+// sweep of the size-k job across the horizon costs at least k
+// reallocations, and the total cost per k·sweeps sits between two
+// bounds. The lower one, 1, is Observation 13 summed over the sweeps.
+// The upper one is the most the construction can cost: the k unit
+// inserts cost 1 each, and every placement of the big job (one at the
+// start, then 2γ a sweep) costs 1 plus at most the k unit jobs under
+// its span, each moved once to a free slot.
+func TestE6MixedSizesShape(t *testing.T) {
+	const gamma, sweeps = 2, 3 // runE6's slack and quick sweep count
+	for _, row := range quickTable[float64](t, "E6", 0, 3, 5) {
+		k, minSweep, ratio := row[0], row[1], row[2]
+		if minSweep < k {
+			t.Errorf("k=%g: min sweep cost %g < k", k, minSweep)
+		}
+		most := (k + (k + 1) + 2*gamma*sweeps*(k+1)) / (k * sweeps)
+		if ratio < 1 || ratio > most {
+			t.Errorf("k=%g: cost/(k·sweeps) = %g, want within [1, %.2f]", k, ratio, most)
+		}
+	}
+}
+
+// TestE15PackedMemoryShape pins the introduction's sparse-array sibling
+// on the quick table: a packed-memory array's moves per ascending insert
+// grow with n and stay within log²(n).
+func TestE15PackedMemoryShape(t *testing.T) {
+	rows := quickTable[float64](t, "E15", 0, 1, 2)
+	if len(rows) < 2 {
+		t.Fatalf("quick E15 has %d rows, want at least 2 to see growth", len(rows))
+	}
+	for i, row := range rows {
+		n, moves, logSq := row[0], row[1], row[2]
+		if moves > logSq {
+			t.Errorf("n=%g: %g moves per insert > log²(n) = %g", n, moves, logSq)
+		}
+		if i == 0 {
+			continue
+		}
+		if prev := rows[i-1]; n <= prev[0] || moves <= prev[1] {
+			t.Errorf("moves per insert %g at n=%g does not rise from %g at n=%g", moves, n, prev[1], prev[0])
 		}
 	}
 }
@@ -307,7 +375,7 @@ func TestE8HistoryIndependentShape(t *testing.T) {
 // cascade the naive pecking order's worst probe reallocates exactly one
 // job per span, log2(Δ) of them (6 at Δ = 64, 10 at Δ = 1024).
 func TestE2LogDeltaShape(t *testing.T) {
-	rows := quickTable(t, "E2", 0, 1, 2)
+	rows := quickTable[int](t, "E2", 0, 1, 2)
 	if len(rows) != 2 {
 		t.Fatalf("quick E2 has %d rows, want Δ = 64 and Δ = 1024", len(rows))
 	}
@@ -328,7 +396,7 @@ func TestE2LogDeltaShape(t *testing.T) {
 // adversary's cheapest sweep still costs at least k (Observation 13's
 // Ω(k)).
 func TestE12SizeBoundsMeetShape(t *testing.T) {
-	for _, row := range quickTable(t, "E12", 0, 2, 4) {
+	for _, row := range quickTable[int](t, "E12", 0, 2, 4) {
 		k, slide, sweep := row[0], row[1], row[2]
 		if slide > k+1 {
 			t.Errorf("k=%d: max slide cost %d > k+1", k, slide)
@@ -343,7 +411,7 @@ func TestE12SizeBoundsMeetShape(t *testing.T) {
 // table: the full stack serves unaligned windows feasibly and migrates
 // at most one job per request.
 func TestE11ComposedShape(t *testing.T) {
-	for _, row := range quickTable(t, "E11", 0, 4, 5) {
+	for _, row := range quickTable[int](t, "E11", 0, 4, 5) {
 		m, migr, feas := row[0], row[1], row[2]
 		if feas != 1 {
 			t.Errorf("m=%d: schedule not feasible", m)
@@ -358,7 +426,7 @@ func TestE11ComposedShape(t *testing.T) {
 // per level, each causing at most two reallocations, so no level pays
 // more than two in one request.
 func TestE13PerLevelShape(t *testing.T) {
-	rows := quickTable(t, "E13", 0, 4)
+	rows := quickTable[int](t, "E13", 0, 4)
 	if len(rows) != align.NumLevels {
 		t.Fatalf("%d levels, want align.NumLevels = %d", len(rows), align.NumLevels)
 	}
@@ -374,7 +442,7 @@ func TestE13PerLevelShape(t *testing.T) {
 // at least x+1 fulfilled reservations on random and exact-fit runs.
 func TestE14Lemma8Shape(t *testing.T) {
 	seen := false
-	for _, row := range quickTable(t, "E14", 0, 2, 3, 4, 5) {
+	for _, row := range quickTable[int](t, "E14", 0, 2, 3, 4, 5) {
 		if row[0] != 8 {
 			continue
 		}
@@ -426,7 +494,7 @@ func TestTableCSV(t *testing.T) {
 // configuration fails nothing, serves exactly what the sequential row
 // serves, and pays at most twice its reallocations.
 func TestE16ShardedParity(t *testing.T) {
-	rows := quickTable(t, "E16", 1, 2, 3)
+	rows := quickTable[int](t, "E16", 1, 2, 3)
 	if len(rows) != 4 {
 		t.Fatalf("%d rows, want sequential + sharded-{1,4,8}", len(rows))
 	}

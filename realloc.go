@@ -86,8 +86,7 @@ type (
 	Scheduler = sched.Scheduler
 	// Sharded is the concurrent sharded front-end built by NewSharded:
 	// a Scheduler that is safe for concurrent use, plus the bulk
-	// ApplyBatch, deadline-bounded ApplyDeadline, the per-shard Report,
-	// and Close.
+	// ApplyBatch, the per-shard Report, and Close.
 	Sharded = shard.Scheduler
 	// ShardReport is the per-shard cost breakdown of a Sharded scheduler.
 	ShardReport = metrics.ShardReport
@@ -104,8 +103,8 @@ type (
 // classes — the embedded schedulers, the WAL, the wire codec, the
 // network client — aliases the same sentinel, so errors.Is against
 // the realloc names works identically for embedded and remote callers:
-// a CodeDeadline ack decoded by repro/client and a Sharded.ApplyDeadline
-// expiry both satisfy errors.Is(err, realloc.ErrDeadlineExceeded).
+// a CodeDeadline ack decoded by repro/client satisfies
+// errors.Is(err, realloc.ErrDeadlineExceeded).
 var (
 	// ErrDuplicateJob reports an insert whose name is already active.
 	ErrDuplicateJob = fault.ErrDuplicateJob
